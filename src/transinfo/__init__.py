@@ -56,6 +56,9 @@ from .trivial_metric import (
     rho,
     rho_sup_scan,
 )
+# importing the submodule above rebinds the package attribute trivial_metric
+# to it; the package exports the metric constructor under that name
+from .chains import trivial_metric  # noqa: E402
 from .diffusion1d import (
     DiffusionSpec1D,
     Grid1D,

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,12 +75,15 @@ def _rate_function(obj) -> RateFunction:
     if obj is None:
         raise ConfigParse("experiment needs an alpha specification")
     kind = obj.get("kind")
-    if kind == "quadratic":
-        return RateFunction.quadratic(float(obj["c"]))
-    if kind == "power":
-        return RateFunction.power(float(obj["kappa"]), float(obj["p"]))
-    if kind == "tabulated":
-        return RateFunction.tabulated(obj["knots"], obj["values"])
+    try:
+        if kind == "quadratic":
+            return RateFunction.quadratic(float(obj["c"]))
+        if kind == "power":
+            return RateFunction.power(float(obj["kappa"]), float(obj["p"]))
+        if kind == "tabulated":
+            return RateFunction.tabulated(obj["knots"], obj["values"])
+    except ValueError as exc:
+        raise ConfigParse(f"invalid rate function {obj!r}: {exc}") from exc
     raise ConfigParse(f"unknown rate-function kind {kind!r}")
 
 
@@ -202,6 +206,9 @@ def run_diffusion(params, out_dir: Path, seed: int, name: str) -> Outcome:
     nodes = int(params.get("nodes", 400))
     model = catalog.load_example(model_name, grid_nodes=nodes) \
         if isinstance(model_name, str) else _load_model(model_name)
+    if "grid" not in model:
+        raise ConfigParse("diffusion experiments need a catalog model; "
+                          "an inline model carries no grid")
     spec, grid = model["spec"], model["grid"]
     warp_name = params.get("rho", "identity")
     warp = {"identity": Warp.identity(), "tanh": Warp.tanh_blend(),
@@ -374,7 +381,9 @@ def run_spec_file(path: Path, out_dir: Path, seed_override=None, jobs: int = 1) 
         name = exp.get("name", f"{kind}-{idx}")
         try:
             return _KINDS[kind](exp.get("params", {}), out_dir, seed, name)
-        except TransinfoError as exc:
+        except Exception as exc:  # a failing experiment is recorded; the batch goes on
+            if not isinstance(exc, TransinfoError):
+                traceback.print_exc()
             return Outcome(name, False, {"error": f"{type(exc).__name__}: {exc}"}, [])
 
     if jobs > 1:

@@ -61,10 +61,6 @@ class HorizonOverflow(TransinfoError):
     """exp(t * growth) would overflow double precision."""
 
 
-class DivergentConjugate(TransinfoError):
-    """Monotone conjugate has no finite supremum (reported as +inf sentinel)."""
-
-
 class QuadratureFailure(TransinfoError):
     """Adaptive quadrature did not reach the requested tolerance."""
 
@@ -107,7 +103,3 @@ class NoExactSplit(TransinfoError):
 
 class ConfigParse(TransinfoError):
     """Experiment specification file could not be parsed."""
-
-
-class CheckFailed(TransinfoError):
-    """A PASS-type check inside an experiment failed."""

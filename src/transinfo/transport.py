@@ -1,11 +1,12 @@
 """Transport costs, Kantorovich duality and the rate-function calculus.
 
-The optimal-transport solver is an exact LP (HiGHS dual simplex on the
-bipartite transport polytope); the instances here are tiny and the
-identities under test (duality, the half-TV formula for the trivial
-metric) are exact, so entropic regularization would only pollute the
-tolerance budgets.  Dual potentials are tightened by a c-transform so
-the returned (u, v) are exactly feasible.
+The optimal-transport solver is a transportation network simplex on a
+spanning tree of the bipartite transport graph; it ends on an exact
+optimal vertex together with the tree's dual potentials.  The instances
+here are small and the identities under test (duality, the half-TV
+formula for the trivial metric) are exact, so entropic regularization
+would only pollute the tolerance budgets.  Dual potentials are tightened
+by a c-transform so the returned (u, v) are exactly feasible.
 
 Rate functions alpha: [0, inf) -> [0, inf] come in three parametric
 flavors; their monotone conjugate sup_{r>=0} (lambda r - alpha(r)) and
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .chains import Density, MetricMatrix, ReversibleChain, fisher_information
 from .errors import (
@@ -94,325 +93,129 @@ def _check_marginals(nu: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.clip(nu, 0.0, None), np.clip(mu, 0.0, None)
 
 
-def _transport_lp(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
-    # one column constraint dropped: it is implied by the rest, and the
-    # full-rank system lets the solver run at tight feasibility tolerances
-    n, m = c.shape
-    rows, cols, data = [], [], []
-    for i in range(n):
-        rows.extend([i] * m)
-        cols.extend(range(i * m, (i + 1) * m))
-        data.extend([1.0] * m)
-    for j in range(m - 1):
-        rows.extend([n + j] * n)
-        cols.extend(range(j, n * m, m))
-        data.extend([1.0] * n)
-    A = sparse.coo_matrix((data, (rows, cols)), shape=(n + m - 1, n * m)).tocsr()
-    b = np.concatenate([nu, mu[:-1]])
-    res = linprog(c.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:  # pragma: no cover - tiny feasible LPs
-        raise InfeasibleMarginals(f"LP solver failed: {res.message}")
-    return res
+def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
+    """Optimal vertex pi of the transport polytope and its tree potentials (u, v).
 
+    Transportation network simplex (Ahuja, Magnanti & Orlin, *Network
+    Flows*, ch. 11) on a spanning tree of the bipartite graph: nodes
+    0..n-1 are the rows, n..n+m-1 the columns, row 0 is the root, and
+    ``parent[x]``/``flow[x]`` describe the tree arc joining x to its parent.
+    The tree stays strongly feasible: every zero-flow arc points toward
+    the root.  The northwest-corner start has that property when a tie
+    advances the row; leaving by the last blocking arc met from the apex
+    keeps it (Cunningham 1976), so degenerate pivots cannot cycle.
+    Entering arcs are priced by Dantzig's rule.
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _spanning_forest(pi, n, m):
-    """Max-flow spanning forest of the support graph.
-
-    A basic solution's support is a forest in exact arithmetic; solver
-    noise adds spurious small edges that can close cycles, so edges are
-    admitted in decreasing flow order under a union-find acyclicity test.
+    A zero-mass column has no strongly feasible place in a tree, so
+    zero-mass rows and columns stay out of it; their potentials are the
+    c-transforms of the tree's.  The last row and column absorb the
+    roundoff-sized mass imbalance the marginal check lets through.
     """
-    cells = np.argwhere(pi > 0)
-    order = np.argsort(-pi[pi > 0])
-    uf = _UnionFind(n + m)
-    forest = set()
-    for k in order:
-        i, j = int(cells[k][0]), int(cells[k][1])
-        if uf.union(i, n + j):
-            forest.add((i, j))
-    return forest
-
-
-def _connect_components(c, forest, nu, mu, n, m):
-    """Grow the forest into a spanning tree along cheapest reduced-cost edges.
-
-    Each pending component attaches directly to the main component with
-    the edge oriented by its own mass imbalance (exporters send a row
-    into the main tree, importers receive a column), so the connector
-    carries exactly |imbalance| >= 0 and the tree flows stay feasible.
-    At optimality the connectors have (near-)zero reduced cost, keeping
-    the roundoff-sized routed masses inside the gap tolerance.
-    """
-    forest = set(forest)
+    rows, cols = np.flatnonzero(nu > 0), np.flatnonzero(mu > 0)
+    if rows.size == 0 or cols.size == 0:
+        u = np.zeros(c.shape[0])
+        return np.zeros(c.shape), u, np.max(u[:, None] - c, axis=0)
+    cost = c[np.ix_(rows, cols)]
+    supply, demand = nu[rows], mu[cols]
+    n, m = cost.shape
+    parent = np.zeros(n + m, dtype=int)
+    flow = np.zeros(n + m)
+    # northwest corner; a and b are the unshipped masses of row i and column j
+    i = j = 0
+    a, b = supply[0], demand[0]
+    x = n                                   # column 0 hangs from row 0
     while True:
-        uf = _UnionFind(n + m)
-        for i, j in forest:
-            uf.union(i, n + j)
-        comp_rows = np.array([uf.find(i) for i in range(n)])
-        comp_cols = np.array([uf.find(n + j) for j in range(m)])
-        roots, counts = np.unique(np.concatenate([comp_rows, comp_cols]),
-                                  return_counts=True)
-        if len(roots) == 1:
-            return forest
-        main = roots[int(np.argmax(counts))]
-        pending = next(r for r in roots if r != main)
-        rows_in = comp_rows == pending
-        cols_in = comp_cols == pending
-        imbalance = float(nu[rows_in].sum() - mu[cols_in].sum())
-        u, v = _forest_potentials(c, forest, n, m)
-        reduced = c - (u[:, None] - v[None, :])
-        rows_main = comp_rows == main
-        cols_main = comp_cols == main
-        if imbalance >= 0 and rows_in.any() and cols_main.any():
-            mask = rows_in[:, None] & cols_main[None, :]
+        if x < n and j == m - 1:            # the last row and column take the
+            f = a                           # roundoff-sized mass imbalance
+        elif x >= n and i == n - 1:
+            f = b
         else:
-            mask = rows_main[:, None] & cols_in[None, :]
-        masked = np.where(mask, reduced, math.inf)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        forest.add((int(i), int(j)))
-
-
-def _tree_flows(forest, nu, mu, n, m):
-    """Exact flows on a spanning structure by leaf elimination."""
-    rows_adj = [set() for _ in range(n)]
-    cols_adj = [set() for _ in range(m)]
-    for i, j in forest:
-        rows_adj[i].add(j)
-        cols_adj[j].add(i)
-    rem_nu = nu.astype(float).copy()
-    rem_mu = mu.astype(float).copy()
-    out = np.zeros((n, m))
-    stack = [(0, i) for i in range(n) if len(rows_adj[i]) == 1] + \
-            [(1, j) for j in range(m) if len(cols_adj[j]) == 1]
-    while stack:
-        side, k = stack.pop()
-        if side == 0:
-            if len(rows_adj[k]) != 1:
-                continue
-            j = next(iter(rows_adj[k]))
-            flow = rem_nu[k]
-            out[k, j] += flow
-            rem_nu[k] = 0.0
-            rem_mu[j] -= flow
-            rows_adj[k].discard(j)
-            cols_adj[j].discard(k)
-            if len(cols_adj[j]) == 1:
-                stack.append((1, j))
+            f = min(a, b)
+        flow[x] = f
+        a, b = a - f, b - f
+        if i == n - 1 and j == m - 1:
+            break
+        if j == m - 1 or (i < n - 1 and a == 0.0):   # a tie advances the row
+            i += 1
+            x, parent[i], a = i, n + j, supply[i]
         else:
-            if len(cols_adj[k]) != 1:
-                continue
-            i = next(iter(cols_adj[k]))
-            flow = rem_mu[k]
-            out[i, k] += flow
-            rem_mu[k] = 0.0
-            rem_nu[i] -= flow
-            cols_adj[k].discard(i)
-            rows_adj[i].discard(k)
-            if len(rows_adj[i]) == 1:
-                stack.append((0, i))
-    return out
-
-
-def _repair_negative_edges(c, forest, nu, mu, n, m, max_repairs=5000):
-    """Restore primal feasibility of a dual-optimal spanning tree.
-
-    Dual-simplex step: a tree edge carrying its cut's (roundoff-sized)
-    imbalance with the wrong sign leaves; the cheapest reduced-cost edge
-    crossing the same cut in the opposite orientation enters.  Leaving
-    edges are chosen by smallest index and entering ties break the same
-    way (Bland's rule), so the degenerate zero-reduced-cost ties cannot
-    cycle.  The exchanged flows are roundoff-sized, so the value moves
-    well below the gap tolerance.
-    """
-    forest = set(forest)
-    for _ in range(max_repairs):
-        pi = _tree_flows(forest, nu, mu, n, m)
-        bad_edges = sorted(e for e in forest if pi[e] < -1e-14)
-        if not bad_edges:
+            j += 1
+            x, parent[n + j], b = n + j, i, demand[j]
+    tol = 1e-12 * max(1.0, float(cost.max()))
+    pot = np.zeros(n + m)
+    depth = np.zeros(n + m, dtype=int)
+    while True:
+        kids = [[] for _ in range(n + m)]
+        for x in range(1, n + m):
+            kids[parent[x]].append(x)
+        order = [0]
+        for x in order:
+            order.extend(kids[x])
+        for x in order[1:]:
+            p = parent[x]
+            pot[x] = pot[p] + cost[x, p - n] if x < n else pot[p] - cost[p, x - n]
+            depth[x] = depth[p] + 1
+        reduced = cost - pot[:n, None] + pot[None, n:]
+        k, l = divmod(int(np.argmin(reduced)), m)
+        if reduced[k, l] >= -tol:
             break
-        bad = bad_edges[0]
-        forest.discard(bad)
-        left = _component_of(forest, n, m, (0, bad[0]))
-        u, v = _forest_potentials(c, forest, n, m)
-        reduced = c - (u[:, None] - v[None, :])
-        # need flow to cross toward bad[0]'s side: rows outside, cols inside
-        rows_out = np.array([(0, i) not in left for i in range(n)])
-        cols_in = np.array([(1, j) in left for j in range(m)])
-        masked = np.where(rows_out[:, None] & cols_in[None, :], reduced, math.inf)
-        best = masked.min()
-        if not np.isfinite(best):
-            forest.add(bad)   # no admissible swap; keep the tiny negative
-            break
-        # smallest-index tie break among (near-)minimal reduced costs
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(c))))
-        candidates = np.argwhere(masked <= best + tol)
-        i, j = candidates[0]
-        forest.add((int(i), int(j)))
-    return forest
-
-
-def _component_of(forest, n, m, start):
-    rows_adj = [[] for _ in range(n)]
-    cols_adj = [[] for _ in range(m)]
-    for i, j in forest:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    from collections import deque
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        side, k = queue.popleft()
-        nbrs = [(1, j) for j in rows_adj[k]] if side == 0 else \
-               [(0, i) for i in cols_adj[k]]
-        for nxt in nbrs:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-def _simplex_polish(c, nu, mu, pi, forest, max_pivots=500):
-    """Network-simplex pivots from a near-optimal vertex to the exact one.
-
-    The LP solver terminates within its own tolerances; a handful of
-    pivots (entering edge = most negative reduced cost, flow pushed
-    around the induced forest cycle) closes the duality gap to roundoff.
-    """
-    n, m = c.shape
-    forest = set(forest)
-    pi = pi.copy()
-
-    for _ in range(max_pivots):
-        u, v = _forest_potentials(c, forest, n, m)
-        reduced = c - (u[:, None] - v[None, :])
-        i_star, j_star = np.unravel_index(np.argmin(reduced), reduced.shape)
-        if reduced[i_star, j_star] >= -1e-12 * max(1.0, float(np.max(np.abs(c)))):
-            break
-        path = _forest_path(forest, n, m, int(i_star), int(j_star))
-        if path is None:
-            forest.add((int(i_star), int(j_star)))   # joins two components
-            continue
-        # cycle: entering edge plus the forest path; orient +/- alternately
-        plus = [(int(i_star), int(j_star))]
-        minus = []
-        for k, edge in enumerate(path):
-            (minus if k % 2 == 0 else plus).append(edge)
-        theta = min(pi[e] for e in minus)
-        for e in plus:
-            pi[e] += theta
-        leaving = min(minus, key=lambda e: pi[e] - theta)
-        for e in minus:
-            pi[e] = max(pi[e] - theta, 0.0)
-        forest.add((int(i_star), int(j_star)))
-        forest.discard(leaving)
-        pi[leaving] = 0.0
-    return np.clip(pi, 0.0, None), forest
-
-
-def _forest_potentials(c, forest, n, m):
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    rows_adj = [[] for _ in range(n)]
-    cols_adj = [[] for _ in range(m)]
-    for i, j in forest:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    from collections import deque
-    for start in range(n):
-        if not math.isnan(u[start]):
-            continue
-        u[start] = 0.0
-        queue = deque([(0, start)])
-        while queue:
-            side, k = queue.popleft()
-            if side == 0:
-                for j in rows_adj[k]:
-                    if math.isnan(v[j]):
-                        v[j] = u[k] - c[k, j]
-                        queue.append((1, j))
+        # pivot cycle: entering arc k -> n+l, then the tree paths up to the apex
+        side_k, side_l = [], []
+        x, y = k, n + l
+        while x != y:
+            if depth[x] >= depth[y]:
+                side_k.append(x)
+                x = parent[x]
             else:
-                for i in cols_adj[k]:
-                    if math.isnan(u[i]):
-                        u[i] = v[k] + c[i, k]
-                        queue.append((0, i))
-    # isolated column nodes: tightest feasible value against assigned u
-    for j in range(m):
-        if math.isnan(v[j]):
-            v[j] = float(np.max(u - c[:, j]))
-    return u, v
-
-
-def _forest_path(forest, n, m, i_star, j_star):
-    """Alternating edge path in the forest from row i_star to column j_star."""
-    from collections import deque
-    rows_adj = [[] for _ in range(n)]
-    cols_adj = [[] for _ in range(m)]
-    for i, j in forest:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    parent = {}
-    start = (0, i_star)
-    target = (1, j_star)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == target:
-            break
-        side, k = node
-        nbrs = [(1, j) for j in rows_adj[k]] if side == 0 else \
-               [(0, i) for i in cols_adj[k]]
-        for nxt in nbrs:
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = node
-                queue.append(nxt)
-    else:
-        return None
-    path = []
-    node = target
-    while node != start:
-        prev = parent[node]
-        edge = (prev[1], node[1]) if prev[0] == 0 else (node[1], prev[1])
-        path.append(edge)
-        node = prev
-    return path
+                side_l.append(y)
+                y = parent[y]
+        # flow falls on row arcs of the k side and column arcs of the l side;
+        # walked from the apex, the k side comes first
+        blocking = [x for x in reversed(side_k) if x < n] + [y for y in side_l if y >= n]
+        theta, leave = math.inf, -1
+        for x in blocking:
+            if flow[x] <= theta:
+                theta, leave = flow[x], x
+        for x in side_k:
+            flow[x] += theta if x >= n else -theta
+        for y in side_l:
+            flow[y] += theta if y < n else -theta
+        # re-hang the cut-off subtree from the entering arc, reversing the
+        # parent pointers on the path from its endpoint up to the leaving arc
+        x, new_parent = (k, n + l) if leave in side_k else (n + l, k)
+        new_flow = theta
+        while True:
+            old_parent, old_flow = parent[x], flow[x]
+            parent[x], flow[x] = new_parent, new_flow
+            if x == leave:
+                break
+            x, new_parent, new_flow = old_parent, x, old_flow
+    pi = np.zeros(c.shape)
+    child = np.arange(1, n + m)
+    up = parent[1:]
+    is_row = child < n
+    pi[rows[np.where(is_row, child, up)], cols[np.where(is_row, up, child) - n]] = flow[1:]
+    u = np.min(pot[None, n:] + c[:, cols], axis=1)
+    u[rows] = pot[:n]
+    v = np.max(u[:, None] - c, axis=0)
+    v[cols] = pot[n:]
+    return pi, u, v
 
 
 def ot_cost(c: CostMatrix, nu: np.ndarray, mu: np.ndarray) -> tuple[float, Coupling]:
     """Minimal coupling cost inf_pi sum c(x,y) pi(x,y) with marginals (nu, mu).
 
-    The solver's near-vertex plan is polished to an exact vertex (leaf
-    elimination on the support forest) and the duality gap against the
-    complementary-slackness potentials must close below 1e-9.
+    The transportation simplex returns an exact vertex with its spanning
+    tree's potentials; the duality gap against those potentials, tightened
+    by a c-transform, must close below 1e-9.
     """
     nu, mu = _check_marginals(nu, mu)
     n, m = c.c.shape
     if len(nu) != n or len(mu) != m:
         raise InfeasibleMarginals("marginal lengths do not match the cost shape")
-    pi, forest = _optimal_vertex(c.c, nu, mu)
+    pi, u, _ = _network_simplex(c.c, nu, mu)
     value = float(np.sum(pi * c.c))
-    dual_value, _, _ = _dual_value(c.c, nu, mu, forest)
+    dual_value, _, _ = _dual_value(c.c, nu, mu, u)
     if abs(value - dual_value) > DUALITY_GAP_TOL * max(1.0, abs(value)):
         raise InfeasibleMarginals(
             f"duality gap {abs(value - dual_value):.3e} exceeds tolerance"
@@ -420,76 +223,7 @@ def ot_cost(c: CostMatrix, nu: np.ndarray, mu: np.ndarray) -> tuple[float, Coupl
     return value, Coupling(pi=pi, nu=nu, mu=mu)
 
 
-def _optimal_vertex(c, nu, mu):
-    """Exact optimal vertex and its spanning tree, from an LP warm start."""
-    res = _transport_lp(c, nu, mu)
-    n, m = c.shape
-    forest = _spanning_forest(res.x.reshape(n, m), n, m)
-    pi = np.clip(_tree_flows(forest, nu, mu, n, m), 0.0, None)
-    pi, forest = _simplex_polish(c, nu, mu, pi, forest)
-    forest = _connect_components(c, forest, nu, mu, n, m)
-    # alternate primal-feasibility repair with (possibly degenerate) pivots
-    # until the tree is an optimal basis: dual-feasible with flows >= 0
-    for _ in range(6):
-        forest = _repair_negative_edges(c, forest, nu, mu, n, m)
-        pi = np.clip(_tree_flows(forest, nu, mu, n, m), 0.0, None)
-        pi, new_forest = _simplex_polish(c, nu, mu, pi, forest)
-        if new_forest == forest:
-            break
-        forest = new_forest
-    pi = np.clip(_tree_flows(forest, nu, mu, n, m), 0.0, None)
-    u, v = _forest_potentials(c, forest, n, m)
-    reduced = np.clip(c - (u[:, None] - v[None, :]), 0.0, None)
-    return _settle_marginals(pi, nu, mu, reduced), forest
-
-
-def _settle_marginals(pi, nu, mu, reduced, rounds=3):
-    """Absorb the roundoff-scale marginal errors left by clipping.
-
-    Surpluses come off the largest entry of their row/column (optimal
-    support, zero reduced cost); deficits are routed greedily along
-    minimal-reduced-cost cells.  With the potentials cancelling against
-    the restored marginals, the net value drift is the moved mass times
-    near-zero reduced costs, independent of the cost scale.
-    """
-    pi = pi.copy()
-    for _ in range(rounds):
-        row_err = pi.sum(axis=1) - nu
-        col_err = pi.sum(axis=0) - mu
-        if np.all(np.abs(row_err) < 1e-15) and np.all(np.abs(col_err) < 1e-15):
-            break
-        for i in np.nonzero(row_err > 1e-15)[0]:
-            j = int(np.argmax(pi[i]))
-            pi[i, j] = max(pi[i, j] - row_err[i], 0.0)
-        col_err = pi.sum(axis=0) - mu
-        for j in np.nonzero(col_err > 1e-15)[0]:
-            i = int(np.argmax(pi[:, j]))
-            pi[i, j] = max(pi[i, j] - col_err[j], 0.0)
-        _route_deficits(pi, nu, mu, reduced)
-    return pi
-
-
-def _route_deficits(pi, nu, mu, reduced):
-    row_def = np.clip(nu - pi.sum(axis=1), 0.0, None)
-    col_def = np.clip(mu - pi.sum(axis=0), 0.0, None)
-    rows = np.nonzero(row_def > 0)[0]
-    cols = np.nonzero(col_def > 0)[0]
-    if len(rows) == 0 or len(cols) == 0:
-        return
-    cells = [(reduced[i, j], i, j) for i in rows for j in cols]
-    cells.sort()
-    for _, i, j in cells:
-        move = min(row_def[i], col_def[j])
-        if move <= 0:
-            continue
-        pi[i, j] += move
-        row_def[i] -= move
-        col_def[j] -= move
-
-
-def _dual_value(c, nu, mu, forest):
-    n, m = c.shape
-    u, _ = _forest_potentials(c, forest, n, m)
+def _dual_value(c, nu, mu, u):
     # tighten by a c-transform: keeps feasibility exact and can only
     # increase the dual value toward the primal
     v = np.max(u[:, None] - c, axis=0)
@@ -502,8 +236,8 @@ def _dual_value(c, nu, mu, forest):
 def kantorovich_dual(c: CostMatrix, nu: np.ndarray, mu: np.ndarray):
     """Dual value sup { <u, nu> - <v, mu> : u(x) - v(y) <= c(x,y) }."""
     nu, mu = _check_marginals(nu, mu)
-    _, forest = _optimal_vertex(c.c, nu, mu)
-    return _dual_value(c.c, nu, mu, forest)
+    _, u, _ = _network_simplex(c.c, nu, mu)
+    return _dual_value(c.c, nu, mu, u)
 
 
 def w1(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
@@ -528,7 +262,7 @@ def line_embedding(d: MetricMatrix) -> np.ndarray | None:
     """Detect d[i,j] = |s_i - s_j| with s increasing along the index order.
 
     Line metrics admit closed-form W_1 / W_2 via the monotone coupling;
-    the generic LP stays available as the cross-check route.
+    the generic simplex stays available as the cross-check route.
     """
     s = d.d[0, :].copy()
     if np.any(np.diff(s) <= 0):
@@ -833,7 +567,6 @@ def _pairwise_descent(alphas, split, r, sweeps: int = 40):
                 k = int(np.argmin(vals))
                 lo = xs[max(0, k - 1)]
                 hi = xs[min(len(xs) - 1, k + 1)]
-                best = -_golden_max(lambda x: -pair_obj(x), lo, hi)
                 x_best = _argmin_scan(pair_obj, lo, hi)
                 if pair_obj(x_best) <= min(vals):
                     moved += abs(split[i] - x_best)

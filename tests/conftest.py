@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from transinfo.chains import ReversibleChain, build_chain
+
+# Property tests draw the same examples on every run (derandomized runs keep
+# no example database) and never fail a slow example on a loaded host.
+settings.register_profile("transinfo", deadline=None, derandomize=True,
+                          max_examples=40)
+settings.load_profile("transinfo")
 
 
 def random_reversible_chain(n: int, rng: np.random.Generator,

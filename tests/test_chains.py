@@ -258,6 +258,10 @@ class TestMetricValidation:
         with pytest.raises(ModelValidation):
             MetricMatrix.validate(d)
 
+    def test_package_exports_trivial_metric_constructor(self):
+        import transinfo
+        assert isinstance(transinfo.trivial_metric(3), MetricMatrix)
+
 
 class TestAbsoluteValueContraction:
     def test_energy_of_abs_never_larger(self, rng):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from transinfo import catalog
+from transinfo import catalog, cli
 from transinfo.cli import main, run_spec_file
 from transinfo.errors import ConfigParse
 from transinfo.exprutil import compile_expression
@@ -146,6 +146,42 @@ class TestRunSpecInProcess:
         for name in ("t-report.csv", "s-ledger.csv", "summary.json"):
             assert (tmp_path / "x" / name).read_bytes() == \
                 (tmp_path / "y" / name).read_bytes()
+
+    @pytest.mark.parametrize("middle", [
+        {"kind": "verify-tci", "params": {"alpha": {"kind": "quadratic", "c": -1}}},
+        {"kind": "diffusion",
+         "params": {"model": {"a": "1", "b": "-x", "interval": [None, None]}}},
+    ])
+    def test_bad_experiment_fails_alone(self, tmp_path, middle):
+        spec = {"experiments": [
+            {"kind": "rho-scan", "name": "first", "params": {"lambdas": [0.5]}},
+            dict(middle, name="bad"),
+            {"kind": "ckp-scan", "name": "last", "params": {"n": 4, "count": 50}},
+        ]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        entries = {e["name"]: e for e in summary["experiments"]}
+        assert entries["first"]["passed"] and entries["last"]["passed"]
+        assert entries["bad"]["passed"] is False
+        assert entries["bad"]["details"]["error"].startswith("ConfigParse: ")
+
+    def test_unexpected_exception_is_recorded(self, tmp_path, monkeypatch):
+        def broken(params, out_dir, seed, name):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._KINDS, "rho-scan", broken)
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"experiments": [
+            {"kind": "rho-scan", "name": "r"},
+            {"kind": "ckp-scan", "name": "c", "params": {"n": 4, "count": 50}},
+        ]}))
+        assert run_spec_file(spec_file, tmp_path / "out", None, 2) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        entries = {e["name"]: e for e in summary["experiments"]}
+        assert entries["r"]["details"] == {"error": "RuntimeError: boom"}
+        assert entries["c"]["passed"]
 
     def test_17_digit_floats_in_artifacts(self, tmp_path):
         spec_file = tmp_path / "spec.json"

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from transinfo.chains import Density, fisher_information, line_metric, trivial_metric
+from transinfo.diffusion1d import Grid1D, discretize, ou_spec
 from transinfo.errors import InfeasibleMarginals, ProductTooLarge, UnsortedGrid
 from transinfo.transport import (
     CostMatrix,
@@ -56,6 +60,68 @@ def transport_vertices(nu, mu):
     return vertices
 
 
+def linprog_ot_value(c, nu, mu):
+    """Transport LP with every row and column marginal as a constraint."""
+    n, m = c.shape
+    A = np.zeros((n + m, n * m))
+    for i in range(n):
+        A[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        A[n + j, j::m] = 1.0
+    res = linprog(c.ravel(), A_eq=A, b_eq=np.concatenate([nu, mu]), bounds=(0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _dyadic_masses(draw, k):
+    # multiples of 1/16 summing to one exactly: many ties and zero masses
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=k - 1, max_size=k - 1)))
+    return np.diff([0] + cuts + [16]) / 16.0
+
+
+def _float_masses(draw, k, zeros):
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    if zeros:
+        keep = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+        keep[draw(st.integers(0, k - 1))] = True
+        w = np.where(keep, w, 0.0)
+    return w / w.sum()
+
+
+@st.composite
+def transport_instances(draw):
+    """2-8 x 2-8 costs: random, integer with ties, trivial metric with nu == mu,
+    and random with zero-mass rows and columns."""
+    kind = draw(st.sampled_from(["random", "integer", "trivial", "zero-mass"]))
+    n = draw(st.integers(2, 8))
+    m = n if kind == "trivial" else draw(st.integers(2, 8))
+    if kind == "integer":
+        c = np.array(draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)),
+                     dtype=float).reshape(n, m)
+        return c, _dyadic_masses(draw, n), _dyadic_masses(draw, m)
+    if kind == "trivial":
+        nu = _float_masses(draw, n, zeros=draw(st.booleans()))
+        return 1.0 - np.eye(n), nu, nu.copy()
+    c = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n * m, max_size=n * m)))
+    zeros = kind == "zero-mass"
+    return c.reshape(n, m), _float_masses(draw, n, zeros), _float_masses(draw, m, zeros)
+
+
+class TestSimplexAgainstLinprog:
+    @given(transport_instances())
+    def test_vertex_potentials_and_gap(self, instance):
+        c, nu, mu = instance
+        cm = CostMatrix.validate(c, aligned=False)
+        val, coup = ot_cost(cm, nu, mu)
+        dual, u, v = kantorovich_dual(cm, nu, mu)
+        assert val == pytest.approx(linprog_ot_value(c, nu, mu), abs=1e-9)
+        assert np.all(coup.pi >= 0.0)
+        assert coup.marginal_residual() <= 1e-12
+        assert np.all(u[:, None] - v[None, :] <= c + 1e-12)
+        assert abs(val - dual) <= 1e-9
+
+
 class TestOtCost:
     def test_identity_coupling_zero_cost(self, rng):
         c = CostMatrix.validate(rng.uniform(0, 1, (3, 3)) * (1 - np.eye(3)))
@@ -81,6 +147,16 @@ class TestOtCost:
             val, _ = ot_cost(cm, nu, mu)
             oracle = min(float(np.sum(v * c)) for v in transport_vertices(nu, mu))
             assert val == pytest.approx(oracle, abs=1e-9)
+
+    def test_line_cost_closed_form(self):
+        # regression: this feasible instance used to raise InfeasibleMarginals
+        grid = Grid1D.uniform(-8.0, 8.0, 150)
+        chain = discretize(ou_spec(), grid)
+        f = np.exp(0.4 * grid.nodes)
+        nu = chain.mu * Density.validate(chain.mu, f / float(np.dot(chain.mu, f))).f
+        val, _ = ot_cost(CostMatrix.from_metric(line_metric(grid.nodes), 1), nu, chain.mu)
+        closed = float(np.sum(np.abs(np.cumsum(nu - chain.mu)[:-1]) * np.diff(grid.nodes)))
+        assert val == pytest.approx(closed, abs=1e-9)
 
     def test_infeasible_marginals(self):
         c = CostMatrix.validate(np.zeros((2, 2)))
