@@ -15,14 +15,24 @@ All eigenproblems are solved on the symmetric conjugation
 diag(sqrt mu) (-L) diag(1/sqrt mu), which is the matrix of the
 self-adjoint operator in L^2(mu); this keeps spectra real by
 construction instead of by luck.
+
+Each chain caches its operator once, in O(n + |E|) memory: the edge list
+(i, j, w_ij) with symmetric conductances w_ij, over which the Dirichlet
+forms are plain sums, and, for birth-death chains (edges exactly
+{(k, k+1)}), the tridiagonal band of the conjugated -L^sigma.  The one
+eigen entry point ``_lowest_eigenpairs`` solves birth-death chains on that
+band by LAPACK's tridiagonal bisection for the requested indices only,
+and any other chain by a dense eigh of ``conjugated_neg_generator()``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -73,6 +83,37 @@ class ReversibleChain:
         A = (s[:, None] * (-self.symmetrized_generator())) / s[None, :]
         return 0.5 * (A + A.T)
 
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge list (i, j, w_ij) over the pairs i < j that carry a rate.
+
+        w_ij = (mu_i q_ij + mu_j q_ji) / 2 is the symmetric conductance, so
+        E(g, h) = sum over edges of w_ij (g_j - g_i)(h_j - h_i).
+        """
+        flow = self.mu[:, None] * self.Q
+        i, j = np.nonzero(np.triu(flow + flow.T, 1))
+        w = 0.5 * (flow[i, j] + flow[j, i])
+        return _frozen(i), _frozen(j), _frozen(w)
+
+    @cached_property
+    def band(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(diagonal, off-diagonal) of the conjugated -L^sigma, or None.
+
+        Only birth-death chains, whose edge set is exactly {(k, k+1)}, have
+        a band: -Q[k,k] on the diagonal and -w / sqrt(mu_k mu_{k+1}) off it,
+        with w the edge conductance.
+        """
+        Q, mu, n = self.Q, self.mu, self.n
+        # irreducibility puts a rate on every state's diagonal, so 3n - 2
+        # nonzeros with both side diagonals full leave room for no other edge
+        if np.count_nonzero(Q) != 3 * n - 2:
+            return None
+        upper, lower = np.diag(Q, 1), np.diag(Q, -1)
+        if np.count_nonzero(upper) + np.count_nonzero(lower) != 2 * (n - 1):
+            return None
+        w = 0.5 * (mu[:-1] * upper + mu[1:] * lower)
+        return _frozen(-np.diag(Q)), _frozen(-w / np.sqrt(mu[:-1] * mu[1:]))
+
     def expectation(self, g: np.ndarray) -> float:
         return float(np.dot(self.mu, np.asarray(g, dtype=float)))
 
@@ -87,6 +128,11 @@ class ReversibleChain:
             "rates": self.Q.tolist(),
             "mu": self.mu.tolist(),
         }
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -143,6 +189,20 @@ class MetricMatrix:
                     raise ModelValidation("triangle inequality fails")
         d.setflags(write=False)
         return MetricMatrix(d=d)
+
+    @cached_property
+    def line_embedding(self) -> np.ndarray | None:
+        """Points s with d[i,j] = |s_i - s_j| and s increasing, or None.
+
+        Line metrics admit closed-form W_1 / W_2 via the monotone coupling;
+        the generic simplex stays available as the cross-check route.
+        """
+        s = self.d[0, :].copy()
+        if np.any(np.diff(s) <= 0):
+            return None
+        if np.max(np.abs(np.abs(s[:, None] - s[None, :]) - self.d)) > 1e-12 * max(1.0, s[-1]):
+            return None
+        return _frozen(s)
 
 
 def trivial_metric(n: int) -> MetricMatrix:
@@ -254,21 +314,28 @@ def chain_from_json(obj: dict | str) -> ReversibleChain:
 # ---------------------------------------------------------------------------
 
 def dirichlet_energy(chain: ReversibleChain, g: np.ndarray) -> float:
-    """E(g, g) = 1/2 sum_{x != y} mu_x q(x,y) (g_y - g_x)^2."""
-    g = np.asarray(g, dtype=float)
+    """E(g, g) = 1/2 sum_{x != y} mu_x q(x,y) (g_y - g_x)^2, summed over edges."""
+    g = _state_vector(chain, g)
     if not np.all(np.isfinite(g)):
         raise ValueError("g must be finite")
-    diff = g[None, :] - g[:, None]
-    w = chain.mu[:, None] * chain.Q
-    off = ~np.eye(chain.n, dtype=bool)
-    return float(0.5 * np.sum(w[off] * diff[off] ** 2))
+    i, j, w = chain.edges
+    diff = g[j] - g[i]
+    return float(np.dot(w, diff * diff))
 
 
 def dirichlet_bilinear(chain: ReversibleChain, g: np.ndarray, h: np.ndarray) -> float:
-    """E(g, h) = <-L^sigma g, h>_mu."""
+    """E(g, h) = <-L^sigma g, h>_mu, summed over edges."""
+    g = _state_vector(chain, g)
+    h = _state_vector(chain, h)
+    i, j, w = chain.edges
+    return float(np.dot(w, (g[j] - g[i]) * (h[j] - h[i])))
+
+
+def _state_vector(chain: ReversibleChain, g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    return float(np.dot(chain.mu * h, -chain.symmetrized_generator() @ g))
+    if g.shape != (chain.n,):
+        raise ValueError(f"expected a vector of length {chain.n}, got shape {g.shape}")
+    return g
 
 
 def fisher_information(chain: ReversibleChain, f) -> float:
@@ -308,8 +375,7 @@ def spectral_gap(chain: ReversibleChain, certificate_samples: int = 100,
     inequality Var_mu(g) <= c_P E(g,g) is spot-checked on random g
     within 1e-9 slack as a guard against a mis-sorted spectrum.
     """
-    w = np.linalg.eigvalsh(chain.conjugated_neg_generator())
-    gap = float(w[1])
+    gap = float(_lowest_eigenpairs(chain, count=2)[1])
     if gap <= 0:
         raise NotIrreducible("nonpositive spectral gap; chain is not irreducible")
     c_p = 1.0 / gap
@@ -319,6 +385,32 @@ def spectral_gap(chain: ReversibleChain, certificate_samples: int = 100,
         if chain.variance(g) > c_p * dirichlet_energy(chain, g) + 1e-9:
             raise SingularSystem("Poincare certificate failed; eigensolve inconsistent")
     return gap, c_p
+
+
+def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
+                      count: int = 1, vectors: bool = False):
+    """The ``count`` lowest eigenvalues of the conjugated -L^sigma - diag(u).
+
+    Returns the ascending eigenvalues, or (eigenvalues, eigenvectors as
+    columns) when ``vectors`` is set.  The top eigenvalue of L^sigma +
+    diag(u) in L^2(mu) is minus the lowest one here.  Birth-death chains
+    are solved on their cached band by tridiagonal bisection for the
+    requested indices only; every other chain by a dense eigh.
+    """
+    band = chain.band
+    if band is not None:
+        diag, off = band
+        if u is not None:
+            diag = diag - _state_vector(chain, u)
+        return eigh_tridiagonal(diag, off, eigvals_only=not vectors,
+                                select="i", select_range=(0, count - 1))
+    A = chain.conjugated_neg_generator()
+    if u is not None:
+        A = A - np.diag(_state_vector(chain, u))
+    if vectors:
+        w, V = np.linalg.eigh(A)
+        return w[:count], V[:, :count]
+    return np.linalg.eigvalsh(A)[:count]
 
 
 def poisson_solve(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
@@ -331,8 +423,9 @@ def poisson_solve(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
     if abs(chain.expectation(g)) > 1e-10:
         raise MeanNotZero(f"mu(g) = {chain.expectation(g)!r} exceeds 1e-10")
     n = chain.n
+    neg_gen = -chain.symmetrized_generator()
     A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = -chain.symmetrized_generator()
+    A[:n, :n] = neg_gen
     A[:n, n] = 1.0
     A[n, :n] = chain.mu
     b = np.concatenate([g, [0.0]])
@@ -341,7 +434,7 @@ def poisson_solve(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - internal error
         raise SingularSystem(str(exc)) from exc
     h = sol[:n]
-    resid = float(np.max(np.abs(-chain.symmetrized_generator() @ h - g)))
+    resid = float(np.max(np.abs(neg_gen @ h - g)))
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularSystem(f"Poisson residual {resid:.3e} exceeds tolerance")
     return h - chain.expectation(h)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.stats import norm
+from scipy.special import log_ndtr
 
 from .chains import ReversibleChain, build_chain
 from .errors import (
@@ -444,7 +444,7 @@ def ou_sigma2(t: float) -> float:
 def ou_tail_lograte(r: float, t: float) -> float:
     """(1/t) log P(N(0, sigma^2(t)) > r); tends to -r^2/4 for large t."""
     sigma = math.sqrt(ou_sigma2(t))
-    return float(norm.logsf(r / sigma)) / t
+    return float(log_ndtr(-r / sigma)) / t
 
 
 def sample_box_pairs(box: float, n_pairs: int, dim: int, seed: int = 41) -> np.ndarray:

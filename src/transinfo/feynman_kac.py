@@ -38,6 +38,7 @@ from .chains import (
     Density,
     MetricMatrix,
     ReversibleChain,
+    _lowest_eigenpairs,
     dirichlet_energy,
     lipschitz_norm,
     relative_entropy,
@@ -79,20 +80,16 @@ class PhiPair:
 
 def lambda_max(chain: ReversibleChain, u: np.ndarray) -> float:
     """Top L^2(mu) eigenvalue of L^sigma + diag(u)."""
-    u = np.asarray(u, dtype=float)
-    A = -chain.conjugated_neg_generator() + np.diag(u)
-    return float(np.linalg.eigvalsh(A)[-1])
+    return -float(_lowest_eigenpairs(chain, u)[0])
 
 
 def lambda_max_witness(chain: ReversibleChain, u: np.ndarray):
     """(Lambda(u), maximizing density f = g^2) from the principal eigenvector."""
-    u = np.asarray(u, dtype=float)
-    A = -chain.conjugated_neg_generator() + np.diag(u)
-    w, V = np.linalg.eigh(A)
-    g = np.abs(V[:, -1]) / np.sqrt(chain.mu)  # Perron eigenvector is signless
+    w, V = _lowest_eigenpairs(chain, u, vectors=True)
+    g = np.abs(V[:, 0]) / np.sqrt(chain.mu)  # Perron eigenvector is signless
     f = g * g
     f /= float(np.dot(chain.mu, f))
-    return float(w[-1]), Density.validate(chain.mu, f)
+    return -float(w[0]), Density.validate(chain.mu, f)
 
 
 def fk_norm(chain: ReversibleChain, u: np.ndarray, t: float, method: str = "eigen") -> float:
@@ -170,17 +167,25 @@ def _legendre_ascent(chain, u, lam, f, iters):
 
 
 def project_density(mu, y, floor=0.0):
-    """mu-weighted Euclidean projection onto {f >= floor, sum mu f = 1}."""
+    """mu-weighted Euclidean projection onto {f >= floor, sum mu f = 1}.
+
+    The projection is f = max(y - theta, floor) with theta fixed by the
+    mass constraint; sorting y makes the active set a prefix, so theta is
+    exact from cumulative sums (a bisection on theta over the bracket
+    1/min mu loses all precision once mu reaches 1e-30).
+    """
+    mu = np.asarray(mu, dtype=float)
     y = np.asarray(y, dtype=float)
-    lo = float(np.min(y)) - 1.0 / float(np.min(mu)) - 1.0
-    hi = float(np.max(y))
-    for _ in range(80):
-        theta = 0.5 * (lo + hi)
-        if float(np.dot(mu, np.maximum(y - theta, floor))) > 1.0:
-            lo = theta
-        else:
-            hi = theta
-    return np.maximum(y - 0.5 * (lo + hi), floor)
+    order = np.argsort(-y, kind="stable")
+    ys, ms = y[order], mu[order]
+    mass = np.cumsum(ms)
+    # theta_k makes the k+1 largest entries active: sum_{i<=k} m_i (y_i - theta) +
+    # floor * (rest of the mass) = 1; the true active set is the longest
+    # prefix whose last entry still clears the floor
+    excess = 1.0 - floor * (mass[-1] - mass)
+    theta = (np.cumsum(ms * ys) - excess) / mass
+    k = int(np.count_nonzero(ys - theta > floor)) - 1
+    return np.maximum(y - theta[max(k, 0)], floor)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +374,10 @@ def _low_eigen_directions(chain, count):
     would oscillate at the grid scale and probe discreteness instead of
     the measure.
     """
-    A = chain.conjugated_neg_generator()
-    _, V = np.linalg.eigh(A)
+    count = min(count, chain.n - 1)
+    _, V = _lowest_eigenpairs(chain, count=count + 1, vectors=True)
     out = []
-    for k in range(1, min(count, chain.n - 1) + 1):
+    for k in range(1, count + 1):
         g = V[:, k] / np.sqrt(chain.mu)
         out.append(g / max(float(np.max(np.abs(g))), 1e-300))
     return out

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .chains import Density, ReversibleChain, build_chain, fisher_information, tv_weighted
 from .errors import NotCertified, TruncationTooSmall, UBelowOne
@@ -182,7 +182,7 @@ def mminf_generator(lambda_rate: float, n_max: int) -> tuple[ReversibleChain, np
     """
     if lambda_rate <= 0 or n_max < 2:
         raise ValueError("need lambda_rate > 0 and n_max >= 2")
-    tail = float(poisson.sf(n_max, lambda_rate))
+    tail = float(pdtrc(n_max, lambda_rate))
     if tail >= 1e-10:
         raise TruncationTooSmall(f"Poisson tail beyond n_max is {tail:.3e}")
     n = n_max + 1
@@ -190,7 +190,8 @@ def mminf_generator(lambda_rate: float, n_max: int) -> tuple[ReversibleChain, np
     for k in range(n - 1):
         rates[k, k + 1] = lambda_rate
         rates[k + 1, k] = k + 1.0
-    weights = poisson.pmf(np.arange(n), lambda_rate)
+    counts = np.arange(n)
+    weights = np.exp(xlogy(counts, lambda_rate) - gammaln(counts + 1.0) - lambda_rate)
     mu = weights / weights.sum()
     chain = build_chain(rates, mu=mu, states=[str(k) for k in range(n)])
     return chain, mu

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .chains import ReversibleChain
 from .diffusion1d import DiffusionSpec1D
@@ -93,8 +93,8 @@ class DeviationEstimate:
 def clopper_pearson(hits: int, n: int, level: float = 0.99) -> tuple[float, float]:
     """Exact two-sided binomial interval at the given confidence level."""
     tail = (1.0 - level) / 2.0
-    lo = 0.0 if hits == 0 else float(beta_dist.ppf(tail, hits, n - hits + 1))
-    hi = 1.0 if hits == n else float(beta_dist.ppf(1.0 - tail, hits + 1, n - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, tail))
+    hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 1.0 - tail))
     return lo, hi
 
 

@@ -242,7 +242,7 @@ def kantorovich_dual(c: CostMatrix, nu: np.ndarray, mu: np.ndarray):
 
 def w1(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
     """L^1-Wasserstein distance: transport cost of the metric itself."""
-    emb = line_embedding(d)
+    emb = d.line_embedding
     if emb is not None:
         return _w1_line(emb, np.asarray(nu, float), np.asarray(mu, float))
     value, _ = ot_cost(CostMatrix.from_metric(d, 1), nu, mu)
@@ -251,25 +251,11 @@ def w1(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
 
 def w2(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
     """L^2-Wasserstein distance: sqrt of the quadratic-cost optimum."""
-    emb = line_embedding(d)
+    emb = d.line_embedding
     if emb is not None:
         return w2_quantile_1d(emb, np.asarray(nu, float), np.asarray(mu, float))
     value, _ = ot_cost(CostMatrix.from_metric(d, 2), nu, mu)
     return math.sqrt(max(value, 0.0))
-
-
-def line_embedding(d: MetricMatrix) -> np.ndarray | None:
-    """Detect d[i,j] = |s_i - s_j| with s increasing along the index order.
-
-    Line metrics admit closed-form W_1 / W_2 via the monotone coupling;
-    the generic simplex stays available as the cross-check route.
-    """
-    s = d.d[0, :].copy()
-    if np.any(np.diff(s) <= 0):
-        return None
-    if np.max(np.abs(np.abs(s[:, None] - s[None, :]) - d.d)) > 1e-12 * max(1.0, s[-1]):
-        return None
-    return s
 
 
 def _w1_line(s: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
@@ -290,7 +276,7 @@ def w1_with_potential(d: MetricMatrix, nu, mu) -> tuple[float, np.ndarray]:
     """(W_1, maximizing potential) from a single solve."""
     nu = np.asarray(nu, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    emb = line_embedding(d)
+    emb = d.line_embedding
     if emb is not None:
         # <u, nu-mu> = -sum_k (u_{k+1}-u_k) cum_k by Abel summation
         sgn = -np.sign(np.cumsum(nu - mu)[:-1])
@@ -304,7 +290,7 @@ def w2sq_with_potential(d: MetricMatrix, nu, mu) -> tuple[float, np.ndarray]:
     """(W_2^2, quadratic-cost Kantorovich potential) from a single solve."""
     nu = np.asarray(nu, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    emb = line_embedding(d)
+    emb = d.line_embedding
     if emb is not None and np.all(nu > 0) and np.all(mu > 0):
         val = w2_quantile_1d(emb, nu, mu)
         return val * val, _staircase_potential(emb, nu, mu)
@@ -320,7 +306,7 @@ def w2_potential(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """
     nu = np.asarray(nu, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    emb = line_embedding(d)
+    emb = d.line_embedding
     if emb is not None and np.all(nu > 0) and np.all(mu > 0):
         return _staircase_potential(emb, nu, mu)
     _, u, _ = kantorovich_dual(CostMatrix.from_metric(d, 2), nu, mu)

@@ -248,6 +248,13 @@ class TestOuClosedForms:
         val = ou_tail_lograte(3.0, 1e5)
         assert val == pytest.approx(-9.0 / 4.0, rel=0.01)
 
+    def test_matches_scipy_stats_norm_logsf(self):
+        from scipy.stats import norm
+        for r in (0.0, 0.3, 1.0, 3.0, 12.0):
+            for t in (0.5, 50.0, 1e5):
+                sigma = math.sqrt(ou_sigma2(t))
+                assert ou_tail_lograte(r, t) == float(norm.logsf(r / sigma)) / t
+
 
 class TestDissipativity:
     def test_ou_rd_margin_exactly_one(self):

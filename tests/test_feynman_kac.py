@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transinfo.chains import (
     build_chain,
@@ -10,7 +12,7 @@ from transinfo.chains import (
     spectral_gap,
     trivial_metric,
 )
-from transinfo.diffusion1d import Grid1D, discretize, ou_spec
+from transinfo.diffusion1d import DiffusionSpec1D, Grid1D, discretize, ou_spec
 from transinfo.errors import HorizonOverflow, PhiConstraintViolated
 from transinfo.feynman_kac import (
     PhiPair,
@@ -21,6 +23,7 @@ from transinfo.feynman_kac import (
     lambda_max_witness,
     legendre_of_info,
     lsi_ratio_scan,
+    project_density,
     verify_tphi_dual,
     w2i_dual_check,
 )
@@ -301,3 +304,54 @@ class TestRemainingInvariants:
         cap = c_rho(spec, Warp.identity(), grid)   # sigma = sup sqrt(a) rho' = 1
         rep = best_w1i(chain, line_metric(grid.nodes), primal_starts=4)
         assert rep.c_dual <= cap * 1.05
+
+    def test_quartic_w1i_search_closes_its_gap(self):
+        # mu reaches 1e-30 in the tails; the primal witness must stay a
+        # probability density there, so the two bounds meet
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0,
+                               b=lambda x: -x ** 3, c_ref=0.0)
+        grid = Grid1D.uniform(-4.0, 4.0, 160)
+        chain = discretize(spec, grid)
+        rep = best_w1i(chain, line_metric(grid.nodes), primal_starts=4)
+        assert not rep.diverged
+        assert abs(rep.c_dual - rep.c_primal) <= 1e-3
+        assert float(np.dot(chain.mu, rep.witness_density)) == pytest.approx(1.0, abs=1e-9)
+
+
+def _bisection_projection(mu, y, floor):
+    """Reference: bisection on the shift theta over a bracket that holds it."""
+    lo, hi = float(np.min(y)) - 1.0 / float(np.min(mu)) - 1.0, float(np.max(y))
+    for _ in range(200):
+        theta = 0.5 * (lo + hi)
+        if float(np.dot(mu, np.maximum(y - theta, floor))) > 1.0:
+            lo = theta
+        else:
+            hi = theta
+    return np.maximum(y - 0.5 * (lo + hi), floor)
+
+
+class TestProjectDensity:
+    @given(st.integers(1, 30), st.integers(0, 2 ** 32 - 1), st.floats(-30.0, 0.0),
+           st.sampled_from([0.0, 1e-13]), st.floats(1e-3, 1e3))
+    def test_feasible_down_to_tiny_mu(self, n, seed, log_min_mu, floor, spread):
+        rng = np.random.default_rng(seed)
+        mu = 10.0 ** rng.uniform(log_min_mu, 0.0, n)
+        mu /= mu.sum()
+        y = spread * rng.standard_normal(n)
+        f = project_density(mu, y, floor)
+        assert float(np.dot(mu, f)) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(f >= floor)
+
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1e-13]))
+    def test_matches_bisection_on_benign_measures(self, n, seed, floor):
+        rng = np.random.default_rng(seed)
+        mu = rng.dirichlet(np.ones(n) * 2.0) + 1e-3
+        mu /= mu.sum()
+        y = 2.0 * rng.standard_normal(n)
+        np.testing.assert_allclose(project_density(mu, y, floor),
+                                   _bisection_projection(mu, y, floor), atol=1e-10)
+
+    def test_feasible_point_is_fixed(self, rng):
+        ch = random_reversible_chain(5, rng)
+        f = random_density(ch, rng)
+        np.testing.assert_allclose(project_density(ch.mu, f), f, rtol=1e-12)

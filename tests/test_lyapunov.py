@@ -254,6 +254,19 @@ class TestMminfGenerator:
         flow = chain.mu[:, None] * chain.Q
         assert np.max(np.abs(flow - flow.T)) < 1e-14
 
+    def test_matches_scipy_stats_poisson(self):
+        from scipy.stats import poisson
+        for lam, n_max in ((0.3, 12), (1.0, 40), (7.5, 60), (20.0, 90)):
+            _, mu = mminf_generator(lam, n_max)
+            weights = poisson.pmf(np.arange(n_max + 1), lam)
+            np.testing.assert_array_equal(mu, weights / weights.sum())
+        for lam, n_max in ((5.0, 10), (5.0, 25), (30.0, 60)):
+            if poisson.sf(n_max, lam) >= 1e-10:
+                with pytest.raises(TruncationTooSmall):
+                    mminf_generator(lam, n_max)
+            else:
+                mminf_generator(lam, n_max)
+
 
 class TestBetaPotential:
     def test_beta_one_bounded_phi(self):

@@ -43,6 +43,17 @@ class TestClopperPearson:
         assert binom.sf(hits - 1, n, lo) == pytest.approx(0.005, abs=1e-10)
         assert binom.cdf(hits, n, hi) == pytest.approx(0.005, abs=1e-10)
 
+    def test_matches_scipy_stats_beta_quantiles(self, rng):
+        from scipy.stats import beta
+        for _ in range(200):
+            n = int(rng.integers(1, 100000))
+            hits = int(rng.integers(0, n + 1))
+            level = float(rng.choice([0.9, 0.95, 0.99]))
+            tail = (1.0 - level) / 2.0
+            lo, hi = clopper_pearson(hits, n, level=level)
+            assert lo == (0.0 if hits == 0 else float(beta.ppf(tail, hits, n - hits + 1)))
+            assert hi == (1.0 if hits == n else float(beta.ppf(1.0 - tail, hits + 1, n - hits)))
+
 
 class TestBoundFormulas:
     def test_hoeffding_values(self):
