@@ -1,14 +1,18 @@
 """Exact path simulation and deviation-bound stress tests.
 
-Chains are simulated event by event (exponential holding times, jump
-proportional to rates) with exact piecewise-constant occupation
-integrals, so the only randomness in a tail estimate is binomial.  The
-mean-reverting unit diffusion has exact Gaussian transition updates;
-other 1-D diffusions use Euler-Maruyama with trapezoidal integrals.
+Chain paths are exact (exponential holding times, jump proportional to
+rates) with exact piecewise-constant occupation integrals, so the only
+randomness in a tail estimate is binomial.  They advance in lockstep:
+each step of the event loop moves every live path of a chunk by one
+event on arrays, with the same floating-point operations, in the same
+order, as a path simulated on its own.  The mean-reverting unit
+diffusion has exact Gaussian transition updates; other 1-D diffusions
+use Euler-Maruyama with trapezoidal integrals.
 
 Every path draws from its own counter-based stream keyed by
-(master_seed, path index): estimates are bitwise reproducible and merge
-deterministically no matter how the path loop is scheduled.
+(master_seed, path index), in a fixed per-path order: estimates are
+bitwise reproducible and merge deterministically no matter how the paths
+are scheduled, chunked or batched.
 
 Tail probabilities of time averages are compared against the proven
 bounds ||d beta/d mu||_2 exp(-t alpha(r)); exact Clopper-Pearson
@@ -29,7 +33,7 @@ from scipy.special import betaincinv
 from .chains import ReversibleChain
 from .diffusion1d import DiffusionSpec1D
 from .errors import ModelValidation, StepTooLarge
-from .rng import path_rng
+from .rng import path_streams
 from .transport import RateFunction
 
 
@@ -113,45 +117,99 @@ def sample_time_average(config: EnsembleConfig, u) -> np.ndarray:
     raise ModelValidation(f"unknown model type {type(config.model)!r}")
 
 
+# A path draws its start uniform, then blocks of _BLOCK holding-time
+# exponentials and _BLOCK jump uniforms as it needs them; _CHUNK paths share
+# one pair of block buffers (about 1 MB).
+_BLOCK = 64
+_CHUNK = 1024
+
+
+def _cumulative_table(weights: np.ndarray) -> np.ndarray:
+    """Inverse-CDF table: state = searchsorted(table, U) for U in [0, 1).
+
+    Entries from the last positive weight onward are exactly 1.0, so a
+    cumulative sum that ends just below 1 can never send a uniform past
+    the last state that carries mass.  No other entry changes.
+    """
+    cum = np.cumsum(weights)
+    positive = np.flatnonzero(weights > 0)
+    if positive.size:
+        cum[positive[-1]:] = 1.0
+    return cum
+
+
+def _draw_block(rng, exps: np.ndarray, unis: np.ndarray) -> None:
+    # standard_exponential(out=) draws the bits of exponential(size=_BLOCK)
+    rng.standard_exponential(out=exps)
+    rng.random(out=unis)
+
+
 def _chain_time_averages(config: EnsembleConfig, u: np.ndarray) -> np.ndarray:
     chain = config.model
-    t = config.t
-    beta = np.asarray(config.beta, dtype=float)
-    exit_rates = -np.diag(chain.Q).copy()
-    # per-state jump distributions as cumulative tables
-    jump_cum = []
+    exit_rates = -np.diag(chain.Q)
+    # per-state jump distributions as cumulative tables; a state without
+    # exits keeps a row of ones that no path consults (its holding time is
+    # infinite)
+    jump_cum = np.ones((chain.n, chain.n))
     for x in range(chain.n):
         row = chain.Q[x].copy()
         row[x] = 0.0
         total = row.sum()
-        jump_cum.append(np.cumsum(row / total) if total > 0 else None)
-    beta_cum = np.cumsum(beta)
+        if total > 0:
+            jump_cum[x] = _cumulative_table(row / total)
+    beta_cum = _cumulative_table(np.asarray(config.beta, dtype=float))
 
     out = np.empty(config.n_paths)
-    block = 64
-    for i in range(config.n_paths):
-        rng = path_rng(config.master_seed, i)
-        state = int(np.searchsorted(beta_cum, rng.random()))
-        clock = 0.0
-        integral = 0.0
-        exps = rng.exponential(size=block)
-        unis = rng.random(size=block)
-        k = 0
-        while True:
-            if k >= block:
-                exps = rng.exponential(size=block)
-                unis = rng.random(size=block)
-                k = 0
-            rate = exit_rates[state]
-            hold = exps[k] / rate if rate > 0 else math.inf
-            if clock + hold >= t:
-                integral += u[state] * (t - clock)
-                break
-            integral += u[state] * hold
-            clock += hold
-            state = int(np.searchsorted(jump_cum[state], unis[k]))
-            k += 1
-        out[i] = integral / t
+    for lo in range(0, config.n_paths, _CHUNK):
+        paths = range(lo, min(lo + _CHUNK, config.n_paths))
+        out[paths.start:paths.stop] = _chain_chunk(
+            config.master_seed, paths, config.t, u, exit_rates, jump_cum, beta_cum)
+    return out
+
+
+def _chain_chunk(seed, paths: range, t: float, u: np.ndarray, exit_rates: np.ndarray,
+                 jump_cum: np.ndarray, beta_cum: np.ndarray) -> np.ndarray:
+    """Time averages of u for the given paths, one event per loop step."""
+    m = len(paths)
+    start = np.empty(m)
+    exps = np.empty((m, _BLOCK))
+    unis = np.empty((m, _BLOCK))
+    for j, (_, rng) in enumerate(path_streams(seed, paths)):
+        start[j] = rng.random()
+        _draw_block(rng, exps[j], unis[j])
+
+    out = np.empty(m)
+    live = np.arange(m)                    # rows whose path has not reached t
+    state = np.searchsorted(beta_cum, start)
+    clock = np.zeros(m)
+    integral = np.zeros(m)
+    resumed = {}                           # row -> its stream, past the drawn blocks
+    k = 0
+    while live.size:
+        if k == _BLOCK:
+            # rare: a path outlived its block; replay its stream once, then
+            # keep that stream for any further blocks
+            for j in live:
+                rng = resumed.get(j)
+                if rng is None:
+                    _, rng = next(path_streams(seed, [paths[j]]))
+                    rng.random()
+                    _draw_block(rng, exps[j], unis[j])
+                    resumed[j] = rng
+                _draw_block(rng, exps[j], unis[j])
+            k = 0
+        rate = exit_rates[state]
+        hold = np.divide(exps[live, k], rate, out=np.full(live.size, np.inf),
+                         where=rate > 0)
+        ends = clock + hold >= t
+        out[live[ends]] = (integral[ends] + u[state[ends]] * (t - clock[ends])) / t
+        go = ~ends
+        live, state, clock, integral, hold = live[go], state[go], clock[go], integral[go], hold[go]
+        integral += u[state] * hold
+        clock += hold
+        # the count of table entries below U is searchsorted(row, U, 'left')
+        state = (jump_cum[state] < unis[live, k][:, None]).sum(axis=1)
+        k += 1
     return out
 
 
@@ -174,15 +232,16 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     n_steps = int(round(config.t / h))
     decay = math.exp(-h)
     noise_sd = math.sqrt(1.0 - decay * decay)
+    powers = decay ** np.arange(1, n_steps + 1)
+    shocks = np.empty(n_steps)
+    path = np.empty(n_steps + 1)
     out = np.empty(config.n_paths)
-    for i in range(config.n_paths):
-        rng = path_rng(config.master_seed, i)
+    for i, rng in path_streams(config.master_seed, range(config.n_paths)):
         x0 = _ou_initial(config, rng)
-        shocks = rng.standard_normal(n_steps)
-        path = np.empty(n_steps + 1)
+        rng.standard_normal(out=shocks)
         path[0] = x0
-        path[1:] = lfilter([noise_sd], [1.0, -decay], shocks) \
-            + x0 * decay ** np.arange(1, n_steps + 1)
+        np.multiply(powers, x0, out=path[1:])
+        path[1:] += lfilter([noise_sd], [1.0, -decay], shocks)
         vals = u(path) if callable(u) else path
         out[i] = float(np.trapezoid(vals, dx=h)) / config.t
     return out
@@ -195,8 +254,7 @@ def _euler_time_averages(config: EnsembleConfig, u) -> np.ndarray:
         raise StepTooLarge("sde_step above 0.1 violates the stability heuristic")
     n_steps = int(round(config.t / h))
     out = np.empty(config.n_paths)
-    for i in range(config.n_paths):
-        rng = path_rng(config.master_seed, i)
+    for i, rng in path_streams(config.master_seed, range(config.n_paths)):
         x = float(config.beta) if not isinstance(config.beta, str) else spec.c_ref
         vals = np.empty(n_steps + 1)
         vals[0] = u(x)

@@ -30,7 +30,7 @@ from scipy.linalg import expm
 
 from .chains import ReversibleChain, build_chain
 from .errors import DegenerateMeasure, EstimatorOverflow, NoExactSplit
-from .rng import path_rng
+from .rng import path_streams
 
 
 def build_jump_chain(mu: np.ndarray, states=None) -> ReversibleChain:
@@ -219,19 +219,25 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
     """
     if t > 50:
         raise ValueError("horizon capped at t = 50 for this estimator")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
     u = extremal_potential(p)
     if abs(lam) * t * float(np.max(np.abs(u))) > 700:
         raise EstimatorOverflow("lambda * t too large for a double-precision mean")
-    weights = np.array([p, 1.0 - p])
+    # the inverse-CDF lookup Generator.choice(2, p=[p, 1 - p]) makes, same bits
+    cdf = np.array([p, 1.0 - p]).cumsum()
+    cdf /= cdf[-1]
 
     log_vals = np.empty(n_paths)
-    for i in range(n_paths):
-        rng = path_rng(seed, i)
+    for i, rng in path_streams(seed, range(n_paths)):
         k = rng.poisson(t)
-        times = np.sort(rng.uniform(0.0, t, size=k)) if k else np.empty(0)
-        bounds = np.concatenate([[0.0], times, [t]])
-        labels = rng.choice(2, size=k + 1, p=weights)
-        log_vals[i] = lam * float(np.dot(u[labels], np.diff(bounds)))
+        bounds = np.empty(k + 2)             # 0, the sorted event times, t
+        bounds[0], bounds[-1] = 0.0, t
+        if k:
+            bounds[1:-1] = rng.uniform(0.0, t, size=k)
+            bounds[1:-1].sort()
+        labels = cdf.searchsorted(rng.random(k + 1), side="right")
+        log_vals[i] = lam * float(np.dot(u[labels], bounds[1:] - bounds[:-1]))
 
     vals = np.exp(log_vals)
     mean = float(vals.mean())

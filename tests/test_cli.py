@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -146,6 +147,39 @@ class TestRunSpecInProcess:
         for name in ("t-report.csv", "s-ledger.csv", "summary.json"):
             assert (tmp_path / "x" / name).read_bytes() == \
                 (tmp_path / "y" / name).read_bytes()
+
+    def test_simulate_artifacts_pinned(self, tmp_path):
+        # the per-path streams fix every sample: these bytes must not move
+        # when the samplers change how they batch paths
+        spec = {"experiments": [
+            {"kind": "simulate", "name": "bern", "seed": 7,
+             "params": {"model": "bernoulli", "t": 20.0, "r": [0.1, 0.3],
+                        "n_paths": 1030, "dump_samples": True}},
+            {"kind": "simulate", "name": "prod", "seed": 8,
+             "params": {"model": "product-3x3", "t": 6.0, "r": [0.2], "n_paths": 1100}},
+        ]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 0
+        out = tmp_path / "out"
+        assert (out / "bern-ledger.csv").read_bytes() == (
+            b"model,u,t,r,n_paths,p_hat,ci_low,ci_high,bound,verdict,seed\n"
+            b"bernoulli,u,20,0.10000000000000001,1030,0.056310679611650483,"
+            b"0.039412519792136565,0.077440880609830912,0.38582130682912391,consistent,7\n"
+            b"bernoulli,u,20,0.29999999999999999,1030,0,0,0.0051307897448958795,"
+            b"0.00018944182523289392,consistent,7\n")
+        assert (out / "prod-ledger.csv").read_bytes() == (
+            b"model,u,t,r,n_paths,p_hat,ci_low,ci_high,bound,verdict,seed\n"
+            b"product-3x3,u,6,0.20000000000000001,1100,0.026363636363636363,"
+            b"0.015536406481008118,0.041473318370024916,0.84591715733348394,consistent,8\n")
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("bern-samples.csv", "summary.json")}
+        assert digests == {
+            "bern-samples.csv":
+                "f7121e25eaed14d4e4058eedc68ae2a0e8923ac8a5f015e9742c79902e25d79e",
+            "summary.json":
+                "c011ea8b56ccb197b68a1b663a6e4609e119eda4828d5bb313ed9dabaf2ce91a",
+        }
 
     @pytest.mark.parametrize("middle", [
         {"kind": "verify-tci", "params": {"alpha": {"kind": "quadratic", "c": -1}}},

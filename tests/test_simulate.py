@@ -16,6 +16,7 @@ from transinfo.simulate import (
     sample_time_average,
     tail_estimate,
     tensor_deviation_demo,
+    _cumulative_table,
 )
 from transinfo.transport import RateFunction
 
@@ -106,6 +107,28 @@ class TestChainSampling:
         large = EnsembleConfig(model=ch, beta=ch.mu, t=8.0, n_paths=200, master_seed=9)
         np.testing.assert_array_equal(sample_time_average(small, u),
                                       sample_time_average(large, u)[:100])
+        # and across the sampler's 1,024-path chunks
+        runs = {n: sample_time_average(
+                    EnsembleConfig(model=ch, beta=ch.mu, t=8.0, n_paths=n, master_seed=9), u)
+                for n in (1024, 1030, 2100)}
+        np.testing.assert_array_equal(runs[1024], runs[1030][:1024])
+        np.testing.assert_array_equal(runs[1030], runs[2100][:1030])
+        np.testing.assert_array_equal(runs[1024][:200], sample_time_average(large, u))
+
+    def test_cumulative_tables_never_overrun(self):
+        # the largest uniform a generator returns must land on a state with
+        # mass even when the weights' cumulative sum ends below it
+        top = np.nextafter(1.0, 0.0)
+        beta = np.array([0.5, 0.5 - 5e-10])          # accepted: sums to 1 - 5e-10
+        row = np.array([1.9, 3.0, 0.0]) / 4.9        # normalized jump row of state 2
+        for weights in (beta, row):
+            assert np.searchsorted(np.cumsum(weights), top) == len(weights)
+            table = _cumulative_table(weights)
+            assert weights[np.searchsorted(table, top)] > 0
+            assert weights[int((table < top).sum())] > 0
+            last = np.flatnonzero(weights)[-1]
+            np.testing.assert_array_equal(table[:last], np.cumsum(weights)[:last])
+            assert np.all(table[last:] == 1.0)
 
     def test_three_state_occupation(self):
         rates = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])

@@ -1,0 +1,222 @@
+"""The per-path random streams and the samplers that draw from them.
+
+``path_rng`` defines the stream of path i: a Philox generator built from
+the key (master_seed, i).  The reference samplers below simulate one path
+at a time, event by event, from that definition; the library's samplers
+must reproduce their output bit for bit however they batch the paths.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
+
+from transinfo.chains import ReversibleChain, build_chain
+from transinfo.rng import path_streams
+from transinfo.simulate import EnsembleConfig, OUModel, sample_time_average
+from transinfo.trivial_metric import extremal_potential, fk_growth_mc
+
+from conftest import bernoulli_chain
+
+
+def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
+    """Independent Philox stream for one sample path."""
+    return np.random.Generator(
+        np.random.Philox(key=np.array([master_seed, path_index], dtype=np.uint64)))
+
+
+def chain_reference(config: EnsembleConfig, u: np.ndarray) -> np.ndarray:
+    chain = config.model
+    t = config.t
+    beta = np.asarray(config.beta, dtype=float)
+    exit_rates = -np.diag(chain.Q).copy()
+    jump_cum = []
+    for x in range(chain.n):
+        row = chain.Q[x].copy()
+        row[x] = 0.0
+        total = row.sum()
+        jump_cum.append(np.cumsum(row / total) if total > 0 else None)
+    beta_cum = np.cumsum(beta)
+
+    out = np.empty(config.n_paths)
+    block = 64
+    for i in range(config.n_paths):
+        rng = path_rng(config.master_seed, i)
+        state = int(np.searchsorted(beta_cum, rng.random()))
+        clock = 0.0
+        integral = 0.0
+        exps = rng.exponential(size=block)
+        unis = rng.random(size=block)
+        k = 0
+        while True:
+            if k >= block:
+                exps = rng.exponential(size=block)
+                unis = rng.random(size=block)
+                k = 0
+            rate = exit_rates[state]
+            hold = exps[k] / rate if rate > 0 else math.inf
+            if clock + hold >= t:
+                integral += u[state] * (t - clock)
+                break
+            integral += u[state] * hold
+            clock += hold
+            state = int(np.searchsorted(jump_cum[state], unis[k]))
+            k += 1
+        out[i] = integral / t
+    return out
+
+
+def fk_reference(p: float, lam: float, t: float, n_paths: int, seed: int):
+    u = extremal_potential(p)
+    weights = np.array([p, 1.0 - p])
+    log_vals = np.empty(n_paths)
+    for i in range(n_paths):
+        rng = path_rng(seed, i)
+        k = rng.poisson(t)
+        times = np.sort(rng.uniform(0.0, t, size=k)) if k else np.empty(0)
+        bounds = np.concatenate([[0.0], times, [t]])
+        labels = rng.choice(2, size=k + 1, p=weights)
+        log_vals[i] = lam * float(np.dot(u[labels], np.diff(bounds)))
+    vals = np.exp(log_vals)
+    mean = float(vals.mean())
+    se_mean = float(vals.std(ddof=1) / math.sqrt(n_paths))
+    return math.log(mean) / t, se_mean / (mean * t)
+
+
+def ou_reference(config: EnsembleConfig, u) -> np.ndarray:
+    h = config.sde_step
+    n_steps = int(round(config.t / h))
+    decay = math.exp(-h)
+    noise_sd = math.sqrt(1.0 - decay * decay)
+    out = np.empty(config.n_paths)
+    for i in range(config.n_paths):
+        rng = path_rng(config.master_seed, i)
+        if isinstance(config.beta, str) and config.beta == "stationary":
+            x0 = rng.standard_normal()
+        else:
+            x0 = float(config.beta)
+        shocks = rng.standard_normal(n_steps)
+        path = np.empty(n_steps + 1)
+        path[0] = x0
+        path[1:] = lfilter([noise_sd], [1.0, -decay], shocks) \
+            + x0 * decay ** np.arange(1, n_steps + 1)
+        vals = u(path) if callable(u) else path
+        out[i] = float(np.trapezoid(vals, dx=h)) / config.t
+    return out
+
+
+def _draws(rng):
+    return [rng.random(5), rng.exponential(size=7), rng.standard_normal(9),
+            rng.poisson(3.5, size=4), rng.uniform(-2.0, 3.0, size=6), rng.random()]
+
+
+class TestPathStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 111, 2**31 - 1, 2**64 - 1])
+    def test_matches_fresh_philox(self, seed):
+        indices = [0, 1, 2, 57, 1023, 1024, 2**40]
+        for i, rng in path_streams(seed, indices):
+            ref = path_rng(seed, i)
+            for a, b in zip(_draws(rng), _draws(ref)):
+                assert np.array_equal(a, b)
+
+    def test_half_used_word_is_reset(self):
+        # a float32 draw leaves half of a 64-bit output in the generator;
+        # the next path must not see it
+        seen = []
+        for i, rng in path_streams(5, [3, 4, 3]):
+            seen.append(rng.random(dtype=np.float32))
+            assert rng.bit_generator.state["has_uint32"] == 1
+            seen.append(rng.random(3))
+        for i, (a, b) in zip([3, 4, 3], zip(seen[::2], seen[1::2])):
+            ref = path_rng(5, i)
+            assert a == ref.random(dtype=np.float32)
+            assert np.array_equal(b, ref.random(3))
+
+    def test_indices_in_any_order(self):
+        order = [9, 2, 9, 0]
+        got = [rng.standard_normal(3) for _, rng in path_streams(4, order)]
+        for i, g in zip(order, got):
+            assert np.array_equal(g, path_rng(4, i).standard_normal(3))
+
+
+def _random_chain(n: int, seed: int) -> ReversibleChain:
+    """Reversible chain with rates spread over 1e-2..1e3 and a random edge set."""
+    rng = np.random.default_rng(seed)
+    mu = rng.dirichlet(np.ones(n) * 2.0)
+    mu = np.maximum(mu, 0.02)
+    mu /= mu.sum()
+    cond = 10.0 ** rng.uniform(-2.0, 3.0, size=(n, n)) * mu.min()
+    keep = rng.random((n, n)) < 0.6
+    keep |= np.eye(n, k=1, dtype=bool)          # a spanning path keeps it irreducible
+    cond = np.triu(cond * keep, 1)
+    cond = cond + cond.T
+    rates = cond / mu[:, None]
+    return build_chain(rates, mu=mu)
+
+
+class TestChainSamplerOracle:
+    @settings(max_examples=12)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           t=st.sampled_from([0.05, 0.5, 2.0]), master=st.integers(0, 2**63))
+    def test_random_chains(self, n, seed, t, master):
+        ch = _random_chain(n, seed)
+        u = np.random.default_rng(seed + 1).standard_normal(n)
+        beta = np.random.default_rng(seed + 2).dirichlet(np.ones(n))
+        cfg = EnsembleConfig(model=ch, beta=beta, t=t, n_paths=40, master_seed=master)
+        assert np.array_equal(sample_time_average(cfg, u), chain_reference(cfg, u))
+
+    def test_paths_spanning_many_blocks(self):
+        # over a thousand events per path: each path refills its block many times
+        ch = build_chain(np.array([[0.0, 900.0, 300.0], [900.0, 0.0, 800.0],
+                                   [300.0, 800.0, 0.0]]))
+        u = np.array([0.3, -1.0, 2.0])
+        cfg = EnsembleConfig(model=ch, beta=ch.mu, t=1.0, n_paths=25, master_seed=17)
+        assert np.array_equal(sample_time_average(cfg, u), chain_reference(cfg, u))
+
+    def test_zero_rate_start(self):
+        # state 0 has no exits: paths started there hold it until t
+        Q = np.array([[0.0, 0.0, 0.0], [1.0, -1.5, 0.5], [0.0, 2.0, -2.0]])
+        ch = ReversibleChain(states=(0, 1, 2), Q=Q, mu=np.array([0.5, 0.25, 0.25]))
+        u = np.array([1.0, -0.5, 0.25])
+        cfg = EnsembleConfig(model=ch, beta=np.array([0.4, 0.3, 0.3]), t=3.0,
+                             n_paths=300, master_seed=8)
+        got = sample_time_average(cfg, u)
+        assert np.array_equal(got, chain_reference(cfg, u))
+        assert np.any(got == 1.0)
+
+    def test_chunk_boundary(self):
+        ch = bernoulli_chain(0.3)
+        u = np.array([0.0, 1.0])
+        cfg = EnsembleConfig(model=ch, beta=ch.mu, t=20.0, n_paths=1030, master_seed=31)
+        assert np.array_equal(sample_time_average(cfg, u), chain_reference(cfg, u))
+
+    def test_prefix_of_larger_run(self):
+        ch = bernoulli_chain(0.4)
+        u = np.array([0.0, 1.0])
+        big = EnsembleConfig(model=ch, beta=ch.mu, t=8.0, n_paths=3000, master_seed=12)
+        ref = EnsembleConfig(model=ch, beta=ch.mu, t=8.0, n_paths=1024, master_seed=12)
+        assert np.array_equal(sample_time_average(big, u)[:1024], chain_reference(ref, u))
+
+
+class TestGrowthOracle:
+    @settings(max_examples=10)
+    @given(p=st.floats(0.05, 0.95), lam=st.floats(-2.0, 2.0),
+           t=st.sampled_from([0.2, 3.0, 30.0]), seed=st.integers(0, 2**63))
+    def test_matches_reference(self, p, lam, t, seed):
+        g = fk_growth_mc(p, lam, t, 60, seed=seed)
+        assert (g.estimate, g.std_error) == fk_reference(p, lam, t, 60, seed)
+
+
+class TestOUOracle:
+    @pytest.mark.parametrize("beta,u", [
+        ("stationary", None),
+        (1.5, np.abs),
+        ("stationary", lambda x: np.cos(x)),
+    ])
+    def test_matches_reference(self, beta, u):
+        cfg = EnsembleConfig(model=OUModel(), beta=beta, t=4.0, n_paths=40,
+                             master_seed=21, sde_step=0.01)
+        assert np.array_equal(sample_time_average(cfg, u), ou_reference(cfg, u))

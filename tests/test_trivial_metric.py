@@ -232,6 +232,11 @@ class TestGrowthMc:
         with pytest.raises(ValueError):
             fk_growth_mc(0.25, 0.5, 100.0, 100, seed=0)
 
+    @pytest.mark.parametrize("p", [-0.1, 0.0, 1.0, 1.5, math.nan])
+    def test_p_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError):
+            fk_growth_mc(p, 0.5, 10.0, 20, seed=0)
+
 
 class TestConjugateConsistency:
     def test_rho_matches_quadratic_conjugate_below_one(self):
