@@ -16,13 +16,14 @@ diag(sqrt mu) (-L) diag(1/sqrt mu), which is the matrix of the
 self-adjoint operator in L^2(mu); this keeps spectra real by
 construction instead of by luck.
 
-Each chain caches its operator once, in O(n + |E|) memory: the edge list
+Each chain builds -L^sigma once, in two cached forms: the edge list
 (i, j, w_ij) with symmetric conductances w_ij, over which the Dirichlet
-forms are plain sums, and, for birth-death chains (edges exactly
-{(k, k+1)}), the tridiagonal band of the conjugated -L^sigma.  The one
-eigen entry point ``_lowest_eigenpairs`` solves birth-death chains on that
-band by LAPACK's tridiagonal bisection for the requested indices only,
-and any other chain by a dense eigh of ``conjugated_neg_generator()``.
+forms and ``_apply_neg_generator`` are O(n + |E|) sums, and the read-only
+dense ``conjugated_neg_generator``, which carries dense eigensolves and the
+Poisson solve.  Birth-death chains (edges exactly (k, k+1)) also read the
+tridiagonal band of the conjugated operator off the edge list; the eigen
+entry point ``_lowest_eigenpairs`` solves them on it by LAPACK's tridiagonal
+bisection for the requested indices only, and any other chain by dense eigh.
 """
 
 from __future__ import annotations
@@ -63,25 +64,18 @@ class ReversibleChain:
     def n(self) -> int:
         return len(self.states)
 
-    def generator(self) -> np.ndarray:
-        """L acting on functions: (Lg)_x = sum_y Q[x,y] g_y."""
-        return self.Q
-
-    def symmetrized_generator(self) -> np.ndarray:
-        """L^sigma = (L + L*)/2 with L* the L^2(mu) adjoint of L.
-
-        For a validated reversible chain L* = L up to the detailed-balance
-        tolerance; computing the average makes that assumption checkable
-        rather than assumed.
-        """
-        adj = (self.Q.T * self.mu[None, :]) / self.mu[:, None]
-        return 0.5 * (self.Q + adj)
-
+    @cached_property
     def conjugated_neg_generator(self) -> np.ndarray:
-        """diag(sqrt mu) (-L^sigma) diag(1/sqrt mu), symmetrized for eigh."""
-        s = np.sqrt(self.mu)
-        A = (s[:, None] * (-self.symmetrized_generator())) / s[None, :]
-        return 0.5 * (A + A.T)
+        """diag(sqrt mu) (-L^sigma) diag(1/sqrt mu), symmetrized for eigh; read-only.
+
+        L^sigma = (L + L*)/2 averages L with its L^2(mu) adjoint, which equals L
+        only up to the detailed-balance tolerance of a validated chain.
+        """
+        Q, mu = self.Q, self.mu
+        sym = 0.5 * (Q + (Q.T * mu[None, :]) / mu[:, None])
+        s = np.sqrt(mu)
+        A = (s[:, None] * (-sym)) / s[None, :]
+        return _frozen(0.5 * (A + A.T))
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,16 +97,11 @@ class ReversibleChain:
         a band: -Q[k,k] on the diagonal and -w / sqrt(mu_k mu_{k+1}) off it,
         with w the edge conductance.
         """
-        Q, mu, n = self.Q, self.mu, self.n
-        # irreducibility puts a rate on every state's diagonal, so 3n - 2
-        # nonzeros with both side diagonals full leave room for no other edge
-        if np.count_nonzero(Q) != 3 * n - 2:
+        i, j, w = self.edges
+        if not (np.array_equal(i, np.arange(self.n - 1)) and np.array_equal(j, i + 1)):
             return None
-        upper, lower = np.diag(Q, 1), np.diag(Q, -1)
-        if np.count_nonzero(upper) + np.count_nonzero(lower) != 2 * (n - 1):
-            return None
-        w = 0.5 * (mu[:-1] * upper + mu[1:] * lower)
-        return _frozen(-np.diag(Q)), _frozen(-w / np.sqrt(mu[:-1] * mu[1:]))
+        mu = self.mu
+        return _frozen(-np.diag(self.Q)), _frozen(-w / np.sqrt(mu[:-1] * mu[1:]))
 
     def expectation(self, g: np.ndarray) -> float:
         return float(np.dot(self.mu, np.asarray(g, dtype=float)))
@@ -404,7 +393,7 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
             diag = diag - _state_vector(chain, u)
         return eigh_tridiagonal(diag, off, eigvals_only=not vectors,
                                 select="i", select_range=(0, count - 1))
-    A = chain.conjugated_neg_generator()
+    A = chain.conjugated_neg_generator
     if u is not None:
         A = A - np.diag(_state_vector(chain, u))
     if vectors:
@@ -413,28 +402,36 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
     return np.linalg.eigvalsh(A)[:count]
 
 
+def _apply_neg_generator(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
+    """-L^sigma g = -Q_xx g_x - (1/mu_x) sum_y w_xy g_y, summed over edges."""
+    i, j, w = chain.edges
+    flux = (np.bincount(i, weights=w * g[j], minlength=chain.n)
+            + np.bincount(j, weights=w * g[i], minlength=chain.n))
+    return -np.diag(chain.Q) * g - flux / chain.mu
+
+
 def poisson_solve(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
     """Solve -L^sigma h = g with mu(h) = 0 for centered g.
 
-    Uses the bordered system [[-L^sigma, 1], [mu^T, 0]], which is regular
-    exactly when the chain is irreducible.
+    Solves the symmetric bordered system [[A, sqrt mu], [sqrt mu^T, 0]] on
+    the conjugated A = diag(sqrt mu) (-L^sigma) diag(1/sqrt mu) for
+    y = sqrt(mu) h; it is regular exactly when the chain is irreducible.
     """
     g = np.asarray(g, dtype=float)
     if abs(chain.expectation(g)) > 1e-10:
         raise MeanNotZero(f"mu(g) = {chain.expectation(g)!r} exceeds 1e-10")
     n = chain.n
-    neg_gen = -chain.symmetrized_generator()
+    s = np.sqrt(chain.mu)
     A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = neg_gen
-    A[:n, n] = 1.0
-    A[n, :n] = chain.mu
-    b = np.concatenate([g, [0.0]])
+    A[:n, :n] = chain.conjugated_neg_generator
+    A[:n, n] = A[n, :n] = s
+    b = np.concatenate([s * g, [0.0]])
     try:
         sol = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - internal error
         raise SingularSystem(str(exc)) from exc
-    h = sol[:n]
-    resid = float(np.max(np.abs(neg_gen @ h - g)))
+    h = sol[:n] / s
+    resid = float(np.max(np.abs(_apply_neg_generator(chain, h) - g)))
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularSystem(f"Poisson residual {resid:.3e} exceeds tolerance")
     return h - chain.expectation(h)

@@ -38,6 +38,7 @@ from .chains import (
     Density,
     MetricMatrix,
     ReversibleChain,
+    _apply_neg_generator,
     _lowest_eigenpairs,
     dirichlet_energy,
     lipschitz_norm,
@@ -47,6 +48,7 @@ from .errors import HorizonOverflow, PhiConstraintViolated
 from .transport import (
     CostMatrix,
     RateFunction,
+    _golden_max,
     alpha_conjugate,
     infconv_potential,
     w1,
@@ -150,10 +152,9 @@ def _legendre_ascent(chain, u, lam, f, iters):
     floor = 1e-13
     step = 0.5
     val = _legendre_objective(chain, u, lam, f)
-    Lmat = chain.symmetrized_generator()
     for _ in range(iters):
         sq = np.sqrt(np.clip(f, floor, None))
-        grad = lam * u + (Lmat @ sq) / sq
+        grad = lam * u - _apply_neg_generator(chain, sq) / sq
         cand = project_density(chain.mu, f + step * grad, floor)
         cand_val = _legendre_objective(chain, u, lam, cand)
         if cand_val > val + 1e-15:
@@ -263,23 +264,9 @@ def _best_lambda(chain, u, extra=(), coarse=False):
     vals = np.array([_dual_ratio(chain, u, lam) for lam in grid])
     k = int(np.argmax(vals))
     lam = grid[k]
-    lo, hi = lam / 2.0, lam * 2.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = _dual_ratio(chain, u, c), _dual_ratio(chain, u, e)
-    for _ in range(12 if coarse else 40):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = _dual_ratio(chain, u, c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = _dual_ratio(chain, u, e)
-    lam_best = 0.5 * (a + b)
-    return float(max(vals[k], fc, fe)), float(lam_best)
+    lam_best, best = _golden_max(lambda x: _dual_ratio(chain, u, x), lam / 2.0, lam * 2.0,
+                                 iters=12 if coarse else 40)
+    return float(max(vals[k], best)), float(lam_best)
 
 
 def _mcshane(d: MetricMatrix, g: np.ndarray) -> np.ndarray:
@@ -310,7 +297,7 @@ def _transport_ratio(chain, d, f, squared):
     return dist * dist / (4.0 * info)
 
 
-def _ratio_gradient(chain, d, f, squared, Lmat):
+def _ratio_gradient(chain, d, f, squared):
     nu = chain.mu * f
     info = fisher_information_raw(chain, f)
     if info <= 1e-300:
@@ -323,20 +310,19 @@ def _ratio_gradient(chain, d, f, squared, Lmat):
         ddist2 = chain.mu * (2.0 * dist * pot)
         dist2 = dist * dist
     sq = np.sqrt(np.clip(f, 1e-13, None))
-    dinfo = chain.mu * (-(Lmat @ sq)) / sq
+    dinfo = chain.mu * _apply_neg_generator(chain, sq) / sq
     grad = ddist2 / (4.0 * info) - dist2 * dinfo / (4.0 * info * info)
     return grad, dist2 / (4.0 * info)
 
 
 def _primal_ascent(chain, d, f0, squared, iters=140, min_perturbation=0.0):
-    Lmat = chain.symmetrized_generator()
     f = f0.copy()
     val = _transport_ratio(chain, d, f, squared)
     if math.isinf(val):
         return val, f
     step = 0.25
     for _ in range(iters):
-        grad, _ = _ratio_gradient(chain, d, f, squared, Lmat)
+        grad, _ = _ratio_gradient(chain, d, f, squared)
         if grad is None:
             break
         norm = float(np.linalg.norm(grad * np.sqrt(1.0 / chain.mu)))

@@ -62,6 +62,8 @@ class EnsembleConfig:
             b = np.asarray(self.beta, dtype=float)
             if b.shape != (self.model.n,) or np.any(b < 0) or abs(b.sum() - 1) > 1e-9:
                 raise ModelValidation("beta must be a probability vector on the states")
+        elif isinstance(self.beta, str) and self.beta != "stationary":
+            raise ModelValidation(f"beta must be 'stationary' or a point, not {self.beta!r}")
 
     def beta_l2(self) -> float:
         """||d beta / d mu||_2; +inf marks an illustrative (non-L^2) start."""

@@ -318,13 +318,10 @@ def _staircase_potential(s: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> np.nd
     cost = lambda i, j: (s[i] - s[j]) ** 2
     u = np.zeros(n)
     v = np.zeros(n)
-    u_seen = np.zeros(n, dtype=bool)
-    v_seen = np.zeros(n, dtype=bool)
     i = j = 0
     a, b = nu[0], mu[0]
     u[0] = 0.0
     v[0] = -cost(0, 0)
-    u_seen[0] = v_seen[0] = True
     # walk the monotone coupling support; equality u_i - v_j = c_ij on cells
     while i < n - 1 or j < n - 1:
         if a < b - 1e-18 and i < n - 1 or j == n - 1:
@@ -332,13 +329,11 @@ def _staircase_potential(s: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> np.nd
             b -= a
             a = nu[i]
             u[i] = v[j] + cost(i, j)
-            u_seen[i] = True
         else:
             j += 1
             a -= b
             b = mu[j]
             v[j] = u[i] - cost(i, j)
-            v_seen[j] = True
     return u
 
 
@@ -346,7 +341,7 @@ def w2_quantile_1d(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
     """W_2 of two distributions on a common sorted grid via quantiles.
 
     The monotone (quantile) coupling is optimal for convex costs in 1-D;
-    this is the independent oracle for ``w2`` on line graphs.
+    this is the route ``w2`` takes on line metrics.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
@@ -470,7 +465,7 @@ def alpha_conjugate(alpha: RateFunction, lam: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             return math.inf
-    return _golden_max(lambda r: lam * r - alpha(r), 0.0, hi)
+    return _golden_max(lambda r: lam * r - alpha(r), 0.0, hi, iters=200, tol=1e-12)[1]
 
 
 def _power_slope(alpha: RateFunction, r: float) -> float:
@@ -478,7 +473,12 @@ def _power_slope(alpha: RateFunction, r: float) -> float:
     return kappa * p * r * (1.0 + r * r) ** (p / 2.0 - 1.0)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12, iters: int = 200) -> float:
+def _golden_max(fn, lo: float, hi: float, iters: int, tol: float = 0.0) -> tuple[float, float]:
+    """Golden-section search for the max of a unimodal fn on [lo, hi].
+
+    Returns (midpoint of the final bracket, best value seen at its interior
+    points); stops early once the bracket is below tol relative.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -495,7 +495,7 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12, iters: int = 200) 
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    return max(fc, fd)
+    return 0.5 * (a + b), max(fc, fd)
 
 
 def alpha_infconv(alphas: list[RateFunction], r: float, multistarts: int = 16,
@@ -553,7 +553,7 @@ def _pairwise_descent(alphas, split, r, sweeps: int = 40):
                 k = int(np.argmin(vals))
                 lo = xs[max(0, k - 1)]
                 hi = xs[min(len(xs) - 1, k + 1)]
-                x_best = _argmin_scan(pair_obj, lo, hi)
+                x_best, _ = _golden_max(lambda x: -pair_obj(x), lo, hi, iters=80)
                 if pair_obj(x_best) <= min(vals):
                     moved += abs(split[i] - x_best)
                     split[i] = x_best
@@ -561,24 +561,6 @@ def _pairwise_descent(alphas, split, r, sweeps: int = 40):
         if moved < 1e-14 * max(1.0, r):
             break
     return split
-
-
-def _argmin_scan(fn, lo, hi, iters: int = 80):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,19 @@ def random_birth_death_chain(n: int, rng: np.random.Generator) -> ReversibleChai
     return build_chain(rates)
 
 
+def symmetrized_generator(chain: ReversibleChain) -> np.ndarray:
+    """Dense L^sigma = (L + L*)/2, L* the L^2(mu) adjoint: the reference operator."""
+    adj = (chain.Q.T * chain.mu[None, :]) / chain.mu[:, None]
+    return 0.5 * (chain.Q + adj)
+
+
+def conjugated_neg_generator(chain: ReversibleChain) -> np.ndarray:
+    """Dense diag(sqrt mu) (-L^sigma) diag(1/sqrt mu), symmetrized: the reference."""
+    s = np.sqrt(chain.mu)
+    A = (s[:, None] * (-symmetrized_generator(chain))) / s[None, :]
+    return 0.5 * (A + A.T)
+
+
 def random_density(chain: ReversibleChain, rng: np.random.Generator,
                    concentration: float = 1.0) -> np.ndarray:
     raw = rng.dirichlet(np.ones(chain.n) * concentration)

@@ -1,9 +1,10 @@
 """The cached chain operator against the dense reference constructions.
 
 Birth-death chains take the banded eigen route and every chain takes the
-edge-list Dirichlet form; dense eigh of ``conjugated_neg_generator()`` and
-the n x n Dirichlet sum are the oracles.  Chains are drawn with mu down to
-1e-8 and conductance spreads up to 1e6.
+edge-list Dirichlet form and generator product; dense eigh of
+``conjugated_neg_generator``, the n x n Dirichlet sum, the dense L^sigma
+and the unconjugated Poisson solve are the oracles.  Chains are drawn with
+mu down to 1e-8 and conductance spreads up to 1e6.
 """
 
 import subprocess
@@ -14,18 +15,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from transinfo.catalog import quartic_spec
 from transinfo.chains import (
+    _apply_neg_generator,
     build_chain,
     dirichlet_bilinear,
     dirichlet_energy,
     line_metric,
+    poisson_solve,
     spectral_gap,
     trivial_metric,
 )
+from transinfo.diffusion1d import Grid1D, discretize, ou_spec
 from transinfo.errors import DetailedBalanceViolated
 from transinfo.feynman_kac import fisher_information_raw, lambda_max, lambda_max_witness
 
-from conftest import random_reversible_chain
+from conftest import conjugated_neg_generator, random_reversible_chain, symmetrized_generator
 
 
 @st.composite
@@ -42,6 +47,49 @@ def birth_death_chains(draw, max_n=40):
         rates[k, k + 1] = cond[k] / mu[k]
         rates[k + 1, k] = cond[k] / mu[k + 1]
     return build_chain(rates, mu=mu)
+
+
+@st.composite
+def dense_chains(draw, max_n=10, bounded_rates=False):
+    """Chain with a rate on every pair, mu down to 1e-8, in exact detailed balance.
+
+    Conductances c_xy in [0.2, 1.5] give exit rates up to about 1e8 on the
+    lightest states; with ``bounded_rates`` they are scaled by min(mu_x, mu_y),
+    which keeps every exit rate below 1.5 n, as in the tails of a discretized
+    diffusion.
+    """
+    n = draw(st.integers(2, max_n))
+    log_mu = np.array(draw(st.lists(st.floats(-8.0, 0.0), min_size=n, max_size=n)))
+    mu = 10.0 ** log_mu
+    mu /= mu.sum()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if not bounded_rates:
+        return random_reversible_chain(n, rng, mu=mu)
+    cond = np.triu(rng.uniform(0.2, 1.5, (n, n)) * np.minimum.outer(mu, mu), 1)
+    return build_chain((cond + cond.T) / mu[:, None], mu=mu)
+
+
+def _old_band(chain):
+    """The band as built from the nonzero pattern of Q before the edge list owned it."""
+    Q, mu, n = chain.Q, chain.mu, chain.n
+    if np.count_nonzero(Q) != 3 * n - 2:
+        return None
+    upper, lower = np.diag(Q, 1), np.diag(Q, -1)
+    if np.count_nonzero(upper) + np.count_nonzero(lower) != 2 * (n - 1):
+        return None
+    w = 0.5 * (mu[:-1] * upper + mu[1:] * lower)
+    return -np.diag(Q), -w / np.sqrt(mu[:-1] * mu[1:])
+
+
+def _unconjugated_poisson(chain, g):
+    """-L^sigma h = g, mu(h) = 0 by the bordered system [[-L^sigma, 1], [mu^T, 0]]."""
+    n = chain.n
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = -symmetrized_generator(chain)
+    A[:n, n] = 1.0
+    A[n, :n] = chain.mu
+    h = np.linalg.solve(A, np.concatenate([g, [0.0]]))[:n]
+    return h - chain.expectation(h)
 
 
 def _scale(chain) -> float:
@@ -62,7 +110,7 @@ class TestBand:
         rates = np.diag(rng.uniform(0.5, 2.0, 5), 1) + np.diag(rng.uniform(0.5, 2.0, 5), -1)
         ch = build_chain(rates)
         diag, off = ch.band
-        A = ch.conjugated_neg_generator()
+        A = ch.conjugated_neg_generator
         np.testing.assert_allclose(diag, np.diag(A), rtol=1e-14)
         np.testing.assert_allclose(off, np.diag(A, 1), rtol=1e-12)
 
@@ -88,7 +136,7 @@ class TestBand:
         assert chain.band is not None
         tol = _scale(chain)
         u = rng.uniform(-5.0, 5.0, chain.n)
-        dense = np.linalg.eigh(-chain.conjugated_neg_generator() + np.diag(u))
+        dense = np.linalg.eigh(-chain.conjugated_neg_generator + np.diag(u))
         assert lambda_max(chain, u) == pytest.approx(dense[0][-1], abs=tol)
 
         val, dens = lambda_max_witness(chain, u)
@@ -102,8 +150,59 @@ class TestBand:
         assert attained == pytest.approx(val, abs=tol)
 
         gap, c_p = spectral_gap(chain)
-        assert gap == pytest.approx(np.linalg.eigvalsh(chain.conjugated_neg_generator())[1], abs=tol)
+        assert gap == pytest.approx(np.linalg.eigvalsh(chain.conjugated_neg_generator)[1], abs=tol)
         assert c_p == 1.0 / gap
+
+
+class TestCachedOperator:
+    @given(st.one_of(birth_death_chains(), dense_chains()))
+    def test_conjugated_matrix_cached_once(self, chain):
+        A = chain.conjugated_neg_generator
+        assert np.array_equal(A, conjugated_neg_generator(chain))
+        assert not A.flags.writeable
+        assert chain.conjugated_neg_generator is A
+
+    @given(st.one_of(birth_death_chains(), dense_chains()))
+    def test_band_matches_nonzero_pattern_construction(self, chain):
+        old = _old_band(chain)
+        if old is None:
+            assert chain.band is None
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(chain.band, old))
+
+    @given(st.one_of(birth_death_chains(), dense_chains()), st.integers(0, 2 ** 32 - 1))
+    def test_edge_product_matches_dense_generator(self, chain, seed):
+        g = np.random.default_rng(seed).standard_normal(chain.n)
+        dense = -symmetrized_generator(chain) @ g
+        tol = 1e-12 * float(np.max(np.abs(chain.Q))) * float(np.max(np.abs(g)))
+        assert float(np.max(np.abs(_apply_neg_generator(chain, g) - dense))) <= tol
+
+
+class TestConjugatedPoissonSolve:
+    def _check(self, chain, g):
+        g = g - chain.expectation(g)
+        h = poisson_solve(chain, g)
+        resid = float(np.max(np.abs(-symmetrized_generator(chain) @ h - g)))
+        assert resid <= 1e-10 * max(1.0, float(np.max(np.abs(g))))
+        ref = _unconjugated_poisson(chain, g)
+        assert float(np.max(np.abs(h - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("spec, half_width", [(ou_spec(), 8.0), (quartic_spec(), 4.0)],
+                             ids=["ou", "quartic"])
+    def test_diffusion_tails(self, spec, half_width):
+        grid = Grid1D.uniform(-half_width, half_width, 400)
+        chain, nodes = discretize(spec, grid), grid.nodes
+        assert float(np.min(chain.mu)) < 1e-15
+        rng = np.random.default_rng(4)
+        for g in (nodes, nodes ** 3, np.sin(3.0 * nodes),
+                  np.concatenate([[0.0], np.cumsum(rng.uniform(-1, 1, 399) * np.diff(nodes))])):
+            self._check(chain, g)
+
+    # exit rates stay bounded: with rates near 1e7 the absolute 1e-10 residual
+    # check sits below the rounding floor eps * max|Q| * max|h| of any solve
+    @given(dense_chains(bounded_rates=True), st.integers(0, 2 ** 32 - 1))
+    def test_random_dense_chains(self, chain, seed):
+        self._check(chain, np.random.default_rng(seed).standard_normal(chain.n))
 
 
 class TestEdgeListDirichlet:

@@ -104,7 +104,7 @@ class TestDriftInfoBound:
 
     def test_gap_eigendensity_positive_slack(self, rng):
         ch = random_reversible_chain(5, rng)
-        A = ch.conjugated_neg_generator()
+        A = ch.conjugated_neg_generator
         _, V = np.linalg.eigh(A)
         g = V[:, 1] / np.sqrt(ch.mu)
         f = (1.0 + 0.4 * g / np.max(np.abs(g))) ** 1

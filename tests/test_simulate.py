@@ -181,6 +181,16 @@ class TestOUSampling:
         with pytest.raises(StepTooLarge):
             sample_time_average(cfg, lambda x: x)
 
+    def test_unknown_start_string_rejected(self):
+        # a misspelt start used to run Euler from c_ref and fail OU mid-sampling
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0,
+                               b=lambda x: -x, c_ref=0.0)
+        for model in (OUModel(), spec):
+            with pytest.raises(ModelValidation):
+                EnsembleConfig(model=model, beta="statonary", t=1.0, n_paths=5, master_seed=0)
+            EnsembleConfig(model=model, beta="stationary", t=1.0, n_paths=5, master_seed=0)
+            EnsembleConfig(model=model, beta=0.5, t=1.0, n_paths=5, master_seed=0)
+
 
 class TestTailEstimate:
     def test_vanishes_beyond_oscillation(self):

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from transinfo.chains import Density, fisher_information, line_metric, trivial_metric
+from transinfo.chains import Density, build_chain, fisher_information, line_metric, trivial_metric
 from transinfo.diffusion1d import Grid1D, discretize, ou_spec
 from transinfo.errors import InfeasibleMarginals, ProductTooLarge, UnsortedGrid
+from transinfo.feynman_kac import _best_lambda
 from transinfo.transport import (
     CostMatrix,
     RateFunction,
@@ -369,6 +370,41 @@ class TestRateFunctionCalculus:
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.diff(vals) >= -1e-9)          # increasing
         assert np.all(np.diff(vals, 2) >= -1e-6)       # convex
+
+
+class TestGoldenSearchPinned:
+    """The one golden-section search reproduces the three it replaced, bit for bit.
+
+    The float hex values were recorded from the three separate searches
+    (alpha_conjugate's, alpha_infconv's pairwise scan and _best_lambda's).
+    """
+
+    def test_alpha_conjugate_and_infconv(self):
+        P, Qd = RateFunction.power, RateFunction.quadratic
+        conj = {(1.0, 1.5, 0.7): "0x1.57c5564f38efcp-3",
+                (0.3, 3.0, 2.5): "0x1.2583f1406131ap+1",
+                (2.0, 2.0, 10.0): "0x1.8ffffffffffffp+3",
+                (0.5, 1.2, 0.05): "0x1.117261e175942p-9"}
+        for (kappa, p, lam), pinned in conj.items():
+            assert alpha_conjugate(P(kappa, p), lam).hex() == pinned
+        infconv = [([P(1.0, 1.5), P(0.5, 3.0)], 1.3, "0x1.47c1613bd91bep-1"),
+                   ([Qd(0.5), P(1.0, 2.5), RateFunction.tabulated([0, 1, 2, 4], [0, 0.5, 3, 4])],
+                    1.7, "0x1.8c177bd38ff09p-1"),
+                   ([P(0.2, 2.0), Qd(1.5)], 0.4, "0x1.767dce434a9aap-7")]
+        for alphas, r, pinned in infconv:
+            assert alpha_infconv(alphas, r).hex() == pinned
+
+    def test_best_lambda(self):
+        dense = random_reversible_chain(4, np.random.default_rng(5))
+        bd = build_chain(np.diag([1.0, 2.0, 0.5], 1) + np.diag([0.7, 1.1, 3.0], -1))
+        u = np.array([0.0, 1.0, -0.5, 2.0])
+        pinned = {(0, False): ("0x1.a5eca4031f3fbp-4", "0x1.cfde24d03200ep+1"),
+                  (0, True): ("0x1.a5eca3d62bad8p-4", "0x1.cf78539968de4p+1"),
+                  (1, False): ("0x1.37eac7b362151p-2", "0x1.5994cf4d08d24p+1"),
+                  (1, True): ("0x1.37eac7b193546p-2", "0x1.59b6dc831c288p+1")}
+        for (k, coarse), (ratio, lam) in pinned.items():
+            got = _best_lambda((dense, bd)[k], u, extra=(0.37,), coarse=coarse)
+            assert (got[0].hex(), got[1].hex()) == (ratio, lam)
 
 
 class TestPotentialConvolutions:
