@@ -16,11 +16,14 @@ diag(sqrt mu) (-L) diag(1/sqrt mu), which is the matrix of the
 self-adjoint operator in L^2(mu); this keeps spectra real by
 construction instead of by luck.
 
-Each chain builds -L^sigma once, in two cached forms: the edge list
-(i, j, w_ij) with symmetric conductances w_ij, over which the Dirichlet
-forms and ``_apply_neg_generator`` are O(n + |E|) sums, and the read-only
-dense ``conjugated_neg_generator``, which carries dense eigensolves and the
-Poisson solve.  Birth-death chains (edges exactly (k, k+1)) also read the
+A chain stores Q as its nonzero off-diagonal rates (row, col, q) and
+its exit rates -Q_xx; the dense Q is a view built on first use, so a
+chain whose callers need only edges, exit rates or the band stays
+O(n + |E|) in memory.  Each chain builds -L^sigma once, in two cached
+forms: the edge list (i, j, w_ij) with symmetric conductances w_ij, over
+which the Dirichlet forms and ``_apply_neg_generator`` are O(n + |E|)
+sums, and the read-only dense ``conjugated_neg_generator``, which carries
+dense eigensolves and the Poisson solve.  Birth-death chains (edges exactly (k, k+1)) also read the
 tridiagonal band of the conjugated operator off the edge list; the eigen
 entry point ``_lowest_eigenpairs`` solves them on it by LAPACK's tridiagonal
 bisection for the requested indices only, and any other chain by dense eigh.
@@ -57,12 +60,31 @@ class ReversibleChain:
     """Validated finite reversible chain; immutable after construction."""
 
     states: tuple
-    Q: np.ndarray
     mu: np.ndarray
+    rates: tuple[np.ndarray, np.ndarray, np.ndarray]   # (row, col, q), row-major
+    exit_rates: np.ndarray                             # -Q_xx
+
+    @staticmethod
+    def from_dense(states, Q: np.ndarray, mu: np.ndarray) -> "ReversibleChain":
+        """Hold a rate matrix by its nonzero off-diagonal entries; validates nothing."""
+        Q = np.asarray(Q, dtype=float)
+        i, j = np.nonzero((Q != 0) & ~np.eye(len(Q), dtype=bool))
+        return ReversibleChain(states=tuple(states), mu=_frozen(np.array(mu, dtype=float)),
+                               rates=(_frozen(i), _frozen(j), _frozen(Q[i, j])),
+                               exit_rates=_frozen(-np.diag(Q)))
 
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The dense rate matrix, built on first use; read-only."""
+        i, j, q = self.rates
+        Q = np.zeros((self.n, self.n))
+        Q[i, j] = q
+        np.fill_diagonal(Q, -self.exit_rates)
+        return _frozen(Q)
 
     @cached_property
     def conjugated_neg_generator(self) -> np.ndarray:
@@ -84,24 +106,27 @@ class ReversibleChain:
         w_ij = (mu_i q_ij + mu_j q_ji) / 2 is the symmetric conductance, so
         E(g, h) = sum over edges of w_ij (g_j - g_i)(h_j - h_i).
         """
-        flow = self.mu[:, None] * self.Q
-        i, j = np.nonzero(np.triu(flow + flow.T, 1))
-        w = 0.5 * (flow[i, j] + flow[j, i])
-        return _frozen(i), _frozen(j), _frozen(w)
+        row, col, q = self.rates
+        pairs, slot = np.unique(np.minimum(row, col) * self.n + np.maximum(row, col),
+                                return_inverse=True)
+        # flow[i, j] + flow[j, i] per pair; pairs whose flows sum to 0 carry no edge
+        total = np.bincount(slot, weights=self.mu[row] * q, minlength=len(pairs))
+        i, j = np.divmod(pairs[total != 0], self.n)
+        return _frozen(i), _frozen(j), _frozen(0.5 * total[total != 0])
 
     @cached_property
     def band(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(diagonal, off-diagonal) of the conjugated -L^sigma, or None.
 
         Only birth-death chains, whose edge set is exactly {(k, k+1)}, have
-        a band: -Q[k,k] on the diagonal and -w / sqrt(mu_k mu_{k+1}) off it,
-        with w the edge conductance.
+        a band: the exit rates -Q[k,k] on the diagonal and
+        -w / sqrt(mu_k mu_{k+1}) off it, with w the edge conductance.
         """
         i, j, w = self.edges
         if not (np.array_equal(i, np.arange(self.n - 1)) and np.array_equal(j, i + 1)):
             return None
         mu = self.mu
-        return _frozen(-np.diag(self.Q)), _frozen(-w / np.sqrt(mu[:-1] * mu[1:]))
+        return self.exit_rates, _frozen(-w / np.sqrt(mu[:-1] * mu[1:]))
 
     def expectation(self, g: np.ndarray) -> float:
         return float(np.dot(self.mu, np.asarray(g, dtype=float)))
@@ -262,9 +287,7 @@ def build_chain(rates: np.ndarray, mu: np.ndarray | None = None, states=None) ->
         if len(states) != n:
             raise ModelValidation("states list has wrong length")
 
-    Q.setflags(write=False)
-    mu.setflags(write=False)
-    return ReversibleChain(states=states, Q=Q, mu=mu)
+    return ReversibleChain.from_dense(states, Q, mu)
 
 
 def _check_irreducible(Q: np.ndarray) -> None:
@@ -407,7 +430,7 @@ def _apply_neg_generator(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
     i, j, w = chain.edges
     flux = (np.bincount(i, weights=w * g[j], minlength=chain.n)
             + np.bincount(j, weights=w * g[i], minlength=chain.n))
-    return -np.diag(chain.Q) * g - flux / chain.mu
+    return chain.exit_rates * g - flux / chain.mu
 
 
 def poisson_solve(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:

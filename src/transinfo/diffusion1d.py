@@ -20,6 +20,12 @@ Discretization produces a birth-death chain in exact detailed balance
 with the node weights: conservative fluxes through 1/s' at cell
 midpoints make reversibility an identity, not an approximation, and the
 scheme stays second-order consistent with a d^2 + b d at interior nodes.
+
+Everything on a grid is evaluated on whole node arrays: the callables a
+and b are probed once for an array call (see ``DiffusionSpec1D``), and
+the panel integrals run QUADPACK's first 21-point Gauss-Kronrod step on
+all panels at once, with the adaptive ``_quad`` for any panel that step
+does not settle.
 """
 
 from __future__ import annotations
@@ -53,6 +59,10 @@ class DiffusionSpec1D:
     b: object            # callable x -> float
     c_ref: float = 0.0
 
+    # a_on / b_on evaluate a and b elementwise on an array of points:
+    # through the callable's own array call when that call broadcasts and
+    # reproduces its scalar values on the probe points to 4 ulp, else by a
+    # loop over the points
     def __post_init__(self):
         if not self.x0 < self.c_ref < self.y0:
             raise ModelValidation("c_ref must lie inside (x0, y0)")
@@ -65,6 +75,26 @@ class DiffusionSpec1D:
             raise ModelValidation("a must be finite and positive on the interval")
         if not np.all(np.isfinite(bv)):
             raise ModelValidation("b must be finite on the interval")
+        object.__setattr__(self, "a_on", _array_form(self.a, probe, av))
+        object.__setattr__(self, "b_on", _array_form(self.b, probe, bv))
+
+
+def _array_form(fn, probe: np.ndarray, values: np.ndarray):
+    """fn mapped over arrays: its own array call if it matches ``values`` to 4 ulp."""
+    try:
+        with np.errstate(all="ignore"):
+            got = _broadcast(fn, probe.reshape(3, 11)).ravel()
+        vectorized = bool(np.all(np.abs(got - values) <= 4 * np.spacing(np.abs(values))))
+    except Exception:   # a scalar-only callable may fail on arrays in any way
+        vectorized = False
+    if vectorized:
+        return lambda x: _broadcast(fn, x)
+    return lambda x: np.reshape(np.array([fn(v) for v in np.ravel(x)], dtype=float),
+                                np.shape(x))
+
+
+def _broadcast(fn, x) -> np.ndarray:
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -99,6 +129,74 @@ def _quad(fn, lo, hi):
     return val
 
 
+# QUADPACK's dqk21: the positive 21-point Kronrod abscissae (the Gauss
+# ones at odd indices) and their weights, and the 10-point Gauss weights,
+# as the nearest doubles to QUADPACK's 33-digit constants
+_XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+                 0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+                 0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+                 0.14887433898163122])
+_WGK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                 0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                 0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                 0.14773910490133849, 0.1494455540029169])
+_WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                0.26926671930999635, 0.29552422471475287])
+_EPMACH, _UFLOW = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _panel_quad(fn, lo, hi) -> np.ndarray:
+    """int_{lo_k}^{hi_k} fn(z, lo_k) dz for every panel k, elementwise in lo, hi.
+
+    fn maps an array of points and the matching panel left ends.  Every
+    panel gets QUADPACK's qk21 step with its error estimate, summed in
+    dqk21's order, and keeps that value exactly where qagse (the adaptive
+    routine behind ``_quad``) would stop after its first step:
+    abserr <= max(QUAD_TOL, QUAD_TOL |value|), and abserr != resasc or
+    abserr = 0.  Every other panel, non-finite ones included, goes through
+    ``_quad`` with its checks.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+    centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    absc = hlgth[:, None] * _XGK
+    with np.errstate(all="ignore"):
+        f = fn(np.hstack([centr[:, None] - absc, centr[:, None] + absc, centr[:, None]]),
+               lo[:, None])
+        fv1, fv2, fc = f[:, :10], f[:, 10:20], f[:, 20]
+        resg, resk = 0.0, _WGK[10] * fc
+        resabs = np.abs(resk)
+        for j in (*range(1, 10, 2), *range(0, 10, 2)):
+            fsum = fv1[:, j] + fv2[:, j]
+            if j % 2:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * np.abs(fc - reskh)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+        result = resk * hlgth
+        resabs, resasc = resabs * np.abs(hlgth), resasc * np.abs(hlgth)
+        abserr = np.abs((resk - resg) * hlgth)
+        scaled = (resasc != 0) & (abserr != 0)
+        abserr = np.where(scaled, resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5),
+                          abserr)
+        abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                          np.maximum(50.0 * _EPMACH * resabs, abserr), abserr)
+        settled = np.isfinite(result) & (
+            ((abserr <= np.maximum(QUAD_TOL, QUAD_TOL * np.abs(result))) & (abserr != resasc))
+            | (abserr == 0))
+    for k in np.flatnonzero(~settled):
+        result[k] = _quad(lambda z: float(fn(np.float64(z), lo[k])), lo[k], hi[k])
+    return result.reshape(shape)
+
+
+def _drift_ratio(spec: DiffusionSpec1D):
+    """b/a on arrays, as a ``_panel_quad`` integrand."""
+    return lambda z, _left: spec.b_on(z) / spec.a_on(z)
+
+
 def scale_speed(spec: DiffusionSpec1D, x: float) -> tuple[float, float]:
     """(s'(x), m'(x)); satisfies a(x) s'(x) m'(x) = 1."""
     if not spec.x0 < x < spec.y0:
@@ -109,20 +207,8 @@ def scale_speed(spec: DiffusionSpec1D, x: float) -> tuple[float, float]:
 
 def _cumulative_inner(spec: DiffusionSpec1D, nodes: np.ndarray) -> np.ndarray:
     """int_c^{x_i} b/a for all nodes, by panel quadrature and prefix sums."""
-    fn = lambda z: spec.b(z) / spec.a(z)
-    panels = np.array([_quad(fn, nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)])
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
-    base = _quad(fn, spec.c_ref, nodes[0])
-    return base + cum
-
-
-def grid_scale_speed(spec: DiffusionSpec1D, grid: Grid1D):
-    """Vectorized (s', m') on all grid nodes."""
-    inner = _cumulative_inner(spec, grid.nodes)
-    a_vals = np.array([spec.a(x) for x in grid.nodes], dtype=float)
-    s_prime = np.exp(-inner)
-    m_prime = np.exp(inner) / a_vals
-    return s_prime, m_prime
+    panels = _panel_quad(_drift_ratio(spec), np.append(spec.c_ref, nodes[:-1]), nodes)
+    return panels[0] + np.concatenate([[0.0], np.cumsum(panels[1:])])
 
 
 def _cell_widths(nodes: np.ndarray) -> np.ndarray:
@@ -142,10 +228,12 @@ def normalize(spec: DiffusionSpec1D, grid: Grid1D) -> tuple[float, np.ndarray]:
     a ratio test on the outer 10% of nodes.
     """
     nodes = grid.nodes
-    _, m_prime = grid_scale_speed(spec, grid)
+    inner = _cumulative_inner(spec, nodes)
+    m_prime = np.exp(inner) / spec.a_on(nodes)
     _check_tail_decay(spec, nodes, m_prime)
-    mp = lambda x: scale_speed(spec, x)[1]
-    Z = _quad(mp, nodes[0], nodes[-1])
+    # m' on each panel, anchored at its left node: e^{B(z) - B(x_k)} / a(z)
+    anchored = lambda z, left: np.exp(_panel_quad(_drift_ratio(spec), left, z)) / spec.a_on(z)
+    Z = float(np.dot(np.exp(inner[:-1]), _panel_quad(anchored, nodes[:-1], nodes[1:])))
     if not (Z > 0 and math.isfinite(Z)):
         raise DivergentSpeedMeasure(f"speed mass Z = {Z!r}")
     weights = m_prime * _cell_widths(nodes)
@@ -165,23 +253,6 @@ def _check_tail_decay(spec, nodes, m_prime):
         head = m_prime[:k]
         if np.mean(head[:-1] / head[1:]) >= 1.0:
             raise DivergentSpeedMeasure("speed density does not decay at the lower cut")
-
-
-def truncation_mass_bound(spec: DiffusionSpec1D, grid: Grid1D) -> float:
-    """Geometric-extrapolation bound on the speed mass beyond the grid span."""
-    nodes = grid.nodes
-    _, m_prime = grid_scale_speed(spec, grid)
-    bound = 0.0
-    k = max(2, len(nodes) // 10)
-    if spec.y0 > nodes[-1] + 2.0 * (nodes[-1] - nodes[-2]):
-        r = float(np.mean(m_prime[-k + 1:] / m_prime[-k:-1]))
-        h = nodes[-1] - nodes[-2]
-        bound += m_prime[-1] * h * r / max(1.0 - r, 1e-12) if r < 1 else math.inf
-    if spec.x0 < nodes[0] - 2.0 * (nodes[1] - nodes[0]):
-        r = float(np.mean(m_prime[:k - 1] / m_prime[1:k]))
-        h = nodes[1] - nodes[0]
-        bound += m_prime[0] * h * r / max(1.0 - r, 1e-12) if r < 1 else math.inf
-    return bound
 
 
 def check_nonexplosion(spec: DiffusionSpec1D, cutoff: float) -> dict:
@@ -232,35 +303,40 @@ def check_nonexplosion(spec: DiffusionSpec1D, cutoff: float) -> dict:
 
 @dataclass(frozen=True)
 class Warp:
-    """Increasing C^1 reparametrization rho with its derivative."""
+    """Increasing C^1 reparametrization rho with its derivative.
+
+    Both callables map an array of points elementwise.
+    """
 
     value: object   # callable
     slope: object   # callable
 
     @staticmethod
     def identity() -> "Warp":
-        return Warp(value=lambda x: x, slope=lambda x: 1.0)
+        return Warp(value=lambda x: x, slope=np.ones_like)
 
     @staticmethod
     def tanh_blend(scale: float = 0.5) -> "Warp":
         """x + scale * tanh(x): an uneven but smooth strictly increasing warp."""
-        return Warp(value=lambda x: x + scale * math.tanh(x),
-                    slope=lambda x: 1.0 + scale / math.cosh(x) ** 2)
+        return Warp(value=lambda x: x + scale * np.tanh(x),
+                    slope=lambda x: 1.0 + scale / np.cosh(x) ** 2)
 
     @staticmethod
     def intrinsic(spec: DiffusionSpec1D) -> "Warp":
         """rho_a(x) = int_c^x dz / sqrt(a): the carre-du-champ metric warp."""
         return Warp(value=lambda x: rho_a(spec, x),
-                    slope=lambda x: 1.0 / math.sqrt(spec.a(x)))
+                    slope=lambda x: 1.0 / np.sqrt(spec.a_on(x)))
 
 
-def rho_a(spec: DiffusionSpec1D, x: float) -> float:
-    """Intrinsic-metric coordinate int_c^x dz / sqrt(a(z))."""
-    if not spec.x0 < x < spec.y0:
-        raise ModelValidation(f"x = {x} outside the open interval")
-    lo, hi = sorted((spec.c_ref, x))
-    val = _quad(lambda z: 1.0 / math.sqrt(spec.a(z)), lo, hi)
-    return val if x >= spec.c_ref else -val
+def rho_a(spec: DiffusionSpec1D, x):
+    """Intrinsic-metric coordinate int_c^x dz / sqrt(a(z)), elementwise in x."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all((spec.x0 < xs) & (xs < spec.y0)):
+        raise ModelValidation(f"x outside the open interval ({spec.x0}, {spec.y0})")
+    val = _panel_quad(lambda z, _left: 1.0 / np.sqrt(spec.a_on(z)),
+                      np.minimum(spec.c_ref, xs), np.maximum(spec.c_ref, xs))
+    val = np.where(xs >= spec.c_ref, val, -val)
+    return float(val) if val.ndim == 0 else val
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -276,28 +352,14 @@ def _panel_moments(spec, rho, nodes):
     small-integral-times-huge-factor product that would amplify
     quadrature noise.
     """
-    n = len(nodes)
-    mass = np.empty(n - 1)
-    moment = np.empty(n - 1)
-    ba = lambda z: spec.b(z) / spec.a(z)
-    for k in range(n - 1):
-        lo, hi = nodes[k], nodes[k + 1]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        zs = mid + half * _GL_NODES
-        total_m = 0.0
-        total_r = 0.0
-        for z, wgt in zip(zs, _GL_WEIGHTS):
-            ihalf = 0.5 * (z - lo)
-            imid = 0.5 * (z + lo)
-            dB = ihalf * float(np.dot(_GL_INNER_W,
-                                      [ba(imid + ihalf * t) for t in _GL_INNER]))
-            val = math.exp(dB) / spec.a(z) * wgt
-            total_m += val
-            total_r += val * rho.value(z)
-        mass[k] = total_m * half
-        moment[k] = total_r * half
-    return mass, moment
+    lo, hi = nodes[:-1, None], nodes[1:, None]
+    half = 0.5 * (hi - lo)
+    zs = 0.5 * (hi + lo) + half * _GL_NODES                       # (panels, 12)
+    ihalf, imid = 0.5 * (zs - lo), 0.5 * (zs + lo)
+    inner = imid[..., None] + ihalf[..., None] * _GL_INNER       # (panels, 12, 8)
+    dB = ihalf * ((spec.b_on(inner) / spec.a_on(inner)) @ _GL_INNER_W)
+    val = np.exp(dB) / spec.a_on(zs) * _GL_WEIGHTS
+    return np.sum(val, axis=1) * half[:, 0], np.sum(val * rho.value(zs), axis=1) * half[:, 0]
 
 
 def c_rho(spec: DiffusionSpec1D, rho: Warp, grid: Grid1D, corrected: bool = True) -> float:
@@ -314,7 +376,7 @@ def c_rho(spec: DiffusionSpec1D, rho: Warp, grid: Grid1D, corrected: bool = True
     """
     nodes = grid.nodes
     n = len(nodes)
-    rho_slopes = np.array([rho.slope(x) for x in nodes], dtype=float)
+    rho_slopes = _broadcast(rho.slope, nodes)
     if np.any(rho_slopes <= 0):
         raise ModelValidation("warp slope must be positive on the grid")
     B = _cumulative_inner(spec, nodes)
@@ -323,8 +385,7 @@ def c_rho(spec: DiffusionSpec1D, rho: Warp, grid: Grid1D, corrected: bool = True
     shift = B[:-1] - np.max(B)
     Z = float(np.sum(np.exp(shift) * mass_p))
     mu_rho = float(np.sum(np.exp(shift) * moment_p)) / Z
-    rho2 = float(np.dot(np.exp(shift) * mass_p,
-                        np.array([rho.value(x) for x in 0.5 * (nodes[:-1] + nodes[1:])]) ** 2))
+    rho2 = float(np.dot(np.exp(shift) * mass_p, rho.value(0.5 * (nodes[:-1] + nodes[1:])) ** 2))
     if not math.isfinite(rho2 / Z):
         raise DivergenceDetected("rho is not square-integrable against mu")
     centered_p = moment_p - mu_rho * mass_p   # anchored at the panel's left node
@@ -363,23 +424,18 @@ def discretize(spec: DiffusionSpec1D, grid: Grid1D) -> ReversibleChain:
     the edge conductances.
     """
     nodes = grid.nodes
-    n = len(nodes)
     h = np.diff(nodes)
     inner = _cumulative_inner(spec, grid.nodes)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    inner_mid = np.empty(n - 1)
-    for i in range(n - 1):
-        inner_mid[i] = inner[i] + _quad(lambda z: spec.b(z) / spec.a(z), nodes[i], mids[i])
-    conduct = np.exp(inner_mid)          # 1/s' at midpoints
-    m_prime = np.exp(inner) / np.array([spec.a(x) for x in nodes])
+    # 1/s' at midpoints
+    conduct = np.exp(inner[:-1] + _panel_quad(_drift_ratio(spec), nodes[:-1], mids))
+    m_prime = np.exp(inner) / spec.a_on(nodes)
     w = m_prime * _cell_widths(nodes)
 
-    rates = np.zeros((n, n))
-    for i in range(n - 1):
-        rates[i, i + 1] = conduct[i] / (w[i] * h[i])
-        rates[i + 1, i] = conduct[i] / (w[i + 1] * h[i])
-    if np.any(~np.isfinite(rates)) or np.any(rates[rates != 0] <= 0):
+    up, down = conduct / (w[:-1] * h), conduct / (w[1:] * h)
+    if not np.all(np.isfinite(up) & np.isfinite(down) & (up >= 0) & (down >= 0)):
         raise StepTooCoarse("non-finite or nonpositive rates on the grid")
+    rates = np.diag(up, 1) + np.diag(down, -1)
     return build_chain(rates, mu=w / w.sum(), states=[f"{x:.12g}" for x in nodes])
 
 
@@ -398,16 +454,12 @@ def lip_poisson_ratio(spec: DiffusionSpec1D, grid: Grid1D, rho: Warp,
     """
     chain = discretize(spec, grid)
     nodes = grid.nodes
-    rho_vals = np.array([rho.value(x) for x in nodes], dtype=float)
-    rng = np.random.default_rng(seed)
-    candidates = [rho_vals.copy()]
-    for _ in range(g_samples):
-        slopes = rng.uniform(-1.0, 1.0, size=len(nodes) - 1)
-        g = np.concatenate([[0.0], np.cumsum(slopes * np.diff(rho_vals))])
-        candidates.append(g)
+    rho_vals = _broadcast(rho.value, nodes)
+    slopes = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(g_samples, len(nodes) - 1))
+    walks = np.cumsum(slopes * np.diff(rho_vals), axis=1)
+    candidates = np.vstack([rho_vals, np.hstack([np.zeros((g_samples, 1)), walks])])
     best = 0.0
-    for g in candidates:
-        g = g - float(np.dot(chain.mu, g))
+    for g in candidates - (candidates @ chain.mu)[:, None]:
         lip_g = lipschitz_ratio_1d(rho_vals, g)
         if lip_g <= 0:
             continue
@@ -437,12 +489,6 @@ def ou_tail_lograte(r: float, t: float) -> float:
     """(1/t) log P(N(0, sigma^2(t)) > r); tends to -r^2/4 for large t."""
     sigma = math.sqrt(ou_sigma2(t))
     return float(log_ndtr(-r / sigma)) / t
-
-
-def sample_box_pairs(box: float, n_pairs: int, dim: int, seed: int = 41) -> np.ndarray:
-    """Uniform point pairs in [-box, box]^dim for the dissipativity estimate."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-box, box, size=(n_pairs, 2, dim))
 
 
 def dissipativity_margin(sigma_fn, b_fn, pairs: np.ndarray) -> float:

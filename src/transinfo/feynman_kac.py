@@ -427,10 +427,12 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
                     best_primal, best_f = val, f
         if not improved:
             break
+    best_u = np.asarray(best_u, dtype=float)
     return BestConstantReport(
         c_dual=math.sqrt(max(best_dual, 0.0)),
         c_primal=math.sqrt(max(best_primal, 0.0)),
-        witness_u=np.asarray(best_u, dtype=float),
+        # the ratio ignores constants added to u; min u = 0 fixes the one reported
+        witness_u=best_u - np.min(best_u),
         witness_density=best_f,
         diverged=bool(best_primal > DIVERGENCE_CAP),
     )

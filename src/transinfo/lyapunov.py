@@ -258,9 +258,9 @@ def beta_potential_example(beta: float, c_v: float = 1.0,
                            a=lambda x: 1.0, b=lambda x: -Vp(x), c_ref=0.0)
     nodes = grid.nodes
     outer = np.abs(nodes) >= 0.6 * float(np.max(np.abs(nodes)))
-    with np.errstate(divide="ignore"):
-        ratios = np.array([Vpp(x) / Vp(x) ** 2 if Vp(x) != 0 else 0.0
-                           for x in nodes[outer]])
+    vp_outer = Vp(nodes[outer])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(vp_outer != 0, Vpp(nodes[outer]) / vp_outer ** 2, 0.0)
     gamma = max(0.0, float(np.max(ratios)))
     gamma_p = (gamma + 1.0) / 2.0
     lam = (1.0 - gamma_p) / 2.0
@@ -268,10 +268,9 @@ def beta_potential_example(beta: float, c_v: float = 1.0,
 
     # -LU/U is invariant under constant scaling of U, so anchor at the
     # potential minimum to keep U >= 1 (the blend constant can be negative)
-    v_vals = np.array([V(x) for x in nodes])
+    v_vals = V(nodes)
     U = np.exp(lam * (v_vals - float(np.min(v_vals))))
-    vp = np.array([Vp(x) for x in nodes])
-    phi = delta * (1.0 + vp ** 2)
+    phi = delta * (1.0 + Vp(nodes) ** 2)
 
     from .diffusion1d import discretize
     chain = discretize(spec, grid)
@@ -287,27 +286,23 @@ def beta_potential_example(beta: float, c_v: float = 1.0,
 
 def _blended_potential(beta: float, c_v: float):
     # quartic even blend p(x) = a0 + a2 x^2 + a4 x^4 matching value and two
-    # derivatives of c_v |x|^beta at |x| = 1
+    # derivatives of c_v |x|^beta at |x| = 1; each function maps arrays
     a4 = c_v * beta * (beta - 2.0) / 8.0
     a2 = c_v * beta * (4.0 - beta) / 4.0
     a0 = c_v - a2 - a4
 
     def V(x):
-        ax = abs(x)
-        if ax >= 1.0:
-            return c_v * ax ** beta
-        return a0 + a2 * x * x + a4 * x ** 4
+        ax = np.abs(x)
+        return np.where(ax >= 1.0, c_v * ax ** beta, a0 + a2 * x * x + a4 * x ** 4)
 
     def Vp(x):
-        ax = abs(x)
-        if ax >= 1.0:
-            return c_v * beta * ax ** (beta - 1.0) * math.copysign(1.0, x)
-        return 2.0 * a2 * x + 4.0 * a4 * x ** 3
+        ax = np.abs(x)
+        return np.where(ax >= 1.0, c_v * beta * ax ** (beta - 1.0) * np.copysign(1.0, x),
+                        2.0 * a2 * x + 4.0 * a4 * x ** 3)
 
     def Vpp(x):
-        ax = abs(x)
-        if ax >= 1.0:
-            return c_v * beta * (beta - 1.0) * ax ** (beta - 2.0)
-        return 2.0 * a2 + 12.0 * a4 * x * x
+        ax = np.abs(x)
+        return np.where(ax >= 1.0, c_v * beta * (beta - 1.0) * ax ** (beta - 2.0),
+                        2.0 * a2 + 12.0 * a4 * x * x)
 
     return V, Vp, Vpp

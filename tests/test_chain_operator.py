@@ -15,14 +15,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transinfo.catalog import quartic_spec
+from transinfo.catalog import product_3x3, quartic_spec
 from transinfo.chains import (
+    ReversibleChain,
     _apply_neg_generator,
     build_chain,
     dirichlet_bilinear,
     dirichlet_energy,
     line_metric,
     poisson_solve,
+    product_chain,
     spectral_gap,
     trivial_metric,
 )
@@ -30,7 +32,12 @@ from transinfo.diffusion1d import Grid1D, discretize, ou_spec
 from transinfo.errors import DetailedBalanceViolated
 from transinfo.feynman_kac import fisher_information_raw, lambda_max, lambda_max_witness
 
-from conftest import conjugated_neg_generator, random_reversible_chain, symmetrized_generator
+from conftest import (
+    conjugated_neg_generator,
+    random_birth_death_chain,
+    random_reversible_chain,
+    symmetrized_generator,
+)
 
 
 @st.composite
@@ -246,6 +253,79 @@ class TestDetailedBalanceStillEnforced:
         rates[k, k + 1] *= 1.0 + bump
         with pytest.raises(DetailedBalanceViolated):
             build_chain(rates, mu=mu)
+
+
+def _dense_q(rates):
+    """The rate matrix a chain stored before it held only edges: -row sums on the diagonal."""
+    Q = np.array(rates, dtype=float)
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return Q
+
+
+def _dense_edges(chain, Q):
+    """The edge list as read off the dense flow matrix mu_x Q_xy."""
+    flow = chain.mu[:, None] * Q
+    i, j = np.nonzero(np.triu(flow + flow.T, 1))
+    return i, j, 0.5 * (flow[i, j] + flow[j, i])
+
+
+def _off_diagonal(Q):
+    rates = np.array(Q)
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+class TestEdgeHeldStorage:
+    """Chains hold off-diagonal rates and exit rates; Q is a lazy dense view."""
+
+    def _check(self, chain, rates):
+        Q = _dense_q(rates)
+        assert "Q" not in chain.__dict__
+        for got, ref in zip(chain.edges, _dense_edges(chain, Q)):
+            assert np.array_equal(got, ref)
+        band, old = chain.band, _old_band(chain)
+        assert (band is None) == (old is None)
+        if band is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(band, old))
+        assert np.array_equal(chain.Q, Q)
+        assert not chain.Q.flags.writeable and chain.Q is chain.Q
+
+    @given(dense_chains())
+    def test_random_dense(self, chain):
+        rates = chain.Q.copy()
+        rebuilt = build_chain(_off_diagonal(rates), mu=chain.mu)
+        self._check(rebuilt, _off_diagonal(rates))
+
+    @given(birth_death_chains())
+    def test_random_birth_death(self, chain):
+        self._check(build_chain(_off_diagonal(chain.Q), mu=chain.mu), _off_diagonal(chain.Q))
+
+    def test_products(self, rng):
+        factors = [random_reversible_chain(3, rng), random_birth_death_chain(4, rng)]
+        for chains in (factors, list(product_3x3()[1])):
+            Q, mu = np.zeros((1, 1)), np.ones(1)
+            for c in chains:
+                Q = np.kron(Q, np.eye(c.n)) + np.kron(np.eye(Q.shape[0]), _dense_q(c.Q))
+                mu = np.kron(mu, c.mu)
+            self._check(product_chain(chains), _off_diagonal(Q))
+
+    @pytest.mark.parametrize("spec, box", [(ou_spec(), 6.0), (quartic_spec(), 4.0)])
+    def test_discretized(self, spec, box):
+        chain = discretize(spec, Grid1D.uniform(-box, box, 300))
+        i, j, q = chain.rates
+        rates = np.zeros((chain.n, chain.n))
+        rates[i, j] = q
+        self._check(chain, rates)
+
+    def test_from_dense_round_trip_without_validation(self):
+        # a zero-exit state and an edge with a rate one way only
+        Q = np.array([[0.0, 0.0, 0.0], [1.0, -1.5, 0.5], [0.0, 2.0, -2.0]])
+        ch = ReversibleChain.from_dense((0, 1, 2), Q, np.array([0.5, 0.25, 0.25]))
+        assert np.array_equal(ch.Q, Q)
+        assert np.array_equal(ch.exit_rates, [0.0, 1.5, 2.0])
+        for got, ref in zip(ch.edges, _dense_edges(ch, Q)):
+            assert np.array_equal(got, ref)
 
 
 class TestLineEmbeddingCache:

@@ -16,6 +16,7 @@ from transinfo.diffusion1d import DiffusionSpec1D, Grid1D, discretize, ou_spec
 from transinfo.errors import HorizonOverflow, PhiConstraintViolated
 from transinfo.feynman_kac import (
     PhiPair,
+    _best_lambda,
     best_w1i,
     best_w2i,
     fk_norm,
@@ -192,6 +193,23 @@ class TestBestW1I:
             rep = best_w1i(ch, d, seed=int(rng.integers(1 << 30)))
             assert rep.c_primal <= rep.c_dual + 1e-3
             assert abs(rep.c_dual - rep.c_primal) <= 1e-3 * max(1.0, rep.c_dual)
+
+    def test_witness_potential_reported_with_minimum_zero(self, rng):
+        # the ratio ignores constants added to u, so the report fixes min u = 0;
+        # the constants are the ones found before that normalization
+        pinned = [(bernoulli_chain(0.3), trivial_metric(2), {},
+                   ("0x1.d54178e8830ddp-3", "0x1.d54178e8830dep-3")),
+                  (random_reversible_chain(4, np.random.default_rng(3)),
+                   line_metric(np.array([0.0, 0.4, 1.1, 1.5])), {"primal_starts": 2},
+                   ("0x1.19c3bba03b160p-3", "0x1.19c3bba03b105p-3"))]
+        for ch, d, kwargs, (c_dual, c_primal) in pinned:
+            rep = best_w1i(ch, d, **kwargs)
+            assert (rep.c_dual.hex(), rep.c_primal.hex()) == (c_dual, c_primal)
+            u = np.asarray(rep.witness_u)
+            assert np.min(u) == 0.0 and not np.any(np.signbit(u))
+            ratio, _ = _best_lambda(ch, u)
+            assert math.sqrt(ratio) == pytest.approx(rep.c_dual, rel=1e-9)
+        assert list(best_w1i(bernoulli_chain(0.3), trivial_metric(2)).witness_u) == [0.0, 1.0]
 
     def test_uniform_density_never_the_witness(self, rng):
         ch = random_reversible_chain(4, rng)

@@ -179,7 +179,7 @@ class TestChainSamplerOracle:
     def test_zero_rate_start(self):
         # state 0 has no exits: paths started there hold it until t
         Q = np.array([[0.0, 0.0, 0.0], [1.0, -1.5, 0.5], [0.0, 2.0, -2.0]])
-        ch = ReversibleChain(states=(0, 1, 2), Q=Q, mu=np.array([0.5, 0.25, 0.25]))
+        ch = ReversibleChain.from_dense(states=(0, 1, 2), Q=Q, mu=np.array([0.5, 0.25, 0.25]))
         u = np.array([1.0, -0.5, 0.25])
         cfg = EnsembleConfig(model=ch, beta=np.array([0.4, 0.3, 0.3]), t=3.0,
                              n_paths=300, master_seed=8)
