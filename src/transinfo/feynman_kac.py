@@ -21,9 +21,15 @@ dual searches bound the same supremum from below and are cross-fed:
 the Kantorovich potential of the primal witness enters the dual
 candidate set (with its analytically optimal lambda = 2 I / W_1), and
 the eigen-density of the best dual pair re-seeds the primal, so the
-reported dual/primal gap measures optimizer quality only.  W_2 I gets
-an extra linearization probe nu_eps = (1 + eps g) mu, which turns
-"no finite constant" into a measurable 1/eps slope.
+reported dual/primal gap measures optimizer quality only.  The ascent
+solves each candidate density once: that transport solve gives the ratio
+(from the primal value) and, from the same simplex vertex under the same
+1e-9 gap check, the potential behind the gradient.  An accepted
+candidate's gradient drives the next step, and a rejected step reuses
+the gradient already held.  Each dual round likewise takes W and the
+witness potential from one solve.  W_2 I gets an extra linearization
+probe nu_eps = (1 + eps g) mu, which turns "no finite constant" into a
+measurable 1/eps slope.
 """
 
 from __future__ import annotations
@@ -49,14 +55,12 @@ from .transport import (
     CostMatrix,
     RateFunction,
     _golden_max,
+    _metric_transport,
     alpha_conjugate,
     infconv_potential,
+    supconv_potential,
     w1,
-    w1_potential,
-    w1_with_potential,
     w2,
-    w2_potential,
-    w2sq_with_potential,
 )
 
 DIVERGENCE_CAP = 1e6
@@ -287,9 +291,12 @@ def _lipschitz_candidates(d: MetricMatrix, n_random: int, rng) -> list[np.ndarra
 
 def _transport_ratio(chain, d, f, squared):
     """W^2 / (4 I) for nu = f mu; +inf when I vanishes with W > 0."""
-    info = fisher_information_raw(chain, f)
     nu = chain.mu * f
     dist = w2(d, nu, chain.mu) if squared else w1(d, nu, chain.mu)
+    return _ratio(dist, fisher_information_raw(chain, f))
+
+
+def _ratio(dist, info):
     if dist <= 0:
         return 0.0
     if info <= 0:
@@ -297,32 +304,34 @@ def _transport_ratio(chain, d, f, squared):
     return dist * dist / (4.0 * info)
 
 
-def _ratio_gradient(chain, d, f, squared):
-    nu = chain.mu * f
+def _ratio_and_gradient(chain, d, f, squared):
+    """(``_transport_ratio``, its gradient in f) from one transport solve.
+
+    The ratio comes from the primal value, the gradient from the tightened
+    dual value and its potential; the gradient is None when I vanishes.
+    """
     info = fisher_information_raw(chain, f)
+    value, dual, pot = _metric_transport(d, 2 if squared else 1, chain.mu * f, chain.mu)
+    ratio = _ratio(math.sqrt(max(value, 0.0)) if squared else value, info)
     if info <= 1e-300:
-        return None, 0.0
+        return ratio, None
     if squared:
-        dist2, pot = w2sq_with_potential(d, nu, chain.mu)
-        ddist2 = chain.mu * pot
+        ddist2, dist2 = chain.mu * pot, dual
     else:
-        dist, pot = w1_with_potential(d, nu, chain.mu)
-        ddist2 = chain.mu * (2.0 * dist * pot)
-        dist2 = dist * dist
+        ddist2, dist2 = chain.mu * (2.0 * dual * pot), dual * dual
     sq = np.sqrt(np.clip(f, 1e-13, None))
     dinfo = chain.mu * _apply_neg_generator(chain, sq) / sq
-    grad = ddist2 / (4.0 * info) - dist2 * dinfo / (4.0 * info * info)
-    return grad, dist2 / (4.0 * info)
+    return ratio, ddist2 / (4.0 * info) - dist2 * dinfo / (4.0 * info * info)
 
 
 def _primal_ascent(chain, d, f0, squared, iters=140, min_perturbation=0.0):
     f = f0.copy()
-    val = _transport_ratio(chain, d, f, squared)
+    val, grad = _ratio_and_gradient(chain, d, f, squared)
     if math.isinf(val):
         return val, f
     step = 0.25
     for _ in range(iters):
-        grad, _ = _ratio_gradient(chain, d, f, squared)
+        # a rejected step leaves f, and with it the gradient, unchanged
         if grad is None:
             break
         norm = float(np.linalg.norm(grad * np.sqrt(1.0 / chain.mu)))
@@ -335,11 +344,11 @@ def _primal_ascent(chain, d, f0, squared, iters=140, min_perturbation=0.0):
             if step < 1e-8:
                 break
             continue
-        cand_val = _transport_ratio(chain, d, cand, squared)
+        cand_val, cand_grad = _ratio_and_gradient(chain, d, cand, squared)
         if math.isinf(cand_val):
             return cand_val, cand
         if cand_val > val + 1e-15:
-            f, val = cand, cand_val
+            f, val, grad = cand, cand_val, cand_grad
             step = min(step * 1.4, 50.0)
         else:
             step *= 0.5
@@ -404,9 +413,9 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
     for _ in range(rounds):
         extra_lams = []
         info = fisher_information_raw(chain, best_f)
-        dist = w1(d, chain.mu * best_f, chain.mu)
+        dist, _, pot = _metric_transport(d, 1, chain.mu * best_f, chain.mu)
         if info > 0 and dist > 0:
-            cands.append(_mcshane(d, w1_potential(d, chain.mu * best_f, chain.mu)))
+            cands.append(_mcshane(d, pot))
             extra_lams.append(2.0 * info / dist)
         improved = False
         feasible = [u for u in cands if lipschitz_norm(d, u) <= 1.0 + 1e-9]
@@ -513,10 +522,9 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
     best_dual = 0.0
     best_v = v_cands[0]
     for _ in range(rounds):
-        nu = chain.mu * best_f
-        if fisher_information_raw(chain, best_f) > 0 and w2(d, nu, chain.mu) > 0:
-            pot = w2_potential(d, nu, chain.mu)
-            v_star = np.max(pot[:, None] - d2.c, axis=0)  # c-transform partner of u*
+        dist2, _, pot = _metric_transport(d, 2, chain.mu * best_f, chain.mu)
+        if fisher_information_raw(chain, best_f) > 0 and dist2 > 0:
+            v_star = supconv_potential(d2, pot)  # c-transform partner of u*
             v_cands.append(v_star - float(np.min(v_star)))
         improved = False
         for v in v_cands:
@@ -553,7 +561,7 @@ def _w2_dual_constant(chain, d2, v):
     holds exactly for 1/(4c^2) <= theta*, the positive root of phi.
     """
     v = np.asarray(v, dtype=float)
-    q = infconv_potential(CostMatrix.validate(d2.c, aligned=False), v)
+    q = infconv_potential(d2, v)
     mv = chain.expectation(v)
     phi = lambda th: lambda_max(chain, th * q) - th * mv
     theta = 1e-6

@@ -8,6 +8,13 @@ formula for the trivial metric) are exact, so entropic regularization
 would only pollute the tolerance budgets.  Dual potentials are tightened
 by a c-transform so the returned (u, v) are exactly feasible.
 
+Metric costs d^p (W_1, W_2 off the line, and the potentials of the
+best-constant searches) go through one entry, ``_metric_transport``: it
+checks the marginals once, takes the closed form on line metrics and the
+simplex otherwise, and returns the value, the tightened dual value and a
+Kantorovich potential from that one solve, since the vertex that gives
+the value already carries the potentials.
+
 Rate functions alpha: [0, inf) -> [0, inf] come in three parametric
 flavors; their monotone conjugate sup_{r>=0} (lambda r - alpha(r)) and
 inf-convolution inf{sum alpha_i(r_i) : r_i >= 0, sum r_i = r} are the
@@ -81,7 +88,8 @@ class Coupling:
         return "\n".join(rows) + "\n"
 
 
-def _check_marginals(nu: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_marginals(nu: np.ndarray, mu: np.ndarray,
+                     shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     nu = np.asarray(nu, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if np.any(nu < -1e-15) or np.any(mu < -1e-15):
@@ -90,6 +98,8 @@ def _check_marginals(nu: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.nda
         raise InfeasibleMarginals(
             f"marginal masses differ: {nu.sum()!r} vs {mu.sum()!r}"
         )
+    if shape is not None and (len(nu), len(mu)) != tuple(shape):
+        raise InfeasibleMarginals("marginal lengths do not match the cost shape")
     return np.clip(nu, 0.0, None), np.clip(mu, 0.0, None)
 
 
@@ -209,18 +219,21 @@ def ot_cost(c: CostMatrix, nu: np.ndarray, mu: np.ndarray) -> tuple[float, Coupl
     tree's potentials; the duality gap against those potentials, tightened
     by a c-transform, must close below 1e-9.
     """
-    nu, mu = _check_marginals(nu, mu)
-    n, m = c.c.shape
-    if len(nu) != n or len(mu) != m:
-        raise InfeasibleMarginals("marginal lengths do not match the cost shape")
-    pi, u, _ = _network_simplex(c.c, nu, mu)
-    value = float(np.sum(pi * c.c))
-    dual_value, _, _ = _dual_value(c.c, nu, mu, u)
+    nu, mu = _check_marginals(nu, mu, c.c.shape)
+    pi, value, _, _ = _exact_transport(c.c, nu, mu)
+    return value, Coupling(pi=pi, nu=nu, mu=mu)
+
+
+def _exact_transport(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
+    """(pi, value, tightened dual value, u) from one simplex vertex, gap-checked."""
+    pi, u, _ = _network_simplex(c, nu, mu)
+    value = float(np.sum(pi * c))
+    dual_value, u, _ = _dual_value(c, nu, mu, u)
     if abs(value - dual_value) > DUALITY_GAP_TOL * max(1.0, abs(value)):
         raise InfeasibleMarginals(
             f"duality gap {abs(value - dual_value):.3e} exceeds tolerance"
         )
-    return value, Coupling(pi=pi, nu=nu, mu=mu)
+    return pi, value, dual_value, u
 
 
 def _dual_value(c, nu, mu, u):
@@ -235,82 +248,53 @@ def _dual_value(c, nu, mu, u):
 
 def kantorovich_dual(c: CostMatrix, nu: np.ndarray, mu: np.ndarray):
     """Dual value sup { <u, nu> - <v, mu> : u(x) - v(y) <= c(x,y) }."""
-    nu, mu = _check_marginals(nu, mu)
+    nu, mu = _check_marginals(nu, mu, c.c.shape)
     _, u, _ = _network_simplex(c.c, nu, mu)
     return _dual_value(c.c, nu, mu, u)
 
 
+def _metric_transport(d: MetricMatrix, power: int, nu, mu) -> tuple[float, float, np.ndarray]:
+    """(value, dual value, potential u) of the cost d^power from one solve.
+
+    u maximizes <u, nu> - <u^c, mu> and is the gradient of nu -> value used
+    by the best-constant ascents (defined up to an additive constant).
+    Line metrics take the closed forms: W_1 through the cumulative gaps,
+    W_2^2 through the quantile coupling and its monotone staircase (the
+    staircase needs every mass positive).  Their value is exact, so it is
+    also returned as the dual value.  Every other case runs the simplex on
+    d^power with the c-transform tightening and the 1e-9 gap check of
+    ``ot_cost``.
+    """
+    nu, mu = _check_marginals(nu, mu, d.d.shape)
+    emb = d.line_embedding
+    if emb is not None and power == 1:
+        # <u, nu-mu> = -sum_k (u_{k+1}-u_k) cum_k by Abel summation
+        sgn = -np.sign(np.cumsum(nu - mu)[:-1])
+        value = _w1_line(emb, nu, mu)
+        return value, value, np.concatenate([[0.0], np.cumsum(sgn * np.diff(emb))])
+    if emb is not None and power == 2 and np.all(nu > 0) and np.all(mu > 0):
+        val = w2_quantile_1d(emb, nu, mu)
+        return val * val, val * val, _staircase_potential(emb, nu, mu)
+    _, value, dual_value, u = _exact_transport(d.d ** power, nu, mu)
+    return value, dual_value, u
+
+
 def w1(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
     """L^1-Wasserstein distance: transport cost of the metric itself."""
-    emb = d.line_embedding
-    if emb is not None:
-        return _w1_line(emb, np.asarray(nu, float), np.asarray(mu, float))
-    value, _ = ot_cost(CostMatrix.from_metric(d, 1), nu, mu)
-    return value
+    return _metric_transport(d, 1, nu, mu)[0]
 
 
 def w2(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
     """L^2-Wasserstein distance: sqrt of the quadratic-cost optimum."""
     emb = d.line_embedding
     if emb is not None:
-        return w2_quantile_1d(emb, np.asarray(nu, float), np.asarray(mu, float))
-    value, _ = ot_cost(CostMatrix.from_metric(d, 2), nu, mu)
-    return math.sqrt(max(value, 0.0))
+        return w2_quantile_1d(emb, nu, mu)
+    return math.sqrt(max(_metric_transport(d, 2, nu, mu)[0], 0.0))
 
 
 def _w1_line(s: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
     gap = np.cumsum(nu - mu)[:-1]
     return float(np.sum(np.abs(gap) * np.diff(s)))
-
-
-def w1_potential(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """A maximizing 1-Lipschitz potential for <u, nu - mu>.
-
-    Used as the analytic gradient of nu -> W_1(nu, mu) in the best-constant
-    ascents; defined up to an additive constant.
-    """
-    return w1_with_potential(d, nu, mu)[1]
-
-
-def w1_with_potential(d: MetricMatrix, nu, mu) -> tuple[float, np.ndarray]:
-    """(W_1, maximizing potential) from a single solve."""
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    emb = d.line_embedding
-    if emb is not None:
-        # <u, nu-mu> = -sum_k (u_{k+1}-u_k) cum_k by Abel summation
-        sgn = -np.sign(np.cumsum(nu - mu)[:-1])
-        u = np.concatenate([[0.0], np.cumsum(sgn * np.diff(emb))])
-        return _w1_line(emb, nu, mu), u
-    value, u, _ = kantorovich_dual(CostMatrix.from_metric(d, 1), nu, mu)
-    return value, u
-
-
-def w2sq_with_potential(d: MetricMatrix, nu, mu) -> tuple[float, np.ndarray]:
-    """(W_2^2, quadratic-cost Kantorovich potential) from a single solve."""
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    emb = d.line_embedding
-    if emb is not None and np.all(nu > 0) and np.all(mu > 0):
-        val = w2_quantile_1d(emb, nu, mu)
-        return val * val, _staircase_potential(emb, nu, mu)
-    value, u, _ = kantorovich_dual(CostMatrix.from_metric(d, 2), nu, mu)
-    return value, u
-
-
-def w2_potential(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """A Kantorovich potential u of the quadratic cost with u(x)-v(y) <= d^2.
-
-    Subgradient of nu -> W_2^2(nu, mu); line metrics use the monotone
-    staircase (complementary slackness along the quantile coupling).
-    """
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    emb = d.line_embedding
-    if emb is not None and np.all(nu > 0) and np.all(mu > 0):
-        return _staircase_potential(emb, nu, mu)
-    _, u, _ = kantorovich_dual(CostMatrix.from_metric(d, 2), nu, mu)
-    return u
 
 
 def _staircase_potential(s: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -346,7 +330,7 @@ def w2_quantile_1d(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise UnsortedGrid("grid must be strictly increasing")
-    nu, mu = _check_marginals(nu, mu)
+    nu, mu = _check_marginals(nu, mu, (len(grid), len(grid)))
     cn = np.cumsum(nu)
     cm = np.cumsum(mu)
     q = np.union1d(cn, cm)

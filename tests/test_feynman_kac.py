@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from transinfo import feynman_kac, transport
 from transinfo.chains import (
+    MetricMatrix,
     build_chain,
     line_metric,
     relative_entropy,
@@ -32,6 +34,14 @@ from transinfo.transport import RateFunction
 from transinfo.trivial_metric import build_jump_chain, extremal_potential, jump_spectrum
 
 from conftest import bernoulli_chain, random_reversible_chain, random_density
+
+
+def planar_chain():
+    """Criterion 8's first search input: a random 4-state chain on random planar points."""
+    rng = np.random.default_rng(808)
+    ch = random_reversible_chain(4, rng)
+    pts = rng.uniform(0.0, 2.0, size=(4, 2))
+    return ch, MetricMatrix.validate(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2))
 
 
 class TestLambdaMax:
@@ -201,7 +211,9 @@ class TestBestW1I:
                    ("0x1.d54178e8830ddp-3", "0x1.d54178e8830dep-3")),
                   (random_reversible_chain(4, np.random.default_rng(3)),
                    line_metric(np.array([0.0, 0.4, 1.1, 1.5])), {"primal_starts": 2},
-                   ("0x1.19c3bba03b160p-3", "0x1.19c3bba03b105p-3"))]
+                   ("0x1.19c3bba03b160p-3", "0x1.19c3bba03b105p-3")),
+                  (*planar_chain(), {"seed": 900},
+                   ("0x1.586e6f256aebdp-3", "0x1.586e6f256aebap-3"))]
         for ch, d, kwargs, (c_dual, c_primal) in pinned:
             rep = best_w1i(ch, d, **kwargs)
             assert (rep.c_dual.hex(), rep.c_primal.hex()) == (c_dual, c_primal)
@@ -210,6 +222,27 @@ class TestBestW1I:
             ratio, _ = _best_lambda(ch, u)
             assert math.sqrt(ratio) == pytest.approx(rep.c_dual, rel=1e-9)
         assert list(best_w1i(bernoulli_chain(0.3), trivial_metric(2)).witness_u) == [0.0, 1.0]
+
+    def test_one_transport_solve_per_density(self, monkeypatch):
+        # the ascent solves each candidate density once (value and gradient
+        # from the same vertex), and a dual round solves its witness once
+        counts = {"solve": 0, "ratio": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(transport, "_network_simplex",
+                            counted("solve", transport._network_simplex))
+        monkeypatch.setattr(feynman_kac, "_ratio_and_gradient",
+                            counted("ratio", feynman_kac._ratio_and_gradient))
+        ch, d = planar_chain()
+        assert d.line_embedding is None
+        best_w1i(ch, d, rounds=1, seed=900)
+        assert counts["ratio"] > 100
+        assert counts["solve"] == counts["ratio"] + 1
 
     def test_uniform_density_never_the_witness(self, rng):
         ch = random_reversible_chain(4, rng)

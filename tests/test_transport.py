@@ -3,17 +3,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from transinfo.chains import Density, build_chain, fisher_information, line_metric, trivial_metric
+from transinfo.chains import (
+    Density,
+    MetricMatrix,
+    build_chain,
+    fisher_information,
+    line_metric,
+    trivial_metric,
+)
 from transinfo.diffusion1d import Grid1D, discretize, ou_spec
 from transinfo.errors import InfeasibleMarginals, ProductTooLarge, UnsortedGrid
 from transinfo.feynman_kac import _best_lambda
 from transinfo.transport import (
     CostMatrix,
     RateFunction,
+    _metric_transport,
     alpha_conjugate,
     alpha_infconv,
     conditional_fisher_sum,
@@ -24,9 +32,7 @@ from transinfo.transport import (
     tensor_cost,
     tensor_subadditivity_check,
     w1,
-    w1_potential,
     w2,
-    w2_potential,
     w2_quantile_1d,
 )
 
@@ -107,6 +113,63 @@ def transport_instances(draw):
     c = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n * m, max_size=n * m)))
     zeros = kind == "zero-mass"
     return c.reshape(n, m), _float_masses(draw, n, zeros), _float_masses(draw, m, zeros)
+
+
+def _masses_with_tiny(draw, k):
+    # positive masses mixed with exact zeros and near-zero masses
+    w = np.array(draw(st.lists(
+        st.one_of(st.floats(0.01, 1.0), st.just(0.0), st.sampled_from([1e-300, 1e-18, 1e-12])),
+        min_size=k, max_size=k)))
+    w[draw(st.integers(0, k - 1))] = draw(st.floats(0.01, 1.0))
+    return w / w.sum()
+
+
+@st.composite
+def metric_transport_instances(draw):
+    """Line and planar metrics on 2-7 points, powers 1 and 2, masses with zeros."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+        d = line_metric(np.concatenate([[0.0], np.cumsum(gaps)]))
+    else:
+        pts = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=2 * n,
+                                     max_size=2 * n))).reshape(n, 2)
+        dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        assume(np.all(dmat[~np.eye(n, dtype=bool)] > 1e-3))
+        d = MetricMatrix.validate(dmat)
+    return d, draw(st.sampled_from([1, 2])), _masses_with_tiny(draw, n), \
+        _masses_with_tiny(draw, n)
+
+
+class TestMetricTransport:
+    @given(metric_transport_instances())
+    def test_value_and_potential_against_simplex(self, instance):
+        d, power, nu, mu = instance
+        c = d.d ** power
+        value, dual, u = _metric_transport(d, power, nu, mu)
+        reference, _ = ot_cost(CostMatrix.from_metric(d, power), nu, mu)
+        assert value == pytest.approx(reference, rel=1e-12, abs=1e-15)
+        # u is an optimal potential: its c-transform pair is feasible and closes the gap
+        v = np.max(u[:, None] - c, axis=0)
+        assert np.all(u[:, None] - v[None, :] <= c + 1e-12)
+        gap_tol = 1e-9 * max(1.0, abs(value))
+        assert abs(float(np.dot(u, nu) - np.dot(v, mu)) - value) <= gap_tol
+        assert abs(dual - value) <= gap_tol
+
+    @pytest.mark.parametrize("nu", [[1.0, 1.0, 0.0], [0.5, 0.6, -0.1]])
+    def test_line_w1_checks_marginals(self, nu):
+        # mass mismatch and a negative entry, as on the planar and W2 routes
+        with pytest.raises(InfeasibleMarginals):
+            w1(line_metric(np.array([0.0, 1.0, 2.0])), np.array(nu), np.full(3, 1.0 / 3.0))
+
+    def test_line_routes_check_marginal_lengths(self):
+        d = line_metric(np.array([0.0, 1.0, 2.0]))
+        nu, mu = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+        for call in (lambda: w1(d, nu, mu), lambda: w2(d, nu, mu),
+                     lambda: w2_quantile_1d(np.array([0.0, 1.0, 2.0]), nu, mu),
+                     lambda: kantorovich_dual(CostMatrix.from_metric(d), nu, mu)):
+            with pytest.raises(InfeasibleMarginals):
+                call()
 
 
 class TestSimplexAgainstLinprog:
@@ -263,10 +326,9 @@ class TestWassersteinOps:
         nu = np.array([0.3, 0.3, 0.2, 0.2])
         mu = np.array([0.25, 0.25, 0.25, 0.25])
         direction = np.array([0.5, -0.5, 0.3, -0.3])
-        for dist_fn, pot_fn, square in ((w1, w1_potential, False),
-                                        (w2, w2_potential, True)):
+        for dist_fn, power, square in ((w1, 1, False), (w2, 2, True)):
             base = dist_fn(d, nu, mu)
-            pot = pot_fn(d, nu, mu)
+            _, _, pot = _metric_transport(d, power, nu, mu)
             eps = 1e-6
             bumped = dist_fn(d, nu + eps * direction, mu)
             lhs = (bumped ** 2 - base ** 2) / eps if square else (bumped - base) / eps
