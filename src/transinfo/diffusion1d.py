@@ -62,7 +62,7 @@ class DiffusionSpec1D:
     # a_on / b_on evaluate a and b elementwise on an array of points:
     # through the callable's own array call when that call broadcasts and
     # reproduces its scalar values on the probe points to 4 ulp, else by a
-    # loop over the points
+    # loop over the points; ``on`` does the same for any other function
     def __post_init__(self):
         if not self.x0 < self.c_ref < self.y0:
             raise ModelValidation("c_ref must lie inside (x0, y0)")
@@ -75,13 +75,24 @@ class DiffusionSpec1D:
             raise ModelValidation("a must be finite and positive on the interval")
         if not np.all(np.isfinite(bv)):
             raise ModelValidation("b must be finite on the interval")
+        object.__setattr__(self, "_probe", probe)
         object.__setattr__(self, "a_on", _array_form(self.a, probe, av))
         object.__setattr__(self, "b_on", _array_form(self.b, probe, bv))
 
+    def on(self, fn):
+        """fn mapped over arrays of points, probed like ``a_on`` and ``b_on``."""
+        return _array_form(fn, self._probe)
 
-def _array_form(fn, probe: np.ndarray, values: np.ndarray):
-    """fn mapped over arrays: its own array call if it matches ``values`` to 4 ulp."""
+
+def _array_form(fn, probe: np.ndarray, values: np.ndarray | None = None):
+    """fn mapped over arrays: its own array call if it matches its scalar values to 4 ulp.
+
+    ``values`` are fn's scalar values on the probe points, computed here
+    when not given; a function that fails on a probe point gets the loop.
+    """
     try:
+        if values is None:
+            values = np.array([fn(x) for x in probe], dtype=float)
         with np.errstate(all="ignore"):
             got = _broadcast(fn, probe.reshape(3, 11)).ravel()
         vectorized = bool(np.all(np.abs(got - values) <= 4 * np.spacing(np.abs(values))))
@@ -94,7 +105,13 @@ def _array_form(fn, probe: np.ndarray, values: np.ndarray):
 
 
 def _broadcast(fn, x) -> np.ndarray:
-    return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
+    """fn(x) as a float array of x's shape (a constant result is filled in)."""
+    y = np.asarray(fn(x), dtype=float)
+    if y.shape == np.shape(x):
+        return y
+    out = np.empty(np.shape(x))
+    out[...] = y
+    return out
 
 
 @dataclass(frozen=True)

@@ -261,10 +261,15 @@ def _dual_ratio(chain, u, lam):
 
 
 def _best_lambda(chain, u, extra=(), coarse=False):
-    """max over lambda > 0 of (Lambda(lambda u) - lambda mu(u)) / lambda^2."""
+    """max over lambda > 0 of (Lambda(lambda u) - lambda mu(u)) / lambda^2.
+
+    An extra lambda below the grid's floor 2^-10 is not scored: there the
+    ratio divides the roundoff of Lambda by lambda^2 (at lambda = 1e-16
+    it read 4e16 on a 41-state chain).
+    """
     base = np.logspace(-10, 6, 17, base=2.0) if coarse else _lambda_grid()
-    grid = np.concatenate([base, np.asarray(list(extra), dtype=float)])
-    grid = grid[grid > 0]
+    extra = np.asarray(list(extra), dtype=float)
+    grid = np.concatenate([base, extra[extra >= base[0]]])
     vals = np.array([_dual_ratio(chain, u, lam) for lam in grid])
     k = int(np.argmax(vals))
     lam = grid[k]

@@ -7,7 +7,17 @@ each step of the event loop moves every live path of a chunk by one
 event on arrays, with the same floating-point operations, in the same
 order, as a path simulated on its own.  The mean-reverting unit
 diffusion has exact Gaussian transition updates; other 1-D diffusions
-use Euler-Maruyama with trapezoidal integrals.
+use Euler-Maruyama with trapezoidal integrals.  Euler paths also advance
+in lockstep, a chunk at a time: each path of the chunk draws its shocks
+into one row of a buffer, then every step moves all the chunk's paths on
+arrays, with the same operations in the same order as one path on its
+own, and writes u at the new points over the shocks it used.  The
+samples equal those of one-at-a-time paths.  The callables
+a, b and u are called on arrays only where their array call reproduces
+their scalar values on the spec's probe points (see ``DiffusionSpec1D``);
+where that array call takes an exp, a log or a power, whose numpy forms
+can differ from the scalar ones in the last bit, a sample can move in its
+last digits.
 
 Every path draws from its own counter-based stream keyed by
 (master_seed, path index), in a fixed per-path order: estimates are
@@ -46,6 +56,15 @@ class OUModel:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """An ensemble of paths: the model, its start, the horizon and the seed.
+
+    ``beta`` is a probability vector on a chain's states; for a diffusion
+    it is a point or "stationary".  With "stationary", exact OU paths draw
+    their start from N(0, 1), but Euler paths of a ``DiffusionSpec1D`` all
+    start at the spec's ``c_ref``.  ``sde_step`` is the step of the OU and
+    Euler grids.
+    """
+
     model: object               # ReversibleChain | DiffusionSpec1D | OUModel
     beta: object                # probability vector | "stationary" | float (point mass)
     t: float
@@ -249,24 +268,57 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     return out
 
 
+# An Euler chunk holds its paths in one (paths, steps + 1) buffer, first of
+# shocks, then of u values; the chunk is cut so that the buffer stays
+# within _EULER_FLOATS floats (8 MB), however long the horizon.
+_EULER_FLOATS = 1 << 20
+
+
 def _euler_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     spec = config.model
     h = config.sde_step
     if h > 0.1:
         raise StepTooLarge("sde_step above 0.1 violates the stability heuristic")
     n_steps = int(round(config.t / h))
+    x_start = float(config.beta) if not isinstance(config.beta, str) else spec.c_ref
+    u_on = spec.on(u)
+    chunk = max(1, min(_CHUNK, _EULER_FLOATS // (n_steps + 1)))
     out = np.empty(config.n_paths)
-    for i, rng in path_streams(config.master_seed, range(config.n_paths)):
-        x = float(config.beta) if not isinstance(config.beta, str) else spec.c_ref
-        vals = np.empty(n_steps + 1)
-        vals[0] = u(x)
-        shocks = rng.standard_normal(n_steps)
-        for k in range(n_steps):
-            x = x + spec.b(x) * h + math.sqrt(2.0 * spec.a(x) * h) * shocks[k]
-            x = min(max(x, spec.x0 + 1e-12), spec.y0 - 1e-12)
-            vals[k + 1] = u(x)
-        out[i] = float(np.trapezoid(vals, dx=h)) / config.t
+    for lo in range(0, config.n_paths, chunk):
+        paths = range(lo, min(lo + chunk, config.n_paths))
+        out[paths.start:paths.stop] = _euler_chunk(
+            config.master_seed, paths, spec, x_start, h, n_steps, u_on) / config.t
     return out
+
+
+def _euler_chunk(seed, paths: range, spec: DiffusionSpec1D, x_start: float, h: float,
+                 n_steps: int, u_on) -> np.ndarray:
+    """Integrals of u along the chunk's Euler paths, one array step per Euler step.
+
+    Row j of the buffer first holds path j's shocks in columns 1..n_steps;
+    step k reads the shocks of column k and writes u at the new points
+    over them.  Each row is then integrated on its own, as a lone path's
+    values are, which needs no temporary the size of the buffer.
+    """
+    m = len(paths)
+    vals = np.empty((m, n_steps + 1))
+    for j, (_, rng) in enumerate(path_streams(seed, paths)):
+        rng.standard_normal(out=vals[j, 1:])
+    lo, hi = spec.x0 + 1e-12, spec.y0 - 1e-12
+    lowest_var = np.full(m, np.inf)
+    x = np.full(m, x_start)
+    vals[:, 0] = u_on(x)
+    for k in range(1, n_steps + 1):
+        drift = x + spec.b_on(x) * h
+        var = 2.0 * spec.a_on(x) * h
+        np.fmin(lowest_var, var, out=lowest_var)
+        x = drift + np.sqrt(var) * vals[:, k]
+        # min(max(x, lo), hi), in the order of the scalar clip
+        np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+        vals[:, k] = u_on(x)
+    if np.any(lowest_var < 0):
+        raise ModelValidation("a is negative at a point of an Euler path")
+    return np.array([np.trapezoid(row, dx=h) for row in vals])
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def _metric_transport(d: MetricMatrix, power: int, nu, mu) -> tuple[float, float
         value = _w1_line(emb, nu, mu)
         return value, value, np.concatenate([[0.0], np.cumsum(sgn * np.diff(emb))])
     if emb is not None and power == 2 and np.all(nu > 0) and np.all(mu > 0):
-        val = w2_quantile_1d(emb, nu, mu)
+        val = _w2_quantile(emb, nu, mu)
         return val * val, val * val, _staircase_potential(emb, nu, mu)
     _, value, dual_value, u = _exact_transport(d.d ** power, nu, mu)
     return value, dual_value, u
@@ -331,6 +331,11 @@ def w2_quantile_1d(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
     if np.any(np.diff(grid) <= 0):
         raise UnsortedGrid("grid must be strictly increasing")
     nu, mu = _check_marginals(nu, mu, (len(grid), len(grid)))
+    return _w2_quantile(grid, nu, mu)
+
+
+def _w2_quantile(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
+    """The quantile-coupling W_2 on a sorted grid, for marginals already checked."""
     cn = np.cumsum(nu)
     cm = np.cumsum(mu)
     q = np.union1d(cn, cm)

@@ -174,6 +174,15 @@ class TestSpecArrayForms:
         np.testing.assert_array_equal(spec.b_on(xs), -xs)
         np.testing.assert_array_equal(spec.a_on(xs), np.ones(3))
 
+    def test_other_functions_take_the_same_probe(self):
+        spec = DiffusionSpec1D(-5, 5, a=lambda x: 1.0, b=lambda x: -x, c_ref=0.0)
+        xs = np.array([[0.25, 1.0, 3.0], [0.5, 2.0, 4.5]])
+        # an array call that reproduces the scalar values is used as it is
+        np.testing.assert_array_equal(spec.on(np.abs)(xs), xs)
+        np.testing.assert_array_equal(spec.on(lambda x: 2.0)(xs), np.full((2, 3), 2.0))
+        # math.log fails on the negative probe points and on arrays: a loop
+        np.testing.assert_array_equal(spec.on(math.log)(xs), np.vectorize(math.log)(xs))
+
     def test_expression_spec_matches_lambda_spec(self):
         expr = diffusion_from_json({"a": "1", "b": "-pow(x, 3)", "interval": [None, None]})
         grid = Grid1D.uniform(-4.0, 4.0, 200)

@@ -244,6 +244,23 @@ class TestBestW1I:
         assert counts["ratio"] > 100
         assert counts["solve"] == counts["ratio"] + 1
 
+    def test_roundoff_lambda_not_scored(self, monkeypatch):
+        # on the 41-state service queue (mu down to 4.5e-49) the primal
+        # witness offered lambda = 2I/W = 3.4e-16, whose ratio is roundoff
+        from transinfo.lyapunov import mminf_generator
+        chain, _ = mminf_generator(1.0, 40)
+        u = trivial_metric(chain.n).d[:, 0]
+        ratio, lam = _best_lambda(chain, u, extra=[3.4e-16])
+        assert (ratio, lam) == _best_lambda(chain, u)
+        assert ratio < 1.0
+        # an extra lambda at or above the grid's floor 2^-10 is still scored
+        scored = []
+        dual_ratio = feynman_kac._dual_ratio
+        monkeypatch.setattr(feynman_kac, "_dual_ratio",
+                            lambda ch, v, x: scored.append(x) or dual_ratio(ch, v, x))
+        _best_lambda(chain, u, extra=[3.4e-16, 2.0 ** -10, 0.3])
+        assert 0.3 in scored and scored.count(2.0 ** -10) == 2 and 3.4e-16 not in scored
+
     def test_uniform_density_never_the_witness(self, rng):
         ch = random_reversible_chain(4, rng)
         rep = best_w1i(ch, trivial_metric(4))

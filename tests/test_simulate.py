@@ -181,6 +181,16 @@ class TestOUSampling:
         with pytest.raises(StepTooLarge):
             sample_time_average(cfg, lambda x: x)
 
+    def test_euler_negative_a_on_a_path_rejected(self):
+        # a is checked positive on the probe points only; a path that reaches
+        # a point where a < 0 must not turn into silent NaN samples
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0 if x < 20.0 else -1.0,
+                               b=lambda x: 0.0, c_ref=0.0)
+        cfg = EnsembleConfig(model=spec, beta=25.0, t=0.1, n_paths=3,
+                             master_seed=0, sde_step=0.01)
+        with np.errstate(invalid="ignore"), pytest.raises(ModelValidation):
+            sample_time_average(cfg, lambda x: x)
+
     def test_unknown_start_string_rejected(self):
         # a misspelt start used to run Euler from c_ref and fail OU mid-sampling
         spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0,

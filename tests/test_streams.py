@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from transinfo import simulate
 from transinfo.chains import ReversibleChain, build_chain
+from transinfo.diffusion1d import DiffusionSpec1D, ou_spec
 from transinfo.rng import path_streams
 from transinfo.simulate import EnsembleConfig, OUModel, sample_time_average
 from transinfo.trivial_metric import extremal_potential, fk_growth_mc
@@ -104,6 +106,25 @@ def ou_reference(config: EnsembleConfig, u) -> np.ndarray:
         path[1:] = lfilter([noise_sd], [1.0, -decay], shocks) \
             + x0 * decay ** np.arange(1, n_steps + 1)
         vals = u(path) if callable(u) else path
+        out[i] = float(np.trapezoid(vals, dx=h)) / config.t
+    return out
+
+
+def euler_reference(config: EnsembleConfig, u) -> np.ndarray:
+    spec = config.model
+    h = config.sde_step
+    n_steps = int(round(config.t / h))
+    out = np.empty(config.n_paths)
+    for i in range(config.n_paths):
+        rng = path_rng(config.master_seed, i)
+        x = float(config.beta) if not isinstance(config.beta, str) else spec.c_ref
+        vals = np.empty(n_steps + 1)
+        vals[0] = u(x)
+        shocks = rng.standard_normal(n_steps)
+        for k in range(n_steps):
+            x = x + spec.b(x) * h + math.sqrt(2.0 * spec.a(x) * h) * shocks[k]
+            x = min(max(x, spec.x0 + 1e-12), spec.y0 - 1e-12)
+            vals[k + 1] = u(x)
         out[i] = float(np.trapezoid(vals, dx=h)) / config.t
     return out
 
@@ -220,3 +241,90 @@ class TestOUOracle:
         cfg = EnsembleConfig(model=OUModel(), beta=beta, t=4.0, n_paths=40,
                              master_seed=21, sde_step=0.01)
         assert np.array_equal(sample_time_average(cfg, u), ou_reference(cfg, u))
+
+
+def _scalar_only(fn):
+    """fn on one point; any array argument raises, as math functions do."""
+    def call(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("scalar argument expected")
+        return fn(x)
+    return call
+
+
+class TestEulerOracle:
+    @pytest.mark.parametrize("beta", ["stationary", -0.7])
+    def test_start(self, beta):
+        cfg = EnsembleConfig(model=ou_spec(), beta=beta, t=2.0, n_paths=30,
+                             master_seed=41, sde_step=0.01)
+        u = lambda x: x
+        assert np.array_equal(sample_time_average(cfg, u), euler_reference(cfg, u))
+
+    def test_infinite_interval_nonlinear_drift(self):
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0 + 0.5 * x * x,
+                               b=lambda x: -x ** 3 - x, c_ref=0.0)
+        cfg = EnsembleConfig(model=spec, beta=1.5, t=1.5, n_paths=25,
+                             master_seed=42, sde_step=0.005)
+        assert np.array_equal(sample_time_average(cfg, np.abs), euler_reference(cfg, np.abs))
+
+    def test_finite_interval_clip_active(self):
+        spec = DiffusionSpec1D(0.0, 1.0, a=lambda x: 1.0, b=lambda x: 0.0, c_ref=0.5)
+        cfg = EnsembleConfig(model=spec, beta=0.95, t=1.0, n_paths=30,
+                             master_seed=43, sde_step=0.01)
+        at_wall = lambda x: 1.0 * ((np.asarray(x) == 1.0 - 1e-12) | (np.asarray(x) == 1e-12))
+        got = sample_time_average(cfg, at_wall)
+        assert np.array_equal(got, euler_reference(cfg, at_wall))
+        assert np.count_nonzero(got) > 10          # paths spend time on the clipped ends
+        u = lambda x: x * x
+        assert np.array_equal(sample_time_average(cfg, u), euler_reference(cfg, u))
+
+    def test_chunk_boundary(self):
+        # 100 steps: 1,024 paths to a chunk, so the last 6 paths start a second one
+        cfg = EnsembleConfig(model=ou_spec(), beta=0.3, t=1.0, n_paths=1030,
+                             master_seed=44, sde_step=0.01)
+        u = lambda x: x
+        assert np.array_equal(sample_time_average(cfg, u), euler_reference(cfg, u))
+
+    def test_buffer_cap_cuts_chunks(self, monkeypatch):
+        # a cap of 2,000 floats leaves 9 paths of 201 values to a chunk
+        monkeypatch.setattr(simulate, "_EULER_FLOATS", 2_000)
+        cfg = EnsembleConfig(model=ou_spec(), beta="stationary", t=2.0, n_paths=20,
+                             master_seed=45, sde_step=0.01)
+        u = lambda x: x
+        assert np.array_equal(sample_time_average(cfg, u), euler_reference(cfg, u))
+
+    def test_prefix_of_larger_run(self):
+        u = lambda x: np.cos(x)
+        big = EnsembleConfig(model=ou_spec(), beta=0.0, t=1.0, n_paths=2100,
+                             master_seed=46, sde_step=0.01)
+        ref = EnsembleConfig(model=ou_spec(), beta=0.0, t=1.0, n_paths=40,
+                             master_seed=46, sde_step=0.01)
+        assert np.array_equal(sample_time_average(big, u)[:40], euler_reference(ref, u))
+
+    def test_scalar_only_callables_take_the_loop(self):
+        a = _scalar_only(lambda x: 1.0 + 0.5 * math.sin(x))
+        b = _scalar_only(lambda x: -x)
+        u = _scalar_only(math.atan)
+        spec = DiffusionSpec1D(-4.0, 4.0, a=a, b=b, c_ref=0.0)
+        cfg = EnsembleConfig(model=spec, beta=0.5, t=1.0, n_paths=12,
+                             master_seed=47, sde_step=0.01)
+        assert np.array_equal(sample_time_average(cfg, u), euler_reference(cfg, u))
+
+    def test_long_horizon_memory_stays_within_the_buffer(self, monkeypatch):
+        # the whole run in one buffer would take 64 x 2,001 floats (1 MB);
+        # capped at 2^14 floats, a chunk holds 8 paths in one 128 kB buffer,
+        # and nothing else of its size is alive with it
+        import tracemalloc
+        cap = 1 << 14
+        monkeypatch.setattr(simulate, "_EULER_FLOATS", cap)
+        cfg = EnsembleConfig(model=ou_spec(), beta=0.0, t=20.0, n_paths=64,
+                             master_seed=48, sde_step=0.01)
+        u = lambda x: x
+        tracemalloc.start()
+        try:
+            got = sample_time_average(cfg, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * cap < 64 * 2001 * 8
+        assert np.array_equal(got, euler_reference(cfg, u))

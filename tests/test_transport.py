@@ -171,6 +171,19 @@ class TestMetricTransport:
             with pytest.raises(InfeasibleMarginals):
                 call()
 
+    def test_line_w2_checks_marginals_once(self, monkeypatch):
+        from transinfo import transport
+        calls = []
+        check = transport._check_marginals
+        monkeypatch.setattr(transport, "_check_marginals",
+                            lambda *args: calls.append(1) or check(*args))
+        d = line_metric(np.array([0.0, 0.5, 2.0]))
+        nu, mu = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.25, 0.25])
+        value = _metric_transport(d, 2, nu, mu)[0]
+        assert len(calls) == 1
+        assert value == w2_quantile_1d(d.line_embedding, nu, mu) ** 2
+        assert len(calls) == 2
+
 
 class TestSimplexAgainstLinprog:
     @given(transport_instances())
