@@ -19,14 +19,22 @@ construction instead of by luck.
 A chain stores Q as its nonzero off-diagonal rates (row, col, q) and
 its exit rates -Q_xx; the dense Q is a view built on first use, so a
 chain whose callers need only edges, exit rates or the band stays
-O(n + |E|) in memory.  Each chain builds -L^sigma once, in two cached
-forms: the edge list (i, j, w_ij) with symmetric conductances w_ij, over
-which the Dirichlet forms and ``_apply_neg_generator`` are O(n + |E|)
-sums, and the read-only dense ``conjugated_neg_generator``, which carries
-dense eigensolves and the Poisson solve.  Birth-death chains (edges exactly (k, k+1)) also read the
-tridiagonal band of the conjugated operator off the edge list; the eigen
-entry point ``_lowest_eigenpairs`` solves them on it by LAPACK's tridiagonal
-bisection for the requested indices only, and any other chain by dense eigh.
+O(n + |E|) in memory.  One validator checks every chain on that edge
+list in O(n + |E|): dense input reaches it through ``build_chain``, with
+exit rates from the dense row sums, and birth-death rates through
+``_birth_death_chain`` without any n x n array.  Each chain builds
+-L^sigma once, in two cached forms: the edge list (i, j, w_ij) with
+symmetric conductances w_ij, over which the Dirichlet forms and
+``_apply_neg_generator`` are O(n + |E|) sums, and the read-only dense
+``conjugated_neg_generator``, which carries dense eigensolves and the
+Poisson solve of chains other than birth-death ones.  Birth-death chains
+(edges exactly (k, k+1)) also read the tridiagonal band of the
+conjugated operator off the edge list.  The eigen entry point
+``_lowest_eigenpairs`` solves them on it by LAPACK's tridiagonal
+bisection (dstebz, then dstein for vectors), called directly for the
+requested indices only after a finiteness check, and any other chain by
+dense eigh; ``poisson_solve`` solves them in O(n) from the edge fluxes.
+On a line metric ``lipschitz_norm`` reads adjacent increments only.
 """
 
 from __future__ import annotations
@@ -36,9 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (
     DegenerateMeasure,
@@ -205,6 +211,11 @@ class MetricMatrix:
         return MetricMatrix(d=d)
 
     @cached_property
+    def diameter(self) -> float:
+        """max d[x, y], computed on first use."""
+        return float(np.max(self.d))
+
+    @cached_property
     def line_embedding(self) -> np.ndarray | None:
         """Points s with d[i,j] = |s_i - s_j| and s increasing, or None.
 
@@ -257,28 +268,80 @@ def build_chain(rates: np.ndarray, mu: np.ndarray | None = None, states=None) ->
     n = Q.shape[0]
     if Q.ndim != 2 or Q.shape[1] != n or n < 2:
         raise ModelValidation("rates must be a square matrix of size >= 2")
-    off = Q[~np.eye(n, dtype=bool)]
-    if np.any(off < 0):
-        raise ModelValidation("off-diagonal rates must be nonnegative")
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
-
-    _check_irreducible(Q)
-
-    if mu is None:
+    i, j = np.nonzero((Q != 0) & ~np.eye(n, dtype=bool))
+    if mu is None and np.all(np.isfinite(Q)):   # the validator rejects non-finite rates
         mu = solve_invariant_measure(Q)
-    else:
-        mu = np.array(mu, dtype=float)
-        if mu.shape != (n,):
-            raise ModelValidation("mu has wrong length")
-    if np.any(mu <= 0):
-        raise DegenerateMeasure(f"invariant measure has nonpositive entries: {mu}")
+    return _validated_chain((i, j, Q[i, j]), -np.diag(Q), mu, states)
+
+
+def _birth_death_chain(up: np.ndarray, down: np.ndarray, mu: np.ndarray,
+                       states=None) -> ReversibleChain:
+    """Build and validate the chain with rates up[k] on k -> k+1 and down[k] on k+1 -> k.
+
+    Takes O(n): the rates go to the validator in the row-major order of the
+    dense matrix, and each exit rate is up[k] + down[k-1], the one rounding
+    of the dense row sum.
+    """
+    up, down = np.asarray(up, dtype=float), np.asarray(down, dtype=float)
+    k = np.arange(len(up))
+    row, col = np.column_stack([k, k + 1]).ravel(), np.column_stack([k + 1, k]).ravel()
+    q = np.column_stack([up, down]).ravel()
+    exit_rates = np.zeros(len(up) + 1)
+    exit_rates[:-1] = up
+    exit_rates[1:] += down
+    keep = q != 0
+    return _validated_chain((row[keep], col[keep], q[keep]), exit_rates, mu, states)
+
+
+def _validated_chain(rates, exit_rates: np.ndarray, mu, states) -> ReversibleChain:
+    """Validate a chain given by its nonzero off-diagonal rates (row, col, q), row-major.
+
+    Checks, in this order: finite nonnegative rates; irreducibility, by
+    forward and backward reachability from state 0 over the edges; a
+    positive measure summing to 1 within 1e-9, which is then renormalized;
+    detailed balance per pair, |mu_x q_xy - mu_y q_yx| / max of the two
+    within DETAILED_BALANCE_RTOL, reporting the worst pair (first in (x, y)
+    order).  Takes O(n + |E|) apart from one sort of the pairs.
+    """
+    row, col, q = rates
+    n = len(exit_rates)
+    if not np.all(np.isfinite(q)):
+        raise ModelValidation("rates must be finite")
+    if np.any(q < 0):
+        raise ModelValidation("off-diagonal rates must be nonnegative")
+    positive = q > 0
+    for src, dst, what in ((row, col, "state {} is not reachable from state 0"),
+                           (col, row, "state 0 is not reachable from state {}")):
+        unreached = _unreached(n, src[positive], dst[positive])
+        if unreached is not None:
+            raise NotIrreducible(what.format(unreached))
+
+    mu = np.array(mu, dtype=float)
+    if mu.shape != (n,):
+        raise ModelValidation("mu has wrong length")
+    if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
+        raise DegenerateMeasure(f"invariant measure has nonpositive or non-finite entries: {mu}")
     total = mu.sum()
     if abs(total - 1.0) > 1e-9:
         raise DegenerateMeasure(f"mu sums to {total!r}, not 1")
     mu = mu / total
 
-    _check_detailed_balance(Q, mu)
+    lo, hi = np.minimum(row, col), np.maximum(row, col)
+    pairs, slot = np.unique(lo * n + hi, return_inverse=True)
+    flow = mu[row] * q
+    forward, backward = np.zeros(len(pairs)), np.zeros(len(pairs))
+    ahead = row < col
+    forward[slot[ahead]] = flow[ahead]
+    backward[slot[~ahead]] = flow[~ahead]
+    scale = np.maximum(np.abs(forward), np.abs(backward))
+    rel = np.abs(forward - backward) / np.maximum(scale, 1e-300)
+    rel[scale == 0.0] = 0.0
+    worst = int(np.argmax(rel))
+    if rel[worst] > DETAILED_BALANCE_RTOL:
+        raise DetailedBalanceViolated(pair=tuple(int(x) for x in divmod(int(pairs[worst]), n)),
+                                      residual=float(rel[worst]))
 
     if states is None:
         states = tuple(str(i) for i in range(n))
@@ -286,28 +349,26 @@ def build_chain(rates: np.ndarray, mu: np.ndarray | None = None, states=None) ->
         states = tuple(states)
         if len(states) != n:
             raise ModelValidation("states list has wrong length")
-
-    return ReversibleChain.from_dense(states, Q, mu)
-
-
-def _check_irreducible(Q: np.ndarray) -> None:
-    graph = csr_matrix((Q > 0).astype(np.int8))
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    if ncomp != 1:
-        raise NotIrreducible(f"rate graph has {ncomp} strongly connected components")
+    return ReversibleChain(states=states, mu=_frozen(mu),
+                           rates=(_frozen(row), _frozen(col), _frozen(q)),
+                           exit_rates=_frozen(exit_rates))
 
 
-def _check_detailed_balance(Q: np.ndarray, mu: np.ndarray) -> None:
-    flow = mu[:, None] * Q
-    resid = np.abs(flow - flow.T)
-    scale = np.maximum(np.abs(flow), np.abs(flow.T))
-    np.fill_diagonal(resid, 0.0)
-    np.fill_diagonal(scale, 1.0)
-    rel = resid / np.maximum(scale, 1e-300)
-    rel[scale == 0.0] = 0.0
-    worst = np.unravel_index(np.argmax(rel), rel.shape)
-    if rel[worst] > DETAILED_BALANCE_RTOL:
-        raise DetailedBalanceViolated(pair=tuple(int(i) for i in worst), residual=float(rel[worst]))
+def _unreached(n: int, src: np.ndarray, dst: np.ndarray) -> int | None:
+    """The first state that no path src -> dst from state 0 reaches, or None."""
+    order = np.argsort(src, kind="stable")
+    starts = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    targets = dst[order].tolist()
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in targets[starts[x]:starts[x + 1]]:
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    return None if all(seen) else seen.index(False)
 
 
 def chain_from_json(obj: dict | str) -> ReversibleChain:
@@ -414,8 +475,10 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
         diag, off = band
         if u is not None:
             diag = diag - _state_vector(chain, u)
-        return eigh_tridiagonal(diag, off, eigvals_only=not vectors,
-                                select="i", select_range=(0, count - 1))
+        # LAPACK's bisection need not terminate on NaN, so check first
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            raise ValueError("array must not contain infs or NaNs")
+        return _band_eigenpairs(diag, off, count, vectors)
     A = chain.conjugated_neg_generator
     if u is not None:
         A = A - np.diag(_state_vector(chain, u))
@@ -423,6 +486,34 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
         w, V = np.linalg.eigh(A)
         return w[:count], V[:, :count]
     return np.linalg.eigvalsh(A)[:count]
+
+
+def _band_eigenpairs(diag: np.ndarray, off: np.ndarray, count: int, vectors: bool):
+    """The ``count`` lowest eigenpairs of a finite tridiagonal matrix.
+
+    Calls LAPACK's dstebz (bisection for the indices 1..count) and dstein
+    (inverse iteration) directly, with the arguments and the eigenvector
+    order of scipy.linalg's tridiagonal wrapper for an index range, but
+    without its per-call validation; callers check finiteness first.
+    """
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, count, 0.0,
+                                        "B" if vectors else "E")
+    _check_lapack_info(info, "dstebz")
+    w = w[:m]
+    if not vectors:
+        return w
+    V, info = dstein(diag, off, w, iblock, isplit)
+    _check_lapack_info(info, "dstein")
+    # block order to ascending order
+    order = np.argsort(w)
+    return w[order], V[:, order]
+
+
+def _check_lapack_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (info={info})")
 
 
 def _apply_neg_generator(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
@@ -436,37 +527,73 @@ def _apply_neg_generator(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
 def poisson_solve(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
     """Solve -L^sigma h = g with mu(h) = 0 for centered g.
 
-    Solves the symmetric bordered system [[A, sqrt mu], [sqrt mu^T, 0]] on
-    the conjugated A = diag(sqrt mu) (-L^sigma) diag(1/sqrt mu) for
-    y = sqrt(mu) h; it is regular exactly when the chain is irreducible.
+    Birth-death chains take the O(n) flux sums of ``_flux_poisson``; any
+    other chain solves the symmetric bordered system [[A, sqrt mu],
+    [sqrt mu^T, 0]] on the conjugated A = diag(sqrt mu) (-L^sigma)
+    diag(1/sqrt mu) for y = sqrt(mu) h, which is regular exactly when the
+    chain is irreducible.  Either way the residual is checked.
     """
     g = np.asarray(g, dtype=float)
     if abs(chain.expectation(g)) > 1e-10:
         raise MeanNotZero(f"mu(g) = {chain.expectation(g)!r} exceeds 1e-10")
-    n = chain.n
-    s = np.sqrt(chain.mu)
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = chain.conjugated_neg_generator
-    A[:n, n] = A[n, :n] = s
-    b = np.concatenate([s * g, [0.0]])
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - internal error
-        raise SingularSystem(str(exc)) from exc
-    h = sol[:n] / s
+    if chain.band is not None:
+        h = _flux_poisson(chain, g)
+    else:
+        n = chain.n
+        s = np.sqrt(chain.mu)
+        A = np.zeros((n + 1, n + 1))
+        A[:n, :n] = chain.conjugated_neg_generator
+        A[:n, n] = A[n, :n] = s
+        b = np.concatenate([s * g, [0.0]])
+        try:
+            sol = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - internal error
+            raise SingularSystem(str(exc)) from exc
+        h = sol[:n] / s
     resid = float(np.max(np.abs(_apply_neg_generator(chain, h) - g)))
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularSystem(f"Poisson residual {resid:.3e} exceeds tolerance")
     return h - chain.expectation(h)
 
 
+def _flux_poisson(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
+    """-L^sigma h = g - mu(g) on a birth-death chain, by its edge fluxes.
+
+    Summing mu_x (-L^sigma h)_x over x <= k telescopes to the flux across
+    the edge (k, k+1): w_k (h_k - h_{k+1}) = G_k = sum_{x<=k} mu_x g'_x with
+    g' = g - mu(g).  Below the mode of mu, G_k is summed from the left; from
+    the mode on it is minus the sum from the right, so both tails keep the
+    relative accuracy of their own small masses.
+    """
+    mu = chain.mu
+    m = mu * (g - chain.expectation(g))
+    mode = int(np.argmax(mu))
+    G = np.cumsum(m[:-1])
+    G[mode:] = -np.cumsum(m[:0:-1])[::-1][mode:]
+    h = np.concatenate([[0.0], np.cumsum(-G / chain.edges[2])])
+    return h - chain.expectation(h)
+
+
 def lipschitz_norm(d: MetricMatrix, g: np.ndarray) -> float:
-    """Smallest M with |g_x - g_y| <= M d[x,y] over all pairs."""
+    """Smallest M with |g_x - g_y| <= M d[x,y] over all pairs.
+
+    On a line metric the adjacent pairs are the extreme ones, so the norm
+    takes O(n) from the superdiagonal of ``d.d``.
+    """
     g = np.asarray(g, dtype=float)
     n = len(g)
+    if n < 2:
+        return 0.0
+    if d.line_embedding is not None:
+        return _line_lipschitz(np.diag(d.d, 1), g)
     diff = np.abs(g[:, None] - g[None, :])
     off = ~np.eye(n, dtype=bool)
-    return float(np.max(diff[off] / d.d[off])) if n > 1 else 0.0
+    return float(np.max(diff[off] / d.d[off]))
+
+
+def _line_lipschitz(gaps: np.ndarray, g: np.ndarray) -> float:
+    """max_k |g_{k+1} - g_k| / gaps_k: the Lipschitz norm on points with these gaps."""
+    return float(np.max(np.abs(np.diff(g)) / gaps))
 
 
 def oscillation(g: np.ndarray) -> float:

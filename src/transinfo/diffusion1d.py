@@ -37,7 +37,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import log_ndtr
 
-from .chains import ReversibleChain, build_chain, poisson_solve
+from .chains import ReversibleChain, _birth_death_chain, _line_lipschitz, poisson_solve
 from .errors import (
     DivergenceDetected,
     DivergentSpeedMeasure,
@@ -452,13 +452,7 @@ def discretize(spec: DiffusionSpec1D, grid: Grid1D) -> ReversibleChain:
     up, down = conduct / (w[:-1] * h), conduct / (w[1:] * h)
     if not np.all(np.isfinite(up) & np.isfinite(down) & (up >= 0) & (down >= 0)):
         raise StepTooCoarse("non-finite or nonpositive rates on the grid")
-    rates = np.diag(up, 1) + np.diag(down, -1)
-    return build_chain(rates, mu=w / w.sum(), states=[f"{x:.12g}" for x in nodes])
-
-
-def lipschitz_ratio_1d(rho_vals: np.ndarray, g: np.ndarray) -> float:
-    """Lip(rho) norm on a line: adjacent increments are the extreme pairs."""
-    return float(np.max(np.abs(np.diff(g)) / np.diff(rho_vals)))
+    return _birth_death_chain(up, down, mu=w / w.sum(), states=[f"{x:.12g}" for x in nodes])
 
 
 def lip_poisson_ratio(spec: DiffusionSpec1D, grid: Grid1D, rho: Warp,
@@ -472,16 +466,17 @@ def lip_poisson_ratio(spec: DiffusionSpec1D, grid: Grid1D, rho: Warp,
     chain = discretize(spec, grid)
     nodes = grid.nodes
     rho_vals = _broadcast(rho.value, nodes)
+    gaps = np.diff(rho_vals)
     slopes = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(g_samples, len(nodes) - 1))
-    walks = np.cumsum(slopes * np.diff(rho_vals), axis=1)
+    walks = np.cumsum(slopes * gaps, axis=1)
     candidates = np.vstack([rho_vals, np.hstack([np.zeros((g_samples, 1)), walks])])
     best = 0.0
     for g in candidates - (candidates @ chain.mu)[:, None]:
-        lip_g = lipschitz_ratio_1d(rho_vals, g)
+        lip_g = _line_lipschitz(gaps, g)
         if lip_g <= 0:
             continue
         h = poisson_solve(chain, g)
-        best = max(best, lipschitz_ratio_1d(rho_vals, h) / lip_g)
+        best = max(best, _line_lipschitz(gaps, h) / lip_g)
     return best
 
 

@@ -29,7 +29,9 @@ candidate's gradient drives the next step, and a rejected step reuses
 the gradient already held.  Each dual round likewise takes W and the
 witness potential from one solve.  W_2 I gets an extra linearization
 probe nu_eps = (1 + eps g) mu, which turns "no finite constant" into a
-measurable 1/eps slope.
+measurable 1/eps slope.  A density whose transport value lies within
+ROUNDOFF_COSTS * eps of zero, in units of the largest cost, scores 0:
+such a value is the roundoff of a mass-1 marginal, not a witness.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ from .transport import (
 )
 
 DIVERGENCE_CAP = 1e6
+# A mass-1 marginal carries absolute error of order eps, so a transport value
+# W_1 (or W_2^2) within ROUNDOFF_COSTS * eps of zero, in units of the largest
+# cost, is roundoff: on a 41-state queue the W_1 ascent otherwise reached
+# W_1 = 1.9e-16 with I = 3.2e-32 and reported their ratio.
+ROUNDOFF_COSTS = 16
 
 
 @dataclass(frozen=True)
@@ -298,11 +305,17 @@ def _transport_ratio(chain, d, f, squared):
     """W^2 / (4 I) for nu = f mu; +inf when I vanishes with W > 0."""
     nu = chain.mu * f
     dist = w2(d, nu, chain.mu) if squared else w1(d, nu, chain.mu)
-    return _ratio(dist, fisher_information_raw(chain, f))
+    return _ratio(dist, fisher_information_raw(chain, f), d, squared)
 
 
-def _ratio(dist, info):
-    if dist <= 0:
+def _ratio(dist, info, d, squared):
+    """dist^2 / (4 info); 0 when the transport value is at the roundoff floor.
+
+    The floor is ROUNDOFF_COSTS * eps * max cost on the value, so on W_2
+    it reads sqrt(ROUNDOFF_COSTS * eps) * diameter.
+    """
+    floor = ROUNDOFF_COSTS * np.finfo(float).eps
+    if dist <= (math.sqrt(floor) if squared else floor) * d.diameter:
         return 0.0
     if info <= 0:
         return math.inf
@@ -317,7 +330,7 @@ def _ratio_and_gradient(chain, d, f, squared):
     """
     info = fisher_information_raw(chain, f)
     value, dual, pot = _metric_transport(d, 2 if squared else 1, chain.mu * f, chain.mu)
-    ratio = _ratio(math.sqrt(max(value, 0.0)) if squared else value, info)
+    ratio = _ratio(math.sqrt(max(value, 0.0)) if squared else value, info, d, squared)
     if info <= 1e-300:
         return ratio, None
     if squared:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from transinfo.chains import ReversibleChain, build_chain
+from transinfo.chains import ReversibleChain, build_chain, solve_invariant_measure
+from transinfo.errors import (
+    DegenerateMeasure,
+    DetailedBalanceViolated,
+    ModelValidation,
+    NotIrreducible,
+)
 
 # Property tests draw the same examples on every run (derandomized runs keep
 # no example database) and never fail a slow example on a loaded host.
@@ -42,6 +50,68 @@ def symmetrized_generator(chain: ReversibleChain) -> np.ndarray:
     """Dense L^sigma = (L + L*)/2, L* the L^2(mu) adjoint: the reference operator."""
     adj = (chain.Q.T * chain.mu[None, :]) / chain.mu[:, None]
     return 0.5 * (chain.Q + adj)
+
+
+def bordered_poisson(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
+    """-L^sigma h = g, mu(h) = 0 by the dense bordered system on the conjugated matrix.
+
+    [[A, sqrt mu], [sqrt mu^T, 0]] (sqrt(mu) h, lambda) = (sqrt(mu) g, 0): the
+    reference for the flux-sum route of birth-death chains.
+    """
+    n = chain.n
+    s = np.sqrt(chain.mu)
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = conjugated_neg_generator(chain)
+    A[:n, n] = A[n, :n] = s
+    h = np.linalg.solve(A, np.concatenate([s * g, [0.0]]))[:n] / s
+    return h - chain.expectation(h)
+
+
+def dense_check_irreducible(Q: np.ndarray) -> None:
+    """Strong connectivity of the dense rate graph Q > 0: the reference."""
+    graph = csr_matrix((Q > 0).astype(np.int8))
+    ncomp, _ = connected_components(graph, directed=True, connection="strong")
+    if ncomp != 1:
+        raise NotIrreducible(f"rate graph has {ncomp} strongly connected components")
+
+
+def dense_check_detailed_balance(Q: np.ndarray, mu: np.ndarray) -> None:
+    """Detailed balance on the dense flow matrix mu_x Q_xy: the reference.
+
+    Reports the worst relative residual, first in row-major order.
+    """
+    flow = mu[:, None] * Q
+    resid = np.abs(flow - flow.T)
+    scale = np.maximum(np.abs(flow), np.abs(flow.T))
+    np.fill_diagonal(resid, 0.0)
+    np.fill_diagonal(scale, 1.0)
+    rel = resid / np.maximum(scale, 1e-300)
+    rel[scale == 0.0] = 0.0
+    worst = np.unravel_index(np.argmax(rel), rel.shape)
+    if rel[worst] > 1e-10:
+        raise DetailedBalanceViolated(pair=tuple(int(i) for i in worst), residual=float(rel[worst]))
+
+
+def dense_build_chain(rates, mu=None, states=None) -> ReversibleChain:
+    """``build_chain`` as it validated on n x n arrays: the reference for the edge validator."""
+    Q = np.array(rates, dtype=float)
+    n = Q.shape[0]
+    if np.any(Q[~np.eye(n, dtype=bool)] < 0):
+        raise ModelValidation("off-diagonal rates must be nonnegative")
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    dense_check_irreducible(Q)
+    mu = solve_invariant_measure(Q) if mu is None else np.array(mu, dtype=float)
+    if mu.shape != (n,):
+        raise ModelValidation("mu has wrong length")
+    if np.any(mu <= 0):
+        raise DegenerateMeasure("invariant measure has nonpositive entries")
+    if abs(mu.sum() - 1.0) > 1e-9:
+        raise DegenerateMeasure("mu does not sum to 1")
+    mu = mu / mu.sum()
+    dense_check_detailed_balance(Q, mu)
+    states = tuple(str(i) for i in range(n)) if states is None else tuple(states)
+    return ReversibleChain.from_dense(states, Q, mu)
 
 
 def conjugated_neg_generator(chain: ReversibleChain) -> np.ndarray:

@@ -1,39 +1,52 @@
 """The cached chain operator against the dense reference constructions.
 
-Birth-death chains take the banded eigen route and every chain takes the
-edge-list Dirichlet form and generator product; dense eigh of
-``conjugated_neg_generator``, the n x n Dirichlet sum, the dense L^sigma
-and the unconjugated Poisson solve are the oracles.  Chains are drawn with
-mu down to 1e-8 and conductance spreads up to 1e6.
+Birth-death chains take the banded eigen route, the flux-sum Poisson
+solve and the O(n) construction; line metrics take the adjacent-increment
+Lipschitz norm; every chain takes the edge validator, the edge-list
+Dirichlet form and generator product.  The oracles are the dense
+constructions: dense eigh of ``conjugated_neg_generator`` and scipy's
+``eigh_tridiagonal``, the n x n Dirichlet sum, the dense L^sigma, the
+bordered and unconjugated Poisson solves, the dense validation checks and
+the pairwise Lipschitz maximum.  Chains are drawn with mu down to 1e-8
+(1e-30 for validation and smooth tails) and conductance spreads up to 1e6.
 """
 
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from transinfo import chains, diffusion1d
 from transinfo.catalog import product_3x3, quartic_spec
 from transinfo.chains import (
     ReversibleChain,
     _apply_neg_generator,
+    _birth_death_chain,
+    _lowest_eigenpairs,
     build_chain,
     dirichlet_bilinear,
     dirichlet_energy,
     line_metric,
+    lipschitz_norm,
     poisson_solve,
     product_chain,
     spectral_gap,
     trivial_metric,
 )
 from transinfo.diffusion1d import Grid1D, discretize, ou_spec
-from transinfo.errors import DetailedBalanceViolated
+from transinfo.errors import DetailedBalanceViolated, TransinfoError
 from transinfo.feynman_kac import fisher_information_raw, lambda_max, lambda_max_witness
 
 from conftest import (
+    bordered_poisson,
     conjugated_neg_generator,
+    dense_build_chain,
     random_birth_death_chain,
     random_reversible_chain,
     symmetrized_generator,
@@ -326,6 +339,255 @@ class TestEdgeHeldStorage:
         assert np.array_equal(ch.exit_rates, [0.0, 1.5, 2.0])
         for got, ref in zip(ch.edges, _dense_edges(ch, Q)):
             assert np.array_equal(got, ref)
+
+
+@st.composite
+def chain_inputs(draw):
+    """(rates, mu, birth_death): a chain input carrying at most one fault.
+
+    Birth-death inputs reach mu down to 1e-30, dense ones 1e-8.  The faults
+    are a rate bumped by a relative 1e-12 to 0.5 (around the 1e-10 detailed
+    balance tolerance), a rate set to 0 one way or both ways, a negative
+    rate, a measure off mass 1 by more or less than 1e-9, a nonpositive mass,
+    and a missing measure (solved from Q).
+    """
+    birth_death = draw(st.booleans())
+    n = draw(st.integers(2, 30 if birth_death else 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mu = 10.0 ** rng.uniform(-30.0 if birth_death else -8.0, 0.0, n)
+    mu /= mu.sum()
+    if birth_death:
+        k = np.arange(n - 1)
+        cond = 10.0 ** rng.uniform(-6.0, 0.0, n - 1)
+        rates = np.zeros((n, n))
+        rates[k, k + 1], rates[k + 1, k] = cond / mu[:-1], cond / mu[1:]
+    else:
+        cond = np.triu(rng.uniform(0.2, 1.5, (n, n)), 1)
+        rates = (cond + cond.T) / mu[:, None]
+    x, y = (int(v) for v in np.argwhere(rates > 0)[int(rng.integers(np.count_nonzero(rates)))])
+    fault = draw(st.sampled_from(["none", "bump", "one_way", "cut", "negative",
+                                  "mass", "sign", "solve"]))
+    if fault == "bump":
+        rates[x, y] *= 1.0 + draw(st.sampled_from([1e-12, 5e-11, 2e-10, 1e-6, 0.5]))
+    elif fault in ("one_way", "cut"):
+        rates[x, y] = 0.0
+        if fault == "cut":
+            rates[y, x] = 0.0
+    elif fault == "negative":
+        rates[x, y] = -rates[x, y]
+    elif fault == "mass":
+        mu = mu * (1.0 + draw(st.sampled_from([5e-10, 2e-9])))
+    elif fault == "sign":
+        mu[x] = -mu[x]
+    return rates, None if fault == "solve" else mu, birth_death
+
+
+def _outcome(build):
+    """The error (type, pair, residual) a build raises, or the chain's stored arrays."""
+    try:
+        ch = build()
+    except TransinfoError as exc:
+        return type(exc), getattr(exc, "pair", None), getattr(exc, "residual", None)
+    return ch.states, ch.mu.tolist(), [a.tolist() for a in ch.rates], ch.exit_rates.tolist()
+
+
+class TestEdgeValidator:
+    @given(chain_inputs())
+    def test_accepts_and_rejects_as_the_dense_checks(self, case):
+        rates, mu, birth_death = case
+        want = _outcome(lambda: dense_build_chain(rates, mu=mu))
+        assert _outcome(lambda: build_chain(rates, mu=mu)) == want
+        if birth_death and mu is not None:
+            up, down = np.diag(rates, 1), np.diag(rates, -1)
+            assert _outcome(lambda: _birth_death_chain(up, down, mu)) == want
+
+    def test_worst_pair_first_in_row_major_order(self):
+        # two pairs with the same residual 1: the dense argmax reports (0, 2)
+        rates = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        mu = np.full(3, 1.0 / 3.0)
+        with pytest.raises(DetailedBalanceViolated) as err:
+            build_chain(rates, mu=mu)
+        assert (err.value.pair, err.value.residual) == ((0, 2), 1.0)
+
+    def test_non_finite_rates_rejected(self):
+        for bad in (np.nan, np.inf):
+            rates = np.eye(3, k=1) + np.eye(3, k=-1)
+            rates[1, 2] = bad
+            with pytest.raises(TransinfoError):
+                build_chain(rates)
+            with pytest.raises(TransinfoError):
+                build_chain(rates, mu=np.full(3, 1.0 / 3.0))
+
+
+class TestDiscretizedChainBits:
+    """discretize builds, in O(n), the chain the dense construction built from its rates."""
+
+    @pytest.mark.parametrize("spec, lo, hi, n", [
+        (ou_spec(), -6.0, 6.0, 400), (quartic_spec(), -4.0, 4.0, 400),
+        (ou_spec(), -8.0, 8.0, 150), (ou_spec(), -6.0, 6.0, 60)],
+        ids=["ou-400", "quartic-400", "line-150", "ou-60"])
+    def test_equal_to_the_dense_construction(self, monkeypatch, spec, lo, hi, n):
+        seen = []
+
+        def capture(up, down, mu, states=None):
+            seen.append((up, down, mu, states))
+            return _birth_death_chain(up, down, mu, states)
+
+        monkeypatch.setattr(diffusion1d, "_birth_death_chain", capture)
+        chain = discretize(spec, Grid1D.uniform(lo, hi, n))
+        (up, down, mu, states), = seen
+        ref = dense_build_chain(np.diag(up, 1) + np.diag(down, -1), mu=mu, states=states)
+        assert chain.states == ref.states
+        for got, want in zip([*chain.rates, chain.mu, chain.exit_rates, *chain.edges, *chain.band],
+                             [*ref.rates, ref.mu, ref.exit_rates, *ref.edges, *ref.band]):
+            assert np.array_equal(got, want)
+        assert "Q" not in chain.__dict__
+
+    def test_2000_nodes_stay_below_one_dense_array(self):
+        spec, grid = ou_spec(), Grid1D.uniform(-6.0, 6.0, 2000)
+        tracemalloc.start()
+        try:
+            chain = discretize(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8
+        assert "Q" not in chain.__dict__
+
+
+@st.composite
+def smooth_birth_death_chains(draw, max_n=60, min_cond=0.2):
+    """Birth-death chain with a unimodal mu down to about 1e-30 and bounded rates.
+
+    log10 mu falls by 0 to 2 decades a step away from its mode, as in the
+    tails of a discretized diffusion; conductances c_k, log-uniform in
+    [min_cond, 1.5] times min(mu_k, mu_{k+1}), keep every rate below 1.5.
+    """
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mode = int(rng.integers(n))
+    drops = rng.uniform(0.0, 2.0, n)
+    log_mu = -np.abs(np.cumsum(drops) - np.cumsum(drops)[mode])
+    mu = 10.0 ** np.maximum(log_mu, -30.0)
+    mu /= mu.sum()
+    cond = (10.0 ** rng.uniform(np.log10(min_cond), np.log10(1.5), n - 1)
+            * np.minimum(mu[:-1], mu[1:]))
+    return _birth_death_chain(cond / mu[:-1], cond / mu[1:], mu)
+
+
+def _exact_poisson(chain, g):
+    """-L^sigma h = g - mu(g), mu(h) = 0 in rational arithmetic on the float inputs.
+
+    Gauss-Jordan elimination of [[-L^sigma, 1], [mu^T, 0]] over Fractions,
+    with -L^sigma built from the off-diagonal rates alone, so its rows sum
+    to exactly zero (the stored exit rates are rounded sums).
+    """
+    n, mu = chain.n, [Fraction(float(m)) for m in chain.mu]
+    Q = [[Fraction(0)] * n for _ in range(n)]
+    for x, y, q in zip(*chain.rates):
+        Q[x][y] = Fraction(float(q))
+    mean = sum(m * Fraction(float(x)) for m, x in zip(mu, g))
+    A = []
+    for x in range(n):
+        row = [-(Q[x][y] + mu[y] * Q[y][x] / mu[x]) / 2 for y in range(n)]
+        row[x] = -sum(row)
+        A.append(row + [Fraction(1), Fraction(float(g[x])) - mean])
+    A.append(mu + [Fraction(0), Fraction(0)])
+    for c in range(n + 1):
+        p = next(r for r in range(c, n + 1) if A[r][c] != 0)
+        A[c], A[p] = A[p], A[c]
+        A[c] = [a / A[c][c] for a in A[c]]
+        for r in range(n + 1):
+            if r != c and A[r][c] != 0:
+                A[r] = [a - A[r][c] * b for a, b in zip(A[r], A[c])]
+    return np.array([float(A[x][-1]) for x in range(n)])
+
+
+class TestFluxPoisson:
+    @given(smooth_birth_death_chains(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_bordered_solve(self, chain, seed):
+        g = np.random.default_rng(seed).standard_normal(chain.n)
+        g -= chain.expectation(g)
+        h = poisson_solve(chain, g)
+        assert "Q" not in chain.__dict__      # the flux route never builds a dense matrix
+        ref = bordered_poisson(chain, g)
+        assert float(np.max(np.abs(h - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+    # conductance spreads make the bordered solve itself lose digits, so these
+    # chains are checked against the exact solution; beyond a spread of about
+    # 1e3, |h| grows until the absolute 1e-10 residual check sits below the
+    # rounding floor of any solve
+    @given(smooth_birth_death_chains(max_n=8, min_cond=1e-3), st.integers(0, 2 ** 32 - 1))
+    def test_exact_on_ill_conditioned_chains(self, chain, seed):
+        g = np.random.default_rng(seed).standard_normal(chain.n)
+        g -= chain.expectation(g)
+        h = poisson_solve(chain, g)
+        ref = _exact_poisson(chain, g)
+        assert float(np.max(np.abs(h - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+
+class TestDirectLapack:
+    @given(birth_death_chains(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans())
+    def test_equal_to_eigh_tridiagonal(self, chain, seed, count, vectors):
+        count = min(count, chain.n)
+        u = np.random.default_rng(seed).uniform(-5.0, 5.0, chain.n)
+        got = _lowest_eigenpairs(chain, u, count=count, vectors=vectors)
+        diag, off = chain.band
+        want = eigh_tridiagonal(diag - u, off, eigvals_only=not vectors,
+                                select="i", select_range=(0, count - 1))
+        if vectors:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [60, 400, 2000])
+    def test_equal_on_discretized_chains(self, n):
+        chain = discretize(ou_spec(), Grid1D.uniform(-6.0, 6.0, n))
+        diag, off = chain.band
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            u = rng.uniform(-3.0, 3.0, n)
+            assert np.array_equal(_lowest_eigenpairs(chain, u, count=2),
+                                  eigh_tridiagonal(diag - u, off, eigvals_only=True,
+                                                   select="i", select_range=(0, 1)))
+        w, V = _lowest_eigenpairs(chain, u, vectors=True)
+        w_ref, V_ref = eigh_tridiagonal(diag - u, off, select="i", select_range=(0, 0))
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_before_lapack(self, monkeypatch, bad):
+        def unreachable(*args):
+            raise AssertionError("LAPACK saw a non-finite input")
+
+        monkeypatch.setattr(chains, "dstebz", unreachable)
+        monkeypatch.setattr(chains, "dstein", unreachable)
+        chain = random_birth_death_chain(6, np.random.default_rng(1))
+        u = np.zeros(6)
+        u[3] = bad
+        with pytest.raises(ValueError):
+            lambda_max(chain, u)
+        with pytest.raises(ValueError):
+            lambda_max_witness(chain, u)
+        Q = chain.Q.copy()
+        Q[2, 3] = bad
+        Q[2, 2] = -np.sum(Q[2, [1, 3]])
+        broken = ReversibleChain.from_dense(chain.states, Q, chain.mu)
+        assert broken.band is not None
+        with pytest.raises(ValueError):
+            spectral_gap(broken)
+
+
+class TestLineLipschitz:
+    @given(st.integers(2, 30), st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 0.0))
+    def test_matches_pairwise_maximum(self, n, seed, log_spread):
+        rng = np.random.default_rng(seed)
+        points = np.cumsum(10.0 ** rng.uniform(log_spread, 0.0, n)) - 3.0
+        d = line_metric(points)
+        assert d.line_embedding is not None
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        off = ~np.eye(n, dtype=bool)
+        pairwise = float(np.max(np.abs(g[:, None] - g[None, :])[off] / d.d[off]))
+        assert lipschitz_norm(d, g) == pytest.approx(pairwise, rel=1e-12)
 
 
 class TestLineEmbeddingCache:

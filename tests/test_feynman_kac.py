@@ -261,6 +261,27 @@ class TestBestW1I:
         _best_lambda(chain, u, extra=[3.4e-16, 2.0 ** -10, 0.3])
         assert 0.3 in scored and scored.count(2.0 ** -10) == 2 and 3.4e-16 not in scored
 
+    def test_roundoff_transport_value_scores_zero(self):
+        # on the 41-state service queue (mu down to 4.5e-49), the ascent from the
+        # eigen-density of the first dual pair (seed 13) reached W_1 = 1.9e-16 and
+        # I = 3.2e-32, and reported W^2 / 4I = 0.269 from two roundoff values
+        from transinfo.lyapunov import mminf_generator
+        chain, _ = mminf_generator(1.0, 40)
+        d = trivial_metric(chain.n)
+        lam = float.fromhex("0x1.2090c89bfb4eap-11")
+        floor = feynman_kac.ROUNDOFF_COSTS * np.finfo(float).eps * d.diameter
+        _, dens = lambda_max_witness(chain, lam * d.d[:, 27])
+        val, f = feynman_kac._primal_ascent(chain, d, dens.f.copy(), squared=False, iters=120)
+        dist = transport.w1(d, chain.mu * f, chain.mu)
+        assert dist > floor
+        info = feynman_kac.fisher_information_raw(chain, f)
+        assert val == pytest.approx(dist * dist / (4.0 * info), rel=1e-9)
+        # a density whose W_1 is itself roundoff scores 0 on both ratio routes
+        _, dens = lambda_max_witness(chain, lam * d.d[:, 29])
+        assert 0.0 < transport.w1(d, chain.mu * dens.f, chain.mu) <= floor
+        assert feynman_kac._transport_ratio(chain, d, dens.f, squared=False) == 0.0
+        assert feynman_kac._ratio_and_gradient(chain, d, dens.f, False)[0] == 0.0
+
     def test_uniform_density_never_the_witness(self, rng):
         ch = random_reversible_chain(4, rng)
         rep = best_w1i(ch, trivial_metric(4))
