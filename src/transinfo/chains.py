@@ -35,6 +35,8 @@ bisection (dstebz, then dstein for vectors), called directly for the
 requested indices only after a finiteness check, and any other chain by
 dense eigh; ``poisson_solve`` solves them in O(n) from the edge fluxes.
 On a line metric ``lipschitz_norm`` reads adjacent increments only.
+Importing this module loads no scipy: dstebz and dstein are bound into
+its globals on the first band solve.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (
     DegenerateMeasure,
@@ -59,6 +60,9 @@ ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_RTOL = 1e-10
 MU_SUM_TOL = 1e-12
 DENSITY_RENORM_TOL = 1e-9
+
+# scipy.linalg.lapack's dstebz and dstein, bound by _bind_band_lapack
+dstebz = dstein = None
 
 
 @dataclass(frozen=True)
@@ -389,7 +393,7 @@ def chain_from_json(obj: dict | str) -> ReversibleChain:
 def dirichlet_energy(chain: ReversibleChain, g: np.ndarray) -> float:
     """E(g, g) = 1/2 sum_{x != y} mu_x q(x,y) (g_y - g_x)^2, summed over edges."""
     g = _state_vector(chain, g)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("g must be finite")
     i, j, w = chain.edges
     diff = g[j] - g[i]
@@ -434,7 +438,7 @@ def tv_weighted(chain: ReversibleChain, f, phi: np.ndarray) -> float:
     """
     fv = _as_density_vector(chain, f)
     phi = np.asarray(phi, dtype=float)
-    if np.any(phi < 0):
+    if (phi < 0).any():
         raise ValueError("phi must be nonnegative")
     return float(np.dot(chain.mu * phi, np.abs(fv - 1.0)))
 
@@ -476,7 +480,7 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
         if u is not None:
             diag = diag - _state_vector(chain, u)
         # LAPACK's bisection need not terminate on NaN, so check first
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise ValueError("array must not contain infs or NaNs")
         return _band_eigenpairs(diag, off, count, vectors)
     A = chain.conjugated_neg_generator
@@ -496,6 +500,8 @@ def _band_eigenpairs(diag: np.ndarray, off: np.ndarray, count: int, vectors: boo
     order of scipy.linalg's tridiagonal wrapper for an index range, but
     without its per-call validation; callers check finiteness first.
     """
+    if dstebz is None:
+        _bind_band_lapack()
     m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, count, 0.0,
                                         "B" if vectors else "E")
     _check_lapack_info(info, "dstebz")
@@ -507,6 +513,21 @@ def _band_eigenpairs(diag: np.ndarray, off: np.ndarray, count: int, vectors: boo
     # block order to ascending order
     order = np.argsort(w)
     return w[order], V[:, order]
+
+
+def _bind_band_lapack() -> None:
+    """Bind dstebz and dstein into this module's globals.
+
+    Done on the first band solve, not at import, because importing
+    scipy.linalg costs more than most runs spend in it; a per-call
+    import would cost more than the solve on small bands.  dstein is
+    stored first, so a thread that sees dstebz bound also sees dstein.
+    """
+    global dstebz, dstein
+    from scipy.linalg import lapack
+
+    dstein = lapack.dstein
+    dstebz = lapack.dstebz
 
 
 def _check_lapack_info(info: int, routine: str) -> None:

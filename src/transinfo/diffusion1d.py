@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import log_ndtr
 
 from .chains import ReversibleChain, _birth_death_chain, _line_lipschitz, poisson_solve
 from .errors import (
@@ -140,7 +138,9 @@ class Grid1D:
 
 
 def _quad(fn, lo, hi):
-    val, err = integrate.quad(fn, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
+    from scipy.integrate import quad
+
+    val, err = quad(fn, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
     if not math.isfinite(val) or err > max(QUAD_TOL * 100, 1e-8 * abs(val)):
         raise QuadratureFailure(f"quadrature error {err:.2e} on [{lo}, {hi}]")
     return val
@@ -499,6 +499,8 @@ def ou_sigma2(t: float) -> float:
 
 def ou_tail_lograte(r: float, t: float) -> float:
     """(1/t) log P(N(0, sigma^2(t)) > r); tends to -r^2/4 for large t."""
+    from scipy.special import log_ndtr
+
     sigma = math.sqrt(ou_sigma2(t))
     return float(log_ndtr(-r / sigma)) / t
 

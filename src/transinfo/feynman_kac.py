@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chains import (
     Density,
@@ -116,6 +115,8 @@ def fk_norm(chain: ReversibleChain, u: np.ndarray, t: float, method: str = "eige
     if method == "eigen":
         return math.exp(t * lam)
     if method == "expm":
+        from scipy.linalg import expm
+
         M = expm(t * (chain.Q + np.diag(u)))
         s = np.sqrt(chain.mu)
         return float(np.linalg.norm((s[:, None] * M) / s[None, :], 2))

@@ -29,9 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
-from .chains import Density, ReversibleChain, build_chain, fisher_information, tv_weighted
+from .chains import Density, ReversibleChain, _birth_death_chain, fisher_information, tv_weighted
 from .errors import NotCertified, TruncationTooSmall, UBelowOne
 from .diffusion1d import DiffusionSpec1D, Grid1D
 from .transport import RateFunction
@@ -180,20 +179,18 @@ def mminf_generator(lambda_rate: float, n_max: int) -> tuple[ReversibleChain, np
     (renormalized) Poisson weights; truncation must leave less than
     1e-10 tail mass.
     """
+    from scipy.special import gammaln, pdtrc, xlogy
+
     if lambda_rate <= 0 or n_max < 2:
         raise ValueError("need lambda_rate > 0 and n_max >= 2")
     tail = float(pdtrc(n_max, lambda_rate))
     if tail >= 1e-10:
         raise TruncationTooSmall(f"Poisson tail beyond n_max is {tail:.3e}")
-    n = n_max + 1
-    rates = np.zeros((n, n))
-    for k in range(n - 1):
-        rates[k, k + 1] = lambda_rate
-        rates[k + 1, k] = k + 1.0
-    counts = np.arange(n)
+    counts = np.arange(n_max + 1)
     weights = np.exp(xlogy(counts, lambda_rate) - gammaln(counts + 1.0) - lambda_rate)
     mu = weights / weights.sum()
-    chain = build_chain(rates, mu=mu, states=[str(k) for k in range(n)])
+    chain = _birth_death_chain(np.full(n_max, lambda_rate), counts[1:], mu,
+                               states=[str(k) for k in counts])
     return chain, mu
 
 

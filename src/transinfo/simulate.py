@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betaincinv
 
 from .chains import ReversibleChain
 from .diffusion1d import DiffusionSpec1D
@@ -117,6 +115,8 @@ class DeviationEstimate:
 
 def clopper_pearson(hits: int, n: int, level: float = 0.99) -> tuple[float, float]:
     """Exact two-sided binomial interval at the given confidence level."""
+    from scipy.special import betaincinv
+
     tail = (1.0 - level) / 2.0
     lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, tail))
     hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 1.0 - tail))
@@ -344,8 +344,10 @@ def mu_of_observable(config: EnsembleConfig, v) -> float:
     if isinstance(config.model, ReversibleChain):
         return config.model.expectation(np.asarray(v, dtype=float))
     if isinstance(config.model, OUModel):
+        from scipy.integrate import quad
+
         fn = v if callable(v) else (lambda x: x)
-        val, _ = integrate.quad(
+        val, _ = quad(
             lambda x: float(np.asarray(fn(np.array([x])))[0])
             * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
             -12, 12)

@@ -92,7 +92,7 @@ def _check_marginals(nu: np.ndarray, mu: np.ndarray,
                      shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     nu = np.asarray(nu, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if np.any(nu < -1e-15) or np.any(mu < -1e-15):
+    if (nu < -1e-15).any() or (mu < -1e-15).any():
         raise InfeasibleMarginals("marginals must be nonnegative")
     if abs(nu.sum() - mu.sum()) > MARGINAL_TOL:
         raise InfeasibleMarginals(

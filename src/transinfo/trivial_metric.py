@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chains import ReversibleChain, build_chain
 from .errors import DegenerateMeasure, EstimatorOverflow, NoExactSplit
@@ -255,6 +254,8 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
 
 def exact_growth_finite_t(p: float, lam: float, t: float) -> float:
     """(1/t) log E_mu exp(lambda int u) via the 2x2 matrix exponential."""
+    from scipy.linalg import expm
+
     u = extremal_potential(p)
     weights = np.array([p, 1.0 - p])
     A = np.tile(weights, (2, 1)) - np.eye(2) + np.diag(lam * u)

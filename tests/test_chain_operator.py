@@ -13,6 +13,7 @@ the pairwise Lipschitz maximum.  Chains are drawn with mu down to 1e-8
 
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -575,6 +576,41 @@ class TestDirectLapack:
         assert broken.band is not None
         with pytest.raises(ValueError):
             spectral_gap(broken)
+
+
+class TestLapackBinding:
+    def test_first_band_solves_race_on_many_threads(self, monkeypatch):
+        """Threads that all make the first band solve at once all get its result."""
+        chain = random_birth_death_chain(8, np.random.default_rng(3))
+        w_ref, V_ref = _lowest_eigenpairs(chain, count=2, vectors=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                monkeypatch.setattr(chains, "dstebz", None)
+                monkeypatch.setattr(chains, "dstein", None)
+                start = threading.Barrier(8)
+                results = []
+
+                def solve():
+                    start.wait()
+                    try:
+                        results.append(_lowest_eigenpairs(chain, count=2, vectors=True))
+                    except Exception as exc:
+                        results.append(exc)
+
+                workers = [threading.Thread(target=solve) for _ in range(8)]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert len(results) == 8
+                for got in results:
+                    assert not isinstance(got, Exception), got
+                    assert np.array_equal(got[0], w_ref) and np.array_equal(got[1], V_ref)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLineLipschitz:

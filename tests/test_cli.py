@@ -109,6 +109,51 @@ class TestCliProcess:
         assert "DetailedBalanceViolated" in json.dumps(summary)
 
 
+class TestStartup:
+    """Fresh interpreters, since this process has scipy loaded already."""
+
+    SCIPY_MODULES = ("import sys\n"
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+
+    def python(self, code):
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return res.stdout
+
+    def test_import_loads_no_scipy(self):
+        out = self.python("import transinfo, transinfo.cli\n" + self.SCIPY_MODULES)
+        assert out == "[]\n"
+
+    def test_list_examples_loads_no_scipy(self):
+        out = self.python("import runpy, sys\n"
+                          "sys.argv = ['transinfo', 'list-examples']\n"
+                          "try:\n"
+                          "    runpy.run_module('transinfo.cli', run_name='__main__')\n"
+                          "except SystemExit as exc:\n"
+                          "    assert exc.code == 0, exc.code\n"
+                          + self.SCIPY_MODULES)
+        assert "bernoulli" in out
+        assert out.endswith("\n[]\n")
+
+    def test_first_band_solves_under_two_jobs(self, tmp_path):
+        """Two birth-death experiments reach the first band solve on two threads."""
+        spec = {"experiments": [
+            {"kind": "lyapunov", "name": "mminf", "params": {"model": "mminf", "samples": 20}},
+            {"kind": "diffusion", "name": "ou", "params": {"model": "ou", "nodes": 80}},
+        ]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            res = run_cli(["run", str(spec_file), "--out", str(out), "--jobs", jobs])
+            assert res.returncode == 0, res.stderr
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 4
+        assert trees[0] == trees[1]
+
+
 class TestRunSpecInProcess:
     def test_best_constant_includes_poincare(self, tmp_path):
         spec_file = tmp_path / "spec.json"

@@ -20,7 +20,7 @@ from transinfo.lyapunov import (
     verify_thm51,
 )
 
-from conftest import random_reversible_chain, random_density
+from conftest import dense_build_chain, random_reversible_chain, random_density
 
 
 class TestDriftRatio:
@@ -248,6 +248,17 @@ class TestMminfGenerator:
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
             mminf_generator(5.0, 10)
+
+    @pytest.mark.parametrize("lam, n_max", [(1.0, 40), (0.3, 12), (7.5, 60)])
+    def test_equal_to_the_dense_construction(self, lam, n_max):
+        chain, mu = mminf_generator(lam, n_max)
+        rates = np.diag(np.full(n_max, lam), 1) + np.diag(np.arange(1.0, n_max + 1), -1)
+        ref = dense_build_chain(rates, mu=mu, states=[str(k) for k in range(n_max + 1)])
+        assert chain.states == ref.states
+        for got, want in zip([*chain.rates, chain.mu, chain.exit_rates, *chain.edges, *chain.band],
+                             [*ref.rates, ref.mu, ref.exit_rates, *ref.edges, *ref.band]):
+            assert np.array_equal(got, want)
+        assert "Q" not in chain.__dict__
 
     def test_detailed_balance_exact(self):
         chain, _ = mminf_generator(1.0, 40)
