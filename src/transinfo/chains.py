@@ -472,20 +472,37 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
     columns) when ``vectors`` is set.  The top eigenvalue of L^sigma +
     diag(u) in L^2(mu) is minus the lowest one here.  Birth-death chains
     are solved on their cached band by tridiagonal bisection for the
-    requested indices only; every other chain by a dense eigh.
+    requested indices only; every other chain by a dense eigh.  A 2-D
+    ``u``, one potential per row, gives each row's eigenvalues as its 1-D
+    solve does: on a band after one finiteness check of all rows, else by
+    eigvalsh on stacks of A - diag(row) of at most 2^20 entries.
     """
+    if u is not None:
+        u = np.asarray(u, dtype=float)
+        if not (u.ndim == 2 and u.shape[1] == chain.n and not vectors):
+            u = _state_vector(chain, u)
     band = chain.band
     if band is not None:
         diag, off = band
         if u is not None:
-            diag = diag - _state_vector(chain, u)
+            diag = diag - u
         # LAPACK's bisection need not terminate on NaN, so check first
         if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise ValueError("array must not contain infs or NaNs")
+        if diag.ndim == 2:
+            return np.array([_band_eigenpairs(row, off, count, False) for row in diag])
         return _band_eigenpairs(diag, off, count, vectors)
     A = chain.conjugated_neg_generator
+    if u is not None and u.ndim == 2:
+        rows, k = max(1, 2 ** 20 // A.size), np.arange(chain.n)
+        out = []
+        for part in np.split(u, range(rows, len(u), rows)):
+            stack = np.repeat(A[None], len(part), axis=0)
+            stack[:, k, k] -= part
+            out.append(np.linalg.eigvalsh(stack)[:, :count])
+        return np.concatenate(out)
     if u is not None:
-        A = A - np.diag(_state_vector(chain, u))
+        A = A - np.diag(u)
     if vectors:
         w, V = np.linalg.eigh(A)
         return w[:count], V[:, :count]
@@ -538,11 +555,14 @@ def _check_lapack_info(info: int, routine: str) -> None:
 
 
 def _apply_neg_generator(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
-    """-L^sigma g = -Q_xx g_x - (1/mu_x) sum_y w_xy g_y, summed over edges."""
+    """-L^sigma g = -Q_xx g_x - (1/mu_x) sum_y w_xy g_y over edges, along g's last axis.
+
+    Each row has its own block of bincount bins, so it equals the 1-D result."""
     i, j, w = chain.edges
-    flux = (np.bincount(i, weights=w * g[j], minlength=chain.n)
-            + np.bincount(j, weights=w * g[i], minlength=chain.n))
-    return chain.exit_rates * g - flux / chain.mu
+    bins = np.arange(0, g.size, chain.n)[:, None]
+    flux = (np.bincount((bins + i).ravel(), weights=(w * g[..., j]).ravel(), minlength=g.size)
+            + np.bincount((bins + j).ravel(), weights=(w * g[..., i]).ravel(), minlength=g.size))
+    return chain.exit_rates * g - flux.reshape(g.shape) / chain.mu
 
 
 def poisson_solve(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:

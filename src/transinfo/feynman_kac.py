@@ -12,7 +12,9 @@ which we cross-check against the matrix exponential.
 Lambda(lambda u) is also the convex conjugate of the information rate
 nu -> I(nu | mu) along the observable u; ``legendre_of_info`` recomputes
 that supremum by concave ascent over densities, deliberately independent
-of the eigensolver.
+of the eigensolver.  Independent small problems are solved as one array
+problem: the ascent runs its multistarts in lockstep as rows, and a
+lambda search scores its whole grid with one stacked eigensolve.
 
 Best constants: mu satisfies W_1 I(c) when W_1(nu, mu)^2 <= 4 c^2
 I(nu | mu) for all nu, equivalently Lambda(lambda u) <= lambda mu(u) +
@@ -47,6 +49,7 @@ from .chains import (
     ReversibleChain,
     _apply_neg_generator,
     _lowest_eigenpairs,
+    _state_vector,
     dirichlet_energy,
     lipschitz_norm,
     relative_entropy,
@@ -142,41 +145,49 @@ def legendre_of_info(chain: ReversibleChain, u: np.ndarray, lam: float,
     gradient degenerates.  Agreement with lambda_max(lam * u) measures
     pure optimizer quality.
     """
-    u = np.asarray(u, dtype=float)
+    return float(np.max(_legendre_values(chain, u, lam, multistarts, iters, seed)))
+
+
+def _legendre_values(chain, u, lam, multistarts, iters, seed):
+    """Each multistart's ascent value; the starts run in lockstep as rows.
+
+    Row 0 starts at f = 1, the others at Dirichlet draws.  Each row keeps
+    its own step and accept rule, and leaves once its step is below 1e-12.
+    """
+    u = _state_vector(chain, u)
+    if multistarts < 1:
+        raise ValueError("multistarts must be at least 1")
     rng = np.random.default_rng(seed)
-    best = -math.inf
-    n = chain.n
-    for start in range(multistarts):
-        if start == 0:
-            f = np.ones(n)
-        else:
-            f = rng.dirichlet(np.ones(n)) / chain.mu
-            f /= float(np.dot(chain.mu, f))
-        best = max(best, _legendre_ascent(chain, u, lam, f, iters))
-    return best
+    f = np.ones((multistarts, chain.n))
+    f[1:] = rng.dirichlet(np.ones(chain.n), size=multistarts - 1) / chain.mu
+    f[1:] /= (f[1:] @ chain.mu)[:, None]
+    floor = 1e-13
+    step = np.full(multistarts, 0.5)
+    val = _legendre_objective(chain, u, lam, f)
+    out, live = val.copy(), np.arange(multistarts)
+    for _ in range(iters):
+        sq = np.sqrt(np.maximum(f, floor))
+        grad = lam * u - _apply_neg_generator(chain, sq) / sq
+        cand = project_density(chain.mu, f + step[:, None] * grad, floor)
+        cand_val = _legendre_objective(chain, u, lam, cand)
+        up = cand_val > val + 1e-15
+        f[up], val[up] = cand[up], cand_val[up]
+        step = np.where(up, np.minimum(step * 1.3, 1e3), step * 0.4)
+        out[live] = val
+        keep = step >= 1e-12
+        if not keep.all():
+            f, val, step, live = f[keep], val[keep], step[keep], live[keep]
+            if not len(live):
+                break
+    return out
 
 
 def _legendre_objective(chain, u, lam, f):
-    return lam * float(np.dot(chain.mu, u * f)) - fisher_information_raw(chain, f)
-
-
-def _legendre_ascent(chain, u, lam, f, iters):
-    floor = 1e-13
-    step = 0.5
-    val = _legendre_objective(chain, u, lam, f)
-    for _ in range(iters):
-        sq = np.sqrt(np.clip(f, floor, None))
-        grad = lam * u - _apply_neg_generator(chain, sq) / sq
-        cand = project_density(chain.mu, f + step * grad, floor)
-        cand_val = _legendre_objective(chain, u, lam, cand)
-        if cand_val > val + 1e-15:
-            f, val = cand, cand_val
-            step = min(step * 1.3, 1e3)
-        else:
-            step *= 0.4
-            if step < 1e-12:
-                break
-    return val
+    """lambda <u, f mu> - I(f mu | mu) for each row f."""
+    i, j, w = chain.edges
+    sq = np.sqrt(np.maximum(f, 0.0))
+    diff = sq[:, j] - sq[:, i]
+    return lam * ((u * f) @ chain.mu) - (diff * diff) @ w
 
 
 def project_density(mu, y, floor=0.0):
@@ -185,20 +196,22 @@ def project_density(mu, y, floor=0.0):
     The projection is f = max(y - theta, floor) with theta fixed by the
     mass constraint; sorting y makes the active set a prefix, so theta is
     exact from cumulative sums (a bisection on theta over the bracket
-    1/min mu loses all precision once mu reaches 1e-30).
+    1/min mu loses all precision once mu reaches 1e-30).  Projects along
+    the last axis of y, each row as if alone.
     """
     mu = np.asarray(mu, dtype=float)
     y = np.asarray(y, dtype=float)
-    order = np.argsort(-y, kind="stable")
-    ys, ms = y[order], mu[order]
-    mass = np.cumsum(ms)
+    start = np.arange(0, y.size, y.shape[-1]).reshape(y.shape[:-1] + (1,))  # rows in y.ravel()
+    order = np.argsort(-y, axis=-1, kind="stable")
+    ys, ms = y.ravel()[start + order], mu[order]
+    mass = np.cumsum(ms, axis=-1)
     # theta_k makes the k+1 largest entries active: sum_{i<=k} m_i (y_i - theta) +
     # floor * (rest of the mass) = 1; the true active set is the longest
     # prefix whose last entry still clears the floor
-    excess = 1.0 - floor * (mass[-1] - mass)
-    theta = (np.cumsum(ms * ys) - excess) / mass
-    k = int(np.count_nonzero(ys - theta > floor)) - 1
-    return np.maximum(y - theta[max(k, 0)], floor)
+    excess = 1.0 - floor * (mass[..., -1:] - mass)
+    theta = (np.cumsum(ms * ys, axis=-1) - excess) / mass
+    k = (ys - theta > floor).sum(axis=-1, keepdims=True) - 1
+    return np.maximum(y - theta.ravel()[start + np.maximum(k, 0)], floor)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +281,12 @@ def _dual_ratio(chain, u, lam):
     return (lambda_max(chain, lam * u) - lam * chain.expectation(u)) / (lam * lam)
 
 
+def _dual_ratios(chain, u, lams):
+    """``_dual_ratio`` at each of lams, from one stacked eigensolve."""
+    top = -_lowest_eigenpairs(chain, lams[:, None] * u)[:, 0]
+    return (top - lams * chain.expectation(u)) / (lams * lams)
+
+
 def _best_lambda(chain, u, extra=(), coarse=False):
     """max over lambda > 0 of (Lambda(lambda u) - lambda mu(u)) / lambda^2.
 
@@ -278,7 +297,7 @@ def _best_lambda(chain, u, extra=(), coarse=False):
     base = np.logspace(-10, 6, 17, base=2.0) if coarse else _lambda_grid()
     extra = np.asarray(list(extra), dtype=float)
     grid = np.concatenate([base, extra[extra >= base[0]]])
-    vals = np.array([_dual_ratio(chain, u, lam) for lam in grid])
+    vals = _dual_ratios(chain, u, grid)
     k = int(np.argmax(vals))
     lam = grid[k]
     lam_best, best = _golden_max(lambda x: _dual_ratio(chain, u, x), lam / 2.0, lam * 2.0,
@@ -349,11 +368,12 @@ def _primal_ascent(chain, d, f0, squared, iters=140, min_perturbation=0.0):
     if math.isinf(val):
         return val, f
     step = 0.25
+    root_inv_mu = np.sqrt(1.0 / chain.mu)
     for _ in range(iters):
         # a rejected step leaves f, and with it the gradient, unchanged
         if grad is None:
             break
-        norm = float(np.linalg.norm(grad * np.sqrt(1.0 / chain.mu)))
+        norm = float(np.linalg.norm(grad * root_inv_mu))
         if norm < 1e-14:
             break
         cand = project_density(chain.mu, f + step * grad / (chain.mu * norm), 1e-13)

@@ -4,13 +4,19 @@ from hypothesis import settings
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from transinfo.chains import ReversibleChain, build_chain, solve_invariant_measure
+from transinfo.chains import (
+    ReversibleChain,
+    _apply_neg_generator,
+    build_chain,
+    solve_invariant_measure,
+)
 from transinfo.errors import (
     DegenerateMeasure,
     DetailedBalanceViolated,
     ModelValidation,
     NotIrreducible,
 )
+from transinfo.feynman_kac import fisher_information_raw, project_density
 
 # Property tests draw the same examples on every run (derandomized runs keep
 # no example database) and never fail a slow example on a loaded host.
@@ -135,3 +141,48 @@ def rng():
 
 def bernoulli_chain(p: float) -> ReversibleChain:
     return build_chain(np.array([[0.0, 1.0 / (1.0 - p)], [1.0 / p, 0.0]]))
+
+
+def sequential_legendre(chain: ReversibleChain, u: np.ndarray, lam: float,
+                        multistarts: int = 32, iters: int = 400, seed: int = 5):
+    """Each start's value of ``legendre_of_info``'s ascent, run one start at a time.
+
+    The reference for the lockstep rows: the same starting densities from
+    the same Dirichlet draws, each ascended alone on 1-D arrays.  Returns
+    (values, stopped): ``stopped`` marks the starts whose step fell below
+    1e-12 before the iteration cap.
+    """
+    rng = np.random.default_rng(seed)
+    runs = []
+    for start in range(multistarts):
+        if start == 0:
+            f = np.ones(chain.n)
+        else:
+            f = rng.dirichlet(np.ones(chain.n)) / chain.mu
+            f /= float(np.dot(chain.mu, f))
+        runs.append(_legendre_ascent(chain, u, lam, f, iters))
+    values, stopped = zip(*runs)
+    return np.array(values), np.array(stopped)
+
+
+def _legendre_ascent(chain, u, lam, f, iters):
+    floor = 1e-13
+    step = 0.5
+    val = _legendre_objective(chain, u, lam, f)
+    for _ in range(iters):
+        sq = np.sqrt(np.clip(f, floor, None))
+        grad = lam * u - _apply_neg_generator(chain, sq) / sq
+        cand = project_density(chain.mu, f + step * grad, floor)
+        cand_val = _legendre_objective(chain, u, lam, cand)
+        if cand_val > val + 1e-15:
+            f, val = cand, cand_val
+            step = min(step * 1.3, 1e3)
+        else:
+            step *= 0.4
+            if step < 1e-12:
+                return val, True
+    return val, False
+
+
+def _legendre_objective(chain, u, lam, f):
+    return lam * float(np.dot(chain.mu, u * f)) - fisher_information_raw(chain, f)

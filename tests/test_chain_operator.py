@@ -199,6 +199,14 @@ class TestCachedOperator:
         assert float(np.max(np.abs(_apply_neg_generator(chain, g) - dense))) <= tol
 
 
+    @given(st.one_of(birth_death_chains(), dense_chains()), st.integers(1, 20),
+           st.integers(0, 2 ** 32 - 1))
+    def test_edge_product_rows_equal_one_row_at_a_time(self, chain, rows, seed):
+        G = np.random.default_rng(seed).standard_normal((rows, chain.n))
+        assert np.array_equal(_apply_neg_generator(chain, G),
+                              np.array([_apply_neg_generator(chain, g) for g in G]))
+
+
 class TestConjugatedPoissonSolve:
     def _check(self, chain, g):
         g = g - chain.expectation(g)
@@ -576,6 +584,53 @@ class TestDirectLapack:
         assert broken.band is not None
         with pytest.raises(ValueError):
             spectral_gap(broken)
+
+
+class TestStackedEigensolve:
+    """A 2-D u, one potential per row, gives each row's 1-D result bit for bit."""
+
+    @staticmethod
+    def _per_row(chain, U, count):
+        return np.array([_lowest_eigenpairs(chain, u, count=count) for u in U])
+
+    @given(dense_chains(), st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 3))
+    def test_dense_equal_to_per_row_solves(self, chain, seed, rows, count):
+        count = min(count, chain.n)
+        U = np.random.default_rng(seed).uniform(-5.0, 5.0, (rows, chain.n))
+        assert np.array_equal(_lowest_eigenpairs(chain, U, count=count),
+                              self._per_row(chain, U, count))
+
+    def test_dense_stacks_of_at_most_2_20_entries(self):
+        # 150 states: 46 matrices per stack, so 60 rows take two stacks
+        chain = random_reversible_chain(150, np.random.default_rng(150))
+        U = np.random.default_rng(1).uniform(-3.0, 3.0, (60, 150))
+        assert np.array_equal(_lowest_eigenpairs(chain, U), self._per_row(chain, U, 1))
+
+    @pytest.mark.parametrize("n", [60, 400])
+    def test_band_equal_to_per_row_solves(self, n):
+        chain = discretize(ou_spec(), Grid1D.uniform(-6.0, 6.0, n))
+        U = np.random.default_rng(n).uniform(-3.0, 3.0, (49, n))
+        assert np.array_equal(_lowest_eigenpairs(chain, U, count=2), self._per_row(chain, U, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_before_lapack(self, monkeypatch, bad):
+        # the check covers every row before the first row reaches dstebz
+        def unreachable(*args):
+            raise AssertionError("LAPACK saw a stack with a non-finite row")
+
+        monkeypatch.setattr(chains, "dstebz", unreachable)
+        chain = random_birth_death_chain(6, np.random.default_rng(1))
+        U = np.zeros((5, 6))
+        U[3, 2] = bad
+        with pytest.raises(ValueError):
+            _lowest_eigenpairs(chain, U)
+
+    def test_wrong_shape_rejected(self, rng):
+        for ch in (random_reversible_chain(4, rng), random_birth_death_chain(4, rng)):
+            with pytest.raises(ValueError):
+                _lowest_eigenpairs(ch, np.ones((3, 5)))
+            with pytest.raises(ValueError):
+                _lowest_eigenpairs(ch, np.ones((3, 4)), vectors=True)
 
 
 class TestLapackBinding:

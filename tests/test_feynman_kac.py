@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transinfo import feynman_kac, transport
@@ -19,6 +19,7 @@ from transinfo.errors import HorizonOverflow, PhiConstraintViolated
 from transinfo.feynman_kac import (
     PhiPair,
     _best_lambda,
+    _legendre_values,
     best_w1i,
     best_w2i,
     fk_norm,
@@ -33,7 +34,17 @@ from transinfo.feynman_kac import (
 from transinfo.transport import RateFunction
 from transinfo.trivial_metric import build_jump_chain, extremal_potential, jump_spectrum
 
-from conftest import bernoulli_chain, random_reversible_chain, random_density
+from conftest import (
+    bernoulli_chain,
+    random_birth_death_chain,
+    random_density,
+    random_reversible_chain,
+    sequential_legendre,
+)
+
+# The Legendre property test draws mu from weights in 10^[-3, 0], so its
+# entries reach down to about 2e-4 on six states.
+LEGENDRE_MU_FLOOR = 1e-3
 
 
 def planar_chain():
@@ -134,6 +145,60 @@ class TestLegendreOracle:
             for lam in (0.5, 1.0, 2.0):
                 assert legendre_of_info(ch, u, lam, multistarts=12) == pytest.approx(
                     lambda_max(ch, lam * u), abs=1e-5)
+
+    @settings(max_examples=25)
+    @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 3.0), st.data())
+    def test_lockstep_matches_lambda_max_and_sequential_ascent(self, n, seed, lam, data):
+        """The lockstep rows against the one-start-at-a-time loop, and Lambda.
+
+        The two differ in the rounding of their row sums.  A start that
+        ran into the iteration cap was still climbing, and one rounding can
+        flip an accept there and move where it stops (by 4.9e-9 in the
+        last of 16 starts on n = 6, seed 0, lambda = 0, weights
+        10^(0, 0, 0, -2, 0, 0)), so such starts count through the maximum
+        only.  On stiff chains the loop itself can stop short of Lambda (by
+        3.7e-3 on n = 3, seed 0, lambda = 1, weights (1, 1, 1e-3)); there
+        the lockstep must reach the loop's value, not Lambda.
+        """
+        weights = 10.0 ** np.array(data.draw(st.lists(
+            st.floats(math.log10(LEGENDRE_MU_FLOOR), 0.0), min_size=n, max_size=n)))
+        rng = np.random.default_rng(seed)
+        ch = random_reversible_chain(n, rng, mu=weights / weights.sum())
+        u = rng.standard_normal(n)
+        rows = _legendre_values(ch, u, lam, 8, 400, 5)
+        seq, stopped = sequential_legendre(ch, u, lam, multistarts=8)
+        assert np.all(np.abs(rows - seq)[stopped] < 1e-12)
+        assert abs(np.max(rows) - np.max(seq)) < 1e-12
+        # criterion 4's tolerance against the eigensolver, wherever the loop meets it
+        top = lambda_max(ch, lam * u)
+        if abs(np.max(seq) - top) <= 1e-5:
+            assert legendre_of_info(ch, u, lam, multistarts=8) == pytest.approx(top, abs=1e-5)
+
+    def test_stopped_starts_leave_the_arrays(self, monkeypatch, rng):
+        # every start on this chain stops on its step rule before the cap, so
+        # the lockstep projects fewer rows as starts stop and ends early
+        ch = random_reversible_chain(4, rng)
+        u = rng.standard_normal(4)
+        assert np.all(sequential_legendre(ch, u, 1.0, multistarts=16)[1])
+        sizes = []
+        project = feynman_kac.project_density
+        monkeypatch.setattr(feynman_kac, "project_density",
+                            lambda mu, y, floor: sizes.append(len(y)) or project(mu, y, floor))
+        _legendre_values(ch, u, 1.0, 16, 400, 5)
+        assert sizes[0] == 16 and sizes[-1] < 16 and np.all(np.diff(sizes) <= 0)
+        assert len(sizes) < 400
+
+    def test_multistarts_below_one_rejected(self, rng):
+        ch = random_reversible_chain(4, rng)
+        for count in (0, -3):
+            with pytest.raises(ValueError):
+                legendre_of_info(ch, np.ones(4), 1.0, multistarts=count)
+
+    def test_wrong_length_u_rejected(self, rng):
+        ch = random_reversible_chain(4, rng)
+        for u in (np.ones(5), np.ones(3), np.ones((2, 4))):
+            with pytest.raises(ValueError):
+                legendre_of_info(ch, u, 1.0)
 
 
 class TestVerifyTphiDual:
@@ -244,6 +309,25 @@ class TestBestW1I:
         assert counts["ratio"] > 100
         assert counts["solve"] == counts["ratio"] + 1
 
+    def test_one_stacked_solve_per_grid(self, monkeypatch):
+        # the grid, extras at or above 2^-10 included, is one stacked eigensolve;
+        # only the golden search solves one potential at a time
+        stacks = []
+        lowest = feynman_kac._lowest_eigenpairs
+
+        def counted(chain, u=None, **kwargs):
+            if np.ndim(u) == 2:
+                stacks.append(len(u))
+            return lowest(chain, u, **kwargs)
+
+        monkeypatch.setattr(feynman_kac, "_lowest_eigenpairs", counted)
+        u = np.array([0.0, 1.0, -0.5, 2.0])
+        for ch in (planar_chain()[0], random_birth_death_chain(4, np.random.default_rng(4))):
+            for coarse, size in ((False, 49), (True, 17)):
+                stacks.clear()
+                _best_lambda(ch, u, extra=(1e-6, 0.37), coarse=coarse)
+                assert stacks == [size + 1]
+
     def test_roundoff_lambda_not_scored(self, monkeypatch):
         # on the 41-state service queue (mu down to 4.5e-49) the primal
         # witness offered lambda = 2I/W = 3.4e-16, whose ratio is roundoff
@@ -255,9 +339,9 @@ class TestBestW1I:
         assert ratio < 1.0
         # an extra lambda at or above the grid's floor 2^-10 is still scored
         scored = []
-        dual_ratio = feynman_kac._dual_ratio
-        monkeypatch.setattr(feynman_kac, "_dual_ratio",
-                            lambda ch, v, x: scored.append(x) or dual_ratio(ch, v, x))
+        dual_ratios = feynman_kac._dual_ratios
+        monkeypatch.setattr(feynman_kac, "_dual_ratios",
+                            lambda ch, v, xs: scored.extend(xs) or dual_ratios(ch, v, xs))
         _best_lambda(chain, u, extra=[3.4e-16, 2.0 ** -10, 0.3])
         assert 0.3 in scored and scored.count(2.0 ** -10) == 2 and 3.4e-16 not in scored
 
@@ -439,6 +523,15 @@ class TestProjectDensity:
         y = 2.0 * rng.standard_normal(n)
         np.testing.assert_allclose(project_density(mu, y, floor),
                                    _bisection_projection(mu, y, floor), atol=1e-10)
+
+    @given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 1e-13]))
+    def test_rows_equal_one_row_at_a_time(self, n, rows, seed, floor):
+        rng = np.random.default_rng(seed)
+        mu = rng.dirichlet(np.ones(n))
+        Y = 3.0 * rng.standard_normal((rows, n))
+        assert np.array_equal(project_density(mu, Y, floor),
+                              np.array([project_density(mu, y, floor) for y in Y]))
 
     def test_feasible_point_is_fixed(self, rng):
         ch = random_reversible_chain(5, rng)
