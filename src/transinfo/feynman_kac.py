@@ -13,8 +13,9 @@ Lambda(lambda u) is also the convex conjugate of the information rate
 nu -> I(nu | mu) along the observable u; ``legendre_of_info`` recomputes
 that supremum by concave ascent over densities, deliberately independent
 of the eigensolver.  Independent small problems are solved as one array
-problem: the ascent runs its multistarts in lockstep as rows, and a
-lambda search scores its whole grid with one stacked eigensolve.
+problem: the ascent runs its multistarts in lockstep as rows; a lambda
+search scores its grid with one stacked eigensolve, and a dual round runs
+its candidates' searches in lockstep, one stacked solve per golden step.
 
 Best constants: mu satisfies W_1 I(c) when W_1(nu, mu)^2 <= 4 c^2
 I(nu | mu) for all nu, equivalently Lambda(lambda u) <= lambda mu(u) +
@@ -282,9 +283,16 @@ def _dual_ratio(chain, u, lam):
 
 
 def _dual_ratios(chain, u, lams):
-    """``_dual_ratio`` at each of lams, from one stacked eigensolve."""
-    top = -_lowest_eigenpairs(chain, lams[:, None] * u)[:, 0]
-    return (top - lams * chain.expectation(u)) / (lams * lams)
+    """``_dual_ratio`` at each of lams, from one stacked eigensolve.  Row r of
+    a 2-D u goes with row r of lams; its mean is taken from the potential as
+    given, since a strided dot product rounds differently from a copy's."""
+    if np.ndim(u) == 1:
+        pots, mean = lams[:, None] * u, chain.expectation(u)
+    else:
+        pots = lams[..., None] * np.array(u, dtype=float)[:, None, :]
+        mean = np.array([[chain.expectation(row)] for row in u])
+    top = -_lowest_eigenpairs(chain, pots.reshape(-1, chain.n))[:, 0].reshape(pots.shape[:-1])
+    return (top - lams * mean) / (lams * lams)
 
 
 def _best_lambda(chain, u, extra=(), coarse=False):
@@ -292,17 +300,22 @@ def _best_lambda(chain, u, extra=(), coarse=False):
 
     An extra lambda below the grid's floor 2^-10 is not scored: there the
     ratio divides the roundoff of Lambda by lambda^2 (at lambda = 1e-16
-    it read 4e16 on a 41-state chain).
+    it read 4e16 on a 41-state chain).  A 2-D u, one potential per row, gives
+    arrays of (ratio, lambda) equal to the 1-D results bit for bit, from one
+    stacked solve for all grids and one per lockstep golden step.
     """
     base = np.logspace(-10, 6, 17, base=2.0) if coarse else _lambda_grid()
     extra = np.asarray(list(extra), dtype=float)
     grid = np.concatenate([base, extra[extra >= base[0]]])
     vals = _dual_ratios(chain, u, grid)
-    k = int(np.argmax(vals))
-    lam = grid[k]
-    lam_best, best = _golden_max(lambda x: _dual_ratio(chain, u, x), lam / 2.0, lam * 2.0,
-                                 iters=12 if coarse else 40)
-    return float(max(vals[k], best)), float(lam_best)
+    k = np.argmax(vals, axis=-1)
+    peak, lam = np.take_along_axis(vals, k[..., None], -1)[..., 0], grid[k]
+    one = np.ndim(u) == 1
+    fn = ((lambda x: _dual_ratio(chain, u, x)) if one
+          else (lambda x: _dual_ratios(chain, u, x[:, None])[:, 0]))
+    lam_best, best = _golden_max(fn, lam / 2.0, lam * 2.0, iters=12 if coarse else 40)
+    ratio = np.where(best > peak, best, peak)
+    return (float(ratio), float(lam_best)) if one else (ratio, lam_best)
 
 
 def _mcshane(d: MetricMatrix, g: np.ndarray) -> np.ndarray:
@@ -315,7 +328,7 @@ def _lipschitz_candidates(d: MetricMatrix, n_random: int, rng) -> list[np.ndarra
     base_points = range(n) if n <= 8 else rng.choice(n, size=8, replace=False)
     cands = [d.d[:, x0] for x0 in base_points]
     cands += [-d.d[:, x0] for x0 in base_points]
-    scale = float(np.max(d.d))
+    scale = d.diameter
     for _ in range(n_random):
         cands.append(_mcshane(d, rng.uniform(-scale, scale, size=n)))
     return cands
@@ -460,12 +473,11 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
         feasible = [u for u in cands if lipschitz_norm(d, u) <= 1.0 + 1e-9]
         if chain.n > 50:
             # prune with a coarse scan; refine only the leaders
-            scores = [(_best_lambda(chain, u, extra=extra_lams, coarse=True)[0], k)
-                      for k, u in enumerate(feasible)]
-            scores.sort(reverse=True)
+            coarse = _best_lambda(chain, feasible, extra=extra_lams, coarse=True)[0]
+            scores = sorted(zip(coarse.tolist(), range(len(feasible))), reverse=True)
             feasible = [feasible[k] for _, k in scores[:4]]
-        for u in feasible:
-            ratio, lam_star = _best_lambda(chain, u, extra=extra_lams)
+        ratios, lams = _best_lambda(chain, feasible, extra=extra_lams)
+        for u, ratio, lam_star in zip(feasible, ratios.tolist(), lams.tolist()):
             if ratio > best_dual:
                 best_dual, best_u = ratio, np.asarray(u, dtype=float)
                 improved = True

@@ -2,11 +2,13 @@
 
 The optimal-transport solver is a transportation network simplex on a
 spanning tree of the bipartite transport graph; it ends on an exact
-optimal vertex together with the tree's dual potentials.  The instances
-here are small and the identities under test (duality, the half-TV
-formula for the trivial metric) are exact, so entropic regularization
-would only pollute the tolerance budgets.  Dual potentials are tightened
-by a c-transform so the returned (u, v) are exactly feasible.
+optimal vertex together with the tree's dual potentials.  The tree is
+held in Python lists, and a pivot re-derives only the re-hung subtree, by
+the same formula, so every potential keeps its bits.  The instances here
+are small and the identities under test (duality, the half-TV formula for
+the trivial metric) are exact, so entropic regularization would only
+pollute the tolerance budgets.  Dual potentials are tightened by a
+c-transform so the returned (u, v) are exactly feasible.
 
 Metric costs d^p (W_1, W_2 off the line, and the potentials of the
 best-constant searches) go through one entry, ``_metric_transport``: it
@@ -116,6 +118,11 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     keeps it (Cunningham 1976), so degenerate pivots cannot cycle.
     Entering arcs are priced by Dantzig's rule.
 
+    The tree is held in Python lists.  A pivot re-derives the potentials
+    and depths of the re-hung subtree only (ibid., section 11.3), top-down
+    by the same pot[x] = pot[parent] +- c; every other node keeps its path
+    to the root, so each potential keeps the bits of a full re-derivation.
+
     A zero-mass column has no strongly feasible place in a tree, so
     zero-mass rows and columns stay out of it; their potentials are the
     c-transforms of the tree's.  The last row and column absorb the
@@ -125,11 +132,11 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     if rows.size == 0 or cols.size == 0:
         u = np.zeros(c.shape[0])
         return np.zeros(c.shape), u, np.max(u[:, None] - c, axis=0)
-    cost = c[np.ix_(rows, cols)]
-    supply, demand = nu[rows], mu[cols]
+    full = (rows.size, cols.size) == c.shape
+    cost = c if full else c[np.ix_(rows, cols)]
+    supply, demand = nu[rows].tolist(), mu[cols].tolist()
     n, m = cost.shape
-    parent = np.zeros(n + m, dtype=int)
-    flow = np.zeros(n + m)
+    parent, flow = [0] * (n + m), [0.0] * (n + m)
     # northwest corner; a and b are the unshipped masses of row i and column j
     i = j = 0
     a, b = supply[0], demand[0]
@@ -152,23 +159,25 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
             j += 1
             x, parent[n + j], b = n + j, i, demand[j]
     tol = 1e-12 * max(1.0, float(cost.max()))
-    pot = np.zeros(n + m)
-    depth = np.zeros(n + m, dtype=int)
+    kids = [[] for _ in range(n + m)]
+    for x in range(1, n + m):
+        kids[parent[x]].append(x)
+    pot, depth = [0.0] * (n + m), [0] * (n + m)
+    stale = list(kids[0])                   # roots of the subtrees to re-derive
+    item = cost.item
     while True:
-        kids = [[] for _ in range(n + m)]
-        for x in range(1, n + m):
-            kids[parent[x]].append(x)
-        order = [0]
-        for x in order:
-            order.extend(kids[x])
-        for x in order[1:]:
+        for x in stale:                     # grows as it goes: top-down
             p = parent[x]
-            pot[x] = pot[p] + cost[x, p - n] if x < n else pot[p] - cost[p, x - n]
+            pot[x] = pot[p] + item(x, p - n) if x < n else pot[p] - item(p, x - n)
             depth[x] = depth[p] + 1
-        reduced = cost - pot[:n, None] + pot[None, n:]
-        k, l = divmod(int(np.argmin(reduced)), m)
-        if reduced[k, l] >= -tol:
+            stale.extend(kids[x])
+        pots = np.array(pot)
+        reduced = cost - pots[:n, None]
+        reduced += pots[None, n:]
+        enter = int(reduced.argmin())
+        if reduced.item(enter) >= -tol:
             break
+        k, l = divmod(enter, m)
         # pivot cycle: entering arc k -> n+l, then the tree paths up to the apex
         side_k, side_l = [], []
         x, y = k, n + l
@@ -193,22 +202,26 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
         # re-hang the cut-off subtree from the entering arc, reversing the
         # parent pointers on the path from its endpoint up to the leaving arc
         x, new_parent = (k, n + l) if leave in side_k else (n + l, k)
-        new_flow = theta
+        stale, new_flow = [x], theta
         while True:
             old_parent, old_flow = parent[x], flow[x]
+            kids[old_parent].remove(x)
+            kids[new_parent].append(x)
             parent[x], flow[x] = new_parent, new_flow
             if x == leave:
                 break
             x, new_parent, new_flow = old_parent, x, old_flow
     pi = np.zeros(c.shape)
     child = np.arange(1, n + m)
-    up = parent[1:]
+    up = np.array(parent[1:])
     is_row = child < n
     pi[rows[np.where(is_row, child, up)], cols[np.where(is_row, up, child) - n]] = flow[1:]
-    u = np.min(pot[None, n:] + c[:, cols], axis=1)
-    u[rows] = pot[:n]
+    if full:      # the c-transforms below would overwrite every entry
+        return pi, pots[:n], pots[n:]
+    u = np.min(pots[None, n:] + c[:, cols], axis=1)
+    u[rows] = pots[:n]
     v = np.max(u[:, None] - c, axis=0)
-    v[cols] = pot[n:]
+    v[cols] = pots[n:]
     return pi, u, v
 
 
@@ -462,29 +475,29 @@ def _power_slope(alpha: RateFunction, r: float) -> float:
     return kappa * p * r * (1.0 + r * r) ** (p / 2.0 - 1.0)
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int, tol: float = 0.0) -> tuple[float, float]:
+def _golden_max(fn, lo, hi, iters: int, tol: float = 0.0):
     """Golden-section search for the max of a unimodal fn on [lo, hi].
 
     Returns (midpoint of the final bracket, best value seen at its interior
-    points); stops early once the bracket is below tol relative.
+    points); stops early once the bracket is below tol relative.  Array lo, hi
+    run one search per row in lockstep for all iters steps, each row with the
+    scalar arithmetic and branch; fn then maps all rows' points in one call.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    rows = np.ndim(lo) > 0
+    pick = np.where if rows else (lambda keep, x, y: x if keep else y)
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
-        if b - a < tol * max(1.0, abs(a) + abs(b)):
+        if not rows and b - a < tol * max(1.0, abs(a) + abs(b)):
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b), max(fc, fd)
+        keep = fc >= fd                     # the max lies in [a, d], else in [c, b]
+        a, b, c, d = pick(keep, (a, d, d - invphi * (d - a), c), (c, b, d, c + invphi * (b - c)))
+        new = fn(pick(keep, c, d))
+        fc, fd = pick(keep, (new, fc), (fd, new))
+    return 0.5 * (a + b), pick(fd > fc, fd, fc)
 
 
 def alpha_infconv(alphas: list[RateFunction], r: float, multistarts: int = 16,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -186,3 +188,117 @@ def _legendre_ascent(chain, u, lam, f, iters):
 
 def _legendre_objective(chain, u, lam, f):
     return lam * float(np.dot(chain.mu, u * f)) - fisher_information_raw(chain, f)
+
+
+def rebuilding_network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
+    """``transport._network_simplex`` as it rebuilt the whole tree on every pivot.
+
+    The reference for the incremental pivot: the child lists, the order, every
+    potential and every depth are re-derived from the parent pointers after
+    each pivot, on numpy arrays.  It must give the same vertex and the same
+    potentials, bit for bit.
+
+    Transportation network simplex (Ahuja, Magnanti & Orlin, *Network
+    Flows*, ch. 11) on a spanning tree of the bipartite graph: nodes
+    0..n-1 are the rows, n..n+m-1 the columns, row 0 is the root, and
+    ``parent[x]``/``flow[x]`` describe the tree arc joining x to its parent.
+    The tree stays strongly feasible: every zero-flow arc points toward
+    the root.  The northwest-corner start has that property when a tie
+    advances the row; leaving by the last blocking arc met from the apex
+    keeps it (Cunningham 1976), so degenerate pivots cannot cycle.
+    Entering arcs are priced by Dantzig's rule.
+
+    A zero-mass column has no strongly feasible place in a tree, so
+    zero-mass rows and columns stay out of it; their potentials are the
+    c-transforms of the tree's.  The last row and column absorb the
+    roundoff-sized mass imbalance the marginal check lets through.
+    """
+    rows, cols = np.flatnonzero(nu > 0), np.flatnonzero(mu > 0)
+    if rows.size == 0 or cols.size == 0:
+        u = np.zeros(c.shape[0])
+        return np.zeros(c.shape), u, np.max(u[:, None] - c, axis=0)
+    cost = c[np.ix_(rows, cols)]
+    supply, demand = nu[rows], mu[cols]
+    n, m = cost.shape
+    parent = np.zeros(n + m, dtype=int)
+    flow = np.zeros(n + m)
+    # northwest corner; a and b are the unshipped masses of row i and column j
+    i = j = 0
+    a, b = supply[0], demand[0]
+    x = n                                   # column 0 hangs from row 0
+    while True:
+        if x < n and j == m - 1:            # the last row and column take the
+            f = a                           # roundoff-sized mass imbalance
+        elif x >= n and i == n - 1:
+            f = b
+        else:
+            f = min(a, b)
+        flow[x] = f
+        a, b = a - f, b - f
+        if i == n - 1 and j == m - 1:
+            break
+        if j == m - 1 or (i < n - 1 and a == 0.0):   # a tie advances the row
+            i += 1
+            x, parent[i], a = i, n + j, supply[i]
+        else:
+            j += 1
+            x, parent[n + j], b = n + j, i, demand[j]
+    tol = 1e-12 * max(1.0, float(cost.max()))
+    pot = np.zeros(n + m)
+    depth = np.zeros(n + m, dtype=int)
+    while True:
+        kids = [[] for _ in range(n + m)]
+        for x in range(1, n + m):
+            kids[parent[x]].append(x)
+        order = [0]
+        for x in order:
+            order.extend(kids[x])
+        for x in order[1:]:
+            p = parent[x]
+            pot[x] = pot[p] + cost[x, p - n] if x < n else pot[p] - cost[p, x - n]
+            depth[x] = depth[p] + 1
+        reduced = cost - pot[:n, None] + pot[None, n:]
+        k, l = divmod(int(np.argmin(reduced)), m)
+        if reduced[k, l] >= -tol:
+            break
+        # pivot cycle: entering arc k -> n+l, then the tree paths up to the apex
+        side_k, side_l = [], []
+        x, y = k, n + l
+        while x != y:
+            if depth[x] >= depth[y]:
+                side_k.append(x)
+                x = parent[x]
+            else:
+                side_l.append(y)
+                y = parent[y]
+        # flow falls on row arcs of the k side and column arcs of the l side;
+        # walked from the apex, the k side comes first
+        blocking = [x for x in reversed(side_k) if x < n] + [y for y in side_l if y >= n]
+        theta, leave = math.inf, -1
+        for x in blocking:
+            if flow[x] <= theta:
+                theta, leave = flow[x], x
+        for x in side_k:
+            flow[x] += theta if x >= n else -theta
+        for y in side_l:
+            flow[y] += theta if y < n else -theta
+        # re-hang the cut-off subtree from the entering arc, reversing the
+        # parent pointers on the path from its endpoint up to the leaving arc
+        x, new_parent = (k, n + l) if leave in side_k else (n + l, k)
+        new_flow = theta
+        while True:
+            old_parent, old_flow = parent[x], flow[x]
+            parent[x], flow[x] = new_parent, new_flow
+            if x == leave:
+                break
+            x, new_parent, new_flow = old_parent, x, old_flow
+    pi = np.zeros(c.shape)
+    child = np.arange(1, n + m)
+    up = parent[1:]
+    is_row = child < n
+    pi[rows[np.where(is_row, child, up)], cols[np.where(is_row, up, child) - n]] = flow[1:]
+    u = np.min(pot[None, n:] + c[:, cols], axis=1)
+    u[rows] = pot[:n]
+    v = np.max(u[:, None] - c, axis=0)
+    v[cols] = pot[n:]
+    return pi, u, v

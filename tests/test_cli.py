@@ -166,6 +166,22 @@ class TestRunSpecInProcess:
         assert report["c_P"] == pytest.approx(0.21, abs=1e-10)
         assert 4 * report["c_dual"] ** 2 == pytest.approx(0.21, abs=1e-4)
 
+    def test_mminf_w1i_constants_pinned(self, tmp_path):
+        # the 41-state service queue on the trivial metric, seed 13: about 1,600
+        # transport solves and 81,000 pivots.  The float hex was recorded from
+        # the simplex that rebuilt its whole tree on every pivot and from
+        # golden searches run one candidate at a time.
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(
+            {"kind": "best-constant", "name": "bc", "seed": 13,
+             "params": {"model": "mminf", "which": "w1i"}}))
+        assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 0
+        (entry,) = json.loads((tmp_path / "out" / "summary.json").read_text())["experiments"]
+        assert entry["passed"]
+        details = entry["details"]
+        assert (details["c_dual"].hex(), details["c_primal"].hex()) == \
+            ("0x1.c633caefa54ebp-2", "0x1.c633caefa54c6p-2")
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(

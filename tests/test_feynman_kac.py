@@ -372,6 +372,80 @@ class TestBestW1I:
         assert np.max(np.abs(rep.witness_density - 1.0)) > 1e-3
 
 
+class TestLockstepLambdaSearch:
+    """Rows of ``_best_lambda`` score all grids in one stacked solve and run
+    their golden searches in lockstep; each row equals its 1-D call bit for bit."""
+
+    # extras below, at and above the grid's floor 2^-10
+    EXTRAS = (3.4e-16, 2.0 ** -10, 0.37, 5.0)
+
+    def _chains(self):
+        rng = np.random.default_rng(12)
+        from transinfo.lyapunov import mminf_generator
+        return [random_reversible_chain(5, rng), planar_chain()[0],
+                random_birth_death_chain(6, rng), mminf_generator(1.0, 40)[0],
+                discretize(ou_spec(), Grid1D.uniform(-6.0, 6.0, 60))]
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_rows_equal_one_dimensional_calls(self, coarse):
+        rng = np.random.default_rng(7)
+        for ch in self._chains():
+            line = line_metric(np.cumsum(rng.uniform(0.1, 1.0, ch.n))).d
+            # strided metric columns too: a dot product over a strided vector
+            # can round differently from one over a contiguous copy
+            rows = [rng.standard_normal(ch.n), np.full(ch.n, 0.5), line[:, ch.n // 2],
+                    trivial_metric(ch.n).d[:, 0], -line[:, 0], np.linspace(0.0, 1.0, ch.n)]
+            for extra in ((), self.EXTRAS):
+                for given_rows in (rows, np.array(rows)):
+                    ratios, lams = _best_lambda(ch, given_rows, extra=extra, coarse=coarse)
+                    assert ratios.shape == lams.shape == (len(rows),)
+                    for u, ratio, lam in zip(given_rows, ratios.tolist(), lams.tolist()):
+                        ref = _best_lambda(ch, u, extra=extra, coarse=coarse)
+                        assert (ratio.hex(), lam.hex()) == (ref[0].hex(), ref[1].hex())
+        assert [ch.band is None for ch in self._chains()] == [True, True, False, False, False]
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        stacks = []
+        lowest = feynman_kac._lowest_eigenpairs
+
+        def counted(chain, u=None, **kwargs):
+            if np.ndim(u) == 2:
+                stacks.append(len(u))
+            return lowest(chain, u, **kwargs)
+
+        def one_lambda(*args):
+            raise AssertionError("a dual round solved one lambda at a time")
+
+        monkeypatch.setattr(feynman_kac, "_lowest_eigenpairs", counted)
+        monkeypatch.setattr(feynman_kac, "_dual_ratio", one_lambda)
+        return stacks
+
+    def test_one_stacked_solve_per_golden_step(self, monkeypatch):
+        # a dual round: one stack for all candidates' grids, then two for the
+        # golden search's first points and one per step (40), each of one row
+        # per candidate
+        stacks = self._count_solves(monkeypatch)
+        ch, d = planar_chain()
+        best_w1i(ch, d, rounds=1, primal_starts=1, seed=900)
+        rows = stacks[1]
+        assert rows > 4
+        assert stacks[0] in (49 * rows, 50 * rows)
+        assert stacks[1:] == [rows] * 42
+
+    def test_coarse_prune_is_one_lockstep_search(self, monkeypatch):
+        # n > 50: the coarse scan (17-point grid, 12 golden steps) scores every
+        # candidate in lockstep, then the four leaders get the full search
+        stacks = self._count_solves(monkeypatch)
+        grid = Grid1D.uniform(-6.0, 6.0, 60)
+        best_w1i(discretize(ou_spec(), grid), line_metric(grid.nodes), rounds=1,
+                 primal_starts=1)
+        rows = stacks[1]
+        assert rows > 4
+        assert stacks[0] in (17 * rows, 18 * rows) and stacks[1:15] == [rows] * 14
+        assert stacks[15] in (49 * 4, 50 * 4) and stacks[16:] == [4] * 42
+
+
 class TestBestW2I:
     def test_bernoulli_diverges_with_probe_slope(self):
         ch = bernoulli_chain(0.3)

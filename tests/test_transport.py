@@ -18,10 +18,13 @@ from transinfo.chains import (
 from transinfo.diffusion1d import Grid1D, discretize, ou_spec
 from transinfo.errors import InfeasibleMarginals, ProductTooLarge, UnsortedGrid
 from transinfo.feynman_kac import _best_lambda
+from transinfo.lyapunov import mminf_generator
 from transinfo.transport import (
     CostMatrix,
     RateFunction,
+    _golden_max,
     _metric_transport,
+    _network_simplex,
     alpha_conjugate,
     alpha_infconv,
     conditional_fisher_sum,
@@ -36,7 +39,7 @@ from transinfo.transport import (
     w2_quantile_1d,
 )
 
-from conftest import random_reversible_chain
+from conftest import random_reversible_chain, rebuilding_network_simplex
 
 
 def transport_vertices(nu, mu):
@@ -197,6 +200,70 @@ class TestSimplexAgainstLinprog:
         assert coup.marginal_residual() <= 1e-12
         assert np.all(u[:, None] - v[None, :] <= c + 1e-12)
         assert abs(val - dual) <= 1e-9
+
+
+def _tenths(draw, k):
+    # multiples of 1/10 whose float sums are off by roundoff: degenerate
+    # northwest corners, zero masses and an imbalance for the last row and column
+    cuts = sorted(draw(st.lists(st.integers(0, 10), min_size=k - 1, max_size=k - 1)))
+    return np.diff([0] + cuts + [10]) / 10.0
+
+
+@st.composite
+def simplex_oracle_instances(draw):
+    """1-10 x 1-10 costs (uniform, constant, integer with ties, planar and
+    trivial metrics) with positive, zero-mass or rounded marginals."""
+    kind = draw(st.sampled_from(["uniform", "constant", "integer", "planar", "trivial"]))
+    n = draw(st.integers(1, 10))
+    m = n if kind in ("planar", "trivial") else draw(st.integers(1, 10))
+    if kind == "uniform":
+        c = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n * m, max_size=n * m)))
+    elif kind == "constant":
+        c = np.full(n * m, draw(st.floats(0.0, 3.0)))
+    elif kind == "integer":
+        c = np.array(draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)),
+                     dtype=float)
+    elif kind == "planar":
+        pts = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=2 * n,
+                                     max_size=2 * n))).reshape(n, 2)
+        c = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    else:
+        c = 1.0 - np.eye(n)
+    masses = draw(st.sampled_from(["positive", "zero-mass", "rounded"]))
+    if masses == "rounded":
+        nu, mu = _tenths(draw, n), _tenths(draw, m)
+    else:
+        zeros = masses == "zero-mass"
+        nu, mu = _float_masses(draw, n, zeros), _float_masses(draw, m, zeros)
+    if kind == "trivial" and draw(st.booleans()):
+        mu = nu.copy()
+    return c.reshape(n, m), nu, mu
+
+
+def _assert_same_solve(c, nu, mu):
+    got, ref = _network_simplex(c, nu, mu), rebuilding_network_simplex(c, nu, mu)
+    for name, x, y in zip(("pi", "u", "v"), got, ref):
+        assert np.array_equal(x, y), name
+
+
+class TestIncrementalSimplex:
+    """Re-deriving only the re-hung subtree gives the vertex and the potentials
+    of the simplex that rebuilt the whole tree on every pivot, bit for bit."""
+
+    @given(simplex_oracle_instances())
+    def test_matches_rebuilding_simplex(self, instance):
+        _assert_same_solve(*instance)
+
+    def test_fixed_large_instances(self):
+        rng = np.random.default_rng(41)
+        # trivial metric on 41 states: the mminf search's cost, with its
+        # Poisson(1) measure (masses down to 4.5e-49) and a random one
+        mminf_mu = mminf_generator(1.0, 40)[0].mu
+        _assert_same_solve(1.0 - np.eye(41), rng.dirichlet(np.ones(41)), mminf_mu)
+        _assert_same_solve(1.0 - np.eye(41), rng.dirichlet(np.ones(41)),
+                           rng.dirichlet(np.ones(41)))
+        _assert_same_solve(rng.uniform(size=(100, 100)), rng.dirichlet(np.ones(100)),
+                           rng.dirichlet(np.ones(100)))
 
 
 class TestOtCost:
@@ -480,6 +547,25 @@ class TestGoldenSearchPinned:
         for (k, coarse), (ratio, lam) in pinned.items():
             got = _best_lambda((dense, bd)[k], u, extra=(0.37,), coarse=coarse)
             assert (got[0].hex(), got[1].hex()) == (ratio, lam)
+
+
+class TestGoldenLockstep:
+    def test_rows_match_scalar_searches(self):
+        # each row keeps the scalar search's arithmetic and branches; fn is
+        # called once per step for all rows
+        peaks = np.array([0.3, 1.7, -2.0, 5.0, 0.0])
+        lo, hi = peaks - np.array([1.0, 0.5, 3.0, 0.1, 2.0]), peaks + 1.25
+        calls = []
+
+        def rows_fn(x):
+            calls.append(len(x))
+            return -np.abs(x - peaks) ** 1.5
+
+        mid, best = _golden_max(rows_fn, lo, hi, iters=40)
+        assert calls == [5] * 42
+        for r in range(len(peaks)):
+            ref = _golden_max(lambda x: -abs(x - peaks[r]) ** 1.5, lo[r], hi[r], iters=40)
+            assert (mid[r], best[r]) == ref
 
 
 class TestPotentialConvolutions:
