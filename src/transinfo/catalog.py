@@ -78,7 +78,7 @@ def load_example(name: str, grid_nodes: int = 400):
         return {"chain": chain, "mu": mu}
     if name == "beta-potential":
         model = beta_potential_example(2.0)
-        return {"model": model, "chain": discretize(model.spec, model.grid)}
+        return {"model": model, "chain": model.chain}
     if name == "gauss-shift":
         spec = ou_spec()
         grid = Grid1D.uniform(-8.0, 8.0, grid_nodes)

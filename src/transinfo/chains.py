@@ -74,15 +74,6 @@ class ReversibleChain:
     rates: tuple[np.ndarray, np.ndarray, np.ndarray]   # (row, col, q), row-major
     exit_rates: np.ndarray                             # -Q_xx
 
-    @staticmethod
-    def from_dense(states, Q: np.ndarray, mu: np.ndarray) -> "ReversibleChain":
-        """Hold a rate matrix by its nonzero off-diagonal entries; validates nothing."""
-        Q = np.asarray(Q, dtype=float)
-        i, j = np.nonzero((Q != 0) & ~np.eye(len(Q), dtype=bool))
-        return ReversibleChain(states=tuple(states), mu=_frozen(np.array(mu, dtype=float)),
-                               rates=(_frozen(i), _frozen(j), _frozen(Q[i, j])),
-                               exit_rates=_frozen(-np.diag(Q)))
-
     @property
     def n(self) -> int:
         return len(self.states)
@@ -145,13 +136,6 @@ class ReversibleChain:
         g = np.asarray(g, dtype=float)
         m = self.expectation(g)
         return float(np.dot(self.mu, (g - m) ** 2))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "states": list(self.states),
-            "rates": self.Q.tolist(),
-            "mu": self.mu.tolist(),
-        }
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -400,14 +384,6 @@ def dirichlet_energy(chain: ReversibleChain, g: np.ndarray) -> float:
     return float(np.dot(w, diff * diff))
 
 
-def dirichlet_bilinear(chain: ReversibleChain, g: np.ndarray, h: np.ndarray) -> float:
-    """E(g, h) = <-L^sigma g, h>_mu, summed over edges."""
-    g = _state_vector(chain, g)
-    h = _state_vector(chain, h)
-    i, j, w = chain.edges
-    return float(np.dot(w, (g[j] - g[i]) * (h[j] - h[i])))
-
-
 def _state_vector(chain: ReversibleChain, g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (chain.n,):
@@ -443,21 +419,20 @@ def tv_weighted(chain: ReversibleChain, f, phi: np.ndarray) -> float:
     return float(np.dot(chain.mu * phi, np.abs(fv - 1.0)))
 
 
-def spectral_gap(chain: ReversibleChain, certificate_samples: int = 100,
-                 certificate_seed: int = 7) -> tuple[float, float]:
+def spectral_gap(chain: ReversibleChain) -> tuple[float, float]:
     """Spectral gap of -L^sigma in L^2(mu) and the Poincare constant.
 
     Returns (gap, c_P) with c_P = 1/gap.  The eigenproblem is solved
     on the symmetric conjugated matrix; afterwards the Poincare
-    inequality Var_mu(g) <= c_P E(g,g) is spot-checked on random g
-    within 1e-9 slack as a guard against a mis-sorted spectrum.
+    inequality Var_mu(g) <= c_P E(g,g) is spot-checked on 100 random g
+    (seed 7) within 1e-9 slack as a guard against a mis-sorted spectrum.
     """
     gap = float(_lowest_eigenpairs(chain, count=2)[1])
     if gap <= 0:
         raise NotIrreducible("nonpositive spectral gap; chain is not irreducible")
     c_p = 1.0 / gap
-    rng = np.random.default_rng(certificate_seed)
-    for _ in range(certificate_samples):
+    rng = np.random.default_rng(7)
+    for _ in range(100):
         g = rng.standard_normal(chain.n)
         if chain.variance(g) > c_p * dirichlet_energy(chain, g) + 1e-9:
             raise SingularSystem("Poincare certificate failed; eigensolve inconsistent")

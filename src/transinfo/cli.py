@@ -26,10 +26,11 @@ from .chains import (
     chain_from_json,
     fisher_information,
     line_metric,
+    oscillation,
     spectral_gap,
     trivial_metric,
 )
-from .diffusion1d import Warp, c_rho, discretize, lip_poisson_ratio, normalize
+from .diffusion1d import Warp, c_rho, lip_poisson_ratio, normalize
 from .errors import ConfigParse, TransinfoError
 from .feynman_kac import PhiPair, best_w1i, best_w2i, verify_tphi_dual
 from .lyapunov import beta_potential_example, certify_H, mminf_certificate, verify_thm51
@@ -235,7 +236,7 @@ def run_lyapunov(params, out_dir: Path, seed: int, name: str) -> Outcome:
         exclude = ()
     elif model_name == "beta-potential":
         model = beta_potential_example(float(params.get("beta", 2.0)))
-        chain = discretize(model.spec, model.grid)
+        chain = model.chain
         exclude = (0, chain.n - 1)
         cert = certify_H(chain, model.U, model.phi, model.b, exclude=exclude)
     else:
@@ -265,8 +266,7 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
     r_list = params.get("r", [0.2])
     n_paths = int(params.get("n_paths", 20000))
     _, c_p = spectral_gap(chain)
-    osc = float(np.max(u) - np.min(u))
-    alpha = RateFunction.quadratic(math.sqrt(c_p) * osc / 2.0)  # Hoeffding form
+    alpha = RateFunction.quadratic(math.sqrt(c_p) * oscillation(u) / 2.0)  # Hoeffding form
     config = EnsembleConfig(model=chain, beta=chain.mu, t=t,
                             n_paths=n_paths, master_seed=seed)
     samples = sample_time_average(config, u)
@@ -355,32 +355,46 @@ _KINDS = {
 }
 
 
-def _parse_spec_file(path: Path) -> list[dict]:
+def _parse_spec_file(path: Path) -> list[tuple[str, dict]]:
+    """The spec's experiments as (name, experiment) pairs.
+
+    A name (given, or ``{kind}-{index}``) prefixes the experiment's files in
+    the output directory, so it must be a non-empty string, not "." or "..",
+    without "/" or "\\", and unique in the spec.
+    """
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParse(f"cannot read spec {path}: {exc}") from exc
     experiments = doc["experiments"] if isinstance(doc, dict) and "experiments" in doc \
         else [doc]
+    named, seen = [], set()
     for i, exp in enumerate(experiments):
         if not isinstance(exp, dict) or "kind" not in exp:
             raise ConfigParse(f"experiment {i} lacks a kind")
         if exp["kind"] not in _KINDS:
             raise ConfigParse(f"unknown kind {exp['kind']!r}")
-    return experiments
+        name = exp.get("name", f"{exp['kind']}-{i}")
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigParse(f"experiment {i} has an invalid name {name!r}")
+        if name in seen:
+            raise ConfigParse(f"experiment name {name!r} is used twice")
+        seen.add(name)
+        named.append((name, exp))
+    return named
 
 
 def run_spec_file(path: Path, out_dir: Path, seed_override=None, jobs: int = 1) -> int:
     experiments = _parse_spec_file(path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def _one(idx_exp):
-        idx, exp = idx_exp
-        kind = exp["kind"]
-        seed = int(seed_override if seed_override is not None else exp.get("seed", 0))
-        name = exp.get("name", f"{kind}-{idx}")
+    def _one(named):
+        name, exp = named
         try:
-            return _KINDS[kind](exp.get("params", {}), out_dir, seed, name)
+            seed = int(seed_override) if seed_override is not None else exp.get("seed", 0)
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise ConfigParse(f"seed must be an integer, not {seed!r}")
+            return _KINDS[exp["kind"]](exp.get("params", {}), out_dir, seed, name)
         except Exception as exc:  # a failing experiment is recorded; the batch goes on
             if not isinstance(exc, TransinfoError):
                 traceback.print_exc()
@@ -388,9 +402,9 @@ def run_spec_file(path: Path, out_dir: Path, seed_override=None, jobs: int = 1) 
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_one, enumerate(experiments)))
+            outcomes = list(pool.map(_one, experiments))
     else:
-        outcomes = [_one(pair) for pair in enumerate(experiments)]
+        outcomes = [_one(named) for named in experiments]
 
     summary = {
         "passed": all(o.passed for o in outcomes),

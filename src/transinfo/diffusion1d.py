@@ -132,10 +132,6 @@ class Grid1D:
         nodes.setflags(write=False)
         return Grid1D(nodes=nodes)
 
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
 
 def _quad(fn, lo, hi):
     from scipy.integrate import quad

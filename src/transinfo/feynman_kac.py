@@ -278,44 +278,35 @@ def _lambda_grid() -> np.ndarray:
     return np.logspace(-10, 6, 49, base=2.0)
 
 
-def _dual_ratio(chain, u, lam):
-    return (lambda_max(chain, lam * u) - lam * chain.expectation(u)) / (lam * lam)
-
-
 def _dual_ratios(chain, u, lams):
-    """``_dual_ratio`` at each of lams, from one stacked eigensolve.  Row r of
-    a 2-D u goes with row r of lams; its mean is taken from the potential as
-    given, since a strided dot product rounds differently from a copy's."""
-    if np.ndim(u) == 1:
-        pots, mean = lams[:, None] * u, chain.expectation(u)
-    else:
-        pots = lams[..., None] * np.array(u, dtype=float)[:, None, :]
-        mean = np.array([[chain.expectation(row)] for row in u])
+    """(Lambda(lam u_r) - lam mu(u_r)) / lam^2 for each row u_r of u, at each of
+    lams or, for a 2-D lams, at row r of lams; from one stacked eigensolve.
+    Each row's mean is taken from the potential as given, since a strided
+    dot product rounds differently from a copy's."""
+    pots = lams[..., None] * np.array(u, dtype=float)[:, None, :]
+    mean = np.array([[chain.expectation(row)] for row in u])
     top = -_lowest_eigenpairs(chain, pots.reshape(-1, chain.n))[:, 0].reshape(pots.shape[:-1])
     return (top - lams * mean) / (lams * lams)
 
 
 def _best_lambda(chain, u, extra=(), coarse=False):
-    """max over lambda > 0 of (Lambda(lambda u) - lambda mu(u)) / lambda^2.
+    """max over lambda > 0 of (Lambda(lambda u) - lambda mu(u)) / lambda^2, per row.
 
-    An extra lambda below the grid's floor 2^-10 is not scored: there the
-    ratio divides the roundoff of Lambda by lambda^2 (at lambda = 1e-16
-    it read 4e16 on a 41-state chain).  A 2-D u, one potential per row, gives
-    arrays of (ratio, lambda) equal to the 1-D results bit for bit, from one
-    stacked solve for all grids and one per lockstep golden step.
+    u holds one potential per row (an array or a sequence of them); returns
+    arrays of (ratio, lambda), from one stacked solve for all grids and one
+    per lockstep golden step.  An extra lambda below the grid's floor 2^-10
+    is not scored: there the ratio divides the roundoff of Lambda by
+    lambda^2 (at lambda = 1e-16 it read 4e16 on a 41-state chain).
     """
     base = np.logspace(-10, 6, 17, base=2.0) if coarse else _lambda_grid()
     extra = np.asarray(list(extra), dtype=float)
     grid = np.concatenate([base, extra[extra >= base[0]]])
     vals = _dual_ratios(chain, u, grid)
     k = np.argmax(vals, axis=-1)
-    peak, lam = np.take_along_axis(vals, k[..., None], -1)[..., 0], grid[k]
-    one = np.ndim(u) == 1
-    fn = ((lambda x: _dual_ratio(chain, u, x)) if one
-          else (lambda x: _dual_ratios(chain, u, x[:, None])[:, 0]))
-    lam_best, best = _golden_max(fn, lam / 2.0, lam * 2.0, iters=12 if coarse else 40)
-    ratio = np.where(best > peak, best, peak)
-    return (float(ratio), float(lam_best)) if one else (ratio, lam_best)
+    peak, lam = np.take_along_axis(vals, k[:, None], -1)[:, 0], grid[k]
+    lam_best, best = _golden_max(lambda x: _dual_ratios(chain, u, x[:, None])[:, 0],
+                                 lam / 2.0, lam * 2.0, iters=12 if coarse else 40)
+    return np.where(best > peak, best, peak), lam_best
 
 
 def _mcshane(d: MetricMatrix, g: np.ndarray) -> np.ndarray:
@@ -409,11 +400,6 @@ def _primal_ascent(chain, d, f0, squared, iters=140, min_perturbation=0.0):
     return val, f
 
 
-def _gap_direction(chain):
-    """Second eigenvector of -L^sigma, sup-norm one: the linearization direction."""
-    return _low_eigen_directions(chain, 1)[0]
-
-
 def _low_eigen_directions(chain, count):
     """Sup-normalized low nontrivial eigenvectors of -L^sigma.
 
@@ -432,7 +418,7 @@ def _low_eigen_directions(chain, count):
 
 def _primal_starts(chain, rng, count):
     out = []
-    g = _gap_direction(chain)
+    g = _low_eigen_directions(chain, 1)[0]      # the gap direction
     for k in range(count):
         if k == 0:
             f = project_density(chain.mu, 1.0 + 0.5 * g, 1e-13)
@@ -498,17 +484,15 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
     )
 
 
-def linearization_probe(chain: ReversibleChain, d: MetricMatrix,
-                        directions=None, eps_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
-    """Ratios W_2^2 / (4 I) along nu_eps = (1 + eps g) mu.
+def linearization_probe(chain: ReversibleChain, d: MetricMatrix, directions):
+    """Ratios W_2^2 / (4 I) along nu_eps = (1 + eps g) mu for eps = 1e-1, ..., 1e-6.
 
-    Directions are normalized to sup-norm one so the reported eps is the
-    actual relative perturbation size.
+    Each row takes the best of the directions.  Directions are normalized
+    to sup-norm one so the reported eps is the actual relative
+    perturbation size.
     """
-    if directions is None:
-        directions = [_gap_direction(chain)]
     rows = []
-    for eps in eps_list:
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         best = 0.0
         for g in directions:
             best = max(best, _transport_ratio(chain, d, 1.0 + eps * g, squared=True))

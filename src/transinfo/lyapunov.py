@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Density, ReversibleChain, _birth_death_chain, fisher_information, tv_weighted
+from .chains import (Density, ReversibleChain, _birth_death_chain, fisher_information,
+                     spectral_gap, tv_weighted)
+from .diffusion1d import DiffusionSpec1D, Grid1D, discretize
 from .errors import NotCertified, TruncationTooSmall, UBelowOne
-from .diffusion1d import DiffusionSpec1D, Grid1D
 from .transport import RateFunction
 
 CERT_TOL = 1e-10
@@ -127,7 +128,6 @@ def verify_thm51(chain: ReversibleChain, cert: LyapunovCertificate,
     if not cert.certified:
         raise NotCertified(f"certificate has violation {cert.max_violation:.3e}")
     if c_p is None:
-        from .chains import spectral_gap
         _, c_p = spectral_gap(chain)
     phi_l2 = math.sqrt(float(np.dot(chain.mu, cert.phi ** 2)))
     rows = []
@@ -194,17 +194,6 @@ def mminf_generator(lambda_rate: float, n_max: int) -> tuple[ReversibleChain, np
     return chain, mu
 
 
-def mminf_drift_closed_form(lambda_rate: float, c: float, n_values: np.ndarray) -> np.ndarray:
-    """-LU/U for U = e^{cn} on the untruncated queue generator.
-
-    Direct computation from the generator gives
-    n (1 - e^{-c}) - lambda (e^c - 1); the arrival term carries the
-    factor lambda.
-    """
-    n_values = np.asarray(n_values, dtype=float)
-    return n_values * (1.0 - math.exp(-c)) - lambda_rate * (math.exp(c) - 1.0)
-
-
 def mminf_certificate(lambda_rate: float, n_max: int, c: float):
     """(chain, certificate) for U = e^{cn}, phi(n) = n(1-e^{-c}), b = lambda(e^c-1).
 
@@ -225,6 +214,7 @@ def mminf_certificate(lambda_rate: float, n_max: int, c: float):
 class BetaPotentialModel:
     spec: DiffusionSpec1D
     grid: Grid1D
+    chain: ReversibleChain       # the discretization of spec on grid
     U: np.ndarray
     phi: np.ndarray
     b: float
@@ -243,8 +233,9 @@ def beta_potential_example(beta: float, c_v: float = 1.0,
     lam = (1 - gamma')/2, delta = lam^2/2 (gamma' midway between the
     V''/|V'|^2 tail ratio gamma and 1) satisfies
     lam - lam^2 = gamma' lam + 2 delta, giving phi = delta(1 + |V'|^2).
-    The constant b is taken from the discretized generator so that the
-    certificate is exact on interior nodes.
+    The constant b is taken from the discretized generator, which the
+    model carries as ``chain``, so that the certificate is exact on
+    interior nodes.
     """
     if beta < 1:
         raise ValueError("beta must be at least 1")
@@ -269,14 +260,13 @@ def beta_potential_example(beta: float, c_v: float = 1.0,
     U = np.exp(lam * (v_vals - float(np.min(v_vals))))
     phi = delta * (1.0 + Vp(nodes) ** 2)
 
-    from .diffusion1d import discretize
     chain = discretize(spec, grid)
     ratio = drift_ratio(chain, U)
     interior = np.ones(len(nodes), dtype=bool)
     interior[[0, -1]] = False
     b = float(np.max(phi[interior] - ratio[interior]))
     b = max(b, 0.0)
-    return BetaPotentialModel(spec=spec, grid=grid, U=U, phi=phi, b=b,
+    return BetaPotentialModel(spec=spec, grid=grid, chain=chain, U=U, phi=phi, b=b,
                               lam=lam, delta=delta,
                               p_exponent=2.0 * (beta - 1.0) if beta > 1.5 else None)
 

@@ -49,8 +49,6 @@ from .transport import RateFunction
 class OUModel:
     """Mean-reverting unit diffusion dX = -X dt + sqrt(2) dB, stationary N(0,1)."""
 
-    exact: bool = True
-
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -103,14 +101,6 @@ class DeviationEstimate:
     hits: int
     threshold: float
     beta_l2: float
-
-    def to_row(self) -> dict:
-        return {
-            "p_hat": self.p_hat, "ci_low": self.ci_low, "ci_high": self.ci_high,
-            "bound": self.bound_value, "verdict": self.verdict,
-            "n_paths": self.n_paths, "hits": self.hits,
-            "threshold": self.threshold, "beta_l2": self.beta_l2,
-        }
 
 
 def clopper_pearson(hits: int, n: int, level: float = 0.99) -> tuple[float, float]:
@@ -167,7 +157,6 @@ def _draw_block(rng, exps: np.ndarray, unis: np.ndarray) -> None:
 
 def _chain_time_averages(config: EnsembleConfig, u: np.ndarray) -> np.ndarray:
     chain = config.model
-    exit_rates = -np.diag(chain.Q)
     # per-state jump distributions as cumulative tables; a state without
     # exits keeps a row of ones that no path consults (its holding time is
     # infinite)
@@ -184,7 +173,7 @@ def _chain_time_averages(config: EnsembleConfig, u: np.ndarray) -> np.ndarray:
     for lo in range(0, config.n_paths, _CHUNK):
         paths = range(lo, min(lo + _CHUNK, config.n_paths))
         out[paths.start:paths.stop] = _chain_chunk(
-            config.master_seed, paths, config.t, u, exit_rates, jump_cum, beta_cum)
+            config.master_seed, paths, config.t, u, chain.exit_rates, jump_cum, beta_cum)
     return out
 
 

@@ -106,7 +106,7 @@ def _check_marginals(nu: np.ndarray, mu: np.ndarray,
 
 
 def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
-    """Optimal vertex pi of the transport polytope and its tree potentials (u, v).
+    """Optimal vertex pi of the transport polytope and its tree's row potentials u.
 
     Transportation network simplex (Ahuja, Magnanti & Orlin, *Network
     Flows*, ch. 11) on a spanning tree of the bipartite graph: nodes
@@ -124,14 +124,14 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     to the root, so each potential keeps the bits of a full re-derivation.
 
     A zero-mass column has no strongly feasible place in a tree, so
-    zero-mass rows and columns stay out of it; their potentials are the
-    c-transforms of the tree's.  The last row and column absorb the
-    roundoff-sized mass imbalance the marginal check lets through.
+    zero-mass rows and columns stay out of it; a zero-mass row's potential
+    is the c-transform of the tree's column potentials.  The last row and
+    column absorb the roundoff-sized mass imbalance the marginal check
+    lets through.
     """
     rows, cols = np.flatnonzero(nu > 0), np.flatnonzero(mu > 0)
     if rows.size == 0 or cols.size == 0:
-        u = np.zeros(c.shape[0])
-        return np.zeros(c.shape), u, np.max(u[:, None] - c, axis=0)
+        return np.zeros(c.shape), np.zeros(c.shape[0])
     full = (rows.size, cols.size) == c.shape
     cost = c if full else c[np.ix_(rows, cols)]
     supply, demand = nu[rows].tolist(), mu[cols].tolist()
@@ -216,13 +216,11 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     up = np.array(parent[1:])
     is_row = child < n
     pi[rows[np.where(is_row, child, up)], cols[np.where(is_row, up, child) - n]] = flow[1:]
-    if full:      # the c-transforms below would overwrite every entry
-        return pi, pots[:n], pots[n:]
+    if full:      # the c-transform below would overwrite every entry
+        return pi, pots[:n]
     u = np.min(pots[None, n:] + c[:, cols], axis=1)
     u[rows] = pots[:n]
-    v = np.max(u[:, None] - c, axis=0)
-    v[cols] = pots[n:]
-    return pi, u, v
+    return pi, u
 
 
 def ot_cost(c: CostMatrix, nu: np.ndarray, mu: np.ndarray) -> tuple[float, Coupling]:
@@ -239,7 +237,7 @@ def ot_cost(c: CostMatrix, nu: np.ndarray, mu: np.ndarray) -> tuple[float, Coupl
 
 def _exact_transport(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     """(pi, value, tightened dual value, u) from one simplex vertex, gap-checked."""
-    pi, u, _ = _network_simplex(c, nu, mu)
+    pi, u = _network_simplex(c, nu, mu)
     value = float(np.sum(pi * c))
     dual_value, u, _ = _dual_value(c, nu, mu, u)
     if abs(value - dual_value) > DUALITY_GAP_TOL * max(1.0, abs(value)):
@@ -262,7 +260,7 @@ def _dual_value(c, nu, mu, u):
 def kantorovich_dual(c: CostMatrix, nu: np.ndarray, mu: np.ndarray):
     """Dual value sup { <u, nu> - <v, mu> : u(x) - v(y) <= c(x,y) }."""
     nu, mu = _check_marginals(nu, mu, c.c.shape)
-    _, u, _ = _network_simplex(c.c, nu, mu)
+    _, u = _network_simplex(c.c, nu, mu)
     return _dual_value(c.c, nu, mu, u)
 
 
@@ -601,21 +599,15 @@ def tensor_subadditivity_check(costs: list[CostMatrix], nu_joint: np.ndarray,
     big = tensor_cost(costs)
     lhs, _ = ot_cost(big, mu_prod.ravel(), nu.ravel())
 
+    # factor 1 against nu(. | x2) for each column x2, then factor 2 against nu(. | x1)
     rhs = 0.0
-    marg2 = nu.sum(axis=0)
-    for j in range(n2):
-        if marg2[j] <= 0:
-            continue
-        cond = nu[:, j] / marg2[j]
-        val, _ = ot_cost(costs[0], mu1, cond)
-        rhs += marg2[j] * val
-    marg1 = nu.sum(axis=1)
-    for i in range(n1):
-        if marg1[i] <= 0:
-            continue
-        cond = nu[i, :] / marg1[i]
-        val, _ = ot_cost(costs[1], mu2, cond)
-        rhs += marg1[i] * val
+    for cost, mu_k, marg, slices in ((costs[0], mu1, nu.sum(axis=0), nu.T),
+                                     (costs[1], mu2, nu.sum(axis=1), nu)):
+        for mass, joint in zip(marg, slices):
+            if mass <= 0:
+                continue
+            val, _ = ot_cost(cost, mu_k, joint / mass)
+            rhs += mass * val
     if lhs > rhs + 1e-9:
         raise AssertionError(f"subadditivity violated: {lhs} > {rhs}")
     return float(lhs), float(rhs)
@@ -632,16 +624,10 @@ def conditional_fisher_sum(chains: list[ReversibleChain], nu_joint: np.ndarray) 
     c1, c2 = chains
     nu = np.asarray(nu_joint, dtype=float).reshape(c1.n, c2.n)
     total = 0.0
-    marg2 = nu.sum(axis=0)
-    for j in range(c2.n):
-        if marg2[j] <= 0:
-            continue
-        f = (nu[:, j] / marg2[j]) / c1.mu
-        total += marg2[j] * fisher_information(c1, Density.validate(c1.mu, f))
-    marg1 = nu.sum(axis=1)
-    for i in range(c1.n):
-        if marg1[i] <= 0:
-            continue
-        f = (nu[i, :] / marg1[i]) / c2.mu
-        total += marg1[i] * fisher_information(c2, Density.validate(c2.mu, f))
+    for chain, marg, slices in ((c1, nu.sum(axis=0), nu.T), (c2, nu.sum(axis=1), nu)):
+        for mass, joint in zip(marg, slices):
+            if mass <= 0:
+                continue
+            f = (joint / mass) / chain.mu
+            total += mass * fisher_information(chain, Density.validate(chain.mu, f))
     return float(total)

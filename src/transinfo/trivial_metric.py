@@ -166,33 +166,6 @@ def hellinger_check(mu: np.ndarray, f: np.ndarray) -> tuple[float, float]:
     return tv * tv / 4.0, dh2 * (2.0 - dh2)
 
 
-def equality_family_detect(mu: np.ndarray, f: np.ndarray, rtol: float = 1e-8):
-    """Report the (a^2, b^2, p) structure of a density at CKP equality.
-
-    Clusters the f-values with relative tolerance before testing the
-    two-point structure: floating-point densities never take exactly two
-    values.  Returns None when f is not (close to) two-valued.
-    """
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    order = np.argsort(f)
-    fv = f[order]
-    groups = [[0]]
-    for i in range(1, len(fv)):
-        if fv[i] - fv[groups[-1][0]] <= rtol * max(1.0, fv[i]):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    if len(groups) == 1:
-        return {"low": 1.0, "high": 1.0, "p": 1.0}  # f == 1 case
-    if len(groups) != 2:
-        return None
-    low = float(np.mean(fv[groups[0]]))
-    high = float(np.mean(fv[groups[1]]))
-    p = float(mu[order][groups[0]].sum())
-    return {"low": low, "high": high, "p": p}
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo growth estimate
 # ---------------------------------------------------------------------------

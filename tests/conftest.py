@@ -9,6 +9,9 @@ from scipy.sparse.csgraph import connected_components
 from transinfo.chains import (
     ReversibleChain,
     _apply_neg_generator,
+    _frozen,
+    _lowest_eigenpairs,
+    _state_vector,
     build_chain,
     solve_invariant_measure,
 )
@@ -18,7 +21,8 @@ from transinfo.errors import (
     ModelValidation,
     NotIrreducible,
 )
-from transinfo.feynman_kac import fisher_information_raw, project_density
+from transinfo.feynman_kac import _lambda_grid, fisher_information_raw, lambda_max, project_density
+from transinfo.transport import _golden_max
 
 # Property tests draw the same examples on every run (derandomized runs keep
 # no example database) and never fail a slow example on a loaded host.
@@ -119,7 +123,28 @@ def dense_build_chain(rates, mu=None, states=None) -> ReversibleChain:
     mu = mu / mu.sum()
     dense_check_detailed_balance(Q, mu)
     states = tuple(str(i) for i in range(n)) if states is None else tuple(states)
-    return ReversibleChain.from_dense(states, Q, mu)
+    return chain_from_dense(states, Q, mu)
+
+
+def chain_from_dense(states, Q: np.ndarray, mu: np.ndarray) -> ReversibleChain:
+    """Hold a rate matrix by its nonzero off-diagonal entries; validates nothing.
+
+    Builds the chains no validator lets through: broken ones, and the
+    output of the dense reference validator.
+    """
+    Q = np.asarray(Q, dtype=float)
+    i, j = np.nonzero((Q != 0) & ~np.eye(len(Q), dtype=bool))
+    return ReversibleChain(states=tuple(states), mu=_frozen(np.array(mu, dtype=float)),
+                           rates=(_frozen(i), _frozen(j), _frozen(Q[i, j])),
+                           exit_rates=_frozen(-np.diag(Q)))
+
+
+def dirichlet_bilinear(chain: ReversibleChain, g: np.ndarray, h: np.ndarray) -> float:
+    """E(g, h) = <-L^sigma g, h>_mu, summed over edges."""
+    g = _state_vector(chain, g)
+    h = _state_vector(chain, h)
+    i, j, w = chain.edges
+    return float(np.dot(w, (g[j] - g[i]) * (h[j] - h[i])))
 
 
 def conjugated_neg_generator(chain: ReversibleChain) -> np.ndarray:
@@ -302,3 +327,24 @@ def rebuilding_network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     v = np.max(u[:, None] - c, axis=0)
     v[cols] = pot[n:]
     return pi, u, v
+
+
+def one_potential_best_lambda(chain: ReversibleChain, u: np.ndarray, extra=(), coarse=False):
+    """``feynman_kac._best_lambda`` for one potential u, as it ran before rows.
+
+    The reference for the lockstep rows: the grid is one stacked
+    eigensolve, then a scalar golden search solves one lambda per step.
+    Returns (ratio, lambda) as floats.
+    """
+    def dual_ratio(lam):
+        return (lambda_max(chain, lam * u) - lam * chain.expectation(u)) / (lam * lam)
+
+    base = np.logspace(-10, 6, 17, base=2.0) if coarse else _lambda_grid()
+    extra = np.asarray(list(extra), dtype=float)
+    grid = np.concatenate([base, extra[extra >= base[0]]])
+    top = -_lowest_eigenpairs(chain, grid[:, None] * u)[:, 0]
+    vals = (top - grid * chain.expectation(u)) / (grid * grid)
+    k = np.argmax(vals)
+    peak, lam = vals[k], grid[k]
+    lam_best, best = _golden_max(dual_ratio, lam / 2.0, lam * 2.0, iters=12 if coarse else 40)
+    return float(best if best > peak else peak), float(lam_best)

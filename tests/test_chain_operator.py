@@ -26,12 +26,10 @@ from scipy.linalg import eigh_tridiagonal
 from transinfo import chains, diffusion1d
 from transinfo.catalog import product_3x3, quartic_spec
 from transinfo.chains import (
-    ReversibleChain,
     _apply_neg_generator,
     _birth_death_chain,
     _lowest_eigenpairs,
     build_chain,
-    dirichlet_bilinear,
     dirichlet_energy,
     line_metric,
     lipschitz_norm,
@@ -46,8 +44,10 @@ from transinfo.feynman_kac import fisher_information_raw, lambda_max, lambda_max
 
 from conftest import (
     bordered_poisson,
+    chain_from_dense,
     conjugated_neg_generator,
     dense_build_chain,
+    dirichlet_bilinear,
     random_birth_death_chain,
     random_reversible_chain,
     symmetrized_generator,
@@ -343,7 +343,7 @@ class TestEdgeHeldStorage:
     def test_from_dense_round_trip_without_validation(self):
         # a zero-exit state and an edge with a rate one way only
         Q = np.array([[0.0, 0.0, 0.0], [1.0, -1.5, 0.5], [0.0, 2.0, -2.0]])
-        ch = ReversibleChain.from_dense((0, 1, 2), Q, np.array([0.5, 0.25, 0.25]))
+        ch = chain_from_dense((0, 1, 2), Q, np.array([0.5, 0.25, 0.25]))
         assert np.array_equal(ch.Q, Q)
         assert np.array_equal(ch.exit_rates, [0.0, 1.5, 2.0])
         for got, ref in zip(ch.edges, _dense_edges(ch, Q)):
@@ -580,7 +580,7 @@ class TestDirectLapack:
         Q = chain.Q.copy()
         Q[2, 3] = bad
         Q[2, 2] = -np.sum(Q[2, [1, 3]])
-        broken = ReversibleChain.from_dense(chain.states, Q, chain.mu)
+        broken = chain_from_dense(chain.states, Q, chain.mu)
         assert broken.band is not None
         with pytest.raises(ValueError):
             spectral_gap(broken)

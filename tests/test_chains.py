@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from transinfo.chains import (
     Density,
     MetricMatrix,
     build_chain,
-    dirichlet_bilinear,
+    chain_from_json,
     dirichlet_energy,
     fisher_information,
     lipschitz_norm,
@@ -29,7 +30,7 @@ from transinfo.errors import (
 )
 
 from conftest import (bernoulli_chain, random_reversible_chain, random_birth_death_chain, random_density,
-                      symmetrized_generator)
+                      dirichlet_bilinear, symmetrized_generator)
 
 
 def uniform_two_state():
@@ -80,6 +81,20 @@ class TestBuildChain:
     def test_degenerate_measure(self):
         with pytest.raises(DegenerateMeasure):
             build_chain(np.array([[0.0, 1.0], [1.0, 0.0]]), mu=np.array([1.0, 0.0]))
+
+    def test_chain_from_json(self):
+        # rates 1 and 2 balance mu = (2/3, 1/3), given or solved for
+        doc = {"states": ["a", "b"], "rates": [[0, 1], [2, 0]]}
+        for given in (doc, json.dumps(doc), dict(doc, mu=None)):
+            ch = chain_from_json(given)
+            assert ch.states == ("a", "b")
+            np.testing.assert_allclose(ch.mu, [2 / 3, 1 / 3], atol=1e-14)
+        for given in (dict(doc, mu=[2 / 3, 1 / 3]), json.dumps(dict(doc, mu=[2 / 3, 1 / 3]))):
+            assert chain_from_json(given).mu.tolist() == [2 / 3, 1 / 3]
+        ch = chain_from_json({"rates": [[0, 1], [2, 0]], "mu": [2 / 3, 1 / 3]})
+        assert ch.states == ("0", "1")
+        with pytest.raises(DetailedBalanceViolated):
+            chain_from_json(dict(doc, mu=[0.5, 0.5]))
 
 
 class TestDensity:

@@ -11,6 +11,7 @@ from transinfo import catalog, cli
 from transinfo.cli import main, run_spec_file
 from transinfo.errors import ConfigParse
 from transinfo.exprutil import compile_expression
+from transinfo.transport import RateFunction
 
 
 def run_cli(args):
@@ -286,6 +287,99 @@ class TestRunSpecInProcess:
         text = (tmp_path / "out" / "r-scan.csv").read_text()
         row = text.strip().split("\n")[1].split(",")
         assert float(row[2]) == float(f"{float(row[2]):.17g}")   # round-trips
+
+
+class TestSpecNamesAndSeeds:
+    """A name must keep its artifacts inside --out and apart from the other
+    experiments'; a seed that is not an integer fails its experiment alone."""
+
+    GOOD = {"kind": "rho-scan", "name": "rho", "params": {"lambdas": [0.5]}}
+
+    @staticmethod
+    def _spec(tmp_path, experiments):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"experiments": experiments}))
+        return spec_file
+
+    @pytest.mark.parametrize("seed", ["abc", None, 2.0, 1.5, True, [1]])
+    def test_bad_seed_fails_alone(self, tmp_path, seed):
+        spec_file = self._spec(tmp_path, [dict(self.GOOD, name="bad", seed=seed), self.GOOD])
+        assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        entries = {e["name"]: e for e in summary["experiments"]}
+        assert entries["rho"]["passed"] and entries["rho"]["artifacts"] == ["rho-scan.csv"]
+        assert entries["bad"]["passed"] is False and entries["bad"]["artifacts"] == []
+        assert entries["bad"]["details"]["error"].startswith("ConfigParse: seed")
+
+    @pytest.mark.parametrize("name", ["../esc", "sub/x", "sub\\x", "..", ".", "", 7, None])
+    def test_name_outside_out_rejected(self, tmp_path, name, capsys):
+        spec_file = self._spec(tmp_path, [dict(self.GOOD, name=name)])
+        out = tmp_path / "out"
+        assert main(["run", str(spec_file), "--out", str(out)]) == 2
+        assert "invalid name" in json.loads(capsys.readouterr().out)["error"]
+        assert not out.exists() and not (tmp_path / "esc-scan.csv").exists()
+
+    @pytest.mark.parametrize("experiments", [
+        [GOOD, {"kind": "ckp-scan", "name": "rho", "params": {"n": 4, "count": 10}}],
+        # the second experiment's default name is rho-scan-1
+        [dict(GOOD, name="rho-scan-1"), {"kind": "rho-scan", "params": {"lambdas": [0.5]}}],
+    ])
+    def test_repeated_name_rejected(self, tmp_path, experiments, capsys):
+        spec_file = self._spec(tmp_path, experiments)
+        assert main(["run", str(spec_file), "--out", str(tmp_path / "out")]) == 2
+        assert "used twice" in json.loads(capsys.readouterr().out)["error"]
+        assert not (tmp_path / "out").exists()
+
+    def test_default_names_are_kind_and_index(self, tmp_path):
+        spec_file = self._spec(tmp_path, [{"kind": "rho-scan", "params": {"lambdas": [0.5]}},
+                                          {"kind": "ckp-scan", "params": {"n": 4, "count": 10}}])
+        assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [e["name"] for e in summary["experiments"]] == ["rho-scan-0", "ckp-scan-1"]
+
+
+class TestSpecParts:
+    def test_rate_function_kinds(self):
+        power = cli._rate_function({"kind": "power", "kappa": 0.5, "p": 3})
+        assert power == RateFunction.power(0.5, 3.0)
+        tab = cli._rate_function({"kind": "tabulated", "knots": [0, 1, 2], "values": [0, 0.5, 2]})
+        assert tab.kind == "tabulated"
+        assert (tab(0.5), tab(1.5), tab(2.5)) == (0.5, 2.0, math.inf)
+
+    @pytest.mark.parametrize("obj", [
+        None,
+        {"kind": "cubic"},
+        {"kind": "power", "kappa": -1.0, "p": 3},
+        {"kind": "power", "kappa": 1.0, "p": 1.0},
+        {"kind": "tabulated", "knots": [0.5, 1], "values": [0, 1]},
+        {"kind": "tabulated", "knots": [0, 1, 1], "values": [0, 1, 2]},
+        {"kind": "quadratic", "c": "abc"},
+    ])
+    def test_rate_function_errors(self, obj):
+        with pytest.raises(ConfigParse):
+            cli._rate_function(obj)
+
+    def test_metric_for(self):
+        ou = catalog.load_example("ou", grid_nodes=64)
+        x = ou["grid"].nodes
+        assert np.array_equal(cli._metric_for(ou, "line").d, np.abs(x[:, None] - x[None, :]))
+        assert cli._metric_for(ou, "default") is ou["metric"]
+        assert np.array_equal(cli._metric_for(ou, "trivial").d, 1.0 - np.eye(64))
+        with pytest.raises(ConfigParse, match="grid-backed"):
+            cli._metric_for(catalog.load_example("bernoulli"), "line")
+        for model, name in ((catalog.load_example("mminf"), "default"), (ou, "euclid")):
+            with pytest.raises(ConfigParse, match="unknown metric"):
+                cli._metric_for(model, name)
+
+    def test_lyapunov_beta_potential(self, tmp_path):
+        outcome = cli.run_lyapunov({"model": "beta-potential", "samples": 3}, tmp_path, 5, "lya")
+        assert outcome.passed
+        cert = json.loads((tmp_path / "lya-certificate.json").read_text())
+        assert cert["certified"] and cert["excluded"] == [0, 480]
+        rows = (tmp_path / "lya-verify.csv").read_text().strip().split("\n")
+        assert len(rows) == 4
+        with pytest.raises(ConfigParse):
+            cli.run_lyapunov({"model": "quartic"}, tmp_path, 5, "lya")
 
 
 class TestSampleDump:

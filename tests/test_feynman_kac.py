@@ -36,6 +36,7 @@ from transinfo.trivial_metric import build_jump_chain, extremal_potential, jump_
 
 from conftest import (
     bernoulli_chain,
+    one_potential_best_lambda,
     random_birth_death_chain,
     random_density,
     random_reversible_chain,
@@ -284,7 +285,7 @@ class TestBestW1I:
             assert (rep.c_dual.hex(), rep.c_primal.hex()) == (c_dual, c_primal)
             u = np.asarray(rep.witness_u)
             assert np.min(u) == 0.0 and not np.any(np.signbit(u))
-            ratio, _ = _best_lambda(ch, u)
+            (ratio,), _ = _best_lambda(ch, [u])
             assert math.sqrt(ratio) == pytest.approx(rep.c_dual, rel=1e-9)
         assert list(best_w1i(bernoulli_chain(0.3), trivial_metric(2)).witness_u) == [0.0, 1.0]
 
@@ -311,7 +312,7 @@ class TestBestW1I:
 
     def test_one_stacked_solve_per_grid(self, monkeypatch):
         # the grid, extras at or above 2^-10 included, is one stacked eigensolve;
-        # only the golden search solves one potential at a time
+        # then each golden step solves a stack of the one row
         stacks = []
         lowest = feynman_kac._lowest_eigenpairs
 
@@ -323,10 +324,10 @@ class TestBestW1I:
         monkeypatch.setattr(feynman_kac, "_lowest_eigenpairs", counted)
         u = np.array([0.0, 1.0, -0.5, 2.0])
         for ch in (planar_chain()[0], random_birth_death_chain(4, np.random.default_rng(4))):
-            for coarse, size in ((False, 49), (True, 17)):
+            for coarse, size, steps in ((False, 49, 40), (True, 17, 12)):
                 stacks.clear()
-                _best_lambda(ch, u, extra=(1e-6, 0.37), coarse=coarse)
-                assert stacks == [size + 1]
+                _best_lambda(ch, [u], extra=(1e-6, 0.37), coarse=coarse)
+                assert stacks == [size + 1] + [1] * (steps + 2)
 
     def test_roundoff_lambda_not_scored(self, monkeypatch):
         # on the 41-state service queue (mu down to 4.5e-49) the primal
@@ -334,15 +335,15 @@ class TestBestW1I:
         from transinfo.lyapunov import mminf_generator
         chain, _ = mminf_generator(1.0, 40)
         u = trivial_metric(chain.n).d[:, 0]
-        ratio, lam = _best_lambda(chain, u, extra=[3.4e-16])
-        assert (ratio, lam) == _best_lambda(chain, u)
-        assert ratio < 1.0
+        ratio, lam = _best_lambda(chain, [u], extra=[3.4e-16])
+        assert np.array_equal((ratio, lam), _best_lambda(chain, [u]))
+        assert ratio[0] < 1.0
         # an extra lambda at or above the grid's floor 2^-10 is still scored
         scored = []
         dual_ratios = feynman_kac._dual_ratios
         monkeypatch.setattr(feynman_kac, "_dual_ratios",
                             lambda ch, v, xs: scored.extend(xs) or dual_ratios(ch, v, xs))
-        _best_lambda(chain, u, extra=[3.4e-16, 2.0 ** -10, 0.3])
+        _best_lambda(chain, [u], extra=[3.4e-16, 2.0 ** -10, 0.3])
         assert 0.3 in scored and scored.count(2.0 ** -10) == 2 and 3.4e-16 not in scored
 
     def test_roundoff_transport_value_scores_zero(self):
@@ -374,7 +375,8 @@ class TestBestW1I:
 
 class TestLockstepLambdaSearch:
     """Rows of ``_best_lambda`` score all grids in one stacked solve and run
-    their golden searches in lockstep; each row equals its 1-D call bit for bit."""
+    their golden searches in lockstep; each row equals the one-potential search
+    bit for bit."""
 
     # extras below, at and above the grid's floor 2^-10
     EXTRAS = (3.4e-16, 2.0 ** -10, 0.37, 5.0)
@@ -400,7 +402,7 @@ class TestLockstepLambdaSearch:
                     ratios, lams = _best_lambda(ch, given_rows, extra=extra, coarse=coarse)
                     assert ratios.shape == lams.shape == (len(rows),)
                     for u, ratio, lam in zip(given_rows, ratios.tolist(), lams.tolist()):
-                        ref = _best_lambda(ch, u, extra=extra, coarse=coarse)
+                        ref = one_potential_best_lambda(ch, u, extra=extra, coarse=coarse)
                         assert (ratio.hex(), lam.hex()) == (ref[0].hex(), ref[1].hex())
         assert [ch.band is None for ch in self._chains()] == [True, True, False, False, False]
 
@@ -414,11 +416,7 @@ class TestLockstepLambdaSearch:
                 stacks.append(len(u))
             return lowest(chain, u, **kwargs)
 
-        def one_lambda(*args):
-            raise AssertionError("a dual round solved one lambda at a time")
-
         monkeypatch.setattr(feynman_kac, "_lowest_eigenpairs", counted)
-        monkeypatch.setattr(feynman_kac, "_dual_ratio", one_lambda)
         return stacks
 
     def test_one_stacked_solve_per_golden_step(self, monkeypatch):

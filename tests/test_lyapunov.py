@@ -14,13 +14,23 @@ from transinfo.lyapunov import (
     drift_ratio,
     lsi_constant_from_lyapunov,
     mminf_certificate,
-    mminf_drift_closed_form,
     mminf_generator,
     thm51_bounds,
     verify_thm51,
 )
 
 from conftest import dense_build_chain, random_reversible_chain, random_density
+
+
+def mminf_drift_closed_form(lambda_rate: float, c: float, n_values: np.ndarray) -> np.ndarray:
+    """-LU/U for U = e^{cn} on the untruncated queue generator.
+
+    Direct computation from the generator gives
+    n (1 - e^{-c}) - lambda (e^c - 1); the arrival term carries the
+    factor lambda.
+    """
+    n_values = np.asarray(n_values, dtype=float)
+    return n_values * (1.0 - math.exp(-c)) - lambda_rate * (math.exp(c) - 1.0)
 
 
 class TestDriftRatio:

@@ -13,6 +13,7 @@ from transinfo.simulate import (
     clopper_pearson,
     hoeffding_bound,
     lipschitz_gauss_bound,
+    mu_of_observable,
     sample_time_average,
     tail_estimate,
     tensor_deviation_demo,
@@ -200,6 +201,15 @@ class TestOUSampling:
                 EnsembleConfig(model=model, beta="statonary", t=1.0, n_paths=5, master_seed=0)
             EnsembleConfig(model=model, beta="stationary", t=1.0, n_paths=5, master_seed=0)
             EnsembleConfig(model=model, beta=0.5, t=1.0, n_paths=5, master_seed=0)
+
+    def test_stationary_means_by_quadrature(self):
+        # E|X| = sqrt(2/pi) and E X = 0 under N(0, 1); a non-callable v means X itself
+        cfg = EnsembleConfig(model=OUModel(), beta="stationary", t=1.0, n_paths=1,
+                             master_seed=0)
+        assert mu_of_observable(cfg, np.abs) == pytest.approx(math.sqrt(2.0 / math.pi),
+                                                              abs=1e-9)
+        assert mu_of_observable(cfg, lambda x: x) == pytest.approx(0.0, abs=1e-9)
+        assert mu_of_observable(cfg, None) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestTailEstimate:

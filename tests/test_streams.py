@@ -21,7 +21,7 @@ from transinfo.rng import path_streams
 from transinfo.simulate import EnsembleConfig, OUModel, sample_time_average
 from transinfo.trivial_metric import extremal_potential, fk_growth_mc
 
-from conftest import bernoulli_chain
+from conftest import bernoulli_chain, chain_from_dense
 
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
@@ -200,7 +200,7 @@ class TestChainSamplerOracle:
     def test_zero_rate_start(self):
         # state 0 has no exits: paths started there hold it until t
         Q = np.array([[0.0, 0.0, 0.0], [1.0, -1.5, 0.5], [0.0, 2.0, -2.0]])
-        ch = ReversibleChain.from_dense(states=(0, 1, 2), Q=Q, mu=np.array([0.5, 0.25, 0.25]))
+        ch = chain_from_dense(states=(0, 1, 2), Q=Q, mu=np.array([0.5, 0.25, 0.25]))
         u = np.array([1.0, -0.5, 0.25])
         cfg = EnsembleConfig(model=ch, beta=np.array([0.4, 0.3, 0.3]), t=3.0,
                              n_paths=300, master_seed=8)
