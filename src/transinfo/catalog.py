@@ -14,11 +14,9 @@ from .lyapunov import beta_potential_example, mminf_generator
 from .trivial_metric import build_jump_chain
 
 
-def bernoulli_chain(p: float = 0.3) -> ReversibleChain:
-    """Two states with rates 1/(1-p), 1/p: mu = (1-p, p), E(g,g) = (Dg)^2."""
-    if not 0 < p < 1:
-        raise ConfigParse("bernoulli parameter must lie in (0, 1)")
-    return build_chain(np.array([[0.0, 1.0 / (1.0 - p)], [1.0 / p, 0.0]]))
+def bernoulli_chain() -> ReversibleChain:
+    """Two states with rates 1/0.7, 1/0.3: mu = (0.7, 0.3), E(g,g) = (Dg)^2."""
+    return build_chain(np.array([[0.0, 1.0 / (1.0 - 0.3)], [1.0 / 0.3, 0.0]]))
 
 
 def quartic_spec() -> DiffusionSpec1D:
@@ -26,9 +24,9 @@ def quartic_spec() -> DiffusionSpec1D:
                            a=lambda x: 1.0, b=lambda x: -x ** 3, c_ref=0.0)
 
 
-def gauss_shift_density(chain: ReversibleChain, grid: Grid1D, m: float = 0.5) -> np.ndarray:
-    """Density of the mean-shifted Gaussian against the discretized standard one."""
-    f = np.exp(m * grid.nodes - m * m / 2.0)
+def gauss_shift_density(chain: ReversibleChain, grid: Grid1D) -> np.ndarray:
+    """Density of N(0.5, 1) against the discretized standard Gaussian."""
+    f = np.exp(0.5 * grid.nodes - 0.125)
     return f / float(np.dot(chain.mu, f))
 
 
@@ -40,7 +38,7 @@ def product_3x3() -> tuple[ReversibleChain, list[ReversibleChain]]:
 
 
 _CATALOG = {
-    "bernoulli": "two-state chain with rates 1/(1-p), 1/p (default p = 0.3)",
+    "bernoulli": "two-state chain with rates 1/0.7, 1/0.3, mu = (0.7, 0.3)",
     "jump2": "rate-1 resampling chain on two points, mu = (0.25, 0.75)",
     "ou": "mean-reverting unit diffusion (a = 1, b = -x), standard normal measure",
     "quartic": "quartic-well diffusion (a = 1, b = -x^3)",

@@ -321,22 +321,23 @@ def run_tensorize(params, out_dir: Path, seed: int, name: str) -> Outcome:
                     "infconv_gap": worst_inf}, [path])
 
 
+# the paper suite's parts; each runs as the experiment "{suite name}-{part}"
+_SUITE = (
+    ("ckp", run_ckp_scan, {"n": 5, "count": 500}),
+    ("rho", run_rho_scan, {"lambdas": [0.3, 0.5, 2.0]}),
+    ("tci", run_verify_tci,
+     {"model": "bernoulli", "alpha": {"kind": "quadratic", "c": math.sqrt(0.21) / 2.0}}),
+    ("bc", run_best_constant, {"model": "bernoulli", "metric": "trivial"}),
+    ("diff", run_diffusion, {"model": "ou", "nodes": 200}),
+    ("lya", run_lyapunov, {"model": "mminf", "samples": 100}),
+    ("tens", run_tensorize, {"count": 10}),
+    ("sim", run_simulate, {"model": "bernoulli", "t": 10.0, "r": [0.2], "n_paths": 4000}),
+)
+
+
 def run_paper_suite(params, out_dir: Path, seed: int, name: str) -> Outcome:
     """Abbreviated end-to-end pass over the bundled models."""
-    sub = [
-        run_ckp_scan({"n": 5, "count": 500}, out_dir, seed, f"{name}-ckp"),
-        run_rho_scan({"lambdas": [0.3, 0.5, 2.0]}, out_dir, seed, f"{name}-rho"),
-        run_verify_tci({"model": "bernoulli",
-                        "alpha": {"kind": "quadratic", "c": math.sqrt(0.21) / 2.0}},
-                       out_dir, seed, f"{name}-tci"),
-        run_best_constant({"model": "bernoulli", "metric": "trivial"},
-                          out_dir, seed, f"{name}-bc"),
-        run_diffusion({"model": "ou", "nodes": 200}, out_dir, seed, f"{name}-diff"),
-        run_lyapunov({"model": "mminf", "samples": 100}, out_dir, seed, f"{name}-lya"),
-        run_tensorize({"count": 10}, out_dir, seed, f"{name}-tens"),
-        run_simulate({"model": "bernoulli", "t": 10.0, "r": [0.2], "n_paths": 4000},
-                     out_dir, seed, f"{name}-sim"),
-    ]
+    sub = [run(part_params, out_dir, seed, f"{name}-{part}") for part, run, part_params in _SUITE]
     passed = all(o.passed for o in sub)
     artifacts = [a for o in sub for a in o.artifacts]
     return Outcome(name, passed, {o.name: o.passed for o in sub}, artifacts)
@@ -360,7 +361,8 @@ def _parse_spec_file(path: Path) -> list[tuple[str, dict]]:
 
     A name (given, or ``{kind}-{index}``) prefixes the experiment's files in
     the output directory, so it must be a non-empty string, not "." or "..",
-    without "/" or "\\", and unique in the spec.
+    without "/" or "\\", and unique in the spec, counting the names a
+    paper-suite gives its parts (``{name}-ckp`` and so on).
     """
     try:
         doc = json.loads(path.read_text())
@@ -377,9 +379,11 @@ def _parse_spec_file(path: Path) -> list[tuple[str, dict]]:
         name = exp.get("name", f"{exp['kind']}-{i}")
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigParse(f"experiment {i} has an invalid name {name!r}")
-        if name in seen:
-            raise ConfigParse(f"experiment name {name!r} is used twice")
-        seen.add(name)
+        parts = [f"{name}-{part}" for part, _, _ in _SUITE] if exp["kind"] == "paper-suite" else []
+        for taken in (name, *parts):
+            if taken in seen:
+                raise ConfigParse(f"experiment name {taken!r} is used twice")
+            seen.add(taken)
         named.append((name, exp))
     return named
 

@@ -64,8 +64,6 @@ from .transport import (
     alpha_conjugate,
     infconv_potential,
     supconv_potential,
-    w1,
-    w2,
 )
 
 DIVERGENCE_CAP = 1e6
@@ -325,36 +323,23 @@ def _lipschitz_candidates(d: MetricMatrix, n_random: int, rng) -> list[np.ndarra
     return cands
 
 
-def _transport_ratio(chain, d, f, squared):
-    """W^2 / (4 I) for nu = f mu; +inf when I vanishes with W > 0."""
-    nu = chain.mu * f
-    dist = w2(d, nu, chain.mu) if squared else w1(d, nu, chain.mu)
-    return _ratio(dist, fisher_information_raw(chain, f), d, squared)
-
-
-def _ratio(dist, info, d, squared):
-    """dist^2 / (4 info); 0 when the transport value is at the roundoff floor.
-
-    The floor is ROUNDOFF_COSTS * eps * max cost on the value, so on W_2
-    it reads sqrt(ROUNDOFF_COSTS * eps) * diameter.
-    """
-    floor = ROUNDOFF_COSTS * np.finfo(float).eps
-    if dist <= (math.sqrt(floor) if squared else floor) * d.diameter:
-        return 0.0
-    if info <= 0:
-        return math.inf
-    return dist * dist / (4.0 * info)
-
-
 def _ratio_and_gradient(chain, d, f, squared):
-    """(``_transport_ratio``, its gradient in f) from one transport solve.
+    """(W^2 / (4 I) for nu = f mu, its gradient in f) from one transport solve.
 
-    The ratio comes from the primal value, the gradient from the tightened
-    dual value and its potential; the gradient is None when I vanishes.
+    The ratio comes from the primal value: +inf when I vanishes with W > 0,
+    and 0 when the transport value is at the roundoff floor ROUNDOFF_COSTS
+    * eps * max cost, which on W_2 reads sqrt(ROUNDOFF_COSTS * eps) *
+    diameter.  The gradient comes from the tightened dual value and its
+    potential; it is None when I vanishes.
     """
     info = fisher_information_raw(chain, f)
     value, dual, pot = _metric_transport(d, 2 if squared else 1, chain.mu * f, chain.mu)
-    ratio = _ratio(math.sqrt(max(value, 0.0)) if squared else value, info, d, squared)
+    dist = math.sqrt(max(value, 0.0)) if squared else value
+    floor = ROUNDOFF_COSTS * np.finfo(float).eps
+    if dist <= (math.sqrt(floor) if squared else floor) * d.diameter:
+        ratio = 0.0
+    else:
+        ratio = math.inf if info <= 0 else dist * dist / (4.0 * info)
     if info <= 1e-300:
         return ratio, None
     if squared:
@@ -495,7 +480,7 @@ def linearization_probe(chain: ReversibleChain, d: MetricMatrix, directions):
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         best = 0.0
         for g in directions:
-            best = max(best, _transport_ratio(chain, d, 1.0 + eps * g, squared=True))
+            best = max(best, _ratio_and_gradient(chain, d, 1.0 + eps * g, True)[0])
         rows.append((float(eps), float(best)))
     return rows
 
@@ -525,10 +510,10 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
     diverged = False
     g = dirs[0]
     eps = 0.5
-    last = _transport_ratio(chain, d, 1.0 + eps * g, squared=True)
+    last = _ratio_and_gradient(chain, d, 1.0 + eps * g, True)[0]
     while not math.isinf(last) and last <= DIVERGENCE_CAP:
         eps *= 0.5
-        ratio = _transport_ratio(chain, d, 1.0 + eps * g, squared=True)
+        ratio = _ratio_and_gradient(chain, d, 1.0 + eps * g, True)[0]
         if not math.isinf(ratio) and ratio < 1.5 * last:
             break
         last = ratio
@@ -553,7 +538,7 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
     v_cands = [d.d[:, x0] ** 2 for x0 in (range(chain.n) if chain.n <= 8 else
                                           rng.choice(chain.n, 8, replace=False))]
     for _ in range(3):
-        v_cands.append(np.abs(rng.standard_normal(chain.n)) * float(np.max(d.d)) ** 2)
+        v_cands.append(np.abs(rng.standard_normal(chain.n)) * d.diameter ** 2)
     best_dual = 0.0
     best_v = v_cands[0]
     for _ in range(rounds):

@@ -122,13 +122,11 @@ def thm51_bounds(c_p: float, b: float, phi_l2: float, a_param: float,
     return bound_a, bound_b
 
 
-def verify_thm51(chain: ReversibleChain, cert: LyapunovCertificate,
-                 density_samples, c_p: float | None = None, a_param: float = 2.0):
-    """Both weighted-TV bounds against sampled densities; PASS needs slack >= -1e-8."""
+def verify_thm51(chain: ReversibleChain, cert: LyapunovCertificate, density_samples):
+    """Both weighted-TV bounds (a = 2) against sampled densities; PASS needs slack >= -1e-8."""
     if not cert.certified:
         raise NotCertified(f"certificate has violation {cert.max_violation:.3e}")
-    if c_p is None:
-        _, c_p = spectral_gap(chain)
+    _, c_p = spectral_gap(chain)
     phi_l2 = math.sqrt(float(np.dot(chain.mu, cert.phi ** 2)))
     rows = []
     worst = math.inf
@@ -138,7 +136,7 @@ def verify_thm51(chain: ReversibleChain, cert: LyapunovCertificate,
         info = fisher_information(chain, dens)
         lhs1 = tv_weighted(chain, dens, cert.phi)
         lhs2 = tv_weighted(chain, dens, np.sqrt(cert.phi)) ** 2
-        bound_a, bound_b = thm51_bounds(c_p, cert.b, phi_l2, a_param, info)
+        bound_a, bound_b = thm51_bounds(c_p, cert.b, phi_l2, 2.0, info)
         slack = min(bound_a - lhs1, bound_b - lhs2)
         worst = min(worst, slack)
         rows.append((idx, lhs1, bound_a, lhs2, bound_b, slack))
@@ -223,11 +221,10 @@ class BetaPotentialModel:
     p_exponent: float | None     # 2(beta-1) when beta > 3/2, else None
 
 
-def beta_potential_example(beta: float, c_v: float = 1.0,
-                           grid: Grid1D | None = None) -> BetaPotentialModel:
+def beta_potential_example(beta: float, grid: Grid1D | None = None) -> BetaPotentialModel:
     """Drift data for the |x|^beta potential, smoothed to C^2 near zero.
 
-    V(x) = c_v |x|^beta outside |x| <= 1 and an even quartic blend inside
+    V(x) = |x|^beta outside |x| <= 1 and an even quartic blend inside
     (value and two derivatives matched at |x| = 1).  With U = e^{lam V}
     the drift is (lam - lam^2)|V'|^2 - lam V'' and the choice
     lam = (1 - gamma')/2, delta = lam^2/2 (gamma' midway between the
@@ -241,7 +238,7 @@ def beta_potential_example(beta: float, c_v: float = 1.0,
         raise ValueError("beta must be at least 1")
     if grid is None:
         grid = Grid1D.uniform(-6.0, 6.0, 481)
-    V, Vp, Vpp = _blended_potential(beta, c_v)
+    V, Vp, Vpp = _blended_potential(beta)
     spec = DiffusionSpec1D(x0=-math.inf, y0=math.inf,
                            a=lambda x: 1.0, b=lambda x: -Vp(x), c_ref=0.0)
     nodes = grid.nodes
@@ -271,25 +268,25 @@ def beta_potential_example(beta: float, c_v: float = 1.0,
                               p_exponent=2.0 * (beta - 1.0) if beta > 1.5 else None)
 
 
-def _blended_potential(beta: float, c_v: float):
+def _blended_potential(beta: float):
     # quartic even blend p(x) = a0 + a2 x^2 + a4 x^4 matching value and two
-    # derivatives of c_v |x|^beta at |x| = 1; each function maps arrays
-    a4 = c_v * beta * (beta - 2.0) / 8.0
-    a2 = c_v * beta * (4.0 - beta) / 4.0
-    a0 = c_v - a2 - a4
+    # derivatives of |x|^beta at |x| = 1; each function maps arrays
+    a4 = beta * (beta - 2.0) / 8.0
+    a2 = beta * (4.0 - beta) / 4.0
+    a0 = 1.0 - a2 - a4
 
     def V(x):
         ax = np.abs(x)
-        return np.where(ax >= 1.0, c_v * ax ** beta, a0 + a2 * x * x + a4 * x ** 4)
+        return np.where(ax >= 1.0, ax ** beta, a0 + a2 * x * x + a4 * x ** 4)
 
     def Vp(x):
         ax = np.abs(x)
-        return np.where(ax >= 1.0, c_v * beta * ax ** (beta - 1.0) * np.copysign(1.0, x),
+        return np.where(ax >= 1.0, beta * ax ** (beta - 1.0) * np.copysign(1.0, x),
                         2.0 * a2 * x + 4.0 * a4 * x ** 3)
 
     def Vpp(x):
         ax = np.abs(x)
-        return np.where(ax >= 1.0, c_v * beta * (beta - 1.0) * ax ** (beta - 2.0),
+        return np.where(ax >= 1.0, beta * (beta - 1.0) * ax ** (beta - 2.0),
                         2.0 * a2 + 12.0 * a4 * x * x)
 
     return V, Vp, Vpp

@@ -498,14 +498,13 @@ def _golden_max(fn, lo, hi, iters: int, tol: float = 0.0):
     return 0.5 * (a + b), pick(fd > fc, fd, fc)
 
 
-def alpha_infconv(alphas: list[RateFunction], r: float, multistarts: int = 16,
-                  seed: int = 11) -> float:
+def alpha_infconv(alphas: list[RateFunction], r: float) -> float:
     """inf { sum_i alpha_i(r_i) : r_i >= 0, sum r_i = r }.
 
     Identical convex summands have the closed form n alpha(r/n); the
     numerical route is cyclic pairwise golden-section descent on the
     splitting simplex.  For convex alphas any local minimum is global,
-    so the multistarts only guard the tabulated variant.
+    so the 16 multistarts only guard the tabulated variant.
     """
     if r < 0:
         raise ValueError("inf-convolution needs r >= 0")
@@ -520,9 +519,9 @@ def alpha_infconv(alphas: list[RateFunction], r: float, multistarts: int = 16,
     if r == 0.0:
         return float(sum(a(0.0) for a in alphas))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     best = math.inf
-    for start in range(multistarts):
+    for start in range(16):
         if start == 0:
             split = np.full(n, r / n)
         else:
@@ -534,10 +533,10 @@ def alpha_infconv(alphas: list[RateFunction], r: float, multistarts: int = 16,
     return float(best)
 
 
-def _pairwise_descent(alphas, split, r, sweeps: int = 40):
+def _pairwise_descent(alphas, split, r):
     n = len(alphas)
     split = split.copy()
-    for _ in range(sweeps):
+    for _ in range(40):
         moved = 0.0
         for i in range(n):
             for j in range(i + 1, n):

@@ -15,11 +15,13 @@ from transinfo.chains import (
     build_chain,
     solve_invariant_measure,
 )
+from transinfo.diffusion1d import _quad
 from transinfo.errors import (
     DegenerateMeasure,
     DetailedBalanceViolated,
     ModelValidation,
     NotIrreducible,
+    QuadratureFailure,
 )
 from transinfo.feynman_kac import _lambda_grid, fisher_information_raw, lambda_max, project_density
 from transinfo.transport import _golden_max
@@ -168,6 +170,47 @@ def rng():
 
 def bernoulli_chain(p: float) -> ReversibleChain:
     return build_chain(np.array([[0.0, 1.0 / (1.0 - p)], [1.0 / p, 0.0]]))
+
+
+def nested_nonexplosion(spec, ladders: dict) -> dict:
+    """``check_nonexplosion`` by nested scalar quadrature at the given ladders.
+
+    ``ladders`` maps "upper" and "lower" to their rungs R.  Between rungs
+    (c = c_ref before the first) the partials I(R) = int s'(x) |int_c^x m'| dx
+    grow by an adaptive ``_quad`` whose integrand adds a ``_quad`` of m' to
+    the mass below the interval, each m' value a ``_quad`` of b/a from c:
+    three nested scalar quadratures, the reference for the panel sums.
+    """
+    def scale_speed(x):
+        inner = _quad(lambda z: spec.b(z) / spec.a(z), spec.c_ref, x)
+        return math.exp(-inner), math.exp(inner) / spec.a(x)
+
+    def mass(lo, hi):   # int m' between lo and hi, in either order
+        return _quad(lambda z: scale_speed(z)[1], min(lo, hi), max(lo, hi))
+
+    out = {}
+    for side, ladder in ladders.items():
+        vals, total, below, start = [], 0.0, 0.0, spec.c_ref
+        overflow = False
+        for R in ladder:
+            try:
+                total += _quad(lambda x, lo=start, m=below: scale_speed(x)[0] * (m + mass(lo, x)),
+                               min(start, R), max(start, R))
+                below += mass(start, R)
+            except (QuadratureFailure, OverflowError):
+                overflow = True
+                break
+            vals.append(total)
+            start = R
+        if overflow or (len(vals) >= 2 and vals[-1] > 1e12 * max(vals[0], 1e-30)):
+            verdict = "divergent"
+        elif len(vals) >= 3 and vals[-1] > 1e3 * max(vals[0], 1e-30) and \
+                (vals[-1] - vals[-2]) > (vals[1] - vals[0]):
+            verdict = "divergent"
+        else:
+            verdict = "inconclusive"
+        out[side] = {"partials": vals, "verdict": verdict}
+    return out
 
 
 def sequential_legendre(chain: ReversibleChain, u: np.ndarray, lam: float,

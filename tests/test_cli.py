@@ -330,6 +330,16 @@ class TestSpecNamesAndSeeds:
         assert "used twice" in json.loads(capsys.readouterr().out)["error"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("suite_first", [True, False])
+    def test_suite_part_name_rejected(self, tmp_path, suite_first, capsys):
+        # a paper-suite named s runs its ckp-scan part as s-ckp
+        experiments = [{"kind": "paper-suite", "name": "s"},
+                       {"kind": "ckp-scan", "name": "s-ckp", "params": {"n": 4, "count": 7}}]
+        spec_file = self._spec(tmp_path, experiments if suite_first else experiments[::-1])
+        assert main(["run", str(spec_file), "--out", str(tmp_path / "out")]) == 2
+        assert "'s-ckp' is used twice" in json.loads(capsys.readouterr().out)["error"]
+        assert not (tmp_path / "out").exists()
+
     def test_default_names_are_kind_and_index(self, tmp_path):
         spec_file = self._spec(tmp_path, [{"kind": "rho-scan", "params": {"lambdas": [0.5]}},
                                           {"kind": "ckp-scan", "params": {"n": 4, "count": 10}}])

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import nested_nonexplosion
+from transinfo import diffusion1d
+from transinfo.catalog import diffusion_from_json
 from transinfo.chains import dirichlet_energy, fisher_information, spectral_gap, Density
 from transinfo.diffusion1d import (
     DiffusionSpec1D,
@@ -17,6 +20,7 @@ from transinfo.diffusion1d import (
     ou_sigma2,
     ou_spec,
     ou_tail_lograte,
+    _quad,
     rho_a,
     scale_speed,
 )
@@ -84,6 +88,18 @@ class TestScaleSpeed:
             assert spec.a(x) * sp * mp == pytest.approx(1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("spec", [
+        ou_spec(), quartic_spec(),
+        diffusion_from_json({"a": "1 + x * x / 4", "b": "sin(3 * x) - x ** 3",
+                             "interval": [-3, "inf"], "c_ref": 0.5})],
+        ids=["ou", "quartic", "expression"])
+    def test_matches_scalar_quad(self, spec):
+        for x in (-2.5, -0.7, 0.3, 1.1, 2.9):
+            inner = _quad(lambda z: spec.b(z) / spec.a(z), spec.c_ref, x)
+            ref = (math.exp(-inner), math.exp(inner) / spec.a(x))
+            np.testing.assert_allclose(scale_speed(spec, x), ref, rtol=1e-14, atol=0.0)
+
+
 class TestNormalize:
     def test_ou_gaussian_mass(self):
         Z, mu = normalize(ou_spec(), Grid1D.uniform(-8, 8, 400))
@@ -125,6 +141,54 @@ class TestNonexplosion:
     def test_symmetric_spec_mirrors(self):
         out = check_nonexplosion(quartic_spec(), 6.0)
         assert out["upper"]["verdict"] == out["lower"]["verdict"] == "divergent"
+
+
+class TestNonexplosionOnPanels:
+    """The panel prefix sums against the nested scalar quadrature."""
+
+    @staticmethod
+    def _ladders(spec, cutoff):
+        c, t = spec.c_ref, np.linspace(0.2, 1.0 - 1e-9, 8)
+        return {"upper": c + (min(c + cutoff, spec.y0) - c) * t,
+                "lower": c + (max(c - cutoff, spec.x0) - c) * t}
+
+    @pytest.mark.parametrize("make, cutoff", [
+        (ou_spec, 4.0), (ou_spec, 10.0), (quartic_spec, 2.5), (quartic_spec, 6.0),
+        (brownian_01, 0.49)], ids=["ou-4", "ou-10", "quartic-2.5", "quartic-6", "bm01"])
+    def test_matches_nested_quadrature(self, make, cutoff):
+        spec = make()
+        got = check_nonexplosion(spec, cutoff)
+        ref = nested_nonexplosion(spec, self._ladders(spec, cutoff))
+        for side in ("upper", "lower"):
+            assert got[side]["verdict"] == ref[side]["verdict"]
+            assert len(got[side]["partials"]) == len(ref[side]["partials"]) == 8
+            np.testing.assert_allclose(got[side]["partials"], ref[side]["partials"],
+                                       rtol=1e-10, atol=0.0)
+
+    def test_overflow_ends_the_ladder_before_any_fallback(self, monkeypatch):
+        # the nested quadrature read two partials per side before e^{x^4/4}
+        # overflowed; no panel may reach the adaptive quad
+        calls = []
+        monkeypatch.setattr(diffusion1d, "_quad",
+                            lambda fn, lo, hi: calls.append((lo, hi)) or _quad(fn, lo, hi))
+        out = check_nonexplosion(quartic_spec(), 20.0)
+        assert calls == []
+        ref = [float.fromhex("0x1.a22efa32f3d22p+86"), float.fromhex("0x1.5a8513ebbf5efp+555")]
+        for side in ("upper", "lower"):
+            np.testing.assert_allclose(out[side]["partials"], ref, rtol=1e-10, atol=0.0)
+            assert out[side]["verdict"] == "divergent"
+
+    def test_cutoff_measured_from_c_ref(self):
+        # Brownian motion on (0, 1) about c_ref = 0.5 is symmetric
+        out = check_nonexplosion(brownian_01(), 0.49)
+        np.testing.assert_allclose(out["upper"]["partials"], out["lower"]["partials"],
+                                   rtol=1e-12, atol=0.0)
+        assert out["upper"]["partials"][-1] == pytest.approx(0.49 ** 2 / 2, rel=1e-8)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan])
+    def test_nonpositive_cutoff_rejected(self, cutoff):
+        with pytest.raises(ModelValidation):
+            check_nonexplosion(ou_spec(), cutoff)
 
 
 class TestCRho:

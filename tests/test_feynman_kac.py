@@ -361,10 +361,9 @@ class TestBestW1I:
         assert dist > floor
         info = feynman_kac.fisher_information_raw(chain, f)
         assert val == pytest.approx(dist * dist / (4.0 * info), rel=1e-9)
-        # a density whose W_1 is itself roundoff scores 0 on both ratio routes
+        # a density whose W_1 is itself roundoff scores 0
         _, dens = lambda_max_witness(chain, lam * d.d[:, 29])
         assert 0.0 < transport.w1(d, chain.mu * dens.f, chain.mu) <= floor
-        assert feynman_kac._transport_ratio(chain, d, dens.f, squared=False) == 0.0
         assert feynman_kac._ratio_and_gradient(chain, d, dens.f, False)[0] == 0.0
 
     def test_uniform_density_never_the_witness(self, rng):
@@ -464,9 +463,9 @@ class TestBestW2I:
         assert rep.c_dual == pytest.approx(1.0, abs=0.12)
 
     def test_uniform_density_ratio_zero(self, rng):
-        from transinfo.feynman_kac import _transport_ratio
+        from transinfo.feynman_kac import _ratio_and_gradient
         ch = random_reversible_chain(3, rng)
-        assert _transport_ratio(ch, trivial_metric(3), np.ones(3), squared=True) == 0.0
+        assert _ratio_and_gradient(ch, trivial_metric(3), np.ones(3), True)[0] == 0.0
 
 
 class TestW2IDualCheck:

@@ -317,7 +317,7 @@ class TestBetaPotential:
     def test_blend_is_c2_at_one(self):
         from transinfo.lyapunov import _blended_potential
         for beta in (1.0, 2.0, 3.0):
-            V, Vp, Vpp = _blended_potential(beta, 1.0)
+            V, Vp, Vpp = _blended_potential(beta)
             eps = 1e-7
             assert V(1 - eps) == pytest.approx(V(1 + eps), abs=1e-6)
             assert Vp(1 - eps) == pytest.approx(Vp(1 + eps), abs=1e-5)
