@@ -13,9 +13,10 @@ Lambda(lambda u) is also the convex conjugate of the information rate
 nu -> I(nu | mu) along the observable u; ``legendre_of_info`` recomputes
 that supremum by concave ascent over densities, deliberately independent
 of the eigensolver.  Independent small problems are solved as one array
-problem: the ascent runs its multistarts in lockstep as rows; a lambda
-search scores its grid with one stacked eigensolve, and a dual round runs
-its candidates' searches in lockstep, one stacked solve per golden step.
+problem: the Legendre ascent runs its multistarts in lockstep as rows, and
+so do the primal ascents of a best-constant search; a lambda search scores
+its grid with one stacked eigensolve, and a dual round runs its
+candidates' searches in lockstep, one stacked solve per golden step.
 
 Best constants: mu satisfies W_1 I(c) when W_1(nu, mu)^2 <= 4 c^2
 I(nu | mu) for all nu, equivalently Lambda(lambda u) <= lambda mu(u) +
@@ -27,10 +28,10 @@ the eigen-density of the best dual pair re-seeds the primal, so the
 reported dual/primal gap measures optimizer quality only.  The ascent
 solves each candidate density once: that transport solve gives the ratio
 (from the primal value) and, from the same simplex vertex under the same
-1e-9 gap check, the potential behind the gradient.  An accepted
-candidate's gradient drives the next step, and a rejected step reuses
-the gradient already held.  Each dual round likewise takes W and the
-witness potential from one solve.  W_2 I gets an extra linearization
+1e-9 gap check, the potential behind the gradient.  Only an accepted
+candidate builds its gradient, which drives the next step; a rejected
+step reuses the gradient already held.  Each dual round likewise takes W
+and the witness potential from one solve.  W_2 I gets an extra linearization
 probe nu_eps = (1 + eps g) mu, which turns "no finite constant" into a
 measurable 1/eps slope.  A density whose transport value lies within
 ROUNDOFF_COSTS * eps of zero, in units of the largest cost, scores 0:
@@ -61,6 +62,7 @@ from .transport import (
     RateFunction,
     _golden_max,
     _metric_transport,
+    _metric_transport_rows,
     alpha_conjugate,
     infconv_potential,
     supconv_potential,
@@ -131,7 +133,7 @@ def fk_norm(chain: ReversibleChain, u: np.ndarray, t: float, method: str = "eige
 
 def fisher_information_raw(chain: ReversibleChain, f: np.ndarray) -> float:
     """E(sqrt f, sqrt f) without the Density mass check (optimizer internals)."""
-    return dirichlet_energy(chain, np.sqrt(np.clip(f, 0.0, None)))
+    return dirichlet_energy(chain, np.sqrt(np.maximum(f, 0.0)))
 
 
 def legendre_of_info(chain: ReversibleChain, u: np.ndarray, lam: float,
@@ -201,14 +203,14 @@ def project_density(mu, y, floor=0.0):
     mu = np.asarray(mu, dtype=float)
     y = np.asarray(y, dtype=float)
     start = np.arange(0, y.size, y.shape[-1]).reshape(y.shape[:-1] + (1,))  # rows in y.ravel()
-    order = np.argsort(-y, axis=-1, kind="stable")
+    order = (-y).argsort(axis=-1, kind="stable")
     ys, ms = y.ravel()[start + order], mu[order]
-    mass = np.cumsum(ms, axis=-1)
+    mass = ms.cumsum(axis=-1)
     # theta_k makes the k+1 largest entries active: sum_{i<=k} m_i (y_i - theta) +
     # floor * (rest of the mass) = 1; the true active set is the longest
     # prefix whose last entry still clears the floor
     excess = 1.0 - floor * (mass[..., -1:] - mass)
-    theta = (np.cumsum(ms * ys, axis=-1) - excess) / mass
+    theta = ((ms * ys).cumsum(axis=-1) - excess) / mass
     k = (ys - theta > floor).sum(axis=-1, keepdims=True) - 1
     return np.maximum(y - theta.ravel()[start + np.maximum(k, 0)], floor)
 
@@ -323,66 +325,132 @@ def _lipschitz_candidates(d: MetricMatrix, n_random: int, rng) -> list[np.ndarra
     return cands
 
 
-def _ratio_and_gradient(chain, d, f, squared):
-    """(W^2 / (4 I) for nu = f mu, its gradient in f) from one transport solve.
+def _ratios(chain, d, f, squared):
+    """W^2 / (4 I) for each row nu = f mu, and what its gradient needs.
 
-    The ratio comes from the primal value: +inf when I vanishes with W > 0,
-    and 0 when the transport value is at the roundoff floor ROUNDOFF_COSTS
-    * eps * max cost, which on W_2 reads sqrt(ROUNDOFF_COSTS * eps) *
-    diameter.  The gradient comes from the tightened dual value and its
-    potential; it is None when I vanishes.
+    Returns (ratios, infos, dual values, potentials), with ``potentials``
+    as from ``_metric_transport_rows``.  The ratio comes from the primal
+    value: +inf when I vanishes with W > 0, and 0 when the transport value
+    is at the roundoff floor ROUNDOFF_COSTS * eps * max cost, which on W_2
+    reads sqrt(ROUNDOFF_COSTS * eps) * diameter.  Each row's I is its own
+    dot product, as in ``fisher_information_raw``, since a 2-D product can
+    round differently.
     """
-    info = fisher_information_raw(chain, f)
-    value, dual, pot = _metric_transport(d, 2 if squared else 1, chain.mu * f, chain.mu)
-    dist = math.sqrt(max(value, 0.0)) if squared else value
+    f = np.asarray(f, dtype=float).reshape(-1, chain.n)
+    i, j, w = chain.edges
+    sq = np.sqrt(np.maximum(f, 0.0))
+    if not np.isfinite(sq).all():
+        raise ValueError("g must be finite")
+    # sq[:, j] comes out column-major, and a dot over a strided row rounds
+    # differently from one over a contiguous vector
+    diff = np.ascontiguousarray(sq[:, j] - sq[:, i])
+    infos = np.array([float(np.dot(w, row)) for row in diff * diff])
+    values, duals, potentials = _metric_transport_rows(d, 2 if squared else 1,
+                                                       chain.mu * f, chain.mu)
     floor = ROUNDOFF_COSTS * np.finfo(float).eps
-    if dist <= (math.sqrt(floor) if squared else floor) * d.diameter:
-        ratio = 0.0
-    else:
-        ratio = math.inf if info <= 0 else dist * dist / (4.0 * info)
-    if info <= 1e-300:
-        return ratio, None
+    cut = (math.sqrt(floor) if squared else floor) * d.diameter
+    ratios = []
+    for value, info in zip(values.tolist(), infos.tolist()):
+        dist = math.sqrt(max(value, 0.0)) if squared else value
+        ratios.append(0.0 if dist <= cut else math.inf if info <= 0 else dist * dist / (4.0 * info))
+    return np.array(ratios), infos, duals, potentials
+
+
+def _gradients(chain, f, squared, infos, duals, pots):
+    """Gradient in f of W^2 / (4 I) for each row f, from its I, dual value and potential."""
+    info, dual = infos[:, None], duals[:, None]
     if squared:
-        ddist2, dist2 = chain.mu * pot, dual
+        ddist2, dist2 = chain.mu * pots, dual
     else:
-        ddist2, dist2 = chain.mu * (2.0 * dual * pot), dual * dual
-    sq = np.sqrt(np.clip(f, 1e-13, None))
+        ddist2, dist2 = chain.mu * (2.0 * dual * pots), dual * dual
+    sq = np.sqrt(np.maximum(f, 1e-13))
     dinfo = chain.mu * _apply_neg_generator(chain, sq) / sq
-    return ratio, ddist2 / (4.0 * info) - dist2 * dinfo / (4.0 * info * info)
+    four_info = 4.0 * info
+    return ddist2 / four_info - dist2 * dinfo / (four_info * info)
 
 
-def _primal_ascent(chain, d, f0, squared, iters=140, min_perturbation=0.0):
-    f = f0.copy()
-    val, grad = _ratio_and_gradient(chain, d, f, squared)
-    if math.isinf(val):
-        return val, f
-    step = 0.25
+def _primal_ascents(chain, d, f0, squared, iters=140, min_perturbation=0.0):
+    """Projected ascents of W^2 / (4 I), one per row of f0, run in lockstep.
+
+    Returns each row's (value, density).  The projections, transport solves
+    and gradients of all rows go in one call each; every row keeps its own
+    step, accept rule and stops, on Python floats: at a vanishing I or
+    gradient, at a step below 1e-8, or at an infinite ratio, which it
+    returns with the density that reached it.  A stopped row leaves the
+    arrays.  A rejected step leaves f, and with it the gradient, unchanged,
+    so only accepted candidates build a gradient.  With min_perturbation
+    > 0, a candidate within it of f = 1 in sup norm is not scored and
+    counts as rejected; see best_w2i.
+    """
+    f = np.array(f0, dtype=float).reshape(-1, chain.n)
+    ratios, infos, duals, potentials = _ratios(chain, d, f, squared)
+    out_val, out_f = ratios.tolist(), f.copy()
+    live = [r for r, (val, info) in enumerate(zip(out_val, infos.tolist()))
+            if not math.isinf(val) and not info <= 1e-300]
+    if not live:
+        return np.array(out_val), out_f
     root_inv_mu = np.sqrt(1.0 / chain.mu)
+
+    def norms(grad):
+        # each row's own dot product, as np.linalg.norm takes it
+        return [math.sqrt(float(np.dot(row, row))) for row in grad * root_inv_mu]
+
+    def take(a, idx):
+        # rows idx (increasing) of a; all of them, the common case, need no copy
+        return a if len(idx) == len(a) else a[idx]
+
+    f, grad = f[live], _gradients(chain, f[live], squared, infos[live], duals[live],
+                                  potentials(live))
+    val, step, norm = [out_val[r] for r in live], [0.25] * len(live), norms(grad)
+    done = [k for k, x in enumerate(norm) if x < 1e-14]
     for _ in range(iters):
-        # a rejected step leaves f, and with it the gradient, unchanged
-        if grad is None:
-            break
-        norm = float(np.linalg.norm(grad * root_inv_mu))
-        if norm < 1e-14:
-            break
-        cand = project_density(chain.mu, f + step * grad / (chain.mu * norm), 1e-13)
-        if min_perturbation > 0.0 and float(np.max(np.abs(cand - 1.0))) < min_perturbation:
-            # keep the search in the macroscopic regime; see best_w2i
-            step *= 0.5
-            if step < 1e-8:
+        if done:
+            for k in done:
+                out_val[live[k]], out_f[live[k]] = val[k], f[k]
+            keep = [k for k in range(len(live)) if k not in done]
+            f, grad = f[keep], grad[keep]
+            val, step, norm, live = ([a[k] for k in keep] for a in (val, step, norm, live))
+            done = []
+            if not live:
                 break
-            continue
-        cand_val, cand_grad = _ratio_and_gradient(chain, d, cand, squared)
-        if math.isinf(cand_val):
-            return cand_val, cand
-        if cand_val > val + 1e-15:
-            f, val, grad = cand, cand_val, cand_grad
-            step = min(step * 1.4, 50.0)
-        else:
-            step *= 0.5
-            if step < 1e-8:
-                break
-    return val, f
+        cand = project_density(chain.mu, f + np.array(step)[:, None] * grad
+                               / (chain.mu * np.array(norm)[:, None]), 1e-13)
+        scored = list(range(len(live)))
+        if min_perturbation > 0.0:
+            far = np.abs(cand - 1.0).max(axis=-1).tolist()
+            scored = [k for k in scored if not far[k] < min_perturbation]
+            for k in set(range(len(live))).difference(scored):
+                step[k] *= 0.5
+                if step[k] < 1e-8:
+                    done.append(k)
+            if not scored:
+                continue
+        cand_val, infos, duals, potentials = _ratios(chain, d, take(cand, scored), squared)
+        grown = []      # (row, position among the scored) of accepted rows with a gradient
+        for b, (k, cv, info) in enumerate(zip(scored, cand_val.tolist(), infos.tolist())):
+            if math.isinf(cv) or cv > val[k] + 1e-15:
+                f[k], val[k] = cand[k], cv
+                step[k] = min(step[k] * 1.4, 50.0)
+                if math.isinf(cv) or info <= 1e-300:
+                    done.append(k)
+                else:
+                    grown.append((k, b))
+            else:
+                step[k] *= 0.5
+                if step[k] < 1e-8:
+                    done.append(k)
+        if grown:
+            rows, pos = map(list, zip(*grown))
+            new = _gradients(chain, take(f, rows), squared, take(infos, pos), take(duals, pos),
+                             potentials(pos))
+            grad[rows] = new
+            for k, x in zip(rows, norms(new)):
+                norm[k] = x
+                if x < 1e-14:
+                    done.append(k)
+    for k, r in enumerate(live):
+        out_val[r], out_f[r] = val[k], f[k]
+    return np.array(out_val), out_f
 
 
 def _low_eigen_directions(chain, count):
@@ -426,8 +494,8 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
     """Best constant in W_1(nu, mu)^2 <= 4 c^2 I(nu | mu)."""
     rng = np.random.default_rng(seed)
     best_primal, best_f = 0.0, np.ones(chain.n)
-    for f0 in _primal_starts(chain, rng, primal_starts):
-        val, f = _primal_ascent(chain, d, f0, squared=False)
+    vals, fs = _primal_ascents(chain, d, _primal_starts(chain, rng, primal_starts), squared=False)
+    for val, f in zip(vals.tolist(), fs):
         if val > best_primal:
             best_primal, best_f = val, f
 
@@ -440,7 +508,6 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
         if info > 0 and dist > 0:
             cands.append(_mcshane(d, pot))
             extra_lams.append(2.0 * info / dist)
-        improved = False
         feasible = [u for u in cands if lipschitz_norm(d, u) <= 1.0 + 1e-9]
         if chain.n > 50:
             # prune with a coarse scan; refine only the leaders
@@ -448,16 +515,19 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
             scores = sorted(zip(coarse.tolist(), range(len(feasible))), reverse=True)
             feasible = [feasible[k] for _, k in scores[:4]]
         ratios, lams = _best_lambda(chain, feasible, extra=extra_lams)
+        # each improving candidate's eigen-density seeds an ascent; the ascents
+        # run as rows and merge in candidate order
+        seeds = []
         for u, ratio, lam_star in zip(feasible, ratios.tolist(), lams.tolist()):
             if ratio > best_dual:
                 best_dual, best_u = ratio, np.asarray(u, dtype=float)
-                improved = True
-                _, dens = lambda_max_witness(chain, lam_star * u)
-                val, f = _primal_ascent(chain, d, dens.f.copy(), squared=False, iters=120)
-                if val > best_primal:
-                    best_primal, best_f = val, f
-        if not improved:
+                seeds.append(lambda_max_witness(chain, lam_star * u)[1].f)
+        if not seeds:
             break
+        vals, fs = _primal_ascents(chain, d, seeds, squared=False, iters=120)
+        for val, f in zip(vals.tolist(), fs):
+            if val > best_primal:
+                best_primal, best_f = val, f
     best_u = np.asarray(best_u, dtype=float)
     return BestConstantReport(
         c_dual=math.sqrt(max(best_dual, 0.0)),
@@ -476,13 +546,10 @@ def linearization_probe(chain: ReversibleChain, d: MetricMatrix, directions):
     to sup-norm one so the reported eps is the actual relative
     perturbation size.
     """
-    rows = []
-    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        best = 0.0
-        for g in directions:
-            best = max(best, _ratio_and_gradient(chain, d, 1.0 + eps * g, True)[0])
-        rows.append((float(eps), float(best)))
-    return rows
+    epsilons = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    ratios = _ratios(chain, d, [1.0 + eps * g for eps in epsilons for g in directions], True)[0]
+    return [(float(eps), float(max([0.0] + row)))
+            for eps, row in zip(epsilons, ratios.reshape(len(epsilons), -1).tolist())]
 
 
 def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
@@ -510,10 +577,10 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
     diverged = False
     g = dirs[0]
     eps = 0.5
-    last = _ratio_and_gradient(chain, d, 1.0 + eps * g, True)[0]
+    last = float(_ratios(chain, d, 1.0 + eps * g, True)[0][0])
     while not math.isinf(last) and last <= DIVERGENCE_CAP:
         eps *= 0.5
-        ratio = _ratio_and_gradient(chain, d, 1.0 + eps * g, True)[0]
+        ratio = float(_ratios(chain, d, 1.0 + eps * g, True)[0][0])
         if not math.isinf(ratio) and ratio < 1.5 * last:
             break
         last = ratio
@@ -529,8 +596,9 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
 
     best_primal, best_f = 0.0, np.ones(chain.n)
     guard = 0.25   # macroscopic-witness floor; sub-grid ratios are artifacts
-    for f0 in _primal_starts(chain, rng, primal_starts):
-        val, f = _primal_ascent(chain, d, f0, squared=True, min_perturbation=guard)
+    vals, fs = _primal_ascents(chain, d, _primal_starts(chain, rng, primal_starts), squared=True,
+                               min_perturbation=guard)
+    for val, f in zip(vals.tolist(), fs):
         if not math.isinf(val) and val > best_primal:
             best_primal, best_f = val, f
 
@@ -558,8 +626,8 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
         theta = 1.0 / (4.0 * best_dual) if best_dual > 0 else 1.0
         q = infconv_potential(d2, best_v)
         _, dens = lambda_max_witness(chain, theta * q)
-        val, f = _primal_ascent(chain, d, dens.f.copy(), squared=True, iters=120,
-                                min_perturbation=guard)
+        (val,), (f,) = _primal_ascents(chain, d, dens.f, squared=True, iters=120,
+                                       min_perturbation=guard)
         if val > best_primal and not math.isinf(val):
             best_primal, best_f = val, f
 

@@ -11,11 +11,13 @@ pollute the tolerance budgets.  Dual potentials are tightened by a
 c-transform so the returned (u, v) are exactly feasible.
 
 Metric costs d^p (W_1, W_2 off the line, and the potentials of the
-best-constant searches) go through one entry, ``_metric_transport``: it
-checks the marginals once, takes the closed form on line metrics and the
-simplex otherwise, and returns the value, the tightened dual value and a
+best-constant searches) go through one entry, ``_metric_transport``, or
+``_metric_transport_rows`` for one marginal per row: it checks the
+marginals once, takes the closed form on line metrics and the simplex
+otherwise, and returns the value, the tightened dual value and a
 Kantorovich potential from that one solve, since the vertex that gives
-the value already carries the potentials.
+the value already carries the potentials.  A line potential is built
+only when asked for.
 
 Rate functions alpha: [0, inf) -> [0, inf] come in three parametric
 flavors; their monotone conjugate sup_{r>=0} (lambda r - alpha(r)) and
@@ -92,17 +94,22 @@ class Coupling:
 
 def _check_marginals(nu: np.ndarray, mu: np.ndarray,
                      shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Checked marginals, with roundoff-sized negatives set to 0.
+
+    nu may hold one marginal per row, each checked against mu.
+    """
     nu = np.asarray(nu, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if (nu < -1e-15).any() or (mu < -1e-15).any():
         raise InfeasibleMarginals("marginals must be nonnegative")
-    if abs(nu.sum() - mu.sum()) > MARGINAL_TOL:
+    mass = nu.sum(axis=-1)
+    if (abs(mass - mu.sum()) > MARGINAL_TOL).any():
         raise InfeasibleMarginals(
-            f"marginal masses differ: {nu.sum()!r} vs {mu.sum()!r}"
+            f"marginal masses differ: {mass!r} vs {mu.sum()!r}"
         )
-    if shape is not None and (len(nu), len(mu)) != tuple(shape):
+    if shape is not None and (nu.shape[-1], len(mu)) != tuple(shape):
         raise InfeasibleMarginals("marginal lengths do not match the cost shape")
-    return np.clip(nu, 0.0, None), np.clip(mu, 0.0, None)
+    return np.maximum(nu, 0.0), np.maximum(mu, 0.0)
 
 
 def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
@@ -129,7 +136,7 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     column absorb the roundoff-sized mass imbalance the marginal check
     lets through.
     """
-    rows, cols = np.flatnonzero(nu > 0), np.flatnonzero(mu > 0)
+    rows, cols = (nu > 0).nonzero()[0], (mu > 0).nonzero()[0]
     if rows.size == 0 or cols.size == 0:
         return np.zeros(c.shape), np.zeros(c.shape[0])
     full = (rows.size, cols.size) == c.shape
@@ -218,7 +225,7 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     pi[rows[np.where(is_row, child, up)], cols[np.where(is_row, up, child) - n]] = flow[1:]
     if full:      # the c-transform below would overwrite every entry
         return pi, pots[:n]
-    u = np.min(pots[None, n:] + c[:, cols], axis=1)
+    u = (pots[None, n:] + c[:, cols]).min(axis=1)
     u[rows] = pots[:n]
     return pi, u
 
@@ -238,7 +245,7 @@ def ot_cost(c: CostMatrix, nu: np.ndarray, mu: np.ndarray) -> tuple[float, Coupl
 def _exact_transport(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     """(pi, value, tightened dual value, u) from one simplex vertex, gap-checked."""
     pi, u = _network_simplex(c, nu, mu)
-    value = float(np.sum(pi * c))
+    value = float((pi * c).sum())
     dual_value, u, _ = _dual_value(c, nu, mu, u)
     if abs(value - dual_value) > DUALITY_GAP_TOL * max(1.0, abs(value)):
         raise InfeasibleMarginals(
@@ -250,9 +257,9 @@ def _exact_transport(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
 def _dual_value(c, nu, mu, u):
     # tighten by a c-transform: keeps feasibility exact and can only
     # increase the dual value toward the primal
-    v = np.max(u[:, None] - c, axis=0)
-    u = np.min(v[None, :] + c, axis=1)
-    v = np.max(u[:, None] - c, axis=0)
+    v = (u[:, None] - c).max(axis=0)
+    u = (v[None, :] + c).min(axis=1)
+    v = (u[:, None] - c).max(axis=0)
     value = float(np.dot(u, nu) - np.dot(v, mu))
     return value, u, v
 
@@ -276,18 +283,47 @@ def _metric_transport(d: MetricMatrix, power: int, nu, mu) -> tuple[float, float
     d^power with the c-transform tightening and the 1e-9 gap check of
     ``ot_cost``.
     """
+    values, duals, potentials = _metric_transport_rows(d, power, np.asarray(nu)[None], mu)
+    return float(values[0]), float(duals[0]), potentials([0])[0]
+
+
+def _metric_transport_rows(d: MetricMatrix, power: int, nu, mu):
+    """``_metric_transport`` for each row of nu: (values, dual values, potentials).
+
+    ``potentials(rows)`` stacks the potentials of the listed rows.  A simplex
+    row's potential comes from its solve; a line row's is built only when
+    asked for, so callers that need only values never build one.  Line W_1
+    runs on all rows at once; every other route solves one row at a time.
+    """
     nu, mu = _check_marginals(nu, mu, d.d.shape)
     emb = d.line_embedding
     if emb is not None and power == 1:
-        # <u, nu-mu> = -sum_k (u_{k+1}-u_k) cum_k by Abel summation
-        sgn = -np.sign(np.cumsum(nu - mu)[:-1])
-        value = _w1_line(emb, nu, mu)
-        return value, value, np.concatenate([[0.0], np.cumsum(sgn * np.diff(emb))])
-    if emb is not None and power == 2 and np.all(nu > 0) and np.all(mu > 0):
-        val = _w2_quantile(emb, nu, mu)
-        return val * val, val * val, _staircase_potential(emb, nu, mu)
-    _, value, dual_value, u = _exact_transport(d.d ** power, nu, mu)
-    return value, dual_value, u
+        steps = np.diff(emb)
+        gap = (nu - mu).cumsum(axis=-1)[:, :-1]
+        values = (np.abs(gap) * steps).sum(axis=-1)
+
+        def potentials(rows):
+            # <u, nu-mu> = -sum_k (u_{k+1}-u_k) cum_k by Abel summation
+            rise = np.cumsum(-np.sign(gap[rows]) * steps, axis=-1)
+            return np.concatenate([np.zeros((len(rise), 1)), rise], axis=-1)
+        return values, values, potentials
+    values, duals, solved, cost = [], [], {}, None
+    for r, row in enumerate(nu):
+        if emb is not None and power == 2 and np.all(row > 0) and np.all(mu > 0):
+            val = _w2_quantile(emb, row, mu)
+            values.append(val * val)
+            duals.append(val * val)
+            continue
+        if cost is None:
+            cost = d.d ** power
+        _, value, dual_value, solved[r] = _exact_transport(cost, row, mu)
+        values.append(value)
+        duals.append(dual_value)
+
+    def potentials(rows):
+        return np.array([solved[r] if r in solved else _staircase_potential(emb, nu[r], mu)
+                         for r in rows], dtype=float).reshape(len(rows), len(mu))
+    return np.array(values), np.array(duals), potentials
 
 
 def w1(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
@@ -301,11 +337,6 @@ def w2(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
     if emb is not None:
         return w2_quantile_1d(emb, nu, mu)
     return math.sqrt(max(_metric_transport(d, 2, nu, mu)[0], 0.0))
-
-
-def _w1_line(s: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
-    gap = np.cumsum(nu - mu)[:-1]
-    return float(np.sum(np.abs(gap) * np.diff(s)))
 
 
 def _staircase_potential(s: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -346,22 +377,25 @@ def w2_quantile_1d(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
 
 
 def _w2_quantile(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
-    """The quantile-coupling W_2 on a sorted grid, for marginals already checked."""
+    """The quantile-coupling W_2 on a sorted grid, for marginals already checked.
+
+    The merged CDF levels cut (0, 1] into cells; each cell's mass moves
+    from nu's quantile at the cell's midpoint to mu's.  Each square is a
+    scalar ``** 2`` (libm pow), since an array's x * x can differ from it
+    in the last bit, and the cells are summed in order.
+    """
     cn = np.cumsum(nu)
     cm = np.cumsum(mu)
     q = np.union1d(cn, cm)
-    q = q[q <= min(cn[-1], cm[-1]) + 1e-15]
-    prev = 0.0
-    total = 0.0
-    for qk in q:
-        seg = qk - prev
-        if seg <= 0:
-            continue
-        # quantile of each marginal on (prev, qk]
-        i = min(int(np.searchsorted(cn, prev + seg / 2)), len(grid) - 1)
-        j = min(int(np.searchsorted(cm, prev + seg / 2)), len(grid) - 1)
-        total += seg * (grid[i] - grid[j]) ** 2
-        prev = qk
+    q = q[(q > 0.0) & (q <= min(cn[-1], cm[-1]) + 1e-15)]
+    prev = np.concatenate([[0.0], q[:-1]])
+    seg = q - prev
+    mid = prev + seg / 2
+    last = len(grid) - 1
+    move = (grid[np.minimum(np.searchsorted(cn, mid), last)]
+            - grid[np.minimum(np.searchsorted(cm, mid), last)])
+    sq = np.array([x ** 2 for x in move], dtype=float)
+    total = np.cumsum(np.concatenate([[0.0], seg * sq]))[-1]
     return math.sqrt(max(total, 0.0))
 
 

@@ -13,6 +13,7 @@ from transinfo.chains import (
     _lowest_eigenpairs,
     _state_vector,
     build_chain,
+    dirichlet_energy,
     solve_invariant_measure,
 )
 from transinfo.diffusion1d import _quad
@@ -23,8 +24,14 @@ from transinfo.errors import (
     NotIrreducible,
     QuadratureFailure,
 )
-from transinfo.feynman_kac import _lambda_grid, fisher_information_raw, lambda_max, project_density
-from transinfo.transport import _golden_max
+from transinfo.feynman_kac import (
+    ROUNDOFF_COSTS,
+    _lambda_grid,
+    fisher_information_raw,
+    lambda_max,
+    project_density,
+)
+from transinfo.transport import _exact_transport, _golden_max, _staircase_potential
 
 # Property tests draw the same examples on every run (derandomized runs keep
 # no example database) and never fail a slow example on a loaded host.
@@ -391,3 +398,105 @@ def one_potential_best_lambda(chain: ReversibleChain, u: np.ndarray, extra=(), c
     peak, lam = vals[k], grid[k]
     lam_best, best = _golden_max(dual_ratio, lam / 2.0, lam * 2.0, iters=12 if coarse else 40)
     return float(best if best > peak else peak), float(lam_best)
+
+
+def w2_quantile_loop(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
+    """``transport._w2_quantile`` as a loop over the merged quantile cells.
+
+    The reference for the array form: two scalar ``searchsorted`` calls per
+    cell, each cell's square taken on numpy scalars, summed in order.
+    """
+    cn = np.cumsum(nu)
+    cm = np.cumsum(mu)
+    q = np.union1d(cn, cm)
+    q = q[q <= min(cn[-1], cm[-1]) + 1e-15]
+    prev = 0.0
+    total = 0.0
+    for qk in q:
+        seg = qk - prev
+        if seg <= 0:
+            continue
+        # quantile of each marginal on (prev, qk]
+        i = min(int(np.searchsorted(cn, prev + seg / 2)), len(grid) - 1)
+        j = min(int(np.searchsorted(cm, prev + seg / 2)), len(grid) - 1)
+        total += seg * (grid[i] - grid[j]) ** 2
+        prev = qk
+    return math.sqrt(max(total, 0.0))
+
+
+def _one_metric_transport(d, power: int, nu: np.ndarray, mu: np.ndarray):
+    """(value, dual value, potential) of d^power for one marginal pair, as
+    ``transport._metric_transport`` computed them before it took rows."""
+    nu, mu = np.clip(nu, 0.0, None), np.clip(mu, 0.0, None)
+    emb = d.line_embedding
+    if emb is not None and power == 1:
+        gap = np.cumsum(nu - mu)[:-1]
+        value = float(np.sum(np.abs(gap) * np.diff(emb)))
+        return value, value, np.concatenate([[0.0], np.cumsum(-np.sign(gap) * np.diff(emb))])
+    if emb is not None and power == 2 and np.all(nu > 0) and np.all(mu > 0):
+        val = w2_quantile_loop(emb, nu, mu)
+        return val * val, val * val, _staircase_potential(emb, nu, mu)
+    _, value, dual_value, u = _exact_transport(d.d ** power, nu, mu)
+    return value, dual_value, u
+
+
+def _one_ratio_and_gradient(chain: ReversibleChain, d, f: np.ndarray, squared: bool):
+    """(W^2 / (4 I), its gradient in f or None) for one density, from one solve."""
+    info = dirichlet_energy(chain, np.sqrt(np.clip(f, 0.0, None)))
+    value, dual, pot = _one_metric_transport(d, 2 if squared else 1, chain.mu * f, chain.mu)
+    dist = math.sqrt(max(value, 0.0)) if squared else value
+    floor = ROUNDOFF_COSTS * np.finfo(float).eps
+    if dist <= (math.sqrt(floor) if squared else floor) * d.diameter:
+        ratio = 0.0
+    else:
+        ratio = math.inf if info <= 0 else dist * dist / (4.0 * info)
+    if info <= 1e-300:
+        return ratio, None
+    if squared:
+        ddist2, dist2 = chain.mu * pot, dual
+    else:
+        ddist2, dist2 = chain.mu * (2.0 * dual * pot), dual * dual
+    sq = np.sqrt(np.clip(f, 1e-13, None))
+    dinfo = chain.mu * _apply_neg_generator(chain, sq) / sq
+    return ratio, ddist2 / (4.0 * info) - dist2 * dinfo / (4.0 * info * info)
+
+
+def sequential_primal_ascent(chain: ReversibleChain, d, f0: np.ndarray, squared: bool,
+                             iters: int = 140, min_perturbation: float = 0.0):
+    """``feynman_kac._primal_ascents`` for one start, run alone on 1-D arrays.
+
+    The reference for the lockstep rows: every scored candidate is solved
+    and its gradient built.  Returns (value, density, passes), where passes
+    counts the loop passes begun before the ascent stopped (iters at the
+    cap, 0 when the start itself ends it).
+    """
+    f = f0.copy()
+    val, grad = _one_ratio_and_gradient(chain, d, f, squared)
+    if math.isinf(val):
+        return val, f, 0
+    step = 0.25
+    root_inv_mu = np.sqrt(1.0 / chain.mu)
+    for k in range(iters):
+        # a rejected step leaves f, and with it the gradient, unchanged
+        if grad is None:
+            return val, f, k + 1
+        norm = float(np.linalg.norm(grad * root_inv_mu))
+        if norm < 1e-14:
+            return val, f, k + 1
+        cand = project_density(chain.mu, f + step * grad / (chain.mu * norm), 1e-13)
+        if min_perturbation > 0.0 and float(np.max(np.abs(cand - 1.0))) < min_perturbation:
+            step *= 0.5
+            if step < 1e-8:
+                return val, f, k + 1
+            continue
+        cand_val, cand_grad = _one_ratio_and_gradient(chain, d, cand, squared)
+        if math.isinf(cand_val):
+            return cand_val, cand, k + 1
+        if cand_val > val + 1e-15:
+            f, val, grad = cand, cand_val, cand_grad
+            step = min(step * 1.4, 50.0)
+        else:
+            step *= 0.5
+            if step < 1e-8:
+                return val, f, k + 1
+    return val, f, iters

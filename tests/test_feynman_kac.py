@@ -20,6 +20,7 @@ from transinfo.feynman_kac import (
     PhiPair,
     _best_lambda,
     _legendre_values,
+    _primal_ascents,
     best_w1i,
     best_w2i,
     fk_norm,
@@ -41,6 +42,7 @@ from conftest import (
     random_density,
     random_reversible_chain,
     sequential_legendre,
+    sequential_primal_ascent,
 )
 
 # The Legendre property test draws mu from weights in 10^[-3, 0], so its
@@ -291,19 +293,21 @@ class TestBestW1I:
 
     def test_one_transport_solve_per_density(self, monkeypatch):
         # the ascent solves each candidate density once (value and gradient
-        # from the same vertex), and a dual round solves its witness once
+        # from the same vertex), and a dual round solves its witness once;
+        # the ascents score their densities as rows, so rows are counted
         counts = {"solve": 0, "ratio": 0}
 
-        def counted(key, fn):
+        def counted(key, fn, size=lambda args: 1):
             def wrapper(*args):
-                counts[key] += 1
+                counts[key] += size(args)
                 return fn(*args)
             return wrapper
 
         monkeypatch.setattr(transport, "_network_simplex",
                             counted("solve", transport._network_simplex))
-        monkeypatch.setattr(feynman_kac, "_ratio_and_gradient",
-                            counted("ratio", feynman_kac._ratio_and_gradient))
+        monkeypatch.setattr(feynman_kac, "_ratios",
+                            counted("ratio", feynman_kac._ratios,
+                                    lambda args: np.reshape(args[2], (-1, args[0].n)).shape[0]))
         ch, d = planar_chain()
         assert d.line_embedding is None
         best_w1i(ch, d, rounds=1, seed=900)
@@ -356,7 +360,7 @@ class TestBestW1I:
         lam = float.fromhex("0x1.2090c89bfb4eap-11")
         floor = feynman_kac.ROUNDOFF_COSTS * np.finfo(float).eps * d.diameter
         _, dens = lambda_max_witness(chain, lam * d.d[:, 27])
-        val, f = feynman_kac._primal_ascent(chain, d, dens.f.copy(), squared=False, iters=120)
+        (val,), (f,) = feynman_kac._primal_ascents(chain, d, [dens.f], squared=False, iters=120)
         dist = transport.w1(d, chain.mu * f, chain.mu)
         assert dist > floor
         info = feynman_kac.fisher_information_raw(chain, f)
@@ -364,7 +368,7 @@ class TestBestW1I:
         # a density whose W_1 is itself roundoff scores 0
         _, dens = lambda_max_witness(chain, lam * d.d[:, 29])
         assert 0.0 < transport.w1(d, chain.mu * dens.f, chain.mu) <= floor
-        assert feynman_kac._ratio_and_gradient(chain, d, dens.f, False)[0] == 0.0
+        assert feynman_kac._ratios(chain, d, [dens.f], False)[0][0] == 0.0
 
     def test_uniform_density_never_the_witness(self, rng):
         ch = random_reversible_chain(4, rng)
@@ -443,6 +447,111 @@ class TestLockstepLambdaSearch:
         assert stacks[15] in (49 * 4, 50 * 4) and stacks[16:] == [4] * 42
 
 
+def _assert_rows_match_one_start_at_a_time(ch, d, starts, squared, iters=140,
+                                           min_perturbation=0.0):
+    """Each lockstep row's (value hex, density bytes) equals the sequential ascent's;
+    returns the loop passes each sequential ascent began."""
+    vals, fs = _primal_ascents(ch, d, starts, squared, iters=iters,
+                               min_perturbation=min_perturbation)
+    assert vals.shape == (len(starts),) and fs.shape == (len(starts), ch.n)
+    passes = []
+    for f0, val, f in zip(starts, vals.tolist(), fs):
+        ref_val, ref_f, k = sequential_primal_ascent(ch, d, f0, squared, iters, min_perturbation)
+        assert (val.hex(), f.tobytes()) == (float(ref_val).hex(), ref_f.tobytes())
+        passes.append(k)
+    return passes
+
+
+class TestLockstepPrimalAscent:
+    """Rows of ``_primal_ascents`` against one start at a time, bit for bit."""
+
+    @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["line", "planar", "trivial"]), st.booleans(),
+           st.sampled_from([0.0, 0.25]), st.integers(1, 5), st.integers(1, 140))
+    def test_rows_equal_sequential_ascents(self, n, seed, metric, squared, guard, rows, iters):
+        rng = np.random.default_rng(seed)
+        ch = random_reversible_chain(n, rng)
+        if metric == "line":
+            d = line_metric(np.cumsum(rng.uniform(0.1, 1.0, n)))
+        elif metric == "planar":
+            pts = rng.uniform(0.0, 2.0, size=(n, 2))
+            d = MetricMatrix.validate(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2))
+        else:
+            d = trivial_metric(n)
+        # far starts, and starts near f = 1 that the guard keeps from being scored
+        starts = [project_density(ch.mu, rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
+                                  / ch.mu, 1e-13) if k % 2 == 0 else
+                  project_density(ch.mu, 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n), 1e-13)
+                  for k in range(rows)]
+        _assert_rows_match_one_start_at_a_time(ch, d, starts, squared, iters, guard)
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_rows_stop_apart_and_an_infinite_ratio_returns(self, squared):
+        # states 0 and 1 share an edge of conductance 1/3, states 1 and 2 one
+        # of 3e-321; the first start has f_0 = f_1, so its I is subnormal and
+        # its ratio overflows to inf at once, while the others stop on their
+        # steps at different passes
+        ch = build_chain(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1e-320], [0.0, 1e-320, 0.0]]))
+        d = line_metric(np.array([0.0, 1.0, 2.0]))
+        rng = np.random.default_rng(1)
+        starts = [np.array([1.2, 1.2, 0.6])] + [rng.dirichlet(np.ones(3)) / ch.mu
+                                                for _ in range(5)]
+        starts = [project_density(ch.mu, f / float(np.dot(ch.mu, f)), 1e-13) for f in starts]
+        passes = _assert_rows_match_one_start_at_a_time(ch, d, starts, squared)
+        assert math.isinf(_primal_ascents(ch, d, starts, squared)[0][0])
+        assert passes[0] == 0 and len(set(passes[1:])) >= 3 and max(passes) < 140
+
+    def test_ou_search_starts(self):
+        # grid-400's search: four starts on OU-60, which accept most steps, so
+        # their steps reach the cap of 50
+        grid = Grid1D.uniform(-6.0, 6.0, 60)
+        ch = discretize(ou_spec(), grid)
+        starts = feynman_kac._primal_starts(ch, np.random.default_rng(17), 4)
+        passes = _assert_rows_match_one_start_at_a_time(ch, line_metric(grid.nodes), starts, False)
+        assert max(passes) == 140
+
+    def test_step_reaches_its_cap(self):
+        # on this two-state chain the W_1 ascents accept long runs of steps,
+        # so their steps reach the cap of 50
+        rng = np.random.default_rng(0)
+        ch = random_reversible_chain(2, rng)
+        starts = [project_density(ch.mu, rng.dirichlet(np.ones(2)) / ch.mu, 1e-13)
+                  for _ in range(3)]
+        _assert_rows_match_one_start_at_a_time(ch, trivial_metric(2), starts, False)
+
+    def test_infinite_candidate_ends_its_row(self, monkeypatch):
+        # an infinite ratio, here forced on the first row's fifth candidate,
+        # is that row's result with the density that reached it, and the row
+        # is scored no more; the other rows go on as if alone
+        ch, d = planar_chain()
+        rng = np.random.default_rng(4)
+        starts = [project_density(ch.mu, rng.dirichlet(np.ones(4)) / ch.mu, 1e-13)
+                  for _ in range(3)]
+        ratios, seen = feynman_kac._ratios, []
+
+        def forced(chain, metric, f, squared):
+            out = ratios(chain, metric, f, squared)
+            seen.append(np.array(f))
+            if len(seen) == 6:       # the start, then the fifth candidate
+                out[0][0] = math.inf
+            return out
+
+        monkeypatch.setattr(feynman_kac, "_ratios", forced)
+        vals, fs = _primal_ascents(ch, d, starts, False)
+        assert math.isinf(vals[0]) and np.array_equal(fs[0], seen[5][0])
+        assert all(len(batch) <= 2 for batch in seen[6:])
+        for f0, val, f in zip(starts[1:], vals[1:].tolist(), fs[1:]):
+            ref_val, ref_f, _ = sequential_primal_ascent(ch, d, f0, False)
+            assert (val.hex(), f.tobytes()) == (float(ref_val).hex(), ref_f.tobytes())
+
+    def test_one_row_and_no_rows(self):
+        ch, d = planar_chain()
+        f0 = project_density(ch.mu, 1.0 + 0.5 * np.arange(4.0), 1e-13)
+        _assert_rows_match_one_start_at_a_time(ch, d, [f0], False, iters=120)
+        vals, fs = _primal_ascents(ch, d, [], False)
+        assert vals.shape == (0,) and fs.shape == (0, 4)
+
+
 class TestBestW2I:
     def test_bernoulli_diverges_with_probe_slope(self):
         ch = bernoulli_chain(0.3)
@@ -463,9 +572,9 @@ class TestBestW2I:
         assert rep.c_dual == pytest.approx(1.0, abs=0.12)
 
     def test_uniform_density_ratio_zero(self, rng):
-        from transinfo.feynman_kac import _ratio_and_gradient
+        from transinfo.feynman_kac import _ratios
         ch = random_reversible_chain(3, rng)
-        assert _ratio_and_gradient(ch, trivial_metric(3), np.ones(3), True)[0] == 0.0
+        assert _ratios(ch, trivial_metric(3), [np.ones(3)], True)[0][0] == 0.0
 
 
 class TestW2IDualCheck:

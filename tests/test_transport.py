@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from transinfo import transport
 from transinfo.chains import (
     Density,
     MetricMatrix,
@@ -39,7 +40,7 @@ from transinfo.transport import (
     w2_quantile_1d,
 )
 
-from conftest import random_reversible_chain, rebuilding_network_simplex
+from conftest import random_reversible_chain, rebuilding_network_simplex, w2_quantile_loop
 
 
 def transport_vertices(nu, mu):
@@ -415,6 +416,83 @@ class TestWassersteinOps:
             lhs = (bumped ** 2 - base ** 2) / eps if square else (bumped - base) / eps
             rhs = float(np.dot(pot, direction))
             assert lhs == pytest.approx(rhs, abs=1e-3)
+
+
+@st.composite
+def quantile_instances(draw):
+    """Grids with unequal gaps and marginal pairs with zero masses and CDF ties."""
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.one_of(st.floats(1e-6, 5.0), st.just(1.0)),
+                         min_size=n - 1, max_size=n - 1))
+    grid = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    kind = draw(st.sampled_from(["dyadic", "float", "shared-prefix"]))
+    if kind == "dyadic":        # multiples of 1/16: the two CDFs meet at many levels
+        nu, mu = _dyadic_masses(draw, n), _dyadic_masses(draw, n)
+    elif kind == "float":
+        nu, mu = _float_masses(draw, n, zeros=True), _masses_with_tiny(draw, n)
+    else:                       # equal masses up to a cut, so the CDFs tie there
+        nu = _float_masses(draw, n, zeros=True)
+        cut = draw(st.integers(0, n - 1))
+        mu = nu.copy()
+        mu[cut:] = nu[cut:][::-1]
+    return grid, nu, mu
+
+
+class TestW2QuantileArrays:
+    """``_w2_quantile`` on arrays against the loop over quantile cells, by float hex."""
+
+    @given(quantile_instances())
+    def test_matches_cell_loop(self, instance):
+        grid, nu, mu = instance
+        nu, mu = transport._check_marginals(nu, mu, (len(grid), len(grid)))
+        assert transport._w2_quantile(grid, nu, mu).hex() == w2_quantile_loop(grid, nu, mu).hex()
+
+    @pytest.mark.parametrize("grid, nu, mu", [
+        ([1.9918401180166583, 3.232172552263145],
+         [0.31013018625751393, 0.6898698137424859], [0.4741145591838729, 0.5258854408161273]),
+        ([1.241387120297823, 3.123106652509244, 4.27407054843226, 4.461513066706009],
+         [0.5406794918565884, 0.07699233655401269, 0.058253036332143196, 0.32407513525725573],
+         [0.03522977188396725, 0.20207391439770617, 0.3836492897421995, 0.379047023976127]),
+        ([0.4759722817970511, 2.1601867051589774, 4.191431590749409, 4.356477742890252],
+         [0.012054766685254828, 0.4060150579303542, 0.315079497150871, 0.26685067823352],
+         [0.23215910082287644, 0.2295913715747295, 0.12343228724330288, 0.4148172403590912])])
+    def test_cells_squared_as_scalars(self, grid, nu, mu):
+        # on these draws, squaring the cells as an array (x * x) instead of
+        # as scalars (libm pow) moves W_2 by one ulp; about 1 in 3,500
+        # random 2-4 point instances does so
+        grid, nu, mu = np.array(grid), np.array(nu), np.array(mu)
+        assert transport._w2_quantile(grid, nu, mu).hex() == w2_quantile_loop(grid, nu, mu).hex()
+
+    def test_gaussian_shift_inputs(self):
+        # criterion 7's OU-400 grid on [-8, 8] with the density of N(0.5, 1)
+        # against mu, and shifts of the same law on the benchmark's grid
+        grid = Grid1D.uniform(-8.0, 8.0, 400)
+        chain = discretize(ou_spec(), grid)
+        for m in (0.5, 0.25, 1.0, -0.75):
+            f = np.exp(m * grid.nodes - m * m / 2.0)
+            f /= float(np.dot(chain.mu, f))
+            for nu, mu in ((chain.mu * f, chain.mu), (chain.mu, chain.mu * f)):
+                got = transport._w2_quantile(grid.nodes, nu, mu)
+                assert got.hex() == w2_quantile_loop(grid.nodes, nu, mu).hex()
+                assert got == pytest.approx(abs(m), rel=0.01)
+
+
+class TestMaximumForClip:
+    """``np.maximum(x, lo)`` stands in for ``np.clip(x, lo, None)``."""
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from(
+        [-0.0, 0.0, -1e-300, -5e-324, 5e-324, -1e-16, 1e-13, -1e-13])), min_size=1, max_size=60),
+        st.sampled_from([0.0, 1e-13]))
+    def test_bit_for_bit(self, values, lo):
+        x = np.array(values)
+        assert np.maximum(x, lo).tobytes() == np.clip(x, lo, None).tobytes()
+
+    def test_checked_marginals_keep_their_bits(self):
+        nu = np.array([0.5, -0.0, -1e-16, 0.25, 0.25 + 1e-16])
+        mu = np.array([-5e-324, 0.25, 0.25, 0.25, 0.25])
+        got = transport._check_marginals(nu, mu)
+        for a, ref in zip(got, (nu, mu)):
+            assert a.tobytes() == np.clip(ref, 0.0, None).tobytes()
 
 
 class TestTensorCost:
