@@ -24,7 +24,9 @@ def path_streams(master_seed: int,
     counter, output buffer and half-used 32-bit word are all reset, so the
     draws equal those of a freshly built ``Philox(key=[master_seed, i])``
     at a fraction of the construction cost.  The generator is shared:
-    finish drawing path i before advancing the iterator.
+    finish drawing path i before advancing the iterator.  Use one iterator
+    per thread: each call owns its own bit generator, so iterators in
+    different threads may advance in any interleaving.
     """
     key = np.array([master_seed, 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)

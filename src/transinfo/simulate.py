@@ -22,7 +22,12 @@ last digits.
 Every path draws from its own counter-based stream keyed by
 (master_seed, path index), in a fixed per-path order: estimates are
 bitwise reproducible and merge deterministically no matter how the paths
-are scheduled, chunked or batched.
+are scheduled, chunked or batched.  Exact OU paths run in blocks of 64
+on a thread pool with one worker per usable CPU.  Each block has its own
+stream iterator and buffers, runs each path's operations in the lone
+path's order, and writes only its own paths' entries, so the samples are
+the same bits on any number of workers.  The observable u is then called
+from several threads at once: it must be a pure function of its argument.
 
 Tail probabilities of time averages are compared against the proven
 bounds ||d beta/d mu||_2 exp(-t alpha(r)); exact Clopper-Pearson
@@ -34,6 +39,7 @@ understate uncertainty exactly in the near-zero regime of interest.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +64,8 @@ class EnsembleConfig:
     it is a point or "stationary".  With "stationary", exact OU paths draw
     their start from N(0, 1), but Euler paths of a ``DiffusionSpec1D`` all
     start at the spec's ``c_ref``.  ``sde_step`` is the step of the OU and
-    Euler grids.
+    Euler grids; a whole number of steps must cover the horizon, to 1e-9
+    relative.
     """
 
     model: object               # ReversibleChain | DiffusionSpec1D | OUModel
@@ -71,14 +78,26 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ModelValidation("need at least one path")
-        if self.t <= 0:
-            raise ModelValidation("horizon must be positive")
+        if not 0 < self.t < math.inf:
+            raise ModelValidation(f"horizon must be positive and finite, not {self.t!r}")
         if isinstance(self.model, ReversibleChain):
             b = np.asarray(self.beta, dtype=float)
             if b.shape != (self.model.n,) or np.any(b < 0) or abs(b.sum() - 1) > 1e-9:
                 raise ModelValidation("beta must be a probability vector on the states")
-        elif isinstance(self.beta, str) and self.beta != "stationary":
+            return
+        if isinstance(self.beta, str) and self.beta != "stationary":
             raise ModelValidation(f"beta must be 'stationary' or a point, not {self.beta!r}")
+        # the samplers integrate over round(t/h) steps of h and divide by t,
+        # so the steps must cover the horizon
+        h = self.sde_step
+        if not 0 < h < math.inf:
+            raise ModelValidation(f"sde_step must be positive and finite, not {h!r}")
+        if math.isinf(self.t / h):
+            raise ModelValidation(f"horizon {self.t!r} is too many steps of {h!r}")
+        n = round(self.t / h)
+        if n < 1 or abs(n * h - self.t) > 1e-9 * self.t:
+            raise ModelValidation(f"sde_step {h!r} does not tile the horizon {self.t!r}: "
+                                  f"{n} steps cover {n * h!r}")
 
     def beta_l2(self) -> float:
         """||d beta / d mu||_2; +inf marks an illustrative (non-L^2) start."""
@@ -229,6 +248,19 @@ def _ou_initial(config, rng):
     return float(config.beta)
 
 
+# OU paths run in blocks of _OU_BLOCK on a thread pool, one block per task;
+# the stream draws, lfilter and most of trapezoid release the GIL.
+_OU_BLOCK = 64
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     """Exact Gaussian transition updates on a uniform step grid.
 
@@ -236,6 +268,8 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     per path with a one-pole filter so long horizons stay cheap without
     giving up per-path streams.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy.signal import lfilter
 
     h = config.sde_step
@@ -243,17 +277,29 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     decay = math.exp(-h)
     noise_sd = math.sqrt(1.0 - decay * decay)
     powers = decay ** np.arange(1, n_steps + 1)
-    shocks = np.empty(n_steps)
-    path = np.empty(n_steps + 1)
     out = np.empty(config.n_paths)
-    for i, rng in path_streams(config.master_seed, range(config.n_paths)):
-        x0 = _ou_initial(config, rng)
-        rng.standard_normal(out=shocks)
-        path[0] = x0
-        np.multiply(powers, x0, out=path[1:])
-        path[1:] += lfilter([noise_sd], [1.0, -decay], shocks)
-        vals = u(path) if callable(u) else path
-        out[i] = float(np.trapezoid(vals, dx=h)) / config.t
+
+    def run_block(paths: range) -> None:
+        shocks = np.empty(n_steps)
+        path = np.empty(n_steps + 1)
+        for i, rng in path_streams(config.master_seed, paths):
+            x0 = _ou_initial(config, rng)
+            rng.standard_normal(out=shocks)
+            path[0] = x0
+            np.multiply(powers, x0, out=path[1:])
+            path[1:] += lfilter([noise_sd], [1.0, -decay], shocks)
+            vals = u(path) if callable(u) else path
+            out[i] = float(np.trapezoid(vals, dx=h)) / config.t
+
+    blocks = [range(lo, min(lo + _OU_BLOCK, config.n_paths))
+              for lo in range(0, config.n_paths, _OU_BLOCK)]
+    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(blocks)))
+    try:
+        for _ in pool.map(run_block, blocks):
+            pass
+    finally:
+        # after a failed block, the blocks not yet started do not run
+        pool.shutdown(cancel_futures=True)
     return out
 
 

@@ -212,6 +212,49 @@ class TestOUSampling:
         assert mu_of_observable(cfg, None) == pytest.approx(0.0, abs=1e-9)
 
 
+def _diffusions():
+    spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0,
+                           b=lambda x: -x, c_ref=0.0)
+    return OUModel(), spec
+
+
+class TestStepGrid:
+    # the samplers integrate over round(t/h) steps of h and divide by t
+    @pytest.mark.parametrize("t,h", [(100.0, 0.01), (10.0, 0.005), (5.0, 1e-3),
+                                     (0.1, 0.01), (1.0, 0.5)])
+    def test_grids_that_tile_the_horizon(self, t, h):
+        one = lambda x: np.ones_like(x)
+        for model in _diffusions():
+            cfg = EnsembleConfig(model=model, beta=0.3, t=t, n_paths=2,
+                                 master_seed=0, sde_step=h)
+            if h > 0.1 and not isinstance(model, OUModel):
+                continue                  # the Euler step guard
+            got = sample_time_average(cfg, one)
+            assert np.all(np.abs(got - 1.0) <= 1e-9)
+
+    @pytest.mark.parametrize("t,h", [(0.015, 0.01), (0.004, 0.01), (1.0, 0.0),
+                                     (1.0, -0.01), (1.0, math.nan), (1.0, math.inf),
+                                     (1.0, 5e-324)])
+    def test_grids_that_do_not_tile_rejected(self, t, h):
+        # 0.015 used to average the constant 1 to 1.333, and 0.004 to 0.0
+        for model in _diffusions():
+            with pytest.raises(ModelValidation):
+                EnsembleConfig(model=model, beta=0.0, t=t, n_paths=2,
+                               master_seed=0, sde_step=h)
+
+    def test_chain_ignores_the_step(self):
+        ch = bernoulli_chain(0.3)
+        EnsembleConfig(model=ch, beta=ch.mu, t=0.015, n_paths=2, master_seed=0,
+                       sde_step=0.01)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_positive_and_finite(self, t):
+        ch = bernoulli_chain(0.3)
+        for model, beta in ((ch, ch.mu), *((m, 0.0) for m in _diffusions())):
+            with pytest.raises(ModelValidation):
+                EnsembleConfig(model=model, beta=beta, t=t, n_paths=2, master_seed=0)
+
+
 class TestTailEstimate:
     def test_vanishes_beyond_oscillation(self):
         # r > delta(u): the time average cannot exceed max(u), so p_hat = 0

@@ -7,6 +7,8 @@ must reproduce their output bit for bit however they batch the paths.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,6 +164,36 @@ class TestPathStreams:
         for i, g in zip(order, got):
             assert np.array_equal(g, path_rng(4, i).standard_normal(3))
 
+    def test_one_iterator_per_thread(self):
+        # two threads advance their own iterators in step, each draw of one
+        # thread falling between two draws of the other
+        indices = [0, 7, 2**40]
+        barrier = threading.Barrier(2, timeout=10)
+        got = {}
+
+        def run(seed):
+            draws = []
+            for i, rng in path_streams(seed, indices):
+                first = rng.standard_normal(3)
+                barrier.wait()
+                draws.append((i, first, rng.random(5)))
+                barrier.wait()
+            got[seed] = draws
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(got) == [1, 2]
+        for seed, draws in got.items():
+            assert [i for i, _, _ in draws] == indices
+            for i, first, second in draws:
+                ref = path_rng(seed, i)
+                assert np.array_equal(first, ref.standard_normal(3))
+                assert np.array_equal(second, ref.random(5))
+
 
 def _random_chain(n: int, seed: int) -> ReversibleChain:
     """Reversible chain with rates spread over 1e-2..1e3 and a random edge set."""
@@ -231,16 +263,69 @@ class TestGrowthOracle:
         assert (g.estimate, g.std_error) == fk_reference(p, lam, t, 60, seed)
 
 
+OU_CASES = [
+    ("stationary", None),
+    (1.5, np.abs),
+    ("stationary", lambda x: np.cos(x)),
+]
+
+# two full blocks of paths and a partial third
+OU_POOL_PATHS = 2 * simulate._OU_BLOCK + 3
+
+
 class TestOUOracle:
-    @pytest.mark.parametrize("beta,u", [
-        ("stationary", None),
-        (1.5, np.abs),
-        ("stationary", lambda x: np.cos(x)),
-    ])
+    @pytest.mark.parametrize("beta,u", OU_CASES)
     def test_matches_reference(self, beta, u):
         cfg = EnsembleConfig(model=OUModel(), beta=beta, t=4.0, n_paths=40,
                              master_seed=21, sde_step=0.01)
         assert np.array_equal(sample_time_average(cfg, u), ou_reference(cfg, u))
+
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    @pytest.mark.parametrize("n_paths", [OU_POOL_PATHS, 1])
+    @pytest.mark.parametrize("beta,u", OU_CASES)
+    def test_blocks_on_the_pool(self, monkeypatch, beta, u, n_paths, workers):
+        # None keeps this host's CPU count
+        if workers is not None:
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+        cfg = EnsembleConfig(model=OUModel(), beta=beta, t=0.5, n_paths=n_paths,
+                             master_seed=22, sde_step=0.01)
+        assert np.array_equal(sample_time_average(cfg, u), ou_reference(cfg, u))
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        # a lost or misplaced write would leave an np.empty entry in the result
+        workers = simulate._usable_cpus() + 2
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+        cfg = EnsembleConfig(model=OUModel(), beta="stationary", t=0.2,
+                             n_paths=6 * simulate._OU_BLOCK + 5, master_seed=23,
+                             sde_step=0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_time_average(cfg, np.cos)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, ou_reference(cfg, np.cos))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failing_path_raises_and_joins_the_pool(self, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+        cfg = EnsembleConfig(model=OUModel(), beta="stationary", t=0.5,
+                             n_paths=OU_POOL_PATHS, master_seed=24, sde_step=0.01)
+        # exactly one path starts at the largest start
+        bad = max(path_rng(24, i).standard_normal() for i in range(cfg.n_paths))
+
+        class PathFailed(Exception):
+            pass
+
+        def u(x):
+            if x[0] == bad:
+                raise PathFailed
+            return x
+
+        before = threading.active_count()
+        with pytest.raises(PathFailed):
+            sample_time_average(cfg, u)
+        assert threading.active_count() == before
 
 
 def _scalar_only(fn):
