@@ -211,6 +211,18 @@ class TestCRho:
         assert abs(corrected - oracle) <= 1e-3
         assert oracle <= corrected + 1e-3
 
+    def test_quartic_constants_pinned(self):
+        spec = quartic_spec()
+        grid = Grid1D.uniform(-4, 4, 400)
+        pinned = {"identity": ("0x1.c5b8f30a3ccbbp-1", "0x1.c5b8f2f7040cfp-1"),
+                  "tanh": ("0x1.a2cd3f6b86e71p-1", "0x1.a2cd3f59c8e1dp-1"),
+                  "intrinsic": ("0x1.c5b8f30a3ccbbp-1", "0x1.c5b8f2f7040cfp-1")}
+        warps = {"identity": Warp.identity(), "tanh": Warp.tanh_blend(),
+                 "intrinsic": Warp.intrinsic(spec)}
+        for name, (corrected, literal) in pinned.items():
+            got = [c_rho(spec, warps[name], grid, corrected=c).hex() for c in (True, False)]
+            assert got == [corrected, literal], name
+
     def test_symmetric_identity_warp_variants_coincide(self):
         # with rho = x on a symmetric well both variants peak at the
         # origin where s' = 1, so they agree; the discrimination needs an

@@ -370,6 +370,13 @@ class TestBestW1I:
         assert 0.0 < transport.w1(d, chain.mu * dens.f, chain.mu) <= floor
         assert feynman_kac._ratios(chain, d, [dens.f], False)[0][0] == 0.0
 
+    def test_ou60_constants_pinned(self):
+        # n > 50: the coarse prune, the band solver and three rounds
+        grid = Grid1D.uniform(-6.0, 6.0, 60)
+        rep = best_w1i(discretize(ou_spec(), grid), line_metric(grid.nodes), primal_starts=4)
+        assert (rep.c_dual.hex(), rep.c_primal.hex()) == \
+            ("0x1.00003076a169ap+0", "0x1.000030704a44ap+0")
+
     def test_uniform_density_never_the_witness(self, rng):
         ch = random_reversible_chain(4, rng)
         rep = best_w1i(ch, trivial_metric(4))
@@ -570,6 +577,8 @@ class TestBestW2I:
         assert not rep.diverged
         assert rep.c_primal == pytest.approx(1.0, abs=0.12)
         assert rep.c_dual == pytest.approx(1.0, abs=0.12)
+        assert (rep.c_dual.hex(), rep.c_primal.hex()) == \
+            ("0x1.0f87699b580bfp+0", "0x1.0f87699b68a1ap+0")
 
     def test_uniform_density_ratio_zero(self, rng):
         from transinfo.feynman_kac import _ratios
