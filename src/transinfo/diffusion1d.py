@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ReversibleChain, _birth_death_chain, _line_lipschitz, poisson_solve
+from .chains import ReversibleChain, _birth_death_chain, _frozen, _line_lipschitz, poisson_solve
 from .errors import (
     DivergenceDetected,
     DivergentSpeedMeasure,
@@ -50,7 +50,13 @@ _RUNG_PANELS = 16   # base panels per ladder interval of check_nonexplosion
 
 @dataclass(frozen=True)
 class DiffusionSpec1D:
-    """Interval, diffusion coefficient a > 0, drift b, interior reference point."""
+    """Interval, diffusion coefficient a > 0, drift b, interior reference point.
+
+    a and b must be pure functions: the array forms are chosen from their
+    values on probe points, and the spec keeps the speed weights and panel
+    weights of the last grid it saw (see ``_per_grid``), both of which
+    assume that a call returns the same float whenever it is made.
+    """
 
     x0: float
     y0: float
@@ -75,6 +81,7 @@ class DiffusionSpec1D:
         if not np.all(np.isfinite(bv)):
             raise ModelValidation("b must be finite on the interval")
         object.__setattr__(self, "_probe", probe)
+        object.__setattr__(self, "_grid_entry", (None, {}))
         object.__setattr__(self, "a_on", _array_form(self.a, probe, av))
         object.__setattr__(self, "b_on", _array_form(self.b, probe, bv))
 
@@ -224,6 +231,28 @@ def scale_speed(spec: DiffusionSpec1D, x: float) -> tuple[float, float]:
     return math.exp(-inner), math.exp(inner) / float(spec.a_on(x))
 
 
+def _per_grid(build):
+    """build(spec, nodes), kept on the spec for the last grid it saw.
+
+    The spec holds one entry, keyed by the nodes' bytes, with each
+    builder's arrays, read-only; another grid replaces it.  a and b are
+    pure, so a kept value is the one a new build would return, bit for bit.
+    """
+    def kept(spec: DiffusionSpec1D, nodes: np.ndarray):
+        key, entry = nodes.tobytes(), spec._grid_entry
+        if entry[0] != key:
+            entry = (key, {})
+            object.__setattr__(spec, "_grid_entry", entry)
+        parts = entry[1]
+        if build not in parts:
+            parts[build] = tuple(_frozen(a) for a in build(spec, nodes))
+        return parts[build]
+
+    kept.__doc__ = build.__doc__
+    return kept
+
+
+@_per_grid
 def _speed_weights(spec: DiffusionSpec1D, nodes: np.ndarray):
     """(B, m', w) at the nodes: B = int_c^x b/a, m' = e^B / a, w = m' times the cell width."""
     panels = _panel_quad(_drift_ratio(spec), np.append(spec.c_ref, nodes[:-1]), nodes)
@@ -368,6 +397,19 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_INNER, _GL_INNER_W = np.polynomial.legendre.leggauss(8)
 
 
+@_per_grid
+def _panel_weights(spec, nodes):
+    """Per panel: half its width, its 12 Gauss points z, and e^{B(z) - B(x_k)} / a(z)
+    times the Gauss weights, the part of ``_panel_moments`` no warp enters."""
+    lo, hi = nodes[:-1, None], nodes[1:, None]
+    half = 0.5 * (hi - lo)
+    zs = 0.5 * (hi + lo) + half * _GL_NODES                       # (panels, 12)
+    ihalf, imid = 0.5 * (zs - lo), 0.5 * (zs + lo)
+    inner = imid[..., None] + ihalf[..., None] * _GL_INNER       # (panels, 12, 8)
+    dB = ihalf * ((spec.b_on(inner) / spec.a_on(inner)) @ _GL_INNER_W)
+    return half, zs, np.exp(dB) / spec.a_on(zs) * _GL_WEIGHTS
+
+
 def _panel_moments(spec, rho, nodes):
     """Per-panel mass and rho-moment of e^{B(z) - B(x_k)} / a(z).
 
@@ -377,13 +419,7 @@ def _panel_moments(spec, rho, nodes):
     small-integral-times-huge-factor product that would amplify
     quadrature noise.
     """
-    lo, hi = nodes[:-1, None], nodes[1:, None]
-    half = 0.5 * (hi - lo)
-    zs = 0.5 * (hi + lo) + half * _GL_NODES                       # (panels, 12)
-    ihalf, imid = 0.5 * (zs - lo), 0.5 * (zs + lo)
-    inner = imid[..., None] + ihalf[..., None] * _GL_INNER       # (panels, 12, 8)
-    dB = ihalf * ((spec.b_on(inner) / spec.a_on(inner)) @ _GL_INNER_W)
-    val = np.exp(dB) / spec.a_on(zs) * _GL_WEIGHTS
+    half, zs, val = _panel_weights(spec, nodes)
     return np.sum(val, axis=1) * half[:, 0], np.sum(val * rho.value(zs), axis=1) * half[:, 0]
 
 

@@ -17,6 +17,13 @@ problem: the Legendre ascent runs its multistarts in lockstep as rows, and
 so do the primal ascents of a best-constant search; a lambda search scores
 its grid with one stacked eigensolve, and a dual round runs its
 candidates' searches in lockstep, one stacked solve per golden step.
+A search solves each eigenproblem once: ``best_w1i`` keeps Lambda(lambda u)
+for one call, by the candidate's bytes and lambda's bits, so later rounds
+and the full scan after the coarse prune solve only pairs not yet seen;
+``best_w2i`` keeps each v candidate's constant across rounds, and its theta
+bisection stops at its first fixed step.  No bit can move: lambda u is a
+function of those bytes and bits, a row's eigenvalue does not depend on
+its stack, and every step after a fixed one would repeat it.
 
 Best constants: mu satisfies W_1 I(c) when W_1(nu, mu)^2 <= 4 c^2
 I(nu | mu) for all nu, equivalently Lambda(lambda u) <= lambda mu(u) +
@@ -278,33 +285,57 @@ def _lambda_grid() -> np.ndarray:
     return np.logspace(-10, 6, 49, base=2.0)
 
 
-def _dual_ratios(chain, u, lams):
+def _dual_ratios(chain, u, lams, solved):
     """(Lambda(lam u_r) - lam mu(u_r)) / lam^2 for each row u_r of u, at each of
-    lams or, for a 2-D lams, at row r of lams; from one stacked eigensolve.
-    Each row's mean is taken from the potential as given, since a strided
-    dot product rounds differently from a copy's."""
-    pots = lams[..., None] * np.array(u, dtype=float)[:, None, :]
+    lams or, for a 2-D lams, at row r of lams.
+
+    ``solved`` maps a row's bytes to {lambda's bits: Lambda(lam u_r)}; the
+    pairs not in it yet, each once, go to one stacked eigensolve and are
+    added.  lam * u_r is a function of those bits alone, and a row's solve
+    does not depend on the stack it is in, so a stored Lambda is the one a
+    new solve would return.  Each row's mean is taken from the potential as
+    given, since a strided dot product rounds differently from a copy's.
+    """
+    rows = np.array(u, dtype=float)
+    pots = lams[..., None] * rows[:, None, :]
     mean = np.array([[chain.expectation(row)] for row in u])
-    top = -_lowest_eigenpairs(chain, pots.reshape(-1, chain.n))[:, 0].reshape(pots.shape[:-1])
+    bits = np.broadcast_to(lams.view(np.int64), pots.shape[:-1]).tolist()
+    known = [solved.setdefault(row.tobytes(), {}) for row in rows]
+    todo = []
+    for r, (seen, row_bits) in enumerate(zip(known, bits)):
+        for k, b in enumerate(row_bits):
+            if b not in seen:
+                seen[b] = None      # solved below, once
+                todo.append((seen, b, r, k))
+    if todo:
+        dicts, keys, r, k = zip(*todo)
+        tops = -_lowest_eigenpairs(chain, pots[list(r), list(k)])[:, 0]
+        for seen, b, top in zip(dicts, keys, tops.tolist()):
+            seen[b] = top
+    top = np.array([[seen[b] for b in row_bits] for seen, row_bits in zip(known, bits)])
     return (top - lams * mean) / (lams * lams)
 
 
-def _best_lambda(chain, u, extra=(), coarse=False):
+def _best_lambda(chain, u, extra=(), coarse=False, solved=None):
     """max over lambda > 0 of (Lambda(lambda u) - lambda mu(u)) / lambda^2, per row.
 
     u holds one potential per row (an array or a sequence of them); returns
     arrays of (ratio, lambda), from one stacked solve for all grids and one
-    per lockstep golden step.  An extra lambda below the grid's floor 2^-10
-    is not scored: there the ratio divides the roundoff of Lambda by
-    lambda^2 (at lambda = 1e-16 it read 4e16 on a 41-state chain).
+    per lockstep golden step.  ``solved`` is the search's store of
+    ``_dual_ratios`` (a new one by default), so a (row, lambda) pair that
+    it, or an earlier call of the same search, solved is not solved again.
+    An extra lambda below the grid's floor 2^-10 is not scored: there the
+    ratio divides the roundoff of Lambda by lambda^2 (at lambda = 1e-16 it
+    read 4e16 on a 41-state chain).
     """
+    solved = {} if solved is None else solved
     base = np.logspace(-10, 6, 17, base=2.0) if coarse else _lambda_grid()
     extra = np.asarray(list(extra), dtype=float)
     grid = np.concatenate([base, extra[extra >= base[0]]])
-    vals = _dual_ratios(chain, u, grid)
+    vals = _dual_ratios(chain, u, grid, solved)
     k = np.argmax(vals, axis=-1)
     peak, lam = np.take_along_axis(vals, k[:, None], -1)[:, 0], grid[k]
-    lam_best, best = _golden_max(lambda x: _dual_ratios(chain, u, x[:, None])[:, 0],
+    lam_best, best = _golden_max(lambda x: _dual_ratios(chain, u, x[:, None], solved)[:, 0],
                                  lam / 2.0, lam * 2.0, iters=12 if coarse else 40)
     return np.where(best > peak, best, peak), lam_best
 
@@ -501,6 +532,7 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
 
     cands = _lipschitz_candidates(d, n_random=4, rng=rng)
     best_dual, best_u = 0.0, cands[0]
+    solved = {}     # this search's Lambda(lambda u), see _dual_ratios
     for _ in range(rounds):
         extra_lams = []
         info = fisher_information_raw(chain, best_f)
@@ -511,10 +543,10 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
         feasible = [u for u in cands if lipschitz_norm(d, u) <= 1.0 + 1e-9]
         if chain.n > 50:
             # prune with a coarse scan; refine only the leaders
-            coarse = _best_lambda(chain, feasible, extra=extra_lams, coarse=True)[0]
+            coarse = _best_lambda(chain, feasible, extra_lams, coarse=True, solved=solved)[0]
             scores = sorted(zip(coarse.tolist(), range(len(feasible))), reverse=True)
             feasible = [feasible[k] for _, k in scores[:4]]
-        ratios, lams = _best_lambda(chain, feasible, extra=extra_lams)
+        ratios, lams = _best_lambda(chain, feasible, extra_lams, solved=solved)
         # each improving candidate's eigen-density seeds an ascent; the ascents
         # run as rows and merge in candidate order
         seeds = []
@@ -609,6 +641,7 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
         v_cands.append(np.abs(rng.standard_normal(chain.n)) * d.diameter ** 2)
     best_dual = 0.0
     best_v = v_cands[0]
+    c2_of = {}      # each candidate's c^2 by its bytes, kept across rounds
     for _ in range(rounds):
         dist2, _, pot = _metric_transport(d, 2, chain.mu * best_f, chain.mu)
         if fisher_information_raw(chain, best_f) > 0 and dist2 > 0:
@@ -616,7 +649,10 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
             v_cands.append(v_star - float(np.min(v_star)))
         improved = False
         for v in v_cands:
-            c2 = _w2_dual_constant(chain, d2, v)
+            key = v.tobytes()
+            if key not in c2_of:
+                c2_of[key] = _w2_dual_constant(chain, d2, v)
+            c2 = c2_of[key]
             if c2 > best_dual:
                 best_dual, best_v = c2, v
                 improved = True
@@ -646,27 +682,31 @@ def _w2_dual_constant(chain, d2, v):
 
     phi(theta) = Lambda(theta Qv) - theta mu(v) is convex with phi(0) = 0
     and phi'(0) <= 0; the constraint Lambda(Qv/(4c^2)) <= mu(v)/(4c^2)
-    holds exactly for 1/(4c^2) <= theta*, the positive root of phi.
+    holds exactly for 1/(4c^2) <= theta*, the positive root of phi.  The
+    bisection ends at its 80th step or after the first step that leaves
+    (lo, hi) as it was: phi is deterministic, so every later step would
+    repeat that one.
     """
     v = np.asarray(v, dtype=float)
     q = infconv_potential(d2, v)
     mv = chain.expectation(v)
     phi = lambda th: lambda_max(chain, th * q) - th * mv
-    theta = 1e-6
-    if phi(theta) > 1e-13 * max(1.0, abs(mv)):
+    hi = 1e-6
+    val = phi(hi)
+    if val > 1e-13 * max(1.0, abs(mv)):
         return math.inf  # critical theta is essentially zero: no finite c works
-    hi = theta
-    while phi(hi) <= 0.0:
+    while val <= 0.0:
         hi *= 2.0
         if hi > 1e15:
             return 0.0   # constraint never binds: c can be arbitrarily small
+        val = phi(hi)
     lo = hi / 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if phi(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if phi(mid) <= 0.0 else (lo, mid)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     theta_star = 0.5 * (lo + hi)
     return 1.0 / (4.0 * theta_star)
 

@@ -14,6 +14,7 @@ from transinfo.chains import (
     _state_vector,
     build_chain,
     dirichlet_energy,
+    lipschitz_norm,
     solve_invariant_measure,
 )
 from transinfo.diffusion1d import _quad
@@ -25,13 +26,31 @@ from transinfo.errors import (
     QuadratureFailure,
 )
 from transinfo.feynman_kac import (
+    DIVERGENCE_CAP,
     ROUNDOFF_COSTS,
+    BestConstantReport,
     _lambda_grid,
+    _lipschitz_candidates,
+    _low_eigen_directions,
+    _mcshane,
+    _primal_ascents,
+    _primal_starts,
+    _ratios,
     fisher_information_raw,
     lambda_max,
+    lambda_max_witness,
+    linearization_probe,
     project_density,
 )
-from transinfo.transport import _exact_transport, _golden_max, _staircase_potential
+from transinfo.transport import (
+    CostMatrix,
+    _exact_transport,
+    _golden_max,
+    _metric_transport,
+    _staircase_potential,
+    infconv_potential,
+    supconv_potential,
+)
 
 # Property tests draw the same examples on every run (derandomized runs keep
 # no example database) and never fail a slow example on a loaded host.
@@ -500,3 +519,158 @@ def sequential_primal_ascent(chain: ReversibleChain, d, f0: np.ndarray, squared:
             if step < 1e-8:
                 return val, f, k + 1
     return val, f, iters
+
+
+def _rows_best_lambda(chain: ReversibleChain, us, extra=(), coarse=False):
+    """``feynman_kac._best_lambda`` on rows, one ``one_potential_best_lambda`` per row."""
+    out = [one_potential_best_lambda(chain, np.asarray(u, dtype=float), extra, coarse)
+           for u in us]
+    return np.array([r for r, _ in out]), np.array([lam for _, lam in out])
+
+
+def reference_best_w1i(chain: ReversibleChain, d, rounds: int = 3, primal_starts: int = 8,
+                       seed: int = 17) -> BestConstantReport:
+    """``feynman_kac.best_w1i`` as it ran before a search reused its eigensolves.
+
+    The reference for the reuse: every round scores every candidate afresh,
+    each one alone, and the full scan after the coarse prune rescores the
+    coarse grid's lambdas.
+    """
+    rng = np.random.default_rng(seed)
+    best_primal, best_f = 0.0, np.ones(chain.n)
+    vals, fs = _primal_ascents(chain, d, _primal_starts(chain, rng, primal_starts), squared=False)
+    for val, f in zip(vals.tolist(), fs):
+        if val > best_primal:
+            best_primal, best_f = val, f
+
+    cands = _lipschitz_candidates(d, n_random=4, rng=rng)
+    best_dual, best_u = 0.0, cands[0]
+    for _ in range(rounds):
+        extra_lams = []
+        info = fisher_information_raw(chain, best_f)
+        dist, _, pot = _metric_transport(d, 1, chain.mu * best_f, chain.mu)
+        if info > 0 and dist > 0:
+            cands.append(_mcshane(d, pot))
+            extra_lams.append(2.0 * info / dist)
+        feasible = [u for u in cands if lipschitz_norm(d, u) <= 1.0 + 1e-9]
+        if chain.n > 50:
+            coarse = _rows_best_lambda(chain, feasible, extra=extra_lams, coarse=True)[0]
+            scores = sorted(zip(coarse.tolist(), range(len(feasible))), reverse=True)
+            feasible = [feasible[k] for _, k in scores[:4]]
+        ratios, lams = _rows_best_lambda(chain, feasible, extra=extra_lams)
+        seeds = []
+        for u, ratio, lam_star in zip(feasible, ratios.tolist(), lams.tolist()):
+            if ratio > best_dual:
+                best_dual, best_u = ratio, np.asarray(u, dtype=float)
+                seeds.append(lambda_max_witness(chain, lam_star * u)[1].f)
+        if not seeds:
+            break
+        vals, fs = _primal_ascents(chain, d, seeds, squared=False, iters=120)
+        for val, f in zip(vals.tolist(), fs):
+            if val > best_primal:
+                best_primal, best_f = val, f
+    best_u = np.asarray(best_u, dtype=float)
+    return BestConstantReport(
+        c_dual=math.sqrt(max(best_dual, 0.0)),
+        c_primal=math.sqrt(max(best_primal, 0.0)),
+        witness_u=best_u - np.min(best_u),
+        witness_density=best_f,
+        diverged=bool(best_primal > DIVERGENCE_CAP),
+    )
+
+
+def reference_best_w2i(chain: ReversibleChain, d, rounds: int = 2, primal_starts: int = 8,
+                       seed: int = 19) -> BestConstantReport:
+    """``feynman_kac.best_w2i`` as it ran before a search kept its v candidates'
+    theta roots: every round bisects every candidate afresh, 80 steps each."""
+    rng = np.random.default_rng(seed)
+    dirs = _low_eigen_directions(chain, 4)
+    probe_rows = linearization_probe(chain, d, dirs)
+    diverged = False
+    g = dirs[0]
+    eps = 0.5
+    last = float(_ratios(chain, d, 1.0 + eps * g, True)[0][0])
+    while not math.isinf(last) and last <= DIVERGENCE_CAP:
+        eps *= 0.5
+        ratio = float(_ratios(chain, d, 1.0 + eps * g, True)[0][0])
+        if not math.isinf(ratio) and ratio < 1.5 * last:
+            break
+        last = ratio
+    else:
+        diverged = True
+    if diverged:
+        return BestConstantReport(
+            c_dual=math.inf, c_primal=math.inf,
+            witness_u=np.zeros(chain.n), witness_density=np.ones(chain.n),
+            diverged=True, probe=tuple(probe_rows),
+        )
+
+    best_primal, best_f = 0.0, np.ones(chain.n)
+    guard = 0.25
+    vals, fs = _primal_ascents(chain, d, _primal_starts(chain, rng, primal_starts), squared=True,
+                               min_perturbation=guard)
+    for val, f in zip(vals.tolist(), fs):
+        if not math.isinf(val) and val > best_primal:
+            best_primal, best_f = val, f
+
+    d2 = CostMatrix.from_metric(d, 2)
+    v_cands = [d.d[:, x0] ** 2 for x0 in (range(chain.n) if chain.n <= 8 else
+                                          rng.choice(chain.n, 8, replace=False))]
+    for _ in range(3):
+        v_cands.append(np.abs(rng.standard_normal(chain.n)) * d.diameter ** 2)
+    best_dual = 0.0
+    best_v = v_cands[0]
+    for _ in range(rounds):
+        dist2, _, pot = _metric_transport(d, 2, chain.mu * best_f, chain.mu)
+        if fisher_information_raw(chain, best_f) > 0 and dist2 > 0:
+            v_star = supconv_potential(d2, pot)
+            v_cands.append(v_star - float(np.min(v_star)))
+        improved = False
+        for v in v_cands:
+            c2 = reference_w2_dual_constant(chain, d2, v)
+            if c2 > best_dual:
+                best_dual, best_v = c2, v
+                improved = True
+        if not improved:
+            break
+        theta = 1.0 / (4.0 * best_dual) if best_dual > 0 else 1.0
+        q = infconv_potential(d2, best_v)
+        _, dens = lambda_max_witness(chain, theta * q)
+        (val,), (f,) = _primal_ascents(chain, d, dens.f, squared=True, iters=120,
+                                       min_perturbation=guard)
+        if val > best_primal and not math.isinf(val):
+            best_primal, best_f = val, f
+
+    return BestConstantReport(
+        c_dual=math.sqrt(max(best_dual, 0.0)),
+        c_primal=math.sqrt(max(best_primal, 0.0)),
+        witness_u=np.asarray(best_v, dtype=float),
+        witness_density=best_f,
+        diverged=False,
+        probe=tuple(probe_rows),
+    )
+
+
+def reference_w2_dual_constant(chain: ReversibleChain, d2, v: np.ndarray) -> float:
+    """``feynman_kac._w2_dual_constant`` with all 80 bisection steps, fixed point or not."""
+    v = np.asarray(v, dtype=float)
+    q = infconv_potential(d2, v)
+    mv = chain.expectation(v)
+    phi = lambda th: lambda_max(chain, th * q) - th * mv
+    theta = 1e-6
+    if phi(theta) > 1e-13 * max(1.0, abs(mv)):
+        return math.inf
+    hi = theta
+    while phi(hi) <= 0.0:
+        hi *= 2.0
+        if hi > 1e15:
+            return 0.0
+    lo = hi / 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    theta_star = 0.5 * (lo + hi)
+    return 1.0 / (4.0 * theta_star)

@@ -256,6 +256,61 @@ class TestCRho:
                 assert c_p <= c_rho(spec, warp, grid) * 1.02 + 1e-9
 
 
+def _grid_results(spec_for, grid):
+    """Every grid function's output on grid, each call on the spec spec_for() returns."""
+    chain = discretize(spec_for(), grid)
+    Z, mu = normalize(spec_for(), grid)
+    consts = []
+    for warp in ("identity", "tanh", "intrinsic"):
+        spec = spec_for()
+        rho = {"identity": Warp.identity(), "tanh": Warp.tanh_blend(),
+               "intrinsic": Warp.intrinsic(spec)}[warp]
+        consts += [c_rho(spec, rho, grid, corrected=c) for c in (True, False)]
+    ratio = lip_poisson_ratio(spec_for(), grid, Warp.tanh_blend(), g_samples=4)
+    return [chain.mu, *chain.rates, chain.exit_rates, mu], [Z, *consts, ratio]
+
+
+class TestPerGridReuse:
+    """A spec keeps the speed and panel weights of the last grid it saw; every
+    function that reads them returns what it returns on a new spec, bit for bit."""
+
+    @pytest.mark.parametrize("make", [quartic_spec, ou_spec, brownian_01])
+    def test_one_spec_equals_new_specs(self, make):
+        spec = make()
+        lo, hi = (0.01, 0.99) if make is brownian_01 else (-3.0, 3.0)
+        # two grids of one size, then the first again
+        grids = [Grid1D.uniform(lo, hi, 120), Grid1D.uniform(lo + 0.003, hi, 120)]
+        for grid in grids + grids[:1]:
+            arrays, floats = _grid_results(lambda: spec, grid)
+            ref_arrays, ref_floats = _grid_results(make, grid)
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, ref_arrays))
+            assert [x.hex() for x in floats] == [x.hex() for x in ref_floats]
+            assert spec._grid_entry[0] == grid.nodes.tobytes()
+
+    def test_kept_arrays_are_read_only_and_reused(self):
+        spec, grid = quartic_spec(), Grid1D.uniform(-4.0, 4.0, 64)
+        weights = diffusion1d._speed_weights(spec, grid.nodes)
+        panels = diffusion1d._panel_weights(spec, grid.nodes)
+        for a in (*weights, *panels):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # the same grid, as a new Grid1D, finds both
+        again = Grid1D.uniform(-4.0, 4.0, 64).nodes
+        assert diffusion1d._speed_weights(spec, again) is weights
+        assert diffusion1d._panel_weights(spec, again) is panels
+
+    def test_one_grid_entry_at_a_time(self):
+        spec = quartic_spec()
+        first, second = Grid1D.uniform(-4.0, 4.0, 64), Grid1D.uniform(-3.0, 3.0, 64)
+        c_rho(spec, Warp.identity(), first)
+        assert spec._grid_entry[0] == first.nodes.tobytes() and len(spec._grid_entry[1]) == 2
+        normalize(spec, second)
+        assert spec._grid_entry[0] == second.nodes.tobytes() and len(spec._grid_entry[1]) == 1
+        weights = diffusion1d._speed_weights(spec, second.nodes)
+        discretize(spec, first)
+        assert diffusion1d._speed_weights(spec, second.nodes) is not weights
+
+
 class TestRhoA:
     def test_unit_diffusion(self):
         assert rho_a(ou_spec(), 1.7) == pytest.approx(1.7, rel=1e-10)

@@ -41,6 +41,9 @@ from conftest import (
     random_birth_death_chain,
     random_density,
     random_reversible_chain,
+    reference_best_w1i,
+    reference_best_w2i,
+    reference_w2_dual_constant,
     sequential_legendre,
     sequential_primal_ascent,
 )
@@ -48,6 +51,16 @@ from conftest import (
 # The Legendre property test draws mu from weights in 10^[-3, 0], so its
 # entries reach down to about 2e-4 on six states.
 LEGENDRE_MU_FLOOR = 1e-3
+
+
+def _random_metric(n, kind, rng):
+    """A line metric on random increasing points, a planar one, or the trivial one."""
+    if kind == "line":
+        return line_metric(np.cumsum(rng.uniform(0.1, 1.0, n)))
+    if kind == "planar":
+        pts = rng.uniform(0.0, 2.0, size=(n, 2))
+        return MetricMatrix.validate(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2))
+    return trivial_metric(n)
 
 
 def planar_chain():
@@ -346,7 +359,8 @@ class TestBestW1I:
         scored = []
         dual_ratios = feynman_kac._dual_ratios
         monkeypatch.setattr(feynman_kac, "_dual_ratios",
-                            lambda ch, v, xs: scored.extend(xs) or dual_ratios(ch, v, xs))
+                            lambda ch, v, xs, solved:
+                            scored.extend(xs) or dual_ratios(ch, v, xs, solved))
         _best_lambda(chain, [u], extra=[3.4e-16, 2.0 ** -10, 0.3])
         assert 0.3 in scored and scored.count(2.0 ** -10) == 2 and 3.4e-16 not in scored
 
@@ -442,16 +456,124 @@ class TestLockstepLambdaSearch:
         assert stacks[1:] == [rows] * 42
 
     def test_coarse_prune_is_one_lockstep_search(self, monkeypatch):
-        # n > 50: the coarse scan (17-point grid, 12 golden steps) scores every
-        # candidate in lockstep, then the four leaders get the full search
+        # n > 50: the coarse scan (17-point grid and the primal witness's lambda,
+        # 12 golden steps) scores every candidate in lockstep, then the four
+        # leaders get the full search, which solves only what the coarse one
+        # did not: 49 - 17 grid points each, and for the one leader whose full
+        # grid peaks elsewhere its first 12 golden steps (the other three
+        # repeat their coarse steps)
         stacks = self._count_solves(monkeypatch)
         grid = Grid1D.uniform(-6.0, 6.0, 60)
         best_w1i(discretize(ou_spec(), grid), line_metric(grid.nodes), rounds=1,
                  primal_starts=1)
         rows = stacks[1]
         assert rows > 4
-        assert stacks[0] in (17 * rows, 18 * rows) and stacks[1:15] == [rows] * 14
-        assert stacks[15] in (49 * 4, 50 * 4) and stacks[16:] == [4] * 42
+        assert stacks[0] == 18 * rows and stacks[1:15] == [rows] * 14
+        assert stacks[15] == 32 * 4 and stacks[16:] == [1] * 14 + [4] * 28
+
+
+def _record_solves(monkeypatch, ndim):
+    """Each potential that feynman_kac's eigensolves get in calls with ndim-D u, as bytes."""
+    pots = []
+    lowest = feynman_kac._lowest_eigenpairs
+
+    def recorded(chain, u=None, **kwargs):
+        if np.ndim(u) == ndim:
+            pots.extend(row.tobytes() for row in np.atleast_2d(u))
+        return lowest(chain, u, **kwargs)
+
+    monkeypatch.setattr(feynman_kac, "_lowest_eigenpairs", recorded)
+    return pots
+
+
+def _assert_same_report(rep, ref):
+    assert (rep.c_dual.hex(), rep.c_primal.hex()) == (ref.c_dual.hex(), ref.c_primal.hex())
+    assert np.array_equal(rep.witness_u, ref.witness_u)
+    assert np.array_equal(rep.witness_density, ref.witness_density)
+    assert (rep.diverged, rep.probe) == (ref.diverged, ref.probe)
+
+
+# dense 3-6 state chains on three metrics, and birth-death chains on a line
+# on both sides of best_w1i's n > 50 coarse prune
+SEARCH_INPUTS = st.one_of(
+    st.tuples(st.just("dense"), st.integers(3, 6), st.sampled_from(["line", "planar", "trivial"])),
+    st.tuples(st.just("birth-death"), st.sampled_from([40, 60]), st.just("line")))
+
+
+def _search_input(kind, n, metric, seed):
+    rng = np.random.default_rng(seed)
+    ch = random_reversible_chain(n, rng) if kind == "dense" else random_birth_death_chain(n, rng)
+    return ch, _random_metric(n, metric, rng)
+
+
+class TestSearchReuse:
+    """A search solves each (candidate, lambda) eigenproblem and bisects each v
+    candidate's theta once; its constants and witnesses equal the reference's,
+    which solves every round afresh, bit for bit."""
+
+    @settings(max_examples=12)
+    @given(SEARCH_INPUTS, st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+    def test_w1i_equals_reference_and_solves_each_pair_once(self, given_input, seed, rounds):
+        ch, d = _search_input(*given_input, seed)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pots = _record_solves(monkeypatch, 2)
+            rep = best_w1i(ch, d, rounds=rounds, primal_starts=2)
+        assert pots and len(set(pots)) == len(pots)
+        _assert_same_report(rep, reference_best_w1i(ch, d, rounds=rounds, primal_starts=2))
+
+    @settings(max_examples=12)
+    @given(SEARCH_INPUTS, st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+    def test_w2i_equals_reference_and_bisects_each_v_once(self, given_input, seed, rounds):
+        ch, d = _search_input(*given_input, seed)
+        bisected = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            dual_constant = feynman_kac._w2_dual_constant
+            monkeypatch.setattr(feynman_kac, "_w2_dual_constant",
+                                lambda chain, d2, v: bisected.append(v.tobytes())
+                                or dual_constant(chain, d2, v))
+            rep = best_w2i(ch, d, rounds=rounds, primal_starts=2)
+        assert len(set(bisected)) == len(bisected)
+        _assert_same_report(rep, reference_best_w2i(ch, d, rounds=rounds, primal_starts=2))
+
+    def test_w2i_rounds_bisect_only_new_candidates(self, monkeypatch):
+        # OU-240: the second round bisects only the v that the new primal
+        # witness adds, where the reference bisects all 8 + 3 + 2 again
+        calls = []
+        dual_constant = feynman_kac._w2_dual_constant
+        monkeypatch.setattr(feynman_kac, "_w2_dual_constant",
+                            lambda chain, d2, v: calls.append(v.tobytes())
+                            or dual_constant(chain, d2, v))
+        grid = Grid1D.uniform(-6.0, 6.0, 240)
+        ch, d = discretize(ou_spec(), grid), line_metric(grid.nodes)
+        _assert_same_report(best_w2i(ch, d, rounds=2, primal_starts=2),
+                            reference_best_w2i(ch, d, rounds=2, primal_starts=2))
+        assert len(calls) == 8 + 3 + 2
+
+    def test_store_lives_for_one_search(self):
+        # two chains on one metric get the same candidates and lambdas, but
+        # not the same Lambda: a store shared between the searches would mix them
+        rng = np.random.default_rng(5)
+        d = line_metric(np.cumsum(rng.uniform(0.2, 1.0, 40)))
+        for ch in (random_birth_death_chain(40, rng), random_birth_death_chain(40, rng)):
+            _assert_same_report(best_w1i(ch, d, rounds=2, primal_starts=2),
+                                reference_best_w1i(ch, d, rounds=2, primal_starts=2))
+
+    def test_theta_bisection_stops_at_its_fixed_point(self, monkeypatch):
+        # the step that finds (lo, hi) unchanged re-solves a theta solved
+        # before and is the last solve; every earlier theta is new
+        grid = Grid1D.uniform(-6.0, 6.0, 60)
+        ch, d = discretize(ou_spec(), grid), line_metric(grid.nodes)
+        d2 = transport.CostMatrix.from_metric(d, 2)
+        thetas = _record_solves(monkeypatch, 1)
+        for x0 in (0, 13, 21, 40, 59):
+            v = d.d[:, x0] ** 2
+            thetas.clear()
+            c2 = feynman_kac._w2_dual_constant(ch, d2, v)
+            solved = list(thetas)
+            assert 0.0 < c2 < math.inf
+            assert c2.hex() == reference_w2_dual_constant(ch, d2, v).hex()
+            assert solved[-1] in solved[:-1] and len(set(solved)) == len(solved) - 1
+            assert len(solved) < len(thetas) - len(solved)   # the reference's 80 steps
 
 
 def _assert_rows_match_one_start_at_a_time(ch, d, starts, squared, iters=140,
@@ -478,13 +600,7 @@ class TestLockstepPrimalAscent:
     def test_rows_equal_sequential_ascents(self, n, seed, metric, squared, guard, rows, iters):
         rng = np.random.default_rng(seed)
         ch = random_reversible_chain(n, rng)
-        if metric == "line":
-            d = line_metric(np.cumsum(rng.uniform(0.1, 1.0, n)))
-        elif metric == "planar":
-            pts = rng.uniform(0.0, 2.0, size=(n, 2))
-            d = MetricMatrix.validate(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2))
-        else:
-            d = trivial_metric(n)
+        d = _random_metric(n, metric, rng)
         # far starts, and starts near f = 1 that the guard keeps from being scored
         starts = [project_density(ch.mu, rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
                                   / ch.mu, 1e-13) if k % 2 == 0 else
