@@ -22,15 +22,14 @@ chain whose callers need only edges, exit rates or the band stays
 O(n + |E|) in memory.  One validator checks every chain on that edge
 list in O(n + |E|): dense input reaches it through ``build_chain``, with
 exit rates from the dense row sums, and birth-death rates through
-``_birth_death_chain`` without any n x n array.  Each chain builds
--L^sigma once, in two cached forms: the edge list (i, j, w_ij) with
-symmetric conductances w_ij, over which the Dirichlet forms and
-``_apply_neg_generator`` are O(n + |E|) sums, and the read-only dense
+``_birth_death_chain`` without any n x n array.  Its pair scan builds
+-L^sigma once, as the edge list (i, j, w_ij) with symmetric conductances
+w_ij, over which the Dirichlet forms and ``_apply_neg_generator`` are
+O(n + |E|) sums, and, for birth-death chains (edges exactly (k, k+1)),
+as the tridiagonal band of the conjugated operator.  The read-only dense
 ``conjugated_neg_generator``, which carries dense eigensolves and the
-Poisson solve of chains other than birth-death ones.  Birth-death chains
-(edges exactly (k, k+1)) also read the tridiagonal band of the
-conjugated operator off the edge list.  The eigen entry point
-``_lowest_eigenpairs`` solves them on it by LAPACK's tridiagonal
+Poisson solve of other chains, is cached on first use.  The eigen entry
+point ``_lowest_eigenpairs`` solves band chains by LAPACK's tridiagonal
 bisection (dstebz, then dstein for vectors), called directly for the
 requested indices only after a finiteness check, and any other chain by
 dense eigh; ``poisson_solve`` solves them in O(n) from the edge fluxes.
@@ -56,9 +55,7 @@ from .errors import (
     SingularSystem,
 )
 
-ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_RTOL = 1e-10
-MU_SUM_TOL = 1e-12
 DENSITY_RENORM_TOL = 1e-9
 
 # scipy.linalg.lapack's dstebz and dstein, bound by _bind_band_lapack
@@ -73,6 +70,8 @@ class ReversibleChain:
     mu: np.ndarray
     rates: tuple[np.ndarray, np.ndarray, np.ndarray]   # (row, col, q), row-major
     exit_rates: np.ndarray                             # -Q_xx
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray]   # (i < j, j, (mu_i q_ij + mu_j q_ji) / 2)
+    band: tuple[np.ndarray, np.ndarray] | None         # (exit rates, -w/sqrt(mu_k mu_k+1)) or None
 
     @property
     def n(self) -> int:
@@ -99,35 +98,6 @@ class ReversibleChain:
         s = np.sqrt(mu)
         A = (s[:, None] * (-sym)) / s[None, :]
         return _frozen(0.5 * (A + A.T))
-
-    @cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge list (i, j, w_ij) over the pairs i < j that carry a rate.
-
-        w_ij = (mu_i q_ij + mu_j q_ji) / 2 is the symmetric conductance, so
-        E(g, h) = sum over edges of w_ij (g_j - g_i)(h_j - h_i).
-        """
-        row, col, q = self.rates
-        pairs, slot = np.unique(np.minimum(row, col) * self.n + np.maximum(row, col),
-                                return_inverse=True)
-        # flow[i, j] + flow[j, i] per pair; pairs whose flows sum to 0 carry no edge
-        total = np.bincount(slot, weights=self.mu[row] * q, minlength=len(pairs))
-        i, j = np.divmod(pairs[total != 0], self.n)
-        return _frozen(i), _frozen(j), _frozen(0.5 * total[total != 0])
-
-    @cached_property
-    def band(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(diagonal, off-diagonal) of the conjugated -L^sigma, or None.
-
-        Only birth-death chains, whose edge set is exactly {(k, k+1)}, have
-        a band: the exit rates -Q[k,k] on the diagonal and
-        -w / sqrt(mu_k mu_{k+1}) off it, with w the edge conductance.
-        """
-        i, j, w = self.edges
-        if not (np.array_equal(i, np.arange(self.n - 1)) and np.array_equal(j, i + 1)):
-            return None
-        mu = self.mu
-        return self.exit_rates, _frozen(-w / np.sqrt(mu[:-1] * mu[1:]))
 
     def expectation(self, g: np.ndarray) -> float:
         return float(np.dot(self.mu, np.asarray(g, dtype=float)))
@@ -176,9 +146,11 @@ class MetricMatrix:
     """Symmetric nonnegative matrix with zero diagonal and triangle inequality."""
 
     d: np.ndarray
+    # increasing s with d[i,j] = |s_i - s_j|, which gives W_1 / W_2 in closed form, or None
+    line_embedding: np.ndarray | None
 
     @staticmethod
-    def validate(d: np.ndarray, check_triangle: bool = True) -> "MetricMatrix":
+    def validate(d: np.ndarray) -> "MetricMatrix":
         d = np.asarray(d, dtype=float).copy()
         n = d.shape[0]
         if d.ndim != 2 or d.shape[1] != n:
@@ -190,32 +162,22 @@ class MetricMatrix:
         off = d[~np.eye(n, dtype=bool)]
         if np.any(off <= 0):
             raise ModelValidation("metric must be positive off the diagonal")
-        if check_triangle:
-            # d[x,z] <= d[x,y] + d[y,z]; loop over y to stay O(n^2) in memory
-            for y in range(n):
-                if np.any(d > d[:, y][:, None] + d[y, :][None, :] + 1e-12):
-                    raise ModelValidation("triangle inequality fails")
+        # d[x,z] <= d[x,y] + d[y,z]; loop over y to stay O(n^2) in memory
+        for y in range(n):
+            if np.any(d > d[:, y][:, None] + d[y, :][None, :] + 1e-12):
+                raise ModelValidation("triangle inequality fails")
         d.setflags(write=False)
-        return MetricMatrix(d=d)
+        # one or two points are a line if d[0] increases and gives d back to 1e-12
+        s = d[0] if n in (1, 2) else None
+        if s is not None and not (np.all(np.diff(s) > 0) and np.max(
+                np.abs(np.abs(s[:, None] - s) - d)) <= 1e-12 * max(1.0, s[-1])):
+            s = None
+        return MetricMatrix(d=d, line_embedding=s)
 
     @cached_property
     def diameter(self) -> float:
         """max d[x, y], computed on first use."""
         return float(np.max(self.d))
-
-    @cached_property
-    def line_embedding(self) -> np.ndarray | None:
-        """Points s with d[i,j] = |s_i - s_j| and s increasing, or None.
-
-        Line metrics admit closed-form W_1 / W_2 via the monotone coupling;
-        the generic simplex stays available as the cross-check route.
-        """
-        s = self.d[0, :].copy()
-        if np.any(np.diff(s) <= 0):
-            return None
-        if np.max(np.abs(np.abs(s[:, None] - s[None, :]) - self.d)) > 1e-12 * max(1.0, s[-1]):
-            return None
-        return _frozen(s)
 
 
 def trivial_metric(n: int) -> MetricMatrix:
@@ -224,9 +186,29 @@ def trivial_metric(n: int) -> MetricMatrix:
 
 
 def line_metric(points: np.ndarray) -> MetricMatrix:
-    """Euclidean metric of a 1-D embedding: d[i,j] = |p_i - p_j|."""
+    """Euclidean metric of a 1-D embedding: d[i,j] = |p_i - p_j|.
+
+    Finite distinct points make d a metric, so only they are checked.  If
+    they are strictly monotone and s = d[0] rounds to increasing values, s is
+    the line embedding: |s_i - s_j| is within 3 eps max(s) of d[i,j].
+    """
     p = np.asarray(points, dtype=float)
-    return MetricMatrix.validate(np.abs(p[:, None] - p[None, :]), check_triangle=False)
+    if p.ndim != 1 or len(p) == 0:
+        raise ModelValidation(f"line metric points must be a nonempty 1-D array, not {p.shape}")
+    bad = np.flatnonzero(~np.isfinite(p))
+    if len(bad):
+        raise ModelValidation(f"line metric points must be finite: point {bad[0]} is {p[bad[0]]}")
+    order = np.argsort(p, kind="stable")
+    tie = np.flatnonzero(np.diff(p[order]) == 0)
+    if len(tie):
+        i, j = sorted(order[tie[0]:tie[0] + 2].tolist())
+        raise ModelValidation(f"line metric points must be distinct: {i} and {j} are both {p[i]}")
+    d = np.subtract.outer(p, p)
+    np.abs(d, out=d)
+    d.setflags(write=False)
+    step, s = np.diff(p), d[0]
+    line = (np.all(step > 0) or np.all(step < 0)) and np.all(np.diff(s) > 0)
+    return MetricMatrix(d=d, line_embedding=s if line else None)
 
 
 def _as_density_vector(chain: ReversibleChain, f) -> np.ndarray:
@@ -287,11 +269,13 @@ def _validated_chain(rates, exit_rates: np.ndarray, mu, states) -> ReversibleCha
     """Validate a chain given by its nonzero off-diagonal rates (row, col, q), row-major.
 
     Checks, in this order: finite nonnegative rates; irreducibility, by
-    forward and backward reachability from state 0 over the edges; a
-    positive measure summing to 1 within 1e-9, which is then renormalized;
-    detailed balance per pair, |mu_x q_xy - mu_y q_yx| / max of the two
-    within DETAILED_BALANCE_RTOL, reporting the worst pair (first in (x, y)
-    order).  Takes O(n + |E|) apart from one sort of the pairs.
+    forward and backward reachability from state 0 over the edges, except
+    on a path, pairs exactly (k, k+1) with both rates positive; a positive
+    measure summing to 1 within 1e-9, which is then renormalized; detailed
+    balance per pair, |mu_x q_xy - mu_y q_yx| / max of the two within
+    DETAILED_BALANCE_RTOL, reporting the worst pair (first in (x, y)
+    order).  Its pair scan gives the chain its edges and band.  Takes
+    O(n + |E|) apart from one sort of the pairs.
     """
     row, col, q = rates
     n = len(exit_rates)
@@ -299,12 +283,15 @@ def _validated_chain(rates, exit_rates: np.ndarray, mu, states) -> ReversibleCha
         raise ModelValidation("rates must be finite")
     if np.any(q < 0):
         raise ModelValidation("off-diagonal rates must be nonnegative")
+    pairs, slot = np.unique(np.minimum(row, col) * n + np.maximum(row, col), return_inverse=True)
+    path = np.arange(n - 1) * (n + 1) + 1      # the pairs (k, k+1) as k * n + k + 1
     positive = q > 0
-    for src, dst, what in ((row, col, "state {} is not reachable from state 0"),
-                           (col, row, "state 0 is not reachable from state {}")):
-        unreached = _unreached(n, src[positive], dst[positive])
-        if unreached is not None:
-            raise NotIrreducible(what.format(unreached))
+    if not (len(q) == 2 * len(path) and positive.all() and np.array_equal(pairs, path)):
+        for src, dst, what in ((row, col, "state {} is not reachable from state 0"),
+                               (col, row, "state 0 is not reachable from state {}")):
+            unreached = _unreached(n, src[positive], dst[positive])
+            if unreached is not None:
+                raise NotIrreducible(what.format(unreached))
 
     mu = np.array(mu, dtype=float)
     if mu.shape != (n,):
@@ -314,10 +301,8 @@ def _validated_chain(rates, exit_rates: np.ndarray, mu, states) -> ReversibleCha
     total = mu.sum()
     if abs(total - 1.0) > 1e-9:
         raise DegenerateMeasure(f"mu sums to {total!r}, not 1")
-    mu = mu / total
+    mu = _frozen(mu / total)
 
-    lo, hi = np.minimum(row, col), np.maximum(row, col)
-    pairs, slot = np.unique(lo * n + hi, return_inverse=True)
     flow = mu[row] * q
     forward, backward = np.zeros(len(pairs)), np.zeros(len(pairs))
     ahead = row < col
@@ -337,9 +322,14 @@ def _validated_chain(rates, exit_rates: np.ndarray, mu, states) -> ReversibleCha
         states = tuple(states)
         if len(states) != n:
             raise ModelValidation("states list has wrong length")
-    return ReversibleChain(states=states, mu=_frozen(mu),
-                           rates=(_frozen(row), _frozen(col), _frozen(q)),
-                           exit_rates=_frozen(exit_rates))
+    pair_flow = forward + backward
+    carried = pair_flow != 0                    # pairs whose flows sum to 0 carry no edge
+    i, j = np.divmod(pairs[carried], n)
+    w, exit_rates = _frozen(0.5 * pair_flow[carried]), _frozen(exit_rates)
+    band = ((exit_rates, _frozen(-w / np.sqrt(mu[:-1] * mu[1:])))
+            if np.array_equal(pairs[carried], path) else None)
+    return ReversibleChain(states=states, mu=mu, rates=(_frozen(row), _frozen(col), _frozen(q)),
+                           exit_rates=exit_rates, edges=(_frozen(i), _frozen(j), w), band=band)
 
 
 def _unreached(n: int, src: np.ndarray, dst: np.ndarray) -> int | None:

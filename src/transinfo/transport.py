@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Density, MetricMatrix, ReversibleChain, fisher_information
+from .chains import Density, MetricMatrix, ReversibleChain, _frozen, fisher_information
 from .errors import (
     InfeasibleMarginals,
     ModelValidation,
@@ -67,7 +67,7 @@ class CostMatrix:
 
     @staticmethod
     def from_metric(d: MetricMatrix, power: int = 1) -> "CostMatrix":
-        return CostMatrix.validate(d.d ** power)
+        return CostMatrix(c=_frozen(d.d ** power))      # a metric's powers are valid costs
 
 
 @dataclass(frozen=True)

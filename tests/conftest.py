@@ -158,13 +158,41 @@ def chain_from_dense(states, Q: np.ndarray, mu: np.ndarray) -> ReversibleChain:
     """Hold a rate matrix by its nonzero off-diagonal entries; validates nothing.
 
     Builds the chains no validator lets through: broken ones, and the
-    output of the dense reference validator.
+    output of the dense reference validator.  Its edges and band are built
+    as a chain built them on first use before the validator handed them
+    over: the reference for the validator's.
     """
     Q = np.asarray(Q, dtype=float)
-    i, j = np.nonzero((Q != 0) & ~np.eye(len(Q), dtype=bool))
-    return ReversibleChain(states=tuple(states), mu=_frozen(np.array(mu, dtype=float)),
-                           rates=(_frozen(i), _frozen(j), _frozen(Q[i, j])),
-                           exit_rates=_frozen(-np.diag(Q)))
+    n = len(Q)
+    mu = _frozen(np.array(mu, dtype=float))
+    row, col = np.nonzero((Q != 0) & ~np.eye(n, dtype=bool))
+    q, exit_rates = _frozen(Q[row, col]), _frozen(-np.diag(Q))
+    pairs, slot = np.unique(np.minimum(row, col) * n + np.maximum(row, col), return_inverse=True)
+    # flow[i, j] + flow[j, i] per pair; pairs whose flows sum to 0 carry no edge
+    total = np.bincount(slot, weights=mu[row] * q, minlength=len(pairs))
+    i, j = np.divmod(pairs[total != 0], n)
+    w = _frozen(0.5 * total[total != 0])
+    band = None
+    if np.array_equal(i, np.arange(n - 1)) and np.array_equal(j, i + 1):
+        band = exit_rates, _frozen(-w / np.sqrt(mu[:-1] * mu[1:]))
+    return ReversibleChain(states=tuple(states), mu=mu,
+                           rates=(_frozen(row), _frozen(col), q), exit_rates=exit_rates,
+                           edges=(_frozen(i), _frozen(j), w), band=band)
+
+
+def inferred_line_embedding(d: np.ndarray) -> np.ndarray | None:
+    """Points s with d[i,j] = |s_i - s_j| and s increasing, or None.
+
+    The O(n^2) inference a metric ran on its matrix before its constructor
+    declared the embedding: s = d[0] when it increases strictly and
+    |s_i - s_j| is within 1e-12 max(1, s[-1]) of every d[i,j].
+    """
+    s = d[0, :].copy()
+    if np.any(np.diff(s) <= 0):
+        return None
+    if np.max(np.abs(np.abs(s[:, None] - s[None, :]) - d)) > 1e-12 * max(1.0, s[-1]):
+        return None
+    return _frozen(s)
 
 
 def dirichlet_bilinear(chain: ReversibleChain, g: np.ndarray, h: np.ndarray) -> float:

@@ -1,16 +1,18 @@
 """The cached chain operator against the dense reference constructions.
 
 Birth-death chains take the banded eigen route, the flux-sum Poisson
-solve and the O(n) construction; line metrics take the adjacent-increment
-Lipschitz norm; every chain takes the edge validator, the edge-list
-Dirichlet form and generator product.  The oracles are the dense
-constructions: dense eigh of ``conjugated_neg_generator`` and scipy's
-``eigh_tridiagonal``, the n x n Dirichlet sum, the dense L^sigma, the
-bordered and unconjugated Poisson solves, the dense validation checks and
-the pairwise Lipschitz maximum.  Chains are drawn with mu down to 1e-8
+solve and the O(n) construction; line metrics declare their embedding and
+take the adjacent-increment Lipschitz norm; every chain takes the edge
+validator, the edge-list Dirichlet form and generator product.  The
+oracles are the dense constructions: dense eigh of
+``conjugated_neg_generator`` and scipy's ``eigh_tridiagonal``, the n x n
+Dirichlet sum, the dense L^sigma, the bordered and unconjugated Poisson
+solves, the dense validation checks, the pairwise Lipschitz maximum and
+the O(n^2) inference of a line embedding from its matrix.  Chains are drawn with mu down to 1e-8
 (1e-30 for validation and smooth tails) and conductance spreads up to 1e6.
 """
 
+import re
 import subprocess
 import sys
 import threading
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -29,6 +31,7 @@ from transinfo.chains import (
     _apply_neg_generator,
     _birth_death_chain,
     _lowest_eigenpairs,
+    MetricMatrix,
     build_chain,
     dirichlet_energy,
     line_metric,
@@ -39,8 +42,15 @@ from transinfo.chains import (
     trivial_metric,
 )
 from transinfo.diffusion1d import Grid1D, discretize, ou_spec
-from transinfo.errors import DetailedBalanceViolated, TransinfoError
+from transinfo.errors import (
+    DetailedBalanceViolated,
+    ModelValidation,
+    NotIrreducible,
+    TransinfoError,
+)
 from transinfo.feynman_kac import fisher_information_raw, lambda_max, lambda_max_witness
+from transinfo.lyapunov import mminf_generator
+from transinfo.transport import w1, w2
 
 from conftest import (
     bordered_poisson,
@@ -48,6 +58,7 @@ from conftest import (
     conjugated_neg_generator,
     dense_build_chain,
     dirichlet_bilinear,
+    inferred_line_embedding,
     random_birth_death_chain,
     random_reversible_chain,
     symmetrized_generator,
@@ -142,6 +153,10 @@ class TestBand:
         rates = np.eye(n, k=1) + np.eye(n, k=-1)
         rates[0, n - 1] = rates[n - 1, 0] = 1.0
         assert build_chain(rates).band is None
+        # a star has n - 1 edges too, but not the edges (k, k+1)
+        star = np.zeros((n, n))
+        star[0, 1:] = star[1:, 0] = 1.0
+        assert build_chain(star).band is None
 
     def test_operator_cache_is_linear_in_size(self):
         n = 300
@@ -397,7 +412,9 @@ def _outcome(build):
         ch = build()
     except TransinfoError as exc:
         return type(exc), getattr(exc, "pair", None), getattr(exc, "residual", None)
-    return ch.states, ch.mu.tolist(), [a.tolist() for a in ch.rates], ch.exit_rates.tolist()
+    band = None if ch.band is None else [a.tolist() for a in ch.band]
+    return (ch.states, ch.mu.tolist(), [a.tolist() for a in ch.rates], ch.exit_rates.tolist(),
+            [a.tolist() for a in ch.edges], band)
 
 
 class TestEdgeValidator:
@@ -426,6 +443,27 @@ class TestEdgeValidator:
                 build_chain(rates)
             with pytest.raises(TransinfoError):
                 build_chain(rates, mu=np.full(3, 1.0 / 3.0))
+
+    def test_reachability_searched_off_the_path_only(self, monkeypatch):
+        calls = []
+        unreached = chains._unreached
+        monkeypatch.setattr(chains, "_unreached",
+                            lambda *args: calls.append(1) or unreached(*args))
+        discretize(ou_spec(), Grid1D.uniform(-6.0, 6.0, 400))
+        mminf_generator(1.0, 40)
+        assert len(calls) == 0
+        random_reversible_chain(4, np.random.default_rng(5))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("cut", ["up", "down"])
+    def test_birth_death_with_a_zero_rate_is_reducible(self, cut):
+        up, down = np.array([1.0, 2.0, 0.5, 1.5]), np.array([0.5, 1.0, 2.0, 1.0])
+        (up if cut == "up" else down)[2] = 0.0
+        mu = np.full(5, 0.2)
+        with pytest.raises(NotIrreducible):
+            _birth_death_chain(up, down, mu)
+        with pytest.raises(NotIrreducible):
+            build_chain(np.diag(up, 1) + np.diag(down, -1), mu=mu)
 
 
 class TestDiscretizedChainBits:
@@ -692,6 +730,129 @@ class TestLineEmbeddingCache:
 
     def test_non_line_metric(self):
         assert trivial_metric(4).line_embedding is None
+
+
+@st.composite
+def line_points(draw):
+    """Distinct points: increasing, decreasing or permuted, at magnitudes 1e-300 to 1e300.
+
+    Half the draws put points a few ulps apart at an offset up to 1e16 and a
+    first point of order 1 away from them, so that the row d[0] rounds to
+    ties."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        gaps = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+        p = scale * (draw(st.integers(-5, 5)) + np.cumsum(gaps))
+    else:
+        offset = draw(st.sampled_from([1.0, 3.0, 2.0 ** 52, 2.0 ** 53, 1e15, 1e16, -1e16]))
+        ulps = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1)))
+        first = draw(st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
+        p = np.concatenate([[first], offset + ulps * np.spacing(offset)])
+    assume(len(np.unique(p)) == n)
+    order = draw(st.sampled_from(["increasing", "decreasing", "permuted"]))
+    if order == "decreasing":
+        return -p if draw(st.booleans()) else p[::-1]
+    return p[draw(st.permutations(range(n)))] if order == "permuted" else p
+
+
+@st.composite
+def small_metrics(draw):
+    """Matrices on one or two points that MetricMatrix.validate accepts.
+
+    The off-diagonal pair differs by up to the symmetry tolerance and the
+    diagonal by up to the zero-diagonal tolerance."""
+    n = draw(st.integers(1, 2))
+    d = np.zeros((n, n))
+    d[np.diag_indices(n)] = draw(st.lists(st.sampled_from([0.0, 1e-16, -1e-16, 1e-15, -1e-15]),
+                                          min_size=n, max_size=n))
+    if n == 2:
+        d[0, 1] = 10.0 ** draw(st.floats(-300.0, 300.0))
+        d[1, 0] = d[0, 1] * (1.0 + draw(st.sampled_from([0.0, 1e-16, 1e-13, -1e-13, 1e-9, 1e-6])))
+        d[1, 0] += draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    try:
+        return MetricMatrix.validate(d)
+    except ModelValidation:
+        assume(False)
+
+
+def _same(a, b):
+    return (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
+
+
+class TestDeclaredLineEmbedding:
+    """The embedding a constructor declares against the O(n^2) inference from d."""
+
+    @given(line_points())
+    def test_line_metric_declares_the_inferred_embedding(self, p):
+        d = line_metric(p)
+        step = np.diff(p)
+        if np.all(step > 0) or np.all(step < 0):
+            assert _same(d.line_embedding, inferred_line_embedding(d.d))
+        else:
+            # a fold within 1e-12 of a line is inferred as one; it holds no embedding
+            assert d.line_embedding is None
+        assert np.array_equal(d.d, np.abs(p[:, None] - p[None, :]))
+        assert not d.d.flags.writeable
+
+    @given(small_metrics())
+    def test_validated_metrics_on_two_points_declare_the_inferred_embedding(self, d):
+        assert _same(d.line_embedding, inferred_line_embedding(d.d))
+
+    @pytest.mark.parametrize("p", [[0.0, 0.5, 1.7, 4.0], [3.0, -1.0, -2.5], [0.0, 1e-13, -2e-13]],
+                             ids=["increasing", "decreasing", "fold-within-1e-12"])
+    def test_matrices_without_embedding_match_the_closed_forms(self, p):
+        p = np.array(p)
+        rng = np.random.default_rng(11)
+        nu, mu = rng.dirichlet(np.ones(len(p))), rng.dirichlet(np.ones(len(p)))
+        order = np.argsort(p)
+        line = line_metric(p[order])
+        hand = MetricMatrix.validate(np.abs(p[:, None] - p[None, :]))
+        assert hand.line_embedding is None and inferred_line_embedding(hand.d) is not None
+        step = np.diff(p)
+        assert (line_metric(p).line_embedding is None) == (np.any(step > 0) and np.any(step < 0))
+        for d in (hand, line_metric(p)):
+            assert w1(d, nu, mu) == pytest.approx(w1(line, nu[order], mu[order]), rel=1e-12)
+            assert w2(d, nu, mu) == pytest.approx(w2(line, nu[order], mu[order]), rel=1e-12)
+
+
+class TestLineMetricInput:
+    """line_metric names the bad points before it builds any n x n array."""
+
+    @pytest.mark.parametrize("points, message", [
+        ([0.0, np.inf, 5.0], "finite: point 1 is inf"),
+        ([0.0, 1.0, np.nan], "finite: point 2 is nan"),
+        ([5.0, 1.0, 5.0], "distinct: 0 and 2 are both 5.0"),
+        ([0.0, -0.0], "distinct: 0 and 1"),
+        (np.zeros((2, 3)), "1-D array"),
+        ([], "nonempty"),
+    ])
+    def test_bad_points_named(self, points, message):
+        with pytest.raises(ModelValidation, match=re.escape(message)):
+            line_metric(points)
+
+    def test_rejected_before_the_matrix_is_built(self):
+        p = np.arange(2000.0)
+        p[1500] = p[7]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelValidation, match="7 and 1500"):
+                line_metric(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8 / 10
+
+    def test_4000_points_build_one_matrix(self):
+        p = np.linspace(-6.0, 6.0, 4000)
+        tracemalloc.start()
+        try:
+            d = line_metric(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * 4000 * 4000 * 8
+        assert d.line_embedding is not None
 
 
 def test_cli_import_leaves_out_scipy_stats():
