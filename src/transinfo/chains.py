@@ -34,13 +34,17 @@ bisection (dstebz, then dstein for vectors), called directly for the
 requested indices only after a finiteness check, and any other chain by
 dense eigh; ``poisson_solve`` solves them in O(n) from the edge fluxes.
 On a line metric ``lipschitz_norm`` reads adjacent increments only.
-Importing this module loads no scipy: dstebz and dstein are bound into
-its globals on the first band solve.
+The functionals take rows: an (N, n) block gives per row the 1-D call's
+bits, as each reduction is ``dots``, and ``Density.validate`` raises the
+1-D call's error for the first failing row.  Importing this module loads
+no scipy: dstebz and dstein are bound into its globals on the first band
+solve.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,13 +103,12 @@ class ReversibleChain:
         A = (s[:, None] * (-sym)) / s[None, :]
         return _frozen(0.5 * (A + A.T))
 
-    def expectation(self, g: np.ndarray) -> float:
-        return float(np.dot(self.mu, np.asarray(g, dtype=float)))
+    def expectation(self, g: np.ndarray):
+        return dots(self.mu, np.asarray(g, dtype=float))
 
-    def variance(self, g: np.ndarray) -> float:
+    def variance(self, g: np.ndarray):
         g = np.asarray(g, dtype=float)
-        m = self.expectation(g)
-        return float(np.dot(self.mu, (g - m) ** 2))
+        return dots(self.mu, (g - np.asarray(self.expectation(g))[..., None]) ** 2)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -113,30 +116,44 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def dots(a: np.ndarray, b: np.ndarray):
+    """np.dot(a, b) as a float for a 1-D array b, else np.dot(a, b_k) for each row b_k.
+
+    np.vecdot runs np.dot's BLAS dot on each contiguous row; a stacked b @ a
+    (gemv) sums in another order."""
+    if b.ndim != 2:
+        return float(np.dot(a, b))
+    return np.vecdot(a, np.ascontiguousarray(b, dtype=float))
+
+
 @dataclass(frozen=True)
 class Density:
-    """Nonnegative f with sum_i mu_i f_i = 1, representing nu = f mu."""
+    """Nonnegative f with sum_i mu_i f_i = 1, representing nu = f mu; or rows of such f."""
 
     f: np.ndarray
 
     @staticmethod
     def validate(mu: np.ndarray, f: np.ndarray) -> "Density":
-        """Validate (and gently renormalize) a candidate density vector.
+        """Validate (and gently renormalize) a candidate density vector, or each row of a 2-D f.
 
-        Renormalizes when |sum mu f - 1| <= 1e-9 and rejects otherwise;
-        silently fixing larger errors would mask caller bugs.
+        Renormalizes when |sum mu f - 1| <= 1e-9 and rejects otherwise, a
+        NaN mass included; silently fixing larger errors would mask caller
+        bugs.  A block raises the error of its first failing row.
         """
         f = np.asarray(f, dtype=float).copy()
-        if f.shape != np.shape(mu):
+        if f.shape[-1:] != np.shape(mu) or f.ndim > 2:
             raise ModelValidation("density and measure have different lengths")
-        if np.any(f < 0):
-            raise ModelValidation("density has negative entries")
-        total = float(np.dot(mu, f))
-        if abs(total - 1.0) > DENSITY_RENORM_TOL:
-            raise ModelValidation(
-                f"density mass {total!r} differs from 1 beyond renormalization tolerance"
-            )
-        f /= total
+        rows = f.reshape(-1, f.shape[-1])
+        total = dots(mu, rows)
+        negative = (rows < 0).any(axis=1)
+        bad = negative | ~(np.abs(total - 1.0) <= DENSITY_RENORM_TOL)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if negative[k]:
+                raise ModelValidation("density has negative entries")
+            raise ModelValidation(f"density mass {float(total[k])!r} differs from 1 beyond "
+                                  "renormalization tolerance")
+        rows /= total[:, None]
         f.setflags(write=False)
         return Density(f=f)
 
@@ -155,7 +172,9 @@ class MetricMatrix:
         n = d.shape[0]
         if d.ndim != 2 or d.shape[1] != n:
             raise ModelValidation("metric matrix must be square")
-        if not np.allclose(d, d.T, atol=1e-12):
+        if not np.isfinite(d).all():
+            raise ModelValidation("metric matrix must be finite")
+        if np.any(np.abs(d - d.T) > 1e-12 * max(1.0, np.max(np.abs(d), initial=0.0))):
             raise ModelValidation("metric matrix must be symmetric")
         if np.any(np.abs(np.diag(d)) > 1e-15):
             raise ModelValidation("metric matrix must have zero diagonal")
@@ -188,9 +207,9 @@ def trivial_metric(n: int) -> MetricMatrix:
 def line_metric(points: np.ndarray) -> MetricMatrix:
     """Euclidean metric of a 1-D embedding: d[i,j] = |p_i - p_j|.
 
-    Finite distinct points make d a metric, so only they are checked.  If
-    they are strictly monotone and s = d[0] rounds to increasing values, s is
-    the line embedding: |s_i - s_j| is within 3 eps max(s) of d[i,j].
+    Finite distinct points of finite span make d a metric, so only they are checked.
+    If they are strictly monotone and s = d[0] rounds to increasing values, s is the
+    line embedding: |s_i - s_j| is within 3 eps max(s) of d[i,j].
     """
     p = np.asarray(points, dtype=float)
     if p.ndim != 1 or len(p) == 0:
@@ -198,6 +217,8 @@ def line_metric(points: np.ndarray) -> MetricMatrix:
     bad = np.flatnonzero(~np.isfinite(p))
     if len(bad):
         raise ModelValidation(f"line metric points must be finite: point {bad[0]} is {p[bad[0]]}")
+    if not math.isfinite(float(p.max()) - float(p.min())):    # Python floats overflow silently
+        raise ModelValidation(f"line metric points span {p.min()} to {p.max()}: not finite")
     order = np.argsort(p, kind="stable")
     tie = np.flatnonzero(np.diff(p[order]) == 0)
     if len(tie):
@@ -364,14 +385,16 @@ def chain_from_json(obj: dict | str) -> ReversibleChain:
 # Energy / information functionals
 # ---------------------------------------------------------------------------
 
-def dirichlet_energy(chain: ReversibleChain, g: np.ndarray) -> float:
+def dirichlet_energy(chain: ReversibleChain, g: np.ndarray):
     """E(g, g) = 1/2 sum_{x != y} mu_x q(x,y) (g_y - g_x)^2, summed over edges."""
-    g = _state_vector(chain, g)
+    g = np.asarray(g, dtype=float)
+    if not (g.ndim == 2 and g.shape[1] == chain.n):
+        g = _state_vector(chain, g)
     if not np.isfinite(g).all():
         raise ValueError("g must be finite")
     i, j, w = chain.edges
-    diff = g[j] - g[i]
-    return float(np.dot(w, diff * diff))
+    diff = g[j] - g[i] if g.ndim == 1 else g[:, j] - g[:, i]
+    return dots(w, diff * diff)
 
 
 def _state_vector(chain: ReversibleChain, g) -> np.ndarray:
@@ -381,7 +404,7 @@ def _state_vector(chain: ReversibleChain, g) -> np.ndarray:
     return g
 
 
-def fisher_information(chain: ReversibleChain, f) -> float:
+def fisher_information(chain: ReversibleChain, f):
     """I(f mu | mu) = E(sqrt f, sqrt f); always finite on finite spaces."""
     fv = _as_density_vector(chain, f)
     return dirichlet_energy(chain, np.sqrt(fv))
@@ -396,17 +419,17 @@ def relative_entropy(chain: ReversibleChain, f) -> float:
     return float(np.dot(chain.mu, terms))
 
 
-def tv_weighted(chain: ReversibleChain, f, phi: np.ndarray) -> float:
+def tv_weighted(chain: ReversibleChain, f, phi: np.ndarray):
     """Weighted total variation sum_i mu_i phi_i |f_i - 1|.
 
     With phi = 1 this is the full total variation ||f mu - mu||_TV
-    = 2 sup_A |nu(A) - mu(A)|.
+    = 2 sup_A |nu(A) - mu(A)|.  phi is checked before f.
     """
-    fv = _as_density_vector(chain, f)
     phi = np.asarray(phi, dtype=float)
     if (phi < 0).any():
         raise ValueError("phi must be nonnegative")
-    return float(np.dot(chain.mu * phi, np.abs(fv - 1.0)))
+    fv = _as_density_vector(chain, f)
+    return dots(chain.mu * phi, np.abs(fv - 1.0))
 
 
 def spectral_gap(chain: ReversibleChain) -> tuple[float, float]:
@@ -415,17 +438,16 @@ def spectral_gap(chain: ReversibleChain) -> tuple[float, float]:
     Returns (gap, c_P) with c_P = 1/gap.  The eigenproblem is solved
     on the symmetric conjugated matrix; afterwards the Poincare
     inequality Var_mu(g) <= c_P E(g,g) is spot-checked on 100 random g
-    (seed 7) within 1e-9 slack as a guard against a mis-sorted spectrum.
+    (seed 7, drawn as the rows of one block) within 1e-9 slack as a guard
+    against a mis-sorted spectrum.
     """
     gap = float(_lowest_eigenpairs(chain, count=2)[1])
     if gap <= 0:
         raise NotIrreducible("nonpositive spectral gap; chain is not irreducible")
     c_p = 1.0 / gap
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        g = rng.standard_normal(chain.n)
-        if chain.variance(g) > c_p * dirichlet_energy(chain, g) + 1e-9:
-            raise SingularSystem("Poincare certificate failed; eigensolve inconsistent")
+    g = np.random.default_rng(7).standard_normal((100, chain.n))
+    if np.any(chain.variance(g) > c_p * dirichlet_energy(chain, g) + 1e-9):
+        raise SingularSystem("Poincare certificate failed; eigensolve inconsistent")
     return gap, c_p
 
 

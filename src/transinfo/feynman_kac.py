@@ -138,7 +138,7 @@ def fk_norm(chain: ReversibleChain, u: np.ndarray, t: float, method: str = "eige
 # Density-space Legendre oracle
 # ---------------------------------------------------------------------------
 
-def fisher_information_raw(chain: ReversibleChain, f: np.ndarray) -> float:
+def fisher_information_raw(chain: ReversibleChain, f: np.ndarray):
     """E(sqrt f, sqrt f) without the Density mass check (optimizer internals)."""
     return dirichlet_energy(chain, np.sqrt(np.maximum(f, 0.0)))
 
@@ -363,19 +363,11 @@ def _ratios(chain, d, f, squared):
     as from ``_metric_transport_rows``.  The ratio comes from the primal
     value: +inf when I vanishes with W > 0, and 0 when the transport value
     is at the roundoff floor ROUNDOFF_COSTS * eps * max cost, which on W_2
-    reads sqrt(ROUNDOFF_COSTS * eps) * diameter.  Each row's I is its own
-    dot product, as in ``fisher_information_raw``, since a 2-D product can
-    round differently.
+    reads sqrt(ROUNDOFF_COSTS * eps) * diameter.  Each row's I is
+    ``fisher_information_raw`` of that row, bit for bit.
     """
     f = np.asarray(f, dtype=float).reshape(-1, chain.n)
-    i, j, w = chain.edges
-    sq = np.sqrt(np.maximum(f, 0.0))
-    if not np.isfinite(sq).all():
-        raise ValueError("g must be finite")
-    # sq[:, j] comes out column-major, and a dot over a strided row rounds
-    # differently from one over a contiguous vector
-    diff = np.ascontiguousarray(sq[:, j] - sq[:, i])
-    infos = np.array([float(np.dot(w, row)) for row in diff * diff])
+    infos = fisher_information_raw(chain, f)
     values, duals, potentials = _metric_transport_rows(d, 2 if squared else 1,
                                                        chain.mu * f, chain.mu)
     floor = ROUNDOFF_COSTS * np.finfo(float).eps

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (Density, ReversibleChain, _birth_death_chain, fisher_information,
+from .chains import (Density, ReversibleChain, _birth_death_chain, dots, fisher_information,
                      spectral_gap, tv_weighted)
 from .diffusion1d import DiffusionSpec1D, Grid1D, discretize
 from .errors import NotCertified, TruncationTooSmall, UBelowOne
@@ -95,17 +95,22 @@ def certify_H(chain: ReversibleChain, U: np.ndarray, phi: np.ndarray, b: float,
                                excluded_violation=exc_v)
 
 
+def _density_rows(chain: ReversibleChain, densities) -> np.ndarray:
+    """The densities as rows: a 2-D array as it is, else one row per vector or Density."""
+    if isinstance(densities, np.ndarray) and densities.ndim == 2:
+        return densities
+    rows = [f.f if isinstance(f, Density) else f for f in densities]
+    return np.array(rows, dtype=float).reshape(len(rows), -1) if rows else np.empty((0, chain.n))
+
+
 def drift_info_bound_check(chain: ReversibleChain, U: np.ndarray,
                            densities) -> float:
     """min over densities of I(f mu | mu) - <(-LU/U), f mu>; never negative."""
     ratio = drift_ratio(chain, U)
-    worst = math.inf
-    for f in densities:
-        fv = f.f if isinstance(f, Density) else np.asarray(f, dtype=float)
-        info = fisher_information(chain, Density.validate(chain.mu, fv))
-        lhs = float(np.dot(chain.mu * fv, ratio))
-        worst = min(worst, info - lhs)
-    return worst
+    f = _density_rows(chain, densities)
+    info = fisher_information(chain, Density.validate(chain.mu, f))
+    # a running min from inf, which passes over a NaN
+    return min([math.inf, *(info - dots(ratio, chain.mu * f)).tolist()])
 
 
 def thm51_bounds(c_p: float, b: float, phi_l2: float, a_param: float,
@@ -128,14 +133,14 @@ def verify_thm51(chain: ReversibleChain, cert: LyapunovCertificate, density_samp
         raise NotCertified(f"certificate has violation {cert.max_violation:.3e}")
     _, c_p = spectral_gap(chain)
     phi_l2 = math.sqrt(float(np.dot(chain.mu, cert.phi ** 2)))
+    dens = Density.validate(chain.mu, _density_rows(chain, density_samples))
+    infos = fisher_information(chain, dens).tolist()
+    tv_phi = tv_weighted(chain, dens, cert.phi).tolist()
+    tv_sqrt = tv_weighted(chain, dens, np.sqrt(cert.phi)).tolist()
     rows = []
     worst = math.inf
-    for idx, f in enumerate(density_samples):
-        fv = f.f if isinstance(f, Density) else np.asarray(f, dtype=float)
-        dens = Density.validate(chain.mu, fv)
-        info = fisher_information(chain, dens)
-        lhs1 = tv_weighted(chain, dens, cert.phi)
-        lhs2 = tv_weighted(chain, dens, np.sqrt(cert.phi)) ** 2
+    for idx, (info, lhs1, tv) in enumerate(zip(infos, tv_phi, tv_sqrt)):
+        lhs2 = tv ** 2
         bound_a, bound_b = thm51_bounds(c_p, cert.b, phi_l2, 2.0, info)
         slack = min(bound_a - lhs1, bound_b - lhs2)
         worst = min(worst, slack)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ReversibleChain, build_chain
+from .chains import ReversibleChain, build_chain, dots
 from .errors import DegenerateMeasure, EstimatorOverflow, NoExactSplit
 from .rng import path_streams
 
@@ -44,14 +44,13 @@ def build_jump_chain(mu: np.ndarray, states=None) -> ReversibleChain:
     return build_chain(rates, mu=mu, states=states)
 
 
-def ckp_gap(mu: np.ndarray, f: np.ndarray) -> tuple[float, float]:
-    """(||f mu - mu||_TV^2, 4 Var_mu(sqrt f)); the first never exceeds the second."""
+def ckp_gap(mu: np.ndarray, f: np.ndarray):
+    """(||f mu - mu||_TV^2, 4 Var_mu(sqrt f)), per row of a 2-D f; always TV^2 <= 4 Var."""
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
-    tv = float(np.dot(mu, np.abs(f - 1.0)))
-    m = float(np.dot(mu, np.sqrt(f)))
-    four_var = 4.0 * (1.0 - m * m)
-    return tv * tv, four_var
+    tv = dots(mu, np.abs(f - 1.0))
+    m = dots(mu, np.sqrt(f))
+    return tv * tv, 4.0 * (1.0 - m * m)
 
 
 def ckp_extremal(p: float, mu: np.ndarray, subset=None) -> np.ndarray:

@@ -6,7 +6,9 @@ from hypothesis import settings
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from transinfo import catalog
 from transinfo.chains import (
+    Density,
     ReversibleChain,
     _apply_neg_generator,
     _frozen,
@@ -14,16 +16,23 @@ from transinfo.chains import (
     _state_vector,
     build_chain,
     dirichlet_energy,
+    fisher_information,
     lipschitz_norm,
     solve_invariant_measure,
+    spectral_gap,
+    tv_weighted,
 )
+from transinfo.cli import Outcome, write_json
 from transinfo.diffusion1d import _quad
 from transinfo.errors import (
+    ConfigParse,
     DegenerateMeasure,
     DetailedBalanceViolated,
     ModelValidation,
+    NotCertified,
     NotIrreducible,
     QuadratureFailure,
+    SingularSystem,
 )
 from transinfo.feynman_kac import (
     DIVERGENCE_CAP,
@@ -42,15 +51,27 @@ from transinfo.feynman_kac import (
     linearization_probe,
     project_density,
 )
+from transinfo.lyapunov import (
+    beta_potential_example,
+    certify_H,
+    drift_ratio,
+    mminf_certificate,
+    thm51_bounds,
+)
 from transinfo.transport import (
     CostMatrix,
+    RateFunction,
     _exact_transport,
     _golden_max,
     _metric_transport,
     _staircase_potential,
+    alpha_infconv,
+    conditional_fisher_sum,
     infconv_potential,
     supconv_potential,
+    tensor_subadditivity_check,
 )
+from transinfo.trivial_metric import ckp_extremal, ckp_gap
 
 # Property tests draw the same examples on every run (derandomized runs keep
 # no example database) and never fail a slow example on a loaded host.
@@ -702,3 +723,160 @@ def reference_w2_dual_constant(chain: ReversibleChain, d2, v: np.ndarray) -> flo
             hi = mid
     theta_star = 0.5 * (lo + hi)
     return 1.0 / (4.0 * theta_star)
+
+
+# ---------------------------------------------------------------------------
+# One-row loops: the sampled-density scans as they ran before their row
+# forms, one draw, one validation and one reduction per sample
+# ---------------------------------------------------------------------------
+
+def loop_validate(mu: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``Density.validate`` of each row of f, stacked; raises at the first failing row."""
+    return np.array([Density.validate(mu, row).f for row in f]).reshape(np.shape(f))
+
+
+def loop_poincare_certificate(chain: ReversibleChain, c_p: float) -> None:
+    """``spectral_gap``'s check of Var <= c_P E on 100 draws, one draw at a time."""
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        g = rng.standard_normal(chain.n)
+        if chain.variance(g) > c_p * dirichlet_energy(chain, g) + 1e-9:
+            raise SingularSystem("Poincare certificate failed; eigensolve inconsistent")
+
+
+def loop_drift_info_bound_check(chain: ReversibleChain, U: np.ndarray, densities) -> float:
+    """``lyapunov.drift_info_bound_check``, one density at a time."""
+    ratio = drift_ratio(chain, U)
+    worst = math.inf
+    for f in densities:
+        fv = f.f if isinstance(f, Density) else np.asarray(f, dtype=float)
+        info = fisher_information(chain, Density.validate(chain.mu, fv))
+        lhs = float(np.dot(chain.mu * fv, ratio))
+        worst = min(worst, info - lhs)
+    return worst
+
+
+def loop_verify_thm51(chain: ReversibleChain, cert, density_samples):
+    """``lyapunov.verify_thm51``, one density at a time."""
+    if not cert.certified:
+        raise NotCertified(f"certificate has violation {cert.max_violation:.3e}")
+    _, c_p = spectral_gap(chain)
+    phi_l2 = math.sqrt(float(np.dot(chain.mu, cert.phi ** 2)))
+    rows = []
+    worst = math.inf
+    for idx, f in enumerate(density_samples):
+        fv = f.f if isinstance(f, Density) else np.asarray(f, dtype=float)
+        dens = Density.validate(chain.mu, fv)
+        info = fisher_information(chain, dens)
+        lhs1 = tv_weighted(chain, dens, cert.phi)
+        lhs2 = tv_weighted(chain, dens, np.sqrt(cert.phi)) ** 2
+        bound_a, bound_b = thm51_bounds(c_p, cert.b, phi_l2, 2.0, info)
+        slack = min(bound_a - lhs1, bound_b - lhs2)
+        worst = min(worst, slack)
+        rows.append((idx, lhs1, bound_a, lhs2, bound_b, slack))
+    return {"rows": rows, "worst_slack": float(worst),
+            "passed": bool(worst >= -1e-8), "c_p": float(c_p), "phi_l2": phi_l2}
+
+
+def loop_write_csv(path, header: list[str], rows: list[tuple]) -> None:
+    """``cli.write_csv`` with a formatting call per value."""
+    def fmt(x) -> str:
+        if isinstance(x, float):
+            return "{:.17g}".format(x)
+        return str(x)
+
+    lines = [",".join(header)]
+    lines += [",".join(fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def loop_run_ckp_scan(params, out_dir, seed: int, name: str) -> Outcome:
+    """The CLI's ``ckp-scan`` kind, one draw per sample."""
+    n = int(params.get("n", 6))
+    count = int(params.get("count", 2000))
+    rng = np.random.default_rng(seed)
+    mu = rng.dirichlet(np.ones(n) * 2.0)
+    worst = math.inf
+    rows = []
+    for k in range(count):
+        f = rng.dirichlet(np.ones(n)) / mu
+        f = f / float(np.dot(mu, f))
+        tv2, four_var = ckp_gap(mu, f)
+        worst = min(worst, four_var - tv2)
+        if k < 200:
+            rows.append((k, tv2, four_var, four_var - tv2))
+    eq_gap = 0.0
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        mu2 = np.array([p, 1.0 - p])
+        f = ckp_extremal(p, mu2)
+        tv2, four_var = ckp_gap(mu2, f)
+        eq_gap = max(eq_gap, abs(tv2 - four_var))
+    path = out_dir / f"{name}-scan.csv"
+    loop_write_csv(path, ["sample", "tv_sq", "four_var", "gap"], rows)
+    passed = worst >= -1e-12 and eq_gap <= 1e-10
+    return Outcome(name, bool(passed),
+                   {"worst_gap": worst, "extremal_equality_gap": eq_gap}, [path])
+
+
+def loop_run_lyapunov(params, out_dir, seed: int, name: str) -> Outcome:
+    """The CLI's ``lyapunov`` kind, one draw per sample, checked by ``loop_verify_thm51``."""
+    model_name = params.get("model", "mminf")
+    samples = int(params.get("samples", 200))
+    rng = np.random.default_rng(seed)
+    if model_name == "mminf":
+        chain, cert = mminf_certificate(1.0, 40, math.log(2.0))
+    elif model_name == "beta-potential":
+        model = beta_potential_example(float(params.get("beta", 2.0)))
+        chain = model.chain
+        cert = certify_H(chain, model.U, model.phi, model.b, exclude=(0, chain.n - 1))
+    else:
+        raise ConfigParse(f"unknown lyapunov model {model_name!r}")
+    dens = []
+    for _ in range(samples):
+        raw = rng.dirichlet(np.ones(chain.n) * 0.8)
+        f = raw / chain.mu
+        dens.append(f / float(np.dot(chain.mu, f)))
+    rep = loop_verify_thm51(chain, cert, dens)
+    cert_path = out_dir / f"{name}-certificate.json"
+    write_json(cert_path, cert.to_json_dict())
+    rows_path = out_dir / f"{name}-verify.csv"
+    loop_write_csv(rows_path, ["sample", "lhs_phi", "bound_phi", "lhs_sqrtphi_sq",
+                               "bound_sqrtphi_sq", "slack"], rep["rows"])
+    passed = cert.certified and rep["passed"]
+    return Outcome(name, bool(passed),
+                   {"max_violation": cert.max_violation,
+                    "worst_slack": rep["worst_slack"]}, [cert_path, rows_path])
+
+
+def loop_run_tensorize(params, out_dir, seed: int, name: str) -> Outcome:
+    """The CLI's ``tensorize`` kind, one draw per sample."""
+    count = int(params.get("count", 25))
+    prod_model = catalog.load_example("product-3x3")
+    prod, factors = prod_model["chain"], prod_model["factors"]
+    rng = np.random.default_rng(seed)
+    worst_fisher = 0.0
+    for _ in range(count):
+        raw = rng.dirichlet(np.ones(prod.n))
+        f = raw / prod.mu
+        f = f / float(np.dot(prod.mu, f))
+        lhs = fisher_information(prod, Density.validate(prod.mu, f))
+        rhs = conditional_fisher_sum(factors, (prod.mu * f))
+        worst_fisher = max(worst_fisher, abs(lhs - rhs))
+    c1 = CostMatrix.validate(np.array([[0., 1.], [1., 0.]]))
+    worst_sub = 0.0
+    for _ in range(count):
+        nu = rng.dirichlet(np.ones(4)).reshape(2, 2)
+        lhs, rhs = tensor_subadditivity_check([c1, c1], nu,
+                                              [np.array([0.5, 0.5]), np.array([0.4, 0.6])])
+        worst_sub = max(worst_sub, lhs - rhs)
+    alpha = RateFunction.quadratic(1.3)
+    grid = np.linspace(0.0, 4.0, 41)
+    worst_inf = max(abs(alpha_infconv([alpha, alpha], float(r)) - 2.0 * alpha(r / 2.0))
+                    for r in grid)
+    path = out_dir / f"{name}-report.csv"
+    loop_write_csv(path, ["fisher_additivity_gap", "subadditivity_excess", "infconv_gap"],
+                   [(worst_fisher, worst_sub, worst_inf)])
+    passed = worst_fisher <= 1e-8 and worst_sub <= 1e-9 and worst_inf <= 1e-10
+    return Outcome(name, bool(passed),
+                   {"fisher_gap": worst_fisher, "sub_excess": worst_sub,
+                    "infconv_gap": worst_inf}, [path])

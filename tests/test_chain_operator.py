@@ -826,7 +826,9 @@ class TestLineMetricInput:
         ([0.0, -0.0], "distinct: 0 and 1"),
         (np.zeros((2, 3)), "1-D array"),
         ([], "nonempty"),
+        ([-1e308, 0.0, 1e308], "span -1e+308 to 1e+308: not finite"),
     ])
+    @pytest.mark.filterwarnings("error")      # the span check must not overflow on its own
     def test_bad_points_named(self, points, message):
         with pytest.raises(ModelValidation, match=re.escape(message)):
             line_metric(points)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from transinfo import catalog
 from transinfo.chains import (
     Density,
     MetricMatrix,
@@ -273,6 +274,30 @@ class TestMetricValidation:
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ModelValidation):
             MetricMatrix.validate(d)
+
+    @pytest.mark.parametrize("d, message", [
+        ([[0.0, 1.0], [1.000009, 0.0]], "symmetric"),        # inside np.allclose's rtol=1e-5
+        ([[0.0, 1e6], [1e6 * (1 + 1e-17) + 2e-6, 0.0]], "symmetric"),
+        ([[0.0, math.nan], [math.nan, 0.0]], "finite"),
+        ([[0.0, math.inf], [math.inf, 0.0]], "finite"),
+    ])
+    def test_near_asymmetry_and_non_finite_entries_rejected(self, d, message):
+        with pytest.raises(ModelValidation, match=message):
+            MetricMatrix.validate(np.array(d))
+
+    def test_symmetry_within_1e12_of_the_largest_entry_accepted(self):
+        for scale in (1e-300, 1.0, 1e6, 1e300):
+            d = np.array([[0.0, scale], [scale * (1 + 9e-13), 0.0]])
+            assert MetricMatrix.validate(d).d[1, 0] == d[1, 0]
+
+    @pytest.mark.parametrize("name", sorted(catalog.list_examples()))
+    def test_catalog_metrics_still_validate(self, name):
+        model = catalog.load_example(name)
+        metrics = [trivial_metric(model["chain"].n)]
+        if "metric" in model:
+            metrics.append(model["metric"])
+        for m in metrics:
+            assert np.array_equal(MetricMatrix.validate(m.d).d, m.d)
 
     def test_package_exports_trivial_metric_constructor(self):
         import transinfo

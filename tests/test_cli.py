@@ -243,6 +243,56 @@ class TestRunSpecInProcess:
                 "c011ea8b56ccb197b68a1b663a6e4609e119eda4828d5bb313ed9dabaf2ce91a",
         }
 
+    def test_sampled_scan_artifacts_pinned(self, tmp_path):
+        # digests recorded before the scans drew and reduced their samples as
+        # row blocks: one draw per scan must keep every byte
+        spec = {"experiments": [
+            {"kind": "ckp-scan", "name": "ckp", "seed": 11, "params": {"n": 6, "count": 1000}},
+            {"kind": "lyapunov", "name": "lya-mminf", "seed": 12,
+             "params": {"model": "mminf", "samples": 100}},
+            {"kind": "lyapunov", "name": "lya-beta", "seed": 13,
+             "params": {"model": "beta-potential", "samples": 10}},
+            {"kind": "paper-suite", "name": "suite", "seed": 3},
+        ]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run_spec_file(spec_file, out, None, 1) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())}
+        assert digests == {
+            "ckp-scan.csv":
+                "748f5e341f6e0ccfd1b4868ace8453da020198e19d8655d26d48c7bac9486aaa",
+            "lya-beta-certificate.json":
+                "e1e1b1327bdc045df3101db3ebd23d9c2195d6777566ca4875832069ea2426bb",
+            "lya-beta-verify.csv":
+                "090a860ca6a617ad3bd3e40975525ae5651250e35af5ea841925a36dc4ade337",
+            "lya-mminf-certificate.json":
+                "2767530e8d8675505da5f8ee0bfada002f055bb1545a0ac03b37380c7678f1bf",
+            "lya-mminf-verify.csv":
+                "fe8aa9805a83fc5978a5492304d0f25f7953f844512954162d40c31d93628ff8",
+            "suite-bc-report.json":
+                "c23c3e7f17269d21593d61037cc84bd56aeab9220e198e3fd781fc03de38ede8",
+            "suite-ckp-scan.csv":
+                "a6127666f5e9076956dd107df85b22427c7396de491ef6f7ada234a57bbe5a9e",
+            "suite-diff-report.csv":
+                "ea47b447b707a604ab56ecd757807b5dc15eda354eae16220900cdfb256dfda4",
+            "suite-lya-certificate.json":
+                "2767530e8d8675505da5f8ee0bfada002f055bb1545a0ac03b37380c7678f1bf",
+            "suite-lya-verify.csv":
+                "4a59d57ca86059c95c5cd07940a9a1a42969862be0b16e24618e57a5323cd620",
+            "suite-rho-scan.csv":
+                "17196e1d29dc79542ee40c7e7a7ba0d3cfe1dab42fee6b21afaec0d986512685",
+            "suite-sim-ledger.csv":
+                "caf0175751091f63d2394458115c2ae51b9131904ea602a3cbaabc5ac2f66503",
+            "suite-tci-slack.csv":
+                "c242df92d70557f388d1a12127fbc68f20d14f8a83ad91479e0fd3dddc510ccb",
+            "suite-tens-report.csv":
+                "70607b3118c6e00cc273605374cf5ada53372aed315bba59c5c808d1dff45b0b",
+            "summary.json":
+                "ed2d1a84db91e360a75af0bc17757840ca0418817902ecc872ee6eef8d24be03",
+        }
+
     @pytest.mark.parametrize("middle", [
         {"kind": "verify-tci", "params": {"alpha": {"kind": "quadratic", "c": -1}}},
         {"kind": "diffusion",
