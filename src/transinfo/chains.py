@@ -37,14 +37,19 @@ On a line metric ``lipschitz_norm`` reads adjacent increments only.
 The functionals take rows: an (N, n) block gives per row the 1-D call's
 bits, as each reduction is ``dots``, and ``Density.validate`` raises the
 1-D call's error for the first failing row.  Importing this module loads
-no scipy: dstebz and dstein are bound into its globals on the first band
-solve.
+no scipy.  The first band solve loads only the compiled LAPACK module
+``scipy.linalg._flapack``, through ``_scipy_extension``, which does not
+run ``scipy.linalg``'s ``__init__``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,9 +66,6 @@ from .errors import (
 
 DETAILED_BALANCE_RTOL = 1e-10
 DENSITY_RENORM_TOL = 1e-9
-
-# scipy.linalg.lapack's dstebz and dstein, bound by _bind_band_lapack
-dstebz = dstein = None
 
 
 @dataclass(frozen=True)
@@ -504,34 +506,40 @@ def _band_eigenpairs(diag: np.ndarray, off: np.ndarray, count: int, vectors: boo
     order of scipy.linalg's tridiagonal wrapper for an index range, but
     without its per-call validation; callers check finiteness first.
     """
-    if dstebz is None:
-        _bind_band_lapack()
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, count, 0.0,
-                                        "B" if vectors else "E")
+    lapack = _scipy_extension("linalg._flapack")
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, count, 0.0,
+                                               "B" if vectors else "E")
     _check_lapack_info(info, "dstebz")
     w = w[:m]
     if not vectors:
         return w
-    V, info = dstein(diag, off, w, iblock, isplit)
+    V, info = lapack.dstein(diag, off, w, iblock, isplit)
     _check_lapack_info(info, "dstein")
     # block order to ascending order
     order = np.argsort(w)
     return w[order], V[:, order]
 
 
-def _bind_band_lapack() -> None:
-    """Bind dstebz and dstein into this module's globals.
+def _scipy_extension(name: str):
+    """The compiled module ``scipy.<name>``, loaded without its package's ``__init__``.
 
-    Done on the first band solve, not at import, because importing
-    scipy.linalg costs more than most runs spend in it; a per-call
-    import would cost more than the solve on small bands.  dstein is
-    stored first, so a thread that sees dstebz bound also sees dstein.
+    Importing ``scipy.linalg`` or ``scipy.signal`` costs more than most runs
+    spend in the one routine they need from it, so the extension module is
+    loaded from its file beside the package, once: it is kept in
+    ``sys.modules`` under its full name, which is also where the package's
+    own import finds it.  The public wrappers and this module therefore
+    call the same routine objects, in either load order.
     """
-    global dstebz, dstein
-    from scipy.linalg import lapack
-
-    dstein = lapack.dstein
-    dstebz = lapack.dstebz
+    full = f"scipy.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(
+            full, [os.path.join(root, *name.split(".")[:-1])])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module = sys.modules.setdefault(full, module)
+    return module
 
 
 def _check_lapack_info(info: int, routine: str) -> None:

@@ -152,9 +152,17 @@ def run_best_constant(params, out_dir: Path, seed: int, name: str) -> Outcome:
                     "diverged": report.diverged, "c_P": c_p}, [path])
 
 
+def _sample_count(params, key: str, default: int) -> int:
+    """A sample count from the params: zero draws nothing, a negative one is an error."""
+    count = int(params.get(key, default))
+    if count < 0:
+        raise ConfigParse(f"{key} must be zero or more, not {count}")
+    return count
+
+
 def run_ckp_scan(params, out_dir: Path, seed: int, name: str) -> Outcome:
     n = int(params.get("n", 6))
-    count = max(int(params.get("count", 2000)), 0)       # a negative count draws nothing
+    count = _sample_count(params, "count", 2000)
     rng = np.random.default_rng(seed)
     mu = rng.dirichlet(np.ones(n) * 2.0)
     # one draw of `count` rows gives the bits of `count` single draws
@@ -218,7 +226,7 @@ def run_diffusion(params, out_dir: Path, seed: int, name: str) -> Outcome:
 
 def run_lyapunov(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model_name = params.get("model", "mminf")
-    samples = max(int(params.get("samples", 200)), 0)
+    samples = _sample_count(params, "samples", 200)
     rng = np.random.default_rng(seed)
     if model_name == "mminf":
         chain, cert = mminf_certificate(1.0, 40, math.log(2.0))
@@ -274,7 +282,7 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
 
 
 def run_tensorize(params, out_dir: Path, seed: int, name: str) -> Outcome:
-    count = max(int(params.get("count", 25)), 0)
+    count = _sample_count(params, "count", 25)
     prod_model = catalog.load_example("product-3x3")
     prod, factors = prod_model["chain"], prod_model["factors"]
     rng = np.random.default_rng(seed)

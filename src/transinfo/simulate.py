@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ReversibleChain
+from .chains import ReversibleChain, _scipy_extension
 from .diffusion1d import DiffusionSpec1D
 from .errors import ModelValidation, StepTooLarge
 from .rng import path_streams
@@ -82,11 +82,15 @@ class EnsembleConfig:
             raise ModelValidation(f"horizon must be positive and finite, not {self.t!r}")
         if isinstance(self.model, ReversibleChain):
             b = np.asarray(self.beta, dtype=float)
-            if b.shape != (self.model.n,) or np.any(b < 0) or abs(b.sum() - 1) > 1e-9:
+            # NaN fails b >= 0, and an inf entry fails it or the mass check
+            if b.shape != (self.model.n,) or not np.all(b >= 0) or abs(b.sum() - 1) > 1e-9:
                 raise ModelValidation("beta must be a probability vector on the states")
             return
-        if isinstance(self.beta, str) and self.beta != "stationary":
-            raise ModelValidation(f"beta must be 'stationary' or a point, not {self.beta!r}")
+        if isinstance(self.beta, str):
+            if self.beta != "stationary":
+                raise ModelValidation(f"beta must be 'stationary' or a point, not {self.beta!r}")
+        elif not math.isfinite(self.beta):
+            raise ModelValidation(f"beta must be a finite point, not {self.beta!r}")
         # the samplers integrate over round(t/h) steps of h and divide by t,
         # so the steps must cover the horizon
         h = self.sde_step
@@ -249,7 +253,8 @@ def _ou_initial(config, rng):
 
 
 # OU paths run in blocks of _OU_BLOCK on a thread pool, one block per task;
-# the stream draws, lfilter and most of trapezoid release the GIL.
+# the stream draws, scipy's compiled one-pole filter and most of trapezoid
+# release the GIL.
 _OU_BLOCK = 64
 
 
@@ -266,16 +271,20 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
 
     The update x_{k+1} = d x_k + s xi_k is a linear recursion, evaluated
     per path with a one-pole filter so long horizons stay cheap without
-    giving up per-path streams.
+    giving up per-path streams.  The filter is scipy's compiled
+    ``_linear_filter`` from ``scipy.signal._sigtools``, called with the
+    arguments that ``lfilter(b, a, x)`` passes it for a two-term ``a``:
+    the same routine on the same float64 arrays, so the same bits, without
+    importing ``scipy.signal``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from scipy.signal import lfilter
-
+    linear_filter = _scipy_extension("signal._sigtools")._linear_filter
     h = config.sde_step
     n_steps = int(round(config.t / h))
     decay = math.exp(-h)
     noise_sd = math.sqrt(1.0 - decay * decay)
+    b, a = np.array([noise_sd]), np.array([1.0, -decay])
     powers = decay ** np.arange(1, n_steps + 1)
     out = np.empty(config.n_paths)
 
@@ -287,7 +296,7 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
             rng.standard_normal(out=shocks)
             path[0] = x0
             np.multiply(powers, x0, out=path[1:])
-            path[1:] += lfilter([noise_sd], [1.0, -decay], shocks)
+            path[1:] += linear_filter(b, a, shocks, -1)
             vals = u(path) if callable(u) else path
             out[i] = float(np.trapezoid(vals, dx=h)) / config.t
 

@@ -18,6 +18,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -606,8 +607,8 @@ class TestDirectLapack:
         def unreachable(*args):
             raise AssertionError("LAPACK saw a non-finite input")
 
-        monkeypatch.setattr(chains, "dstebz", unreachable)
-        monkeypatch.setattr(chains, "dstein", unreachable)
+        monkeypatch.setattr(chains, "_scipy_extension",
+                            lambda name: SimpleNamespace(dstebz=unreachable, dstein=unreachable))
         chain = random_birth_death_chain(6, np.random.default_rng(1))
         u = np.zeros(6)
         u[3] = bad
@@ -656,7 +657,8 @@ class TestStackedEigensolve:
         def unreachable(*args):
             raise AssertionError("LAPACK saw a stack with a non-finite row")
 
-        monkeypatch.setattr(chains, "dstebz", unreachable)
+        monkeypatch.setattr(chains, "_scipy_extension",
+                            lambda name: SimpleNamespace(dstebz=unreachable))
         chain = random_birth_death_chain(6, np.random.default_rng(1))
         U = np.zeros((5, 6))
         U[3, 2] = bad
@@ -673,15 +675,17 @@ class TestStackedEigensolve:
 
 class TestLapackBinding:
     def test_first_band_solves_race_on_many_threads(self, monkeypatch):
-        """Threads that all make the first band solve at once all get its result."""
+        """Threads that all make the first band solve at once all get its result.
+
+        Each round drops the LAPACK extension from ``sys.modules``, where the
+        loader keeps it, so every thread may load it from its file."""
         chain = random_birth_death_chain(8, np.random.default_rng(3))
         w_ref, V_ref = _lowest_eigenpairs(chain, count=2, vectors=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(40):
-                monkeypatch.setattr(chains, "dstebz", None)
-                monkeypatch.setattr(chains, "dstein", None)
+                monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
                 start = threading.Barrier(8)
                 results = []
 

@@ -136,6 +136,36 @@ class TestStartup:
         assert "bernoulli" in out
         assert out.endswith("\n[]\n")
 
+    def test_band_solves_load_no_scipy_linalg(self, tmp_path):
+        # both experiments solve on bands: the compiled LAPACK module is loaded alone
+        spec = {"experiments": [
+            {"kind": "lyapunov", "name": "mminf", "params": {"model": "mminf", "samples": 20}},
+            {"kind": "diffusion", "name": "ou", "params": {"model": "ou", "nodes": 80}},
+        ]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        argv = ["transinfo", "run", str(spec_file), "--out", str(tmp_path / "out")]
+        out = self.python("import runpy, sys\n"
+                          f"sys.argv = {argv!r}\n"
+                          "try:\n"
+                          "    runpy.run_module('transinfo.cli', run_name='__main__')\n"
+                          "except SystemExit as exc:\n"
+                          "    assert exc.code == 0, exc.code\n"
+                          "print('scipy.linalg' in sys.modules, "
+                          "'scipy.linalg._flapack' in sys.modules)")
+        assert out.endswith("\nFalse True\n")
+
+    def test_ou_sampling_loads_no_scipy_signal(self):
+        out = self.python("import sys\n"
+                          "from transinfo.simulate import EnsembleConfig, OUModel, "
+                          "sample_time_average\n"
+                          "cfg = EnsembleConfig(model=OUModel(), beta='stationary', t=1.0, "
+                          "n_paths=2, master_seed=0, sde_step=0.01)\n"
+                          "assert sample_time_average(cfg, None).shape == (2,)\n"
+                          "print('scipy.signal' in sys.modules, "
+                          "'scipy.signal._sigtools' in sys.modules)")
+        assert out == "False True\n"
+
     def test_first_band_solves_under_two_jobs(self, tmp_path):
         """Two birth-death experiments reach the first band solve on two threads."""
         spec = {"experiments": [

@@ -9,6 +9,9 @@ kinds ``loop_run_ckp_scan``, ``loop_run_lyapunov`` and
 ``loop_run_tensorize``.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -28,6 +31,7 @@ from conftest import (
     random_reversible_chain,
 )
 from transinfo import chains, cli
+from transinfo.errors import ConfigParse
 from transinfo.chains import (
     Density,
     _birth_death_chain,
@@ -335,15 +339,15 @@ class TestCliKindsAsTheirLoops:
         ("ckp-scan", {"n": 6, "count": 700}, 5),
         ("ckp-scan", {"n": 41, "count": 150}, 6),
         ("ckp-scan", {"n": 2, "count": 0}, 3),
-        ("ckp-scan", {"n": 3, "count": -4}, 3),
+        ("ckp-scan", {"n": 3, "count": 4}, 3),
         ("lyapunov", {"model": "mminf", "samples": 300}, 7),
         ("lyapunov", {"model": "mminf", "samples": 0}, 9),
-        ("lyapunov", {"model": "mminf", "samples": -2}, 9),
+        ("lyapunov", {"model": "mminf", "samples": 2}, 9),
         ("lyapunov", {"model": "beta-potential", "samples": 6}, 8),
         ("lyapunov", {"model": "beta-potential", "beta": 3.0, "samples": 4}, 2),
         ("tensorize", {"count": 12}, 10),
         ("tensorize", {"count": 0}, 1),
-        ("tensorize", {"count": -1}, 1),
+        ("tensorize", {"count": 1}, 1),
     ])
     def test_artifacts_and_details(self, tmp_path, kind, params, seed):
         loops = {"ckp-scan": loop_run_ckp_scan, "lyapunov": loop_run_lyapunov,
@@ -356,6 +360,30 @@ class TestCliKindsAsTheirLoops:
         assert [p.name for p in got.artifacts] == [p.name for p in want.artifacts]
         for a, b in zip(got.artifacts, want.artifacts):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_counts_fail_their_experiment_alone(self, tmp_path):
+        # these used to draw nothing and pass; ckp-scan then wrote an infinite worst gap
+        bad = [("ckp-scan", {"n": 3, "count": -4}, 3, "count must be zero or more, not -4"),
+               ("lyapunov", {"model": "mminf", "samples": -2}, 9,
+                "samples must be zero or more, not -2"),
+               ("tensorize", {"count": -1}, 1, "count must be zero or more, not -1")]
+        spec = [{"kind": kind, "name": f"bad{i}", "seed": seed, "params": params}
+                for i, (kind, params, seed, _) in enumerate(bad)]
+        spec.insert(1, {"kind": "ckp-scan", "name": "good", "params": {"n": 3, "count": 0}})
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"experiments": spec}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run_spec_file(spec_file, tmp_path / "out", None, 1) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        entries = {e["name"]: e for e in summary["experiments"]}
+        assert entries["good"]["passed"]
+        for i, (kind, params, seed, reason) in enumerate(bad):
+            assert entries[f"bad{i}"] == {"name": f"bad{i}", "passed": False, "artifacts": [],
+                                          "details": {"error": f"ConfigParse: {reason}"}}
+            with pytest.raises(ConfigParse, match=reason):
+                cli._KINDS[kind](params, tmp_path, seed, "x")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["good-scan.csv", "summary.json"]
 
     def test_write_csv_as_the_formatting_loop(self, tmp_path):
         rows = [(0, 0.1, np.float64(1 / 3), "a", True, np.int64(7), -0.0),

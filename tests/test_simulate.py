@@ -148,6 +148,14 @@ class TestChainSampling:
             EnsembleConfig(model=ch, beta=np.array([0.6, 0.6]), t=1.0,
                            n_paths=10, master_seed=0)
 
+    @pytest.mark.parametrize("beta", [[math.nan, math.nan], [math.nan, 1.0], [1.0, math.nan],
+                                      [math.inf, 0.0], [math.inf, -math.inf]])
+    def test_non_finite_beta_rejected(self, beta):
+        # NaN fails both b < 0 and the mass check, so [nan, nan] used to sample
+        ch = bernoulli_chain(0.3)
+        with pytest.raises(ModelValidation, match="probability vector"):
+            EnsembleConfig(model=ch, beta=np.array(beta), t=1.0, n_paths=10, master_seed=0)
+
 
 class TestOUSampling:
     def test_variance_matches_sigma2(self):
@@ -201,6 +209,12 @@ class TestOUSampling:
                 EnsembleConfig(model=model, beta="statonary", t=1.0, n_paths=5, master_seed=0)
             EnsembleConfig(model=model, beta="stationary", t=1.0, n_paths=5, master_seed=0)
             EnsembleConfig(model=model, beta=0.5, t=1.0, n_paths=5, master_seed=0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_point_rejected(self, beta):
+        for model in _diffusions():
+            with pytest.raises(ModelValidation, match="finite point"):
+                EnsembleConfig(model=model, beta=beta, t=1.0, n_paths=5, master_seed=0)
 
     def test_stationary_means_by_quadrature(self):
         # E|X| = sqrt(2/pi) and E X = 0 under N(0, 1); a non-callable v means X itself
