@@ -17,7 +17,9 @@ oscillation <= 2 is capped by
 
 The 2x2 reduction of the weighted process gives the growth rate in
 closed form (the JumpSpectrum), which doubles as the finite-horizon
-oracle for the Monte Carlo estimator.
+oracle for the Monte Carlo estimator.  That estimator (fk_growth_mc)
+samples the process exactly, in lockstep over chunks of paths grouped by
+their event count, with the bits of a one-path-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -187,11 +189,25 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
     at parameter p.  The acceptance oracle is the exact finite-horizon
     value from the 2x2 matrix exponential rather than the t -> infinity
     limit, whose O(1/t) bias would force impractically long horizons.
+
+    Paths run in lockstep, in chunks of _GROWTH_CHUNK = 1024, with the
+    bits of a loop that draws one path at a time from its stream: a
+    Poisson(t) count k, k event times uniform(0, t), then k + 1 label
+    uniforms.  One random(2k + 1) call reads the same doubles, since
+    uniform(0, t) is 0 + t U for the next double U and the k + 1 doubles
+    after those are what random(k + 1) reads.  A chunk's paths with k
+    events form one (m, k + 2) array of interval bounds, sorted by row,
+    and np.vecdot over its contiguous rows gives each path's np.dot bits
+    (the chains.dots rule).
     """
-    if t > 50:
-        raise ValueError("horizon capped at t = 50 for this estimator")
+    if not 0.0 < t <= 50:
+        raise ValueError(f"horizon t must lie in (0, 50] for this estimator, not {t!r}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, not {lam!r}")
+    if n_paths < 2:
+        raise ValueError(f"a standard error needs at least 2 paths, not {n_paths!r}")
     u = extremal_potential(p)
     if abs(lam) * t * float(np.max(np.abs(u))) > 700:
         raise EstimatorOverflow("lambda * t too large for a double-precision mean")
@@ -200,15 +216,9 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
     cdf /= cdf[-1]
 
     log_vals = np.empty(n_paths)
-    for i, rng in path_streams(seed, range(n_paths)):
-        k = rng.poisson(t)
-        bounds = np.empty(k + 2)             # 0, the sorted event times, t
-        bounds[0], bounds[-1] = 0.0, t
-        if k:
-            bounds[1:-1] = rng.uniform(0.0, t, size=k)
-            bounds[1:-1].sort()
-        labels = cdf.searchsorted(rng.random(k + 1), side="right")
-        log_vals[i] = lam * float(np.dot(u[labels], bounds[1:] - bounds[:-1]))
+    for lo in range(0, n_paths, _GROWTH_CHUNK):
+        paths = range(lo, min(lo + _GROWTH_CHUNK, n_paths))
+        log_vals[lo:paths.stop] = _growth_log_moments(seed, paths, lam, t, u, cdf)
 
     vals = np.exp(log_vals)
     mean = float(vals.mean())
@@ -222,6 +232,33 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
         n_paths=n_paths,
         t=t,
     )
+
+
+# The chain sampler's chunk size; a chunk's draws take about 0.5 MB at t = 30.
+_GROWTH_CHUNK = 1024
+
+
+def _growth_log_moments(seed, paths: range, lam: float, t: float, u: np.ndarray,
+                        cdf: np.ndarray) -> np.ndarray:
+    """lambda int_0^t u(X_s) ds for the given paths, grouped by event count."""
+    counts = np.empty(len(paths), dtype=np.int64)
+    draws = []
+    for j, (_, rng) in enumerate(path_streams(seed, paths)):
+        k = counts[j] = rng.poisson(t)
+        draws.append(rng.random(2 * k + 1))
+
+    out = np.empty(len(paths))
+    order = np.argsort(counts, kind="stable")
+    ks, starts = np.unique(counts[order], return_index=True)
+    for k, rows in zip(ks.tolist(), np.split(order, starts[1:])):
+        D = np.array([draws[j] for j in rows])
+        bounds = np.empty((len(rows), k + 2))      # 0, the sorted event times, t
+        bounds[:, 0], bounds[:, -1] = 0.0, t
+        bounds[:, 1:-1] = t * D[:, :k]
+        bounds[:, 1:-1].sort(axis=1)
+        labels = cdf.searchsorted(D[:, k:], side="right")
+        out[rows] = lam * np.vecdot(u[labels], np.diff(bounds, axis=1))
+    return out
 
 
 def exact_growth_finite_t(p: float, lam: float, t: float) -> float:

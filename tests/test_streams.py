@@ -194,6 +194,17 @@ class TestPathStreams:
                 assert np.array_equal(first, ref.standard_normal(3))
                 assert np.array_equal(second, ref.random(5))
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 64])
+    @pytest.mark.parametrize("t", [0.2, 3.0, 30.0, 0.1 * 7])
+    def test_merged_draw(self, k, t):
+        # fk_growth_mc draws a path's k event times and k + 1 label uniforms
+        # with one random(2k + 1) call; these are the bits of the two calls
+        _, rng = next(path_streams(13, [k]))
+        r = rng.random(2 * k + 1)
+        ref = path_rng(13, k)
+        assert np.array_equal(t * r[:k], ref.uniform(0.0, t, size=k))
+        assert np.array_equal(r[k:], ref.random(k + 1))
+
 
 def _random_chain(n: int, seed: int) -> ReversibleChain:
     """Reversible chain with rates spread over 1e-2..1e3 and a random edge set."""
@@ -261,6 +272,15 @@ class TestGrowthOracle:
     def test_matches_reference(self, p, lam, t, seed):
         g = fk_growth_mc(p, lam, t, 60, seed=seed)
         assert (g.estimate, g.std_error) == fk_reference(p, lam, t, 60, seed)
+
+    @pytest.mark.parametrize("p,lam,t,n_paths,seed", [
+        (0.35, 0.3, 30.0, 1030, 222),      # crosses a chunk boundary
+        (0.3, 0.8, 1e-3, 300, 4),          # nearly every path has no event
+        (0.6, -1.4, 3.0, 500, 2**63),      # negative lambda
+    ])
+    def test_fixed_cases(self, p, lam, t, n_paths, seed):
+        g = fk_growth_mc(p, lam, t, n_paths, seed=seed)
+        assert (g.estimate, g.std_error) == fk_reference(p, lam, t, n_paths, seed)
 
 
 OU_CASES = [

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -262,6 +263,28 @@ class TestGrowthMc:
     def test_p_outside_unit_interval_rejected(self, p):
         with pytest.raises(ValueError):
             fk_growth_mc(p, 0.5, 10.0, 20, seed=0)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("drew paths for an invalid input")
+        # the package exports a function of the module's name, so fetch the module
+        module = importlib.import_module("transinfo.trivial_metric")
+        monkeypatch.setattr(module, "path_streams", fail)
+
+    @pytest.mark.parametrize("n_paths", [0, 1, -3])
+    def test_too_few_paths_rejected(self, no_draws, n_paths):
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            fk_growth_mc(0.25, 0.5, 10.0, n_paths, seed=0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_horizon_not_positive_rejected(self, no_draws, t):
+        with pytest.raises(ValueError, match="horizon t"):
+            fk_growth_mc(0.25, 0.5, t, 100, seed=0)
+
+    def test_nan_lambda_rejected(self, no_draws):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            fk_growth_mc(0.25, math.nan, 10.0, 100, seed=0)
 
 
 class TestConjugateConsistency:
