@@ -34,7 +34,8 @@ from .diffusion1d import Warp, c_rho, lip_poisson_ratio, normalize
 from .errors import ConfigParse, TransinfoError
 from .feynman_kac import PhiPair, best_w1i, best_w2i, verify_tphi_dual
 from .lyapunov import beta_potential_example, certify_H, mminf_certificate, verify_thm51
-from .simulate import EnsembleConfig, sample_time_average, tail_estimate, ledger_row
+from .simulate import (LEDGER_COLUMNS, EnsembleConfig, ledger_row, sample_time_average,
+                       tail_estimate)
 from .transport import (
     CostMatrix,
     RateFunction,
@@ -271,8 +272,7 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
         rows.append(tuple(row.values()))
         ok = ok and est.verdict != "bound_violated"
     path = out_dir / f"{name}-ledger.csv"
-    write_csv(path, ["model", "u", "t", "r", "n_paths", "p_hat", "ci_low",
-                     "ci_high", "bound", "verdict", "seed"], rows)
+    write_csv(path, list(LEDGER_COLUMNS), rows)
     artifacts = [path]
     if params.get("dump_samples"):
         spath = out_dir / f"{name}-samples.csv"

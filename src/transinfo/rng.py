@@ -1,4 +1,4 @@
-"""Seeding contract for all Monte Carlo code.
+"""Seeding contract and path driver for all Monte Carlo code.
 
 Every path draws from its own counter-based stream: the Philox4x32-10
 stream keyed by (master_seed, path_index), the stream of
@@ -6,14 +6,59 @@ stream keyed by (master_seed, path_index), the stream of
 merge deterministically by path index regardless of how the path loop is
 scheduled or batched: a sampler may draw a path's numbers in any order
 relative to other paths, or replay a path from its key, and get the same
-bits.
+bits.  So every sampler hands its paths to ``by_chunks``, which cuts them
+into consecutive ranges and may run the ranges on threads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
+
+# Paths per range of the lockstep samplers: a range's block buffers and
+# draws take about 1 MB.
+CHUNK = 1024
+
+
+def _is_integer(x) -> bool:
+    """A Python or numpy integer; bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError unless seed is an integer in [0, 2**64), a Philox key word."""
+    if not (_is_integer(seed) and 0 <= int(seed) < 1 << 64):
+        raise ValueError(f"master seed must be an integer in [0, 2**64), not {seed!r}")
+
+
+def check_count(n_paths) -> None:
+    """Raise ValueError unless n_paths is an integer >= 1."""
+    if not (_is_integer(n_paths) and n_paths >= 1):
+        raise ValueError(f"path count must be an integer >= 1, not {n_paths!r}")
+
+
+def by_chunks(run: Callable[[range], np.ndarray], n_paths: int, size: int = CHUNK,
+              workers: int = 1) -> np.ndarray:
+    """``run(paths)`` on consecutive ranges of at most size paths, joined in path order.
+
+    With workers > 1 the ranges run on a thread pool, one range per task
+    and at most one worker per range.  After a failed range, the ranges
+    not yet started do not run, and the pool is joined before the error
+    propagates.  Each range must draw from its own ``path_streams``
+    iterator and write only its own buffers.
+    """
+    ranges = [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    workers = min(workers, len(ranges))
+    if workers <= 1:
+        return np.concatenate([run(paths) for paths in ranges])
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return np.concatenate(list(pool.map(run, ranges)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def path_streams(master_seed: int,

@@ -3,16 +3,16 @@
 Chain paths are exact (exponential holding times, jump proportional to
 rates) with exact piecewise-constant occupation integrals, so the only
 randomness in a tail estimate is binomial.  They advance in lockstep:
-each step of the event loop moves every live path of a chunk by one
+each step of the event loop moves every live path of a range by one
 event on arrays, with the same floating-point operations, in the same
 order, as a path simulated on its own.  The mean-reverting unit
 diffusion has exact Gaussian transition updates; other 1-D diffusions
 use Euler-Maruyama with trapezoidal integrals.  Euler paths also advance
-in lockstep, a chunk at a time: each path of the chunk draws its shocks
-into one row of a buffer, then every step moves all the chunk's paths on
-arrays, with the same operations in the same order as one path on its
-own, and writes u at the new points over the shocks it used.  The
-samples equal those of one-at-a-time paths.  The callables
+in lockstep: each path of a range draws its shocks into one row of a
+buffer, then every step moves all the range's paths on arrays, with the
+same operations in the same order as one path on its own, and writes u
+at the new points over the shocks it used.  The samples equal those of
+one-at-a-time paths.  The callables
 a, b and u are called on arrays only where their array call reproduces
 their scalar values on the spec's probe points (see ``DiffusionSpec1D``);
 where that array call takes an exp, a log or a power, whose numpy forms
@@ -20,14 +20,11 @@ can differ from the scalar ones in the last bit, a sample can move in its
 last digits.
 
 Every path draws from its own counter-based stream keyed by
-(master_seed, path index), in a fixed per-path order: estimates are
-bitwise reproducible and merge deterministically no matter how the paths
-are scheduled, chunked or batched.  Exact OU paths run in blocks of 64
-on a thread pool with one worker per usable CPU.  Each block has its own
-stream iterator and buffers, runs each path's operations in the lone
-path's order, and writes only its own paths' entries, so the samples are
-the same bits on any number of workers.  The observable u is then called
-from several threads at once: it must be a pure function of its argument.
+(master_seed, path index), in a fixed per-path order, and every sampler
+hands its paths to ``rng.by_chunks``: estimates are bitwise reproducible
+however the paths are chunked or spread over threads.  Exact OU paths
+run on threads, so their observable u must be a pure function of its
+argument.
 
 Tail probabilities of time averages are compared against the proven
 bounds ||d beta/d mu||_2 exp(-t alpha(r)); exact Clopper-Pearson
@@ -47,7 +44,7 @@ import numpy as np
 from .chains import ReversibleChain, _scipy_extension
 from .diffusion1d import DiffusionSpec1D
 from .errors import ModelValidation, StepTooLarge
-from .rng import path_streams
+from .rng import CHUNK, by_chunks, check_count, check_seed, path_streams
 from .transport import RateFunction
 
 
@@ -76,8 +73,11 @@ class EnsembleConfig:
     sde_step: float = 1e-3
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ModelValidation("need at least one path")
+        try:
+            check_count(self.n_paths)
+            check_seed(self.master_seed)
+        except ValueError as exc:
+            raise ModelValidation(str(exc)) from exc
         if not 0 < self.t < math.inf:
             raise ModelValidation(f"horizon must be positive and finite, not {self.t!r}")
         if isinstance(self.model, ReversibleChain):
@@ -152,10 +152,9 @@ def sample_time_average(config: EnsembleConfig, u) -> np.ndarray:
 
 
 # A path draws its start uniform, then blocks of _BLOCK holding-time
-# exponentials and _BLOCK jump uniforms as it needs them; _CHUNK paths share
-# one pair of block buffers (about 1 MB).
+# exponentials and _BLOCK jump uniforms as it needs them; the paths of a
+# range share one pair of block buffers.
 _BLOCK = 64
-_CHUNK = 1024
 
 
 def _cumulative_table(weights: np.ndarray) -> np.ndarray:
@@ -191,13 +190,9 @@ def _chain_time_averages(config: EnsembleConfig, u: np.ndarray) -> np.ndarray:
         if total > 0:
             jump_cum[x] = _cumulative_table(row / total)
     beta_cum = _cumulative_table(np.asarray(config.beta, dtype=float))
-
-    out = np.empty(config.n_paths)
-    for lo in range(0, config.n_paths, _CHUNK):
-        paths = range(lo, min(lo + _CHUNK, config.n_paths))
-        out[paths.start:paths.stop] = _chain_chunk(
-            config.master_seed, paths, config.t, u, chain.exit_rates, jump_cum, beta_cum)
-    return out
+    return by_chunks(lambda paths: _chain_chunk(config.master_seed, paths, config.t, u,
+                                                chain.exit_rates, jump_cum, beta_cum),
+                     config.n_paths)
 
 
 def _chain_chunk(seed, paths: range, t: float, u: np.ndarray, exit_rates: np.ndarray,
@@ -252,7 +247,7 @@ def _ou_initial(config, rng):
     return float(config.beta)
 
 
-# OU paths run in blocks of _OU_BLOCK on a thread pool, one block per task;
+# OU paths run in blocks of _OU_BLOCK on threads, one worker per usable CPU;
 # the stream draws, scipy's compiled one-pole filter and most of trapezoid
 # release the GIL.
 _OU_BLOCK = 64
@@ -277,8 +272,6 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     the same routine on the same float64 arrays, so the same bits, without
     importing ``scipy.signal``.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     linear_filter = _scipy_extension("signal._sigtools")._linear_filter
     h = config.sde_step
     n_steps = int(round(config.t / h))
@@ -286,30 +279,22 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     noise_sd = math.sqrt(1.0 - decay * decay)
     b, a = np.array([noise_sd]), np.array([1.0, -decay])
     powers = decay ** np.arange(1, n_steps + 1)
-    out = np.empty(config.n_paths)
 
-    def run_block(paths: range) -> None:
+    def run_block(paths: range) -> np.ndarray:
         shocks = np.empty(n_steps)
         path = np.empty(n_steps + 1)
-        for i, rng in path_streams(config.master_seed, paths):
+        out = np.empty(len(paths))
+        for j, (_, rng) in enumerate(path_streams(config.master_seed, paths)):
             x0 = _ou_initial(config, rng)
             rng.standard_normal(out=shocks)
             path[0] = x0
             np.multiply(powers, x0, out=path[1:])
             path[1:] += linear_filter(b, a, shocks, -1)
             vals = u(path) if callable(u) else path
-            out[i] = float(np.trapezoid(vals, dx=h)) / config.t
+            out[j] = float(np.trapezoid(vals, dx=h)) / config.t
+        return out
 
-    blocks = [range(lo, min(lo + _OU_BLOCK, config.n_paths))
-              for lo in range(0, config.n_paths, _OU_BLOCK)]
-    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(blocks)))
-    try:
-        for _ in pool.map(run_block, blocks):
-            pass
-    finally:
-        # after a failed block, the blocks not yet started do not run
-        pool.shutdown(cancel_futures=True)
-    return out
+    return by_chunks(run_block, config.n_paths, _OU_BLOCK, workers=_usable_cpus())
 
 
 # An Euler chunk holds its paths in one (paths, steps + 1) buffer, first of
@@ -326,13 +311,10 @@ def _euler_time_averages(config: EnsembleConfig, u) -> np.ndarray:
     n_steps = int(round(config.t / h))
     x_start = float(config.beta) if not isinstance(config.beta, str) else spec.c_ref
     u_on = spec.on(u)
-    chunk = max(1, min(_CHUNK, _EULER_FLOATS // (n_steps + 1)))
-    out = np.empty(config.n_paths)
-    for lo in range(0, config.n_paths, chunk):
-        paths = range(lo, min(lo + chunk, config.n_paths))
-        out[paths.start:paths.stop] = _euler_chunk(
-            config.master_seed, paths, spec, x_start, h, n_steps, u_on) / config.t
-    return out
+    chunk = max(1, min(CHUNK, _EULER_FLOATS // (n_steps + 1)))
+    return by_chunks(lambda paths: _euler_chunk(config.master_seed, paths, spec, x_start,
+                                                h, n_steps, u_on) / config.t,
+                     config.n_paths, chunk)
 
 
 def _euler_chunk(seed, paths: range, spec: DiffusionSpec1D, x_start: float, h: float,
@@ -409,23 +391,7 @@ def tail_estimate(config: EnsembleConfig, u, v_or_same, r: float,
         samples = sample_time_average(config, u)
     if mu_v is None:
         mu_v = mu_of_observable(config, v_or_same)
-    threshold = mu_v + r
-    hits = int(np.sum(samples >= threshold))
-    n = len(samples)
-    p_hat = hits / n
-    lo, hi = clopper_pearson(hits, n)
-    norm = config.beta_l2()
-    bound = norm * math.exp(-config.t * alpha(r)) if math.isfinite(norm) else math.inf
-    if not math.isfinite(norm):
-        verdict = "inconclusive"   # illustrative run: beta not in L^2(mu)
-    elif lo > bound:
-        verdict = "bound_violated"
-    else:
-        verdict = "consistent"
-    return DeviationEstimate(p_hat=p_hat, ci_low=lo, ci_high=hi,
-                             bound_value=min(bound, 1e308), verdict=verdict,
-                             n_paths=n, hits=hits, threshold=threshold,
-                             beta_l2=norm if math.isfinite(norm) else -1.0)
+    return _deviation_estimate(samples, mu_v + r, config.beta_l2(), config.t * alpha(r))
 
 
 def tensor_deviation_demo(chain: ReversibleChain, u: np.ndarray, v: np.ndarray,
@@ -444,22 +410,33 @@ def tensor_deviation_demo(chain: ReversibleChain, u: np.ndarray, v: np.ndarray,
     singles = sample_time_average(base, u)
     means = singles.reshape(n_paths, n_copies).mean(axis=1)
     threshold = chain.expectation(np.asarray(v, dtype=float)) + r
-    hits = int(np.sum(means >= threshold))
-    lo, hi = clopper_pearson(hits, n_paths)
-    bound = math.exp(-n_copies * t * alpha(r))
-    verdict = "bound_violated" if lo > bound else "consistent"
-    return DeviationEstimate(p_hat=hits / n_paths, ci_low=lo, ci_high=hi,
-                             bound_value=bound, verdict=verdict,
-                             n_paths=n_paths, hits=hits, threshold=threshold,
-                             beta_l2=1.0)
+    return _deviation_estimate(means, threshold, 1.0, n_copies * t * alpha(r))
+
+
+def _deviation_estimate(values: np.ndarray, threshold: float, norm: float,
+                        exponent: float) -> DeviationEstimate:
+    """Hits of values >= threshold and their 99% interval against the bound norm e^{-exponent}."""
+    hits = int(np.sum(values >= threshold))
+    n = len(values)
+    lo, hi = clopper_pearson(hits, n)
+    if math.isfinite(norm):
+        bound = norm * math.exp(-exponent)
+        verdict = "bound_violated" if lo > bound else "consistent"
+    else:
+        bound, verdict = math.inf, "inconclusive"   # illustrative run: beta not in L^2(mu)
+    return DeviationEstimate(p_hat=hits / n, ci_low=lo, ci_high=hi,
+                             bound_value=min(bound, 1e308), verdict=verdict,
+                             n_paths=n, hits=hits, threshold=threshold,
+                             beta_l2=norm if math.isfinite(norm) else -1.0)
+
+
+LEDGER_COLUMNS = ("model", "u", "t", "r", "n_paths", "p_hat", "ci_low", "ci_high",
+                  "bound", "verdict", "seed")
 
 
 def ledger_row(model_name: str, u_name: str, est: DeviationEstimate,
                t: float, r: float, seed: int) -> dict:
-    """Row schema of the run-ledger CSV."""
-    return {
-        "model": model_name, "u": u_name, "t": t, "r": r,
-        "n_paths": est.n_paths, "p_hat": est.p_hat,
-        "ci_low": est.ci_low, "ci_high": est.ci_high,
-        "bound": est.bound_value, "verdict": est.verdict, "seed": seed,
-    }
+    """Row of the run-ledger CSV, keyed by LEDGER_COLUMNS in order."""
+    return dict(zip(LEDGER_COLUMNS, (model_name, u_name, t, r, est.n_paths, est.p_hat,
+                                     est.ci_low, est.ci_high, est.bound_value, est.verdict,
+                                     seed)))

@@ -430,7 +430,8 @@ class RateFunction:
       quadratic(c):    alpha(r) = r^2 / (4 c^2)
       power(kappa, p): alpha(r) = kappa [(1 + r^2)^{p/2} - 1]
       tabulated(...):  left-continuous step function on knots, +inf
-                       beyond the last knot
+                       beyond the last knot; params holds the table, so
+                       equality and hash compare it
     """
 
     kind: str
@@ -452,13 +453,19 @@ class RateFunction:
 
     @staticmethod
     def tabulated(knots, values) -> "RateFunction":
-        knots = np.asarray(knots, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if knots[0] != 0.0 or values[0] != 0.0:
+        knots = np.array(knots, dtype=float)
+        values = np.array(values, dtype=float)
+        if knots.ndim != 1 or knots.shape != values.shape:
+            raise ValueError(f"knots and values must be 1-D of one length, not shapes "
+                             f"{knots.shape} and {values.shape}")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("knots and values must be finite")
+        if knots.size == 0 or knots[0] != 0.0 or values[0] != 0.0:
             raise ValueError("tabulated rate function must start at (0, 0)")
         if np.any(np.diff(knots) <= 0) or np.any(np.diff(values) < 0):
             raise ValueError("knots must increase strictly, values non-decreasingly")
-        return RateFunction(kind="tabulated", params=(len(knots),), knots=knots, values=values)
+        table = (tuple(knots.tolist()), tuple(values.tolist()))
+        return RateFunction(kind="tabulated", params=table, knots=knots, values=values)
 
     @property
     def convex(self) -> bool:

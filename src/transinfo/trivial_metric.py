@@ -18,8 +18,8 @@ oscillation <= 2 is capped by
 The 2x2 reduction of the weighted process gives the growth rate in
 closed form (the JumpSpectrum), which doubles as the finite-horizon
 oracle for the Monte Carlo estimator.  That estimator (fk_growth_mc)
-samples the process exactly, in lockstep over chunks of paths grouped by
-their event count, with the bits of a one-path-at-a-time loop.
+samples the process exactly, in lockstep over paths grouped by their
+event count, with the bits of a one-path-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .chains import ReversibleChain, build_chain, dots
 from .errors import DegenerateMeasure, EstimatorOverflow, NoExactSplit
-from .rng import path_streams
+from .rng import by_chunks, check_count, check_seed, path_streams
 
 
 def build_jump_chain(mu: np.ndarray, states=None) -> ReversibleChain:
@@ -190,15 +190,15 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
     value from the 2x2 matrix exponential rather than the t -> infinity
     limit, whose O(1/t) bias would force impractically long horizons.
 
-    Paths run in lockstep, in chunks of _GROWTH_CHUNK = 1024, with the
-    bits of a loop that draws one path at a time from its stream: a
-    Poisson(t) count k, k event times uniform(0, t), then k + 1 label
-    uniforms.  One random(2k + 1) call reads the same doubles, since
-    uniform(0, t) is 0 + t U for the next double U and the k + 1 doubles
-    after those are what random(k + 1) reads.  A chunk's paths with k
-    events form one (m, k + 2) array of interval bounds, sorted by row,
-    and np.vecdot over its contiguous rows gives each path's np.dot bits
-    (the chains.dots rule).
+    Paths run in lockstep, a range at a time, with the bits of a loop
+    that draws one path at a time from its stream: a Poisson(t) count k,
+    k event times uniform(0, t), then k + 1 label uniforms.  One
+    random(2k + 1) call reads the same doubles, since uniform(0, t) is
+    0 + t U for the next double U and the k + 1 doubles after those are
+    what random(k + 1) reads.  A range's paths with k events form one
+    (m, k + 2) array of interval bounds, sorted by row, and np.vecdot over
+    its contiguous rows gives each path's np.dot bits (the chains.dots
+    rule).
     """
     if not 0.0 < t <= 50:
         raise ValueError(f"horizon t must lie in (0, 50] for this estimator, not {t!r}")
@@ -208,6 +208,8 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
         raise ValueError(f"lambda must be finite, not {lam!r}")
     if n_paths < 2:
         raise ValueError(f"a standard error needs at least 2 paths, not {n_paths!r}")
+    check_count(n_paths)
+    check_seed(seed)
     u = extremal_potential(p)
     if abs(lam) * t * float(np.max(np.abs(u))) > 700:
         raise EstimatorOverflow("lambda * t too large for a double-precision mean")
@@ -215,11 +217,8 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
     cdf = np.array([p, 1.0 - p]).cumsum()
     cdf /= cdf[-1]
 
-    log_vals = np.empty(n_paths)
-    for lo in range(0, n_paths, _GROWTH_CHUNK):
-        paths = range(lo, min(lo + _GROWTH_CHUNK, n_paths))
-        log_vals[lo:paths.stop] = _growth_log_moments(seed, paths, lam, t, u, cdf)
-
+    log_vals = by_chunks(lambda paths: _growth_log_moments(seed, paths, lam, t, u, cdf),
+                         n_paths)
     vals = np.exp(log_vals)
     mean = float(vals.mean())
     se_mean = float(vals.std(ddof=1) / math.sqrt(n_paths))
@@ -232,10 +231,6 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
         n_paths=n_paths,
         t=t,
     )
-
-
-# The chain sampler's chunk size; a chunk's draws take about 0.5 MB at t = 30.
-_GROWTH_CHUNK = 1024
 
 
 def _growth_log_moments(seed, paths: range, lam: float, t: float, u: np.ndarray,

@@ -243,6 +243,18 @@ def rng():
     return np.random.default_rng(2024)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Make every sampler's path_streams fail, so an input check must come before any draw."""
+    import importlib
+
+    def fail(*args):
+        raise AssertionError("drew paths for an invalid input")
+    # the package exports functions of the modules' names, so fetch the modules
+    for name in ("transinfo.simulate", "transinfo.trivial_metric"):
+        monkeypatch.setattr(importlib.import_module(name), "path_streams", fail)
+
+
 def bernoulli_chain(p: float) -> ReversibleChain:
     return build_chain(np.array([[0.0, 1.0 / (1.0 - p)], [1.0 / p, 0.0]]))
 

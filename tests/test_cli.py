@@ -327,6 +327,9 @@ class TestRunSpecInProcess:
         {"kind": "verify-tci", "params": {"alpha": {"kind": "quadratic", "c": -1}}},
         {"kind": "diffusion",
          "params": {"model": {"a": "1", "b": "-x", "interval": [None, None]}}},
+        # tables of different lengths failed in numpy's broadcasting, with a traceback
+        {"kind": "verify-tci",
+         "params": {"alpha": {"kind": "tabulated", "knots": [0, 1, 2], "values": [0, 1]}}},
     ])
     def test_bad_experiment_fails_alone(self, tmp_path, middle):
         spec = {"experiments": [

@@ -157,6 +157,35 @@ class TestChainSampling:
             EnsembleConfig(model=ch, beta=np.array(beta), t=1.0, n_paths=10, master_seed=0)
 
 
+class TestSeedAndCount:
+    MODELS = [
+        (bernoulli_chain(0.3), [0.3, 0.7]),
+        (OUModel(), "stationary"),
+        (DiffusionSpec1D(-4.0, 4.0, a=lambda x: 1.0, b=lambda x: -x, c_ref=0.0), 0.5),
+    ]
+
+    @pytest.mark.parametrize("model,beta", MODELS)
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64])
+    def test_bad_seed_rejected(self, no_draws, model, beta, seed):
+        # 1.5 and True sampled seed 1's paths; -1 and 2**64 leaked numpy's OverflowError
+        with pytest.raises(ModelValidation, match="master seed must be an integer"):
+            sample_time_average(EnsembleConfig(model=model, beta=beta, t=1.0, n_paths=10,
+                                               master_seed=seed, sde_step=0.01), None)
+
+    @pytest.mark.parametrize("model,beta", MODELS)
+    @pytest.mark.parametrize("n_paths", [2.5, True, 0])
+    def test_bad_path_count_rejected(self, no_draws, model, beta, n_paths):
+        with pytest.raises(ModelValidation, match="path count must be an integer"):
+            sample_time_average(EnsembleConfig(model=model, beta=beta, t=1.0, n_paths=n_paths,
+                                               master_seed=0, sde_step=0.01), None)
+
+    def test_tensor_demo_seed_checked(self, no_draws):
+        ch = bernoulli_chain(0.3)
+        with pytest.raises(ModelValidation, match="master seed"):
+            tensor_deviation_demo(ch, np.array([0.0, 1.0]), np.array([0.0, 1.0]), 2, 1.0, 0.2,
+                                  10, RateFunction.quadratic(1.0), seed=-1)
+
+
 class TestOUSampling:
     def test_variance_matches_sigma2(self):
         cfg = EnsembleConfig(model=OUModel(), beta="stationary", t=10.0,

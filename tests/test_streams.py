@@ -9,17 +9,18 @@ must reproduce their output bit for bit however they batch the paths.
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from transinfo import simulate
 from transinfo.chains import ReversibleChain, build_chain
 from transinfo.diffusion1d import DiffusionSpec1D, ou_spec
-from transinfo.rng import path_streams
+from transinfo.rng import by_chunks, path_streams
 from transinfo.simulate import EnsembleConfig, OUModel, sample_time_average
 from transinfo.trivial_metric import extremal_potential, fk_growth_mc
 
@@ -204,6 +205,70 @@ class TestPathStreams:
         ref = path_rng(13, k)
         assert np.array_equal(t * r[:k], ref.uniform(0.0, t, size=k))
         assert np.array_equal(r[k:], ref.random(k + 1))
+
+
+def _first_draws(seed: int, paths: range) -> np.ndarray:
+    return np.array([rng.random() for _, rng in path_streams(seed, paths)])
+
+
+class TestByChunks:
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(1, 9), offset=st.sampled_from(["1", "s-1", "s", "s+1", "2s+1"]),
+           workers=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**64 - 1))
+    def test_equals_the_per_range_loop(self, size, offset, workers, seed):
+        n_paths = {"1": 1, "s-1": size - 1, "s": size, "s+1": size + 1,
+                   "2s+1": 2 * size + 1}[offset]
+        assume(n_paths >= 1)
+        seen = []
+
+        def run(paths):
+            seen.append(paths)
+            return _first_draws(seed, paths)
+
+        got = by_chunks(run, n_paths, size, workers=workers)
+        ranges = [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+        assert sorted(seen, key=lambda r: r.start) == ranges
+        assert np.array_equal(got, np.concatenate([_first_draws(seed, r) for r in ranges]))
+        assert np.array_equal(got, [path_rng(seed, i).random() for i in range(n_paths)])
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_failing_range_stops_the_loop(self, bad):
+        started = []
+
+        class RangeFailed(Exception):
+            pass
+
+        def run(paths):
+            started.append(paths.start // 3)
+            if paths.start // 3 == bad:
+                raise RangeFailed
+            return np.zeros(len(paths))
+
+        with pytest.raises(RangeFailed):
+            by_chunks(run, 20, 3)
+        assert started == list(range(bad + 1))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failing_range_cancels_the_pool(self, workers):
+        # range 0 fails at once while the others take 20 ms each: the ranges
+        # not yet started when it fails never run, and the pool is joined
+        started = []
+
+        class RangeFailed(Exception):
+            pass
+
+        def run(paths):
+            started.append(paths.start)
+            if paths.start == 0:
+                raise RangeFailed
+            time.sleep(0.02)
+            return np.zeros(len(paths))
+
+        before = threading.active_count()
+        with pytest.raises(RangeFailed):
+            by_chunks(run, 40, 1, workers=workers)
+        assert threading.active_count() == before
+        assert 0 in started and len(started) < 20
 
 
 def _random_chain(n: int, seed: int) -> ReversibleChain:
@@ -433,3 +498,40 @@ class TestEulerOracle:
             tracemalloc.stop()
         assert peak <= 2 * 8 * cap < 64 * 2001 * 8
         assert np.array_equal(got, euler_reference(cfg, u))
+
+
+class TestSeedsAtTheEdges:
+    """Seeds at both ends of [0, 2**64) and numpy integers keep their samples."""
+
+    SEEDS = [0, 2**64 - 1, np.int64(7)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_chain(self, seed):
+        ch = bernoulli_chain(0.3)
+        u = np.array([0.0, 1.0])
+        cfg = EnsembleConfig(model=ch, beta=ch.mu, t=5.0, n_paths=30, master_seed=seed)
+        assert np.array_equal(sample_time_average(cfg, u), chain_reference(cfg, u))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_ou(self, seed):
+        cfg = EnsembleConfig(model=OUModel(), beta="stationary", t=0.5, n_paths=70,
+                             master_seed=seed, sde_step=0.01)
+        assert np.array_equal(sample_time_average(cfg, np.cos), ou_reference(cfg, np.cos))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_euler(self, seed):
+        cfg = EnsembleConfig(model=ou_spec(), beta=0.2, t=0.5, n_paths=12,
+                             master_seed=seed, sde_step=0.01)
+        u = lambda x: x
+        assert np.array_equal(sample_time_average(cfg, u), euler_reference(cfg, u))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_growth(self, seed):
+        g = fk_growth_mc(0.35, 0.3, 3.0, 50, seed=seed)
+        assert (g.estimate, g.std_error) == fk_reference(0.35, 0.3, 3.0, 50, seed)
+
+    def test_numpy_path_count(self):
+        ch = bernoulli_chain(0.3)
+        u = np.array([0.0, 1.0])
+        cfg = EnsembleConfig(model=ch, beta=ch.mu, t=5.0, n_paths=np.int64(30), master_seed=3)
+        assert np.array_equal(sample_time_average(cfg, u), chain_reference(cfg, u))

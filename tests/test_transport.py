@@ -558,6 +558,38 @@ class TestRateFunctionCalculus:
             assert alpha_conjugate(a, lam) == pytest.approx(
                 max(lam * 1.0 - 0.5, lam * 2.0 - 2.0, 0.0), abs=1e-12)
 
+    def test_tabulated_equality_compares_the_table(self):
+        # the tables were compare=False fields: these two were equal and hashed alike
+        a = RateFunction.tabulated([0, 1], [0, 1])
+        other = RateFunction.tabulated([0, 2], [0, 5])
+        assert a != other
+        assert a != RateFunction.tabulated([0, 1], [0, 2])
+        same = RateFunction.tabulated(np.array([0.0, 1.0]), [0.0, 1.0])
+        assert a == same and hash(a) == hash(same)
+        assert len({a, other, same}) == 2
+
+    def test_tabulated_holds_a_copy(self):
+        knots = np.array([0.0, 1.0, 2.0])
+        a = RateFunction.tabulated(knots, [0.0, 0.5, 2.0])
+        knots[1] = 1.5
+        assert a(1.2) == 2.0
+        assert a == RateFunction.tabulated([0.0, 1.0, 2.0], [0.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize("knots,values", [
+        ([0, 1, 2], [0, 1]),          # alpha(1.5) raised IndexError
+        ([0, 1], [0, 1, 2]),
+        ([[0, 1]], [[0, 1]]),
+        (0.0, 0.0),
+        ([], []),
+        ([0, math.inf], [0, 1]),
+        ([0, math.nan], [0, 1]),
+        ([0, 1], [0, math.nan]),
+        ([0, 1], [0, math.inf]),
+    ])
+    def test_tabulated_shape_and_finiteness(self, knots, values):
+        with pytest.raises(ValueError):
+            RateFunction.tabulated(knots, values)
+
     def test_infconv_identical_closed_form(self):
         a = RateFunction.quadratic(1.3)
         for r in np.linspace(0, 4, 100):

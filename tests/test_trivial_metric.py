@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -264,14 +263,6 @@ class TestGrowthMc:
         with pytest.raises(ValueError):
             fk_growth_mc(p, 0.5, 10.0, 20, seed=0)
 
-    @pytest.fixture
-    def no_draws(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("drew paths for an invalid input")
-        # the package exports a function of the module's name, so fetch the module
-        module = importlib.import_module("transinfo.trivial_metric")
-        monkeypatch.setattr(module, "path_streams", fail)
-
     @pytest.mark.parametrize("n_paths", [0, 1, -3])
     def test_too_few_paths_rejected(self, no_draws, n_paths):
         with pytest.raises(ValueError, match="at least 2 paths"):
@@ -285,6 +276,17 @@ class TestGrowthMc:
     def test_nan_lambda_rejected(self, no_draws):
         with pytest.raises(ValueError, match="lambda must be finite"):
             fk_growth_mc(0.25, math.nan, 10.0, 100, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64])
+    def test_bad_seed_rejected(self, no_draws, seed):
+        # 1.5 and True gave seed 1's samples; -1 and 2**64 leaked numpy's OverflowError
+        with pytest.raises(ValueError, match="master seed must be an integer"):
+            fk_growth_mc(0.25, 0.5, 10.0, 100, seed=seed)
+
+    @pytest.mark.parametrize("n_paths", [2.5, True, 0])
+    def test_bad_path_count_rejected(self, no_draws, n_paths):
+        with pytest.raises(ValueError):
+            fk_growth_mc(0.25, 0.5, 10.0, n_paths, seed=0)
 
 
 class TestConjugateConsistency:
