@@ -39,7 +39,9 @@ bits, as each reduction is ``dots``, and ``Density.validate`` raises the
 1-D call's error for the first failing row.  Importing this module loads
 no scipy.  The first band solve loads only the compiled LAPACK module
 ``scipy.linalg._flapack``, through ``_scipy_extension``, which does not
-run ``scipy.linalg``'s ``__init__``.
+run ``scipy.linalg``'s ``__init__``.  Likewise ``_special_ufunc`` and
+``_betaincinv`` give the package its ``scipy.special`` routines, with the
+public bits, without running ``scipy.special``'s ``__init__``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -523,12 +525,12 @@ def _band_eigenpairs(diag: np.ndarray, off: np.ndarray, count: int, vectors: boo
 def _scipy_extension(name: str):
     """The compiled module ``scipy.<name>``, loaded without its package's ``__init__``.
 
-    Importing ``scipy.linalg`` or ``scipy.signal`` costs more than most runs
-    spend in the one routine they need from it, so the extension module is
-    loaded from its file beside the package, once: it is kept in
-    ``sys.modules`` under its full name, which is also where the package's
-    own import finds it.  The public wrappers and this module therefore
-    call the same routine objects, in either load order.
+    Importing ``scipy.linalg``, ``scipy.signal`` or ``scipy.special`` costs
+    more than most runs spend in the routines they need from it, so the
+    extension module is loaded from its file beside the package, once: it
+    is kept in ``sys.modules`` under its full name, which is also where the
+    package's own import finds it.  The public wrappers and this module
+    therefore call the same routine objects, in either load order.
     """
     full = f"scipy.{name}"
     module = sys.modules.get(full)
@@ -536,10 +538,41 @@ def _scipy_extension(name: str):
         root = importlib.util.find_spec("scipy").submodule_search_locations[0]
         spec = importlib.machinery.PathFinder.find_spec(
             full, [os.path.join(root, *name.split(".")[:-1])])
+        if spec is None:
+            raise ImportError(f"scipy has no compiled module {full}")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         module = sys.modules.setdefault(full, module)
     return module
+
+
+def _special_ufunc(name: str):
+    """The ufunc ``scipy.special.<name>`` itself, from ``scipy.special._special_ufuncs``."""
+    try:
+        return getattr(_scipy_extension("special._special_ufuncs"), name)
+    except AttributeError:
+        raise ImportError(f"scipy.special._special_ufuncs has no {name}") from None
+
+
+@cache
+def _betaincinv():
+    """``betaincinv(a, b, p)`` on floats, with the bits of ``scipy.special.betaincinv``.
+
+    That ufunc's double loop calls Boost's ``ibeta_inv`` through the function
+    pointer ``scipy.special._ufuncs_cxx`` exports in a capsule named
+    ``"void *"``; this calls the same pointer through ctypes.
+    """
+    import ctypes
+
+    export = "_export_ibeta_inv_double"
+    capsule = _scipy_extension("special._ufuncs_cxx").__pyx_capi__.get(export)
+    if capsule is None:
+        raise ImportError(f"scipy.special._ufuncs_cxx has no {export}")
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    routine = ctypes.c_void_p.from_address(get_pointer(capsule, b"void *")).value
+    return ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double,
+                            ctypes.c_double)(routine)
 
 
 def _check_lapack_info(info: int, routine: str) -> None:

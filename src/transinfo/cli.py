@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .diffusion1d import Warp, c_rho, lip_poisson_ratio, normalize
 from .errors import ConfigParse, TransinfoError
 from .feynman_kac import PhiPair, best_w1i, best_w2i, verify_tphi_dual
 from .lyapunov import beta_potential_example, certify_H, mminf_certificate, verify_thm51
+from .rng import _is_integer
 from .simulate import (LEDGER_COLUMNS, EnsembleConfig, ledger_row, sample_time_average,
                        tail_estimate)
 from .transport import (
@@ -122,7 +122,7 @@ def run_verify_tci(params, out_dir: Path, seed: int, name: str) -> Outcome:
     lambdas = np.asarray(params.get("lambda_grid", [0.25, 0.5, 1.0, 2.0]), dtype=float)
     rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(int(params.get("n_pairs", 8))):
+    for _ in range(_count(params, "n_pairs", 8)):
         u = rng.uniform(-0.5, 0.5, size=chain.n)
         u = u - u.min()
         u = u / max(u.max(), 1e-12)          # oscillation exactly one
@@ -153,17 +153,21 @@ def run_best_constant(params, out_dir: Path, seed: int, name: str) -> Outcome:
                     "diverged": report.diverged, "c_P": c_p}, [path])
 
 
-def _sample_count(params, key: str, default: int) -> int:
-    """A sample count from the params: zero draws nothing, a negative one is an error."""
-    count = int(params.get(key, default))
-    if count < 0:
-        raise ConfigParse(f"{key} must be zero or more, not {count}")
-    return count
+def _count(params, key: str, default: int, least: int = 1) -> int:
+    """A count from the params: an integer (not a bool) of at least ``least``.
+
+    A sample count takes least 0, and zero draws nothing."""
+    count = params.get(key, default)
+    if not _is_integer(count):
+        raise ConfigParse(f"{key} must be an integer, not {count!r}")
+    if count < least:
+        raise ConfigParse(f"{key} must be {least or 'zero'} or more, not {count}")
+    return int(count)
 
 
 def run_ckp_scan(params, out_dir: Path, seed: int, name: str) -> Outcome:
-    n = int(params.get("n", 6))
-    count = _sample_count(params, "count", 2000)
+    n = _count(params, "n", 6)
+    count = _count(params, "count", 2000, least=0)
     rng = np.random.default_rng(seed)
     mu = rng.dirichlet(np.ones(n) * 2.0)
     # one draw of `count` rows gives the bits of `count` single draws
@@ -202,7 +206,7 @@ def run_rho_scan(params, out_dir: Path, seed: int, name: str) -> Outcome:
 
 def run_diffusion(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model_name = params.get("model", "ou")
-    nodes = int(params.get("nodes", 400))
+    nodes = _count(params, "nodes", 400)
     model = catalog.load_example(model_name, grid_nodes=nodes) \
         if isinstance(model_name, str) else _load_model(model_name)
     if "grid" not in model:
@@ -227,7 +231,7 @@ def run_diffusion(params, out_dir: Path, seed: int, name: str) -> Outcome:
 
 def run_lyapunov(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model_name = params.get("model", "mminf")
-    samples = _sample_count(params, "samples", 200)
+    samples = _count(params, "samples", 200, least=0)
     rng = np.random.default_rng(seed)
     if model_name == "mminf":
         chain, cert = mminf_certificate(1.0, 40, math.log(2.0))
@@ -258,7 +262,7 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
     u = np.asarray(params.get("u", [0.0, 1.0] + [0.0] * (chain.n - 2)), dtype=float)
     t = float(params.get("t", 20.0))
     r_list = params.get("r", [0.2])
-    n_paths = int(params.get("n_paths", 20000))
+    n_paths = _count(params, "n_paths", 20000)
     _, c_p = spectral_gap(chain)
     alpha = RateFunction.quadratic(math.sqrt(c_p) * oscillation(u) / 2.0)  # Hoeffding form
     config = EnsembleConfig(model=chain, beta=chain.mu, t=t,
@@ -282,7 +286,7 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
 
 
 def run_tensorize(params, out_dir: Path, seed: int, name: str) -> Outcome:
-    count = _sample_count(params, "count", 25)
+    count = _count(params, "count", 25, least=0)
     prod_model = catalog.load_example("product-3x3")
     prod, factors = prod_model["chain"], prod_model["factors"]
     rng = np.random.default_rng(seed)
@@ -394,6 +398,8 @@ def run_spec_file(path: Path, out_dir: Path, seed_override=None, jobs: int = 1) 
             return Outcome(name, False, {"error": f"{type(exc).__name__}: {exc}"}, [])
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_one, experiments))
     else:

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ReversibleChain, _birth_death_chain, _frozen, _line_lipschitz, poisson_solve
+from .chains import (ReversibleChain, _birth_death_chain, _frozen, _line_lipschitz,
+                     _special_ufunc, poisson_solve)
 from .errors import (
     DivergenceDetected,
     DivergentSpeedMeasure,
@@ -541,10 +542,8 @@ def ou_sigma2(t: float) -> float:
 
 def ou_tail_lograte(r: float, t: float) -> float:
     """(1/t) log P(N(0, sigma^2(t)) > r); tends to -r^2/4 for large t."""
-    from scipy.special import log_ndtr
-
     sigma = math.sqrt(ou_sigma2(t))
-    return float(log_ndtr(-r / sigma)) / t
+    return float(_special_ufunc("log_ndtr")(-r / sigma)) / t
 
 
 def dissipativity_margin(sigma_fn, b_fn, pairs: np.ndarray) -> float:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (Density, ReversibleChain, _birth_death_chain, dots, fisher_information,
-                     spectral_gap, tv_weighted)
+from .chains import (Density, ReversibleChain, _birth_death_chain, _special_ufunc, dots,
+                     fisher_information, spectral_gap, tv_weighted)
 from .diffusion1d import DiffusionSpec1D, Grid1D, discretize
 from .errors import NotCertified, TruncationTooSmall, UBelowOne
 from .transport import RateFunction
@@ -182,11 +182,10 @@ def mminf_generator(lambda_rate: float, n_max: int) -> tuple[ReversibleChain, np
     (renormalized) Poisson weights; truncation must leave less than
     1e-10 tail mass.
     """
-    from scipy.special import gammaln, pdtrc, xlogy
-
+    gammaln, gammainc, xlogy = map(_special_ufunc, ("gammaln", "gammainc", "xlogy"))
     if lambda_rate <= 0 or n_max < 2:
         raise ValueError("need lambda_rate > 0 and n_max >= 2")
-    tail = float(pdtrc(n_max, lambda_rate))
+    tail = float(gammainc(np.floor(n_max) + 1.0, lambda_rate))   # pdtrc(n_max, lambda)
     if tail >= 1e-10:
         raise TruncationTooSmall(f"Poisson tail beyond n_max is {tail:.3e}")
     counts = np.arange(n_max + 1)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ReversibleChain, _scipy_extension
+from .chains import ReversibleChain, _betaincinv, _scipy_extension
 from .diffusion1d import DiffusionSpec1D
 from .errors import ModelValidation, StepTooLarge
 from .rng import CHUNK, by_chunks, check_count, check_seed, path_streams
@@ -128,11 +128,10 @@ class DeviationEstimate:
 
 def clopper_pearson(hits: int, n: int, level: float = 0.99) -> tuple[float, float]:
     """Exact two-sided binomial interval at the given confidence level."""
-    from scipy.special import betaincinv
-
+    betaincinv = _betaincinv()
     tail = (1.0 - level) / 2.0
-    lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, tail))
-    hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 1.0 - tail))
+    lo = 0.0 if hits == 0 else betaincinv(float(hits), float(n - hits + 1), tail)
+    hi = 1.0 if hits == n else betaincinv(float(hits + 1), float(n - hits), 1.0 - tail)
     return lo, hi
 
 

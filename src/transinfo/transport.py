@@ -386,7 +386,7 @@ def _w2_quantile(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
     """
     cn = np.cumsum(nu)
     cm = np.cumsum(mu)
-    q = np.union1d(cn, cm)
+    q = _sorted_union(cn, cm)
     q = q[(q > 0.0) & (q <= min(cn[-1], cm[-1]) + 1e-15)]
     prev = np.concatenate([[0.0], q[:-1]])
     seg = q - prev
@@ -397,6 +397,14 @@ def _w2_quantile(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
     sq = np.array([x ** 2 for x in move], dtype=float)
     total = np.cumsum(np.concatenate([[0.0], seg * sq]))[-1]
     return math.sqrt(max(total, 0.0))
+
+
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d(a, b)`` for arrays without NaN: the first of each run of equal values.
+
+    ``np.unique``, which ``np.union1d`` calls, imports ``numpy.ma``."""
+    q = np.sort(np.concatenate([a, b]))
+    return q[np.concatenate([[True], q[1:] != q[:-1]])]
 
 
 def tensor_cost(costs: list[CostMatrix]) -> CostMatrix:

@@ -166,6 +166,30 @@ class TestStartup:
                           "'scipy.signal._sigtools' in sys.modules)")
         assert out == "False True\n"
 
+    def test_run_loads_no_scipy_special(self, tmp_path):
+        # scipy.special's package and its array-API layer, which also pulled in
+        # numpy.f2py and charset_normalizer; numpy.ma came with np.union1d
+        spec = {"experiments": [
+            {"kind": "lyapunov", "name": "mminf", "params": {"model": "mminf", "samples": 20}},
+            {"kind": "simulate", "name": "sim", "params": {"model": "bernoulli", "n_paths": 200}},
+            {"kind": "diffusion", "name": "ou", "params": {"model": "ou", "nodes": 80}},
+            {"kind": "best-constant", "name": "bc", "params": {"model": "jump2", "which": "w2i"}},
+            {"kind": "rho-scan", "name": "rho", "params": {"lambdas": [0.5]}},
+        ]}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        argv = ["transinfo", "run", str(spec_file), "--out", str(tmp_path / "out")]
+        heavy = ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "charset_normalizer",
+                 "numpy.ma", "concurrent.futures")
+        out = self.python("import runpy, sys\n"
+                          f"sys.argv = {argv!r}\n"
+                          "try:\n"
+                          "    runpy.run_module('transinfo.cli', run_name='__main__')\n"
+                          "except SystemExit as exc:\n"
+                          "    assert exc.code == 0, exc.code\n"
+                          f"print([m for m in {heavy!r} if m in sys.modules])")
+        assert out.endswith("\n[]\n")
+
     def test_first_band_solves_under_two_jobs(self, tmp_path):
         """Two birth-death experiments reach the first band solve on two threads."""
         spec = {"experiments": [
@@ -330,6 +354,17 @@ class TestRunSpecInProcess:
         # tables of different lengths failed in numpy's broadcasting, with a traceback
         {"kind": "verify-tci",
          "params": {"alpha": {"kind": "tabulated", "knots": [0, 1, 2], "values": [0, 1]}}},
+        # counts that are not integers were truncated: 2.5 ran 2 paths and true ran 1
+        {"kind": "simulate", "params": {"n_paths": 2.5}},
+        {"kind": "simulate", "params": {"n_paths": True}},
+        {"kind": "simulate", "params": {"n_paths": 0}},
+        {"kind": "ckp-scan", "params": {"n": 4.5, "count": 50}},
+        {"kind": "ckp-scan", "params": {"n": 4, "count": 2.5}},
+        {"kind": "lyapunov", "params": {"model": "mminf", "samples": True}},
+        {"kind": "tensorize", "params": {"count": "3"}},
+        {"kind": "diffusion", "params": {"model": "ou", "nodes": 80.0}},
+        {"kind": "verify-tci",
+         "params": {"n_pairs": 1.5, "alpha": {"kind": "quadratic", "c": 1.0}}},
     ])
     def test_bad_experiment_fails_alone(self, tmp_path, middle):
         spec = {"experiments": [

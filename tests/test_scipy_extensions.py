@@ -1,23 +1,32 @@
 """The compiled scipy routines that the package calls without their packages.
 
 ``chains._scipy_extension`` loads ``scipy.linalg._flapack`` (the band
-solves' dstebz and dstein) and ``scipy.signal._sigtools`` (the OU
-sampler's one-pole filter) from their files, without importing
-``scipy.linalg`` or ``scipy.signal``.  These tests hold the premise of
+solves' dstebz and dstein), ``scipy.signal._sigtools`` (the OU sampler's
+one-pole filter) and ``scipy.special._special_ufuncs`` and
+``scipy.special._ufuncs_cxx`` (gammaln, gammainc, xlogy, log_ndtr and
+Boost's ibeta_inv) from their files, without importing ``scipy.linalg``,
+``scipy.signal`` or ``scipy.special``.  These tests hold the premise of
 that shortcut: the loaded routines give the public ones' bits, and a later
 public import, or an earlier one, binds the same routines and still works.
 """
 
 import subprocess
 import sys
+import types
 
 import numpy as np
+import pytest
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 from scipy.signal import lfilter
 
-from transinfo.chains import _scipy_extension
+from transinfo import chains
+from transinfo.chains import _betaincinv, _scipy_extension, _special_ufunc
+from transinfo.errors import TruncationTooSmall
+from transinfo.lyapunov import mminf_generator
+from transinfo.transport import _sorted_union
 
 
 def outcome(fn, *args):
@@ -80,6 +89,90 @@ class TestLoadedRoutines:
         assert np.array_equal(got, lfilter([noise_sd], [1.0, -decay], shocks))
 
 
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@st.composite
+def masses(draw, n):
+    """A probability vector of length n: plain, rounded to a few decimals, or with zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.dirichlet(np.ones(n))
+    shape = draw(st.sampled_from(["plain", "rounded", "zeros"]))
+    if shape == "rounded":
+        w = np.round(w, draw(st.integers(1, 3))) + 1e-3
+    elif shape == "zeros":
+        w[rng.random(n) < 0.4] = 0.0
+        w[rng.integers(n)] += 0.5
+    return w / w.sum()
+
+
+class TestSpecialRoutines:
+    @pytest.mark.parametrize("name", ["gammaln", "gammainc", "xlogy", "log_ndtr"])
+    def test_same_ufuncs_as_scipy_special(self, name):
+        assert _special_ufunc(name) is getattr(scipy.special, name)
+
+    def test_missing_routine_is_named(self, monkeypatch):
+        with pytest.raises(ImportError, match="no_such_routine"):
+            _special_ufunc("no_such_routine")
+        with pytest.raises(ImportError, match=r"scipy\.special\._no_such_module"):
+            _scipy_extension("special._no_such_module")
+        monkeypatch.setattr(chains, "_scipy_extension",
+                            lambda name: types.SimpleNamespace(__pyx_capi__={}))
+        with pytest.raises(ImportError, match="_export_ibeta_inv_double"):
+            _betaincinv.__wrapped__()      # past the cache
+
+    @given(st.integers(1, 200_000), st.integers(1, 200_000),
+           st.one_of(st.sampled_from([0.005, 0.995, 0.025, 0.975, 0.05, 0.95]),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_betaincinv_equals_scipy_special(self, a, b, p, seed):
+        # one drawn triple, then 200 Clopper-Pearson triples (hits, n - hits + 1)
+        rng = np.random.default_rng(seed)
+        n = rng.integers(1, 200_001, 200)
+        hits = rng.integers(0, n + 1)
+        aa = np.concatenate([[a], np.maximum(hits, 1), hits + 1]).astype(float)
+        bb = np.concatenate([[b], n - hits + 1, np.maximum(n - hits, 1)]).astype(float)
+        pp = np.concatenate([[p], np.full(200, 0.005), np.full(200, 0.995)])
+        ibeta_inv = _betaincinv()
+        got = [ibeta_inv(x, y, q) for x, y, q in zip(aa.tolist(), bb.tolist(), pp.tolist())]
+        assert hexes(got) == hexes(scipy.special.betaincinv(aa, bb, pp))
+        assert float(scipy.special.betaincinv(a, b, p)).hex() == got[0].hex()
+
+    @given(st.integers(2, 10_000), st.floats(1e-6, 1e4),
+           st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2 ** 32 - 1))
+    def test_gammainc_form_equals_pdtrc(self, n_max, lam, frac, seed):
+        # the form mminf_generator uses; k need not be an integer for pdtrc
+        rng = np.random.default_rng(seed)
+        k = np.concatenate([[n_max, n_max + frac], rng.integers(2, 200, 100),
+                            rng.uniform(2.0, 200.0, 100)])
+        m = np.concatenate([[lam, lam], 10.0 ** rng.uniform(-3.0, 2.5, 200)])
+        got = _special_ufunc("gammainc")(np.floor(k) + 1.0, m)
+        assert hexes(got) == hexes(scipy.special.pdtrc(k, m))
+        assert float(_special_ufunc("gammainc")(np.floor(n_max) + 1.0, lam)).hex() == \
+            float(scipy.special.pdtrc(n_max, lam)).hex()
+
+    @given(st.integers(2, 45), st.floats(0.05, 30.0))
+    def test_mminf_truncation_rule_is_pdtrc(self, n_max, lam):
+        try:
+            mminf_generator(lam, n_max)
+            raised = False
+        except TruncationTooSmall:
+            raised = True
+        assert raised == (float(scipy.special.pdtrc(n_max, lam)) >= 1e-10)
+
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(masses(n), masses(n))),
+           st.booleans())
+    def test_sorted_union_equals_union1d(self, pair, same_measure):
+        # cumulative sums of the two marginals, as _w2_quantile merges them
+        nu, mu = pair
+        if same_measure:
+            mu = nu.copy()
+        for a, b in ((np.cumsum(nu), np.cumsum(mu)), (nu, mu), (np.round(nu, 1), nu)):
+            got, want = _sorted_union(a, b), np.union1d(a, b)
+            assert got.dtype == want.dtype and hexes(got) == hexes(want)
+
+
 # Run in a fresh interpreter with argv[1] "extension" (the package's calls
 # load the extensions before scipy.linalg and scipy.signal are imported) or
 # "public" (those packages are imported first).  Prints a hash of the bits.
@@ -119,6 +212,49 @@ def test_both_load_orders_give_the_same_bits():
     hashes = []
     for order in ("extension", "public"):
         res = subprocess.run([sys.executable, "-c", LOAD_ORDER, order],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        hashes.append(res.stdout)
+    assert hashes[0] == hashes[1] and len(hashes[0]) == 65
+
+
+# Run in a fresh interpreter with argv[1] "extension" (the package's calls
+# load scipy.special's compiled modules before scipy.special and scipy.stats
+# are imported) or "public" (those packages are imported first).  Prints a
+# hash of the bits.
+SPECIAL_LOAD_ORDER = """
+import hashlib, math, sys
+import numpy as np
+if sys.argv[1] == "public":
+    import scipy.special, scipy.stats
+from transinfo import chains
+from transinfo.diffusion1d import ou_sigma2, ou_tail_lograte
+from transinfo.lyapunov import mminf_generator
+from transinfo.simulate import clopper_pearson
+intervals = [clopper_pearson(h, n) for n, h in ((1, 0), (1, 1), (50, 7), (200_000, 1234))]
+_, mu = mminf_generator(1.0, 40)
+rate = ou_tail_lograte(0.5, 10.0)
+if sys.argv[1] == "extension":
+    assert "scipy.special" not in sys.modules and "scipy.stats" not in sys.modules
+import scipy.special, scipy.stats
+for name in ("_special_ufuncs", "_ufuncs_cxx"):
+    assert sys.modules["scipy.special." + name] is chains._scipy_extension("special." + name)
+for name in ("gammaln", "gammainc", "xlogy", "log_ndtr"):
+    assert chains._special_ufunc(name) is getattr(scipy.special, name)
+tail = (1.0 - 0.99) / 2.0
+assert intervals[2] == (float(scipy.special.betaincinv(7, 44, tail)),
+                        float(scipy.special.betaincinv(8, 43, 1.0 - tail)))
+assert intervals[2][0] == float(scipy.stats.beta.ppf(tail, 7, 44))
+assert rate == float(scipy.special.log_ndtr(-0.5 / math.sqrt(ou_sigma2(10.0)))) / 10.0
+assert math.isclose(scipy.stats.norm.cdf(0.0), 0.5) and scipy.special.gamma(5.0) == 24.0
+print(hashlib.sha256(repr((intervals, rate)).encode() + mu.tobytes()).hexdigest())
+"""
+
+
+def test_special_routines_in_both_load_orders():
+    hashes = []
+    for order in ("extension", "public"):
+        res = subprocess.run([sys.executable, "-c", SPECIAL_LOAD_ORDER, order],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         hashes.append(res.stdout)
