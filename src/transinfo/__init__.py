@@ -2,6 +2,8 @@
 
 from .chains import (
     Density,
+    LineMetric,
+    Metric,
     MetricMatrix,
     ReversibleChain,
     build_chain,

@@ -33,7 +33,12 @@ point ``_lowest_eigenpairs`` solves band chains by LAPACK's tridiagonal
 bisection (dstebz, then dstein for vectors), called directly for the
 requested indices only after a finiteness check, and any other chain by
 dense eigh; ``poisson_solve`` solves them in O(n) from the edge fluxes.
-On a line metric ``lipschitz_norm`` reads adjacent increments only.
+A line metric (``LineMetric``) holds its points, and its dense d is, like
+Q, a view built on first use: only a route off the line reads it, such as
+the simplex, ``CostMatrix.from_metric`` or unsorted points.  The line
+routes read the points: W_1 and W_2 in closed form, ``lipschitz_norm`` from
+the adjacent gaps, and the searches' min and max sweeps over d ** power,
+which every metric runs in blocks of at most 2^20 entries.
 The functionals take rows: an (N, n) block gives per row the 1-D call's
 bits, as each reduction is ``dots``, and ``Density.validate`` raises the
 1-D call's error for the first failing row.  Importing this module loads
@@ -52,6 +57,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -162,12 +168,41 @@ class Density:
         return Density(f=f)
 
 
+# Entries per block of the metrics' min and max sweeps.
+BLOCK_ENTRIES = 2 ** 20
+
+
+class Metric:
+    """A finite metric d, as the searches read it: in blocks of d ** power.
+
+    A subclass gives ``n``, ``diameter``, ``line_embedding`` (increasing s
+    with d[i,j] = |s_i - s_j|, which gives W_1 / W_2 in closed form, or
+    None), the dense ``d``, ``block(rows, cols, power)``, the block
+    d[rows, cols] ** power as a C-ordered array, and ``adjacent_gaps``.
+    The sweeps take blocks of at most BLOCK_ENTRIES entries; a min or a max
+    is exact, so the block size never moves a bit.
+    """
+
+    def inf_convolution(self, g: np.ndarray, power: int = 1) -> np.ndarray:
+        """min_y (g(y) + d(x, y) ** power) for each x, over blocks of rows."""
+        g = np.asarray(g, dtype=float)
+        step = max(1, BLOCK_ENTRIES // self.n)
+        return np.concatenate([np.min(g + self.block(slice(a, a + step), slice(None), power),
+                                      axis=1) for a in range(0, self.n, step)])
+
+    def sup_convolution(self, u: np.ndarray, power: int = 1) -> np.ndarray:
+        """max_x (u(x) - d(x, y) ** power) for each y, over blocks of columns."""
+        u = np.asarray(u, dtype=float)[:, None]
+        step = max(1, BLOCK_ENTRIES // self.n)
+        return np.concatenate([np.max(u - self.block(slice(None), slice(a, a + step), power),
+                                      axis=0) for a in range(0, self.n, step)])
+
+
 @dataclass(frozen=True)
-class MetricMatrix:
+class MetricMatrix(Metric):
     """Symmetric nonnegative matrix with zero diagonal and triangle inequality."""
 
     d: np.ndarray
-    # increasing s with d[i,j] = |s_i - s_j|, which gives W_1 / W_2 in closed form, or None
     line_embedding: np.ndarray | None
 
     @staticmethod
@@ -197,10 +232,59 @@ class MetricMatrix:
             s = None
         return MetricMatrix(d=d, line_embedding=s)
 
+    @property
+    def n(self) -> int:
+        return len(self.d)
+
     @cached_property
     def diameter(self) -> float:
         """max d[x, y], computed on first use."""
         return float(np.max(self.d))
+
+    def block(self, rows, cols, power: int = 1) -> np.ndarray:
+        b = np.ascontiguousarray(self.d[rows, cols])
+        return b if power == 1 else b ** power
+
+    def adjacent_gaps(self) -> np.ndarray:
+        """d[k, k+1] for each k."""
+        return np.diag(self.d, 1)
+
+
+@dataclass(frozen=True)
+class LineMetric(Metric):
+    """The metric d[i,j] = |p_i - p_j| of distinct finite points, held as the points.
+
+    Like ``ReversibleChain.Q``, the dense d is a read-only view built on
+    first use; the line routes read the points, so they stay O(n) in
+    memory.  Every entry they read is the dense formula's float:
+    ``diameter`` is p.max() - p.min(), the largest |p_i - p_j| since
+    rounding is monotone, and ``adjacent_gaps`` is |p_{k+1} - p_k|, whose
+    sign flip is exact.
+    """
+
+    points: np.ndarray
+    line_embedding: np.ndarray | None
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """The dense n x n metric, built on first use; read-only."""
+        return _frozen(self.block(slice(None), slice(None)))
+
+    @cached_property
+    def diameter(self) -> float:
+        return float(self.points.max() - self.points.min())
+
+    def block(self, rows, cols, power: int = 1) -> np.ndarray:
+        b = np.subtract.outer(self.points[rows], self.points[cols])
+        np.abs(b, out=b)
+        return b if power == 1 else b ** power
+
+    def adjacent_gaps(self) -> np.ndarray:
+        return np.abs(np.diff(self.points))
 
 
 def trivial_metric(n: int) -> MetricMatrix:
@@ -208,14 +292,14 @@ def trivial_metric(n: int) -> MetricMatrix:
     return MetricMatrix.validate(np.ones((n, n)) - np.eye(n))
 
 
-def line_metric(points: np.ndarray) -> MetricMatrix:
-    """Euclidean metric of a 1-D embedding: d[i,j] = |p_i - p_j|.
+def line_metric(points: np.ndarray) -> LineMetric:
+    """Euclidean metric of a 1-D embedding: d[i,j] = |p_i - p_j|, held as a copy of the points.
 
     Finite distinct points of finite span make d a metric, so only they are checked.
-    If they are strictly monotone and s = d[0] rounds to increasing values, s is the
-    line embedding: |s_i - s_j| is within 3 eps max(s) of d[i,j].
+    If they are strictly monotone and s = |p_0 - p| (the row d[0]) rounds to increasing
+    values, s is the line embedding: |s_i - s_j| is within 3 eps max(s) of d[i,j].
     """
-    p = np.asarray(points, dtype=float)
+    p = np.array(points, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ModelValidation(f"line metric points must be a nonempty 1-D array, not {p.shape}")
     bad = np.flatnonzero(~np.isfinite(p))
@@ -228,12 +312,9 @@ def line_metric(points: np.ndarray) -> MetricMatrix:
     if len(tie):
         i, j = sorted(order[tie[0]:tie[0] + 2].tolist())
         raise ModelValidation(f"line metric points must be distinct: {i} and {j} are both {p[i]}")
-    d = np.subtract.outer(p, p)
-    np.abs(d, out=d)
-    d.setflags(write=False)
-    step, s = np.diff(p), d[0]
+    step, s = np.diff(p), _frozen(np.abs(p[0] - p))
     line = (np.all(step > 0) or np.all(step < 0)) and np.all(np.diff(s) > 0)
-    return MetricMatrix(d=d, line_embedding=s if line else None)
+    return LineMetric(points=_frozen(p), line_embedding=s if line else None)
 
 
 def _as_density_vector(chain: ReversibleChain, f) -> np.ndarray:
@@ -522,6 +603,9 @@ def _band_eigenpairs(diag: np.ndarray, off: np.ndarray, count: int, vectors: boo
     return w[order], V[:, order]
 
 
+_EXTENSION_LOAD = threading.Lock()
+
+
 def _scipy_extension(name: str):
     """The compiled module ``scipy.<name>``, loaded without its package's ``__init__``.
 
@@ -530,19 +614,22 @@ def _scipy_extension(name: str):
     extension module is loaded from its file beside the package, once: it
     is kept in ``sys.modules`` under its full name, which is also where the
     package's own import finds it.  The public wrappers and this module
-    therefore call the same routine objects, in either load order.
+    therefore call the same routine objects, in either load order.  One
+    thread at a time loads: a second load of a module that another thread
+    is still running hands out its capsules before their pointers are set.
     """
     full = f"scipy.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-        spec = importlib.machinery.PathFinder.find_spec(
-            full, [os.path.join(root, *name.split(".")[:-1])])
-        if spec is None:
-            raise ImportError(f"scipy has no compiled module {full}")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module = sys.modules.setdefault(full, module)
+    with _EXTENSION_LOAD:
+        module = sys.modules.get(full)
+        if module is None:
+            root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            spec = importlib.machinery.PathFinder.find_spec(
+                full, [os.path.join(root, *name.split(".")[:-1])])
+            if spec is None:
+                raise ImportError(f"scipy has no compiled module {full}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module = sys.modules.setdefault(full, module)
     return module
 
 
@@ -643,18 +730,18 @@ def _flux_poisson(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
     return h - chain.expectation(h)
 
 
-def lipschitz_norm(d: MetricMatrix, g: np.ndarray) -> float:
+def lipschitz_norm(d: Metric, g: np.ndarray) -> float:
     """Smallest M with |g_x - g_y| <= M d[x,y] over all pairs.
 
     On a line metric the adjacent pairs are the extreme ones, so the norm
-    takes O(n) from the superdiagonal of ``d.d``.
+    takes O(n) from ``d.adjacent_gaps()``, the superdiagonal of d.
     """
     g = np.asarray(g, dtype=float)
     n = len(g)
     if n < 2:
         return 0.0
     if d.line_embedding is not None:
-        return _line_lipschitz(np.diag(d.d, 1), g)
+        return _line_lipschitz(d.adjacent_gaps(), g)
     diff = np.abs(g[:, None] - g[None, :])
     off = ~np.eye(n, dtype=bool)
     return float(np.max(diff[off] / d.d[off]))

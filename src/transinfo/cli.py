@@ -20,7 +20,7 @@ import numpy as np
 
 from . import catalog
 from .chains import (
-    MetricMatrix,
+    Metric,
     chain_from_json,
     dots,
     fisher_information,
@@ -71,11 +71,11 @@ def _rate_function(obj) -> RateFunction:
     kind = obj.get("kind")
     try:
         if kind == "quadratic":
-            return RateFunction.quadratic(float(obj["c"]))
+            return RateFunction.quadratic(_real(obj, "c", None))
         if kind == "power":
-            return RateFunction.power(float(obj["kappa"]), float(obj["p"]))
+            return RateFunction.power(_real(obj, "kappa", None), _real(obj, "p", None))
         if kind == "tabulated":
-            return RateFunction.tabulated(obj["knots"], obj["values"])
+            return RateFunction.tabulated(_real(obj, "knots", []), _real(obj, "values", []))
     except ValueError as exc:
         raise ConfigParse(f"invalid rate function {obj!r}: {exc}") from exc
     raise ConfigParse(f"unknown rate-function kind {kind!r}")
@@ -91,7 +91,7 @@ def _load_model(spec) -> dict:
     raise ConfigParse(f"cannot interpret model {spec!r}")
 
 
-def _metric_for(model: dict, name: str) -> MetricMatrix:
+def _metric_for(model: dict, name: str) -> Metric:
     if name == "trivial":
         return trivial_metric(model["chain"].n)
     if name == "line":
@@ -119,7 +119,7 @@ def run_verify_tci(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model = _load_model(params.get("model", "bernoulli"))
     chain = model["chain"]
     alpha = _rate_function(params.get("alpha"))
-    lambdas = np.asarray(params.get("lambda_grid", [0.25, 0.5, 1.0, 2.0]), dtype=float)
+    lambdas = np.asarray(_real(params, "lambda_grid", [0.25, 0.5, 1.0, 2.0]))
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(_count(params, "n_pairs", 8)):
@@ -165,6 +165,18 @@ def _count(params, key: str, default: int, least: int = 1) -> int:
     return int(count)
 
 
+def _real(params, key: str, default):
+    """A real from the params: an int or a float, not a bool, or a list of them
+    where the default is a list.  Anything else raises ConfigParse naming the key."""
+    value = params.get(key, default)
+    many = isinstance(default, list) and isinstance(value, list)
+    if not all(isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+               for x in (value if many else [value])):
+        form = "a number or a list of numbers" if isinstance(default, list) else "a number"
+        raise ConfigParse(f"{key} must be {form}, not {value!r}")
+    return [float(x) for x in value] if many else float(value)
+
+
 def run_ckp_scan(params, out_dir: Path, seed: int, name: str) -> Outcome:
     n = _count(params, "n", 6)
     count = _count(params, "count", 2000, least=0)
@@ -190,12 +202,12 @@ def run_ckp_scan(params, out_dir: Path, seed: int, name: str) -> Outcome:
 
 
 def run_rho_scan(params, out_dir: Path, seed: int, name: str) -> Outcome:
-    lambdas = params.get("lambdas", [0.1, 0.3, 0.5, 0.7, 0.9, 2.0])
+    lambdas = _real(params, "lambdas", [0.1, 0.3, 0.5, 0.7, 0.9, 2.0])
     p_grid = default_p_grid()
     rows = []
     worst = -math.inf
     for lam in lambdas:
-        scan = rho_sup_scan(float(lam), p_grid)
+        scan = rho_sup_scan(lam, p_grid)
         for p, g in zip(scan["p_grid"], scan["growths"]):
             rows.append((lam, p, g, scan["rho"], scan["rho"] - g))
         worst = max(worst, scan["sup"] - scan["rho"])
@@ -237,7 +249,7 @@ def run_lyapunov(params, out_dir: Path, seed: int, name: str) -> Outcome:
         chain, cert = mminf_certificate(1.0, 40, math.log(2.0))
         exclude = ()
     elif model_name == "beta-potential":
-        model = beta_potential_example(float(params.get("beta", 2.0)))
+        model = beta_potential_example(_real(params, "beta", 2.0))
         chain = model.chain
         exclude = (0, chain.n - 1)
         cert = certify_H(chain, model.U, model.phi, model.b, exclude=exclude)
@@ -260,8 +272,8 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model = _load_model(params.get("model", "bernoulli"))
     chain = model["chain"]
     u = np.asarray(params.get("u", [0.0, 1.0] + [0.0] * (chain.n - 2)), dtype=float)
-    t = float(params.get("t", 20.0))
-    r_list = params.get("r", [0.2])
+    t = _real(params, "t", 20.0)
+    r_list = _real(params, "r", [0.2])
     n_paths = _count(params, "n_paths", 20000)
     _, c_p = spectral_gap(chain)
     alpha = RateFunction.quadratic(math.sqrt(c_p) * oscillation(u) / 2.0)  # Hoeffding form

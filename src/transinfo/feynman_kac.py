@@ -54,7 +54,7 @@ import numpy as np
 
 from .chains import (
     Density,
-    MetricMatrix,
+    Metric,
     ReversibleChain,
     _apply_neg_generator,
     _lowest_eigenpairs,
@@ -71,8 +71,6 @@ from .transport import (
     _metric_transport,
     _metric_transport_rows,
     alpha_conjugate,
-    infconv_potential,
-    supconv_potential,
 )
 
 DIVERGENCE_CAP = 1e6
@@ -340,16 +338,24 @@ def _best_lambda(chain, u, extra=(), coarse=False, solved=None):
     return np.where(best > peak, best, peak), lam_best
 
 
-def _mcshane(d: MetricMatrix, g: np.ndarray) -> np.ndarray:
+def _mcshane(d: Metric, g: np.ndarray) -> np.ndarray:
     """1-Lipschitz regularization u(x) = min_y (g(y) + d(x,y))."""
-    return np.min(g[None, :] + d.d, axis=1)
+    return d.inf_convolution(g)
 
 
-def _lipschitz_candidates(d: MetricMatrix, n_random: int, rng) -> list[np.ndarray]:
-    n = d.d.shape[0]
-    base_points = range(n) if n <= 8 else rng.choice(n, size=8, replace=False)
-    cands = [d.d[:, x0] for x0 in base_points]
-    cands += [-d.d[:, x0] for x0 in base_points]
+def _lipschitz_candidates(d: Metric, n_random: int, rng) -> list[np.ndarray]:
+    """d(., x0) and -d(., x0) for 8 base points x0 (all, up to 8 states), then McShane
+    regularizations of uniform noise.
+
+    The d(., x0) are the strided columns of one C-ordered (n, k) block.  np.dot
+    runs BLAS's strided loop on any non-unit stride, so each keeps the bits it
+    has as a column of the n x n d; a contiguous copy would not.
+    """
+    n = d.n
+    base_points = np.arange(n) if n <= 8 else rng.choice(n, size=8, replace=False)
+    columns = d.block(slice(None), base_points).T
+    cands = list(columns)
+    cands += [-col for col in columns]
     scale = d.diameter
     for _ in range(n_random):
         cands.append(_mcshane(d, rng.uniform(-scale, scale, size=n)))
@@ -512,7 +518,7 @@ def _primal_starts(chain, rng, count):
     return out
 
 
-def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
+def best_w1i(chain: ReversibleChain, d: Metric, rounds: int = 3,
              primal_starts: int = 8, seed: int = 17) -> BestConstantReport:
     """Best constant in W_1(nu, mu)^2 <= 4 c^2 I(nu | mu)."""
     rng = np.random.default_rng(seed)
@@ -563,7 +569,7 @@ def best_w1i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 3,
     )
 
 
-def linearization_probe(chain: ReversibleChain, d: MetricMatrix, directions):
+def linearization_probe(chain: ReversibleChain, d: Metric, directions):
     """Ratios W_2^2 / (4 I) along nu_eps = (1 + eps g) mu for eps = 1e-1, ..., 1e-6.
 
     Each row takes the best of the directions.  Directions are normalized
@@ -576,7 +582,7 @@ def linearization_probe(chain: ReversibleChain, d: MetricMatrix, directions):
             for eps, row in zip(epsilons, ratios.reshape(len(epsilons), -1).tolist())]
 
 
-def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
+def best_w2i(chain: ReversibleChain, d: Metric, rounds: int = 2,
              primal_starts: int = 8, seed: int = 19) -> BestConstantReport:
     """Best constant in W_2^2 <= 4 c^2 I, with a divergence probe.
 
@@ -626,9 +632,9 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
         if not math.isinf(val) and val > best_primal:
             best_primal, best_f = val, f
 
-    d2 = CostMatrix.from_metric(d, 2)
-    v_cands = [d.d[:, x0] ** 2 for x0 in (range(chain.n) if chain.n <= 8 else
-                                          rng.choice(chain.n, 8, replace=False))]
+    # the squared columns d(., x0) ** 2, each a new contiguous array
+    base_points = np.arange(chain.n) if chain.n <= 8 else rng.choice(chain.n, 8, replace=False)
+    v_cands = [col ** 2 for col in d.block(slice(None), base_points).T]
     for _ in range(3):
         v_cands.append(np.abs(rng.standard_normal(chain.n)) * d.diameter ** 2)
     best_dual = 0.0
@@ -637,13 +643,13 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
     for _ in range(rounds):
         dist2, _, pot = _metric_transport(d, 2, chain.mu * best_f, chain.mu)
         if fisher_information_raw(chain, best_f) > 0 and dist2 > 0:
-            v_star = supconv_potential(d2, pot)  # c-transform partner of u*
+            v_star = d.sup_convolution(pot, 2)  # c-transform partner of u*
             v_cands.append(v_star - float(np.min(v_star)))
         improved = False
         for v in v_cands:
             key = v.tobytes()
             if key not in c2_of:
-                c2_of[key] = _w2_dual_constant(chain, d2, v)
+                c2_of[key] = _w2_dual_constant(chain, d, v)
             c2 = c2_of[key]
             if c2 > best_dual:
                 best_dual, best_v = c2, v
@@ -652,7 +658,7 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
             break
         # re-seed primal from the critical pair's eigen-density
         theta = 1.0 / (4.0 * best_dual) if best_dual > 0 else 1.0
-        q = infconv_potential(d2, best_v)
+        q = d.inf_convolution(best_v, 2)
         _, dens = lambda_max_witness(chain, theta * q)
         (val,), (f,) = _primal_ascents(chain, d, dens.f, squared=True, iters=120,
                                        min_perturbation=guard)
@@ -669,7 +675,7 @@ def best_w2i(chain: ReversibleChain, d: MetricMatrix, rounds: int = 2,
     )
 
 
-def _w2_dual_constant(chain, d2, v):
+def _w2_dual_constant(chain, d, v):
     """Smallest admissible c^2 for the pair (Qv, v): the critical theta root.
 
     phi(theta) = Lambda(theta Qv) - theta mu(v) is convex with phi(0) = 0
@@ -680,7 +686,7 @@ def _w2_dual_constant(chain, d2, v):
     repeat that one.
     """
     v = np.asarray(v, dtype=float)
-    q = infconv_potential(d2, v)
+    q = d.inf_convolution(v, 2)
     mv = chain.expectation(v)
     phi = lambda th: lambda_max(chain, th * q) - th * mv
     hi = 1e-6
@@ -703,17 +709,16 @@ def _w2_dual_constant(chain, d2, v):
     return 1.0 / (4.0 * theta_star)
 
 
-def w2i_dual_check(chain: ReversibleChain, d: MetricMatrix, c: float,
+def w2i_dual_check(chain: ReversibleChain, d: Metric, c: float,
                    v_samples: list[np.ndarray]):
     """Check Lambda(Qv / (4 c^2)) <= mu(v) / (4 c^2) over sampled v."""
     if c <= 0:
         raise ValueError("c must be positive")
-    d2 = CostMatrix.from_metric(d, 2)
     rows = []
     worst = math.inf
     for idx, v in enumerate(v_samples):
         v = np.asarray(v, dtype=float)
-        q = infconv_potential(d2, v)
+        q = d.inf_convolution(v, 2)
         lhs = lambda_max(chain, q / (4.0 * c * c))
         rhs = chain.expectation(v) / (4.0 * c * c)
         slack = rhs - lhs

@@ -2,7 +2,10 @@
 
 Every path draws from its own counter-based stream: the Philox4x32-10
 stream keyed by (master_seed, path_index), the stream of
-``Generator(Philox(key=[master_seed, path_index]))``.  Estimates therefore
+``Generator(Philox(key=np.array([master_seed, path_index], dtype=np.uint64)))``.
+The key must be that uint64 array: numpy turns a plain list holding a word
+of 2**63 or more into float64, so ``Philox(key=[2**64 - 1, 0])`` is keyed
+[0, 0] and ``Philox(key=[5, 2**63 + 5])`` [5, 2**63].  Estimates therefore
 merge deterministically by path index regardless of how the path loop is
 scheduled or batched: a sampler may draw a path's numbers in any order
 relative to other paths, or replay a path from its key, and get the same
@@ -67,20 +70,20 @@ def path_streams(master_seed: int,
 
     One Philox bit generator is re-keyed in place for each path: its key,
     counter, output buffer and half-used 32-bit word are all reset, so the
-    draws equal those of a freshly built ``Philox(key=[master_seed, i])``
-    at a fraction of the construction cost.  The generator is shared:
+    draws equal those of a freshly built Philox keyed by the uint64 array
+    [master_seed, i] at a fraction of the construction cost.  The generator is shared:
     finish drawing path i before advancing the iterator.  Use one iterator
     per thread: each call owns its own bit generator, so iterators in
     different threads may advance in any interleaving.
     """
-    key = np.array([master_seed, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
+    # the setter reads the words one by one, so Python ints set faster than a uint64 array
+    key = [int(master_seed), 0]
     fresh = {"bit_generator": "Philox",
-             "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in indices:
-        key[1] = i
+        key[1] = int(i)
         bitgen.state = fresh
         yield i, gen

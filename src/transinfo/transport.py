@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Density, MetricMatrix, ReversibleChain, _frozen, fisher_information
+from .chains import Density, Metric, ReversibleChain, _frozen, fisher_information
 from .errors import (
     InfeasibleMarginals,
     ModelValidation,
@@ -66,7 +66,8 @@ class CostMatrix:
         return CostMatrix(c=c)
 
     @staticmethod
-    def from_metric(d: MetricMatrix, power: int = 1) -> "CostMatrix":
+    def from_metric(d: Metric, power: int = 1) -> "CostMatrix":
+        """d ** power, dense: a line metric builds its d here."""
         return CostMatrix(c=_frozen(d.d ** power))      # a metric's powers are valid costs
 
 
@@ -271,7 +272,7 @@ def kantorovich_dual(c: CostMatrix, nu: np.ndarray, mu: np.ndarray):
     return _dual_value(c.c, nu, mu, u)
 
 
-def _metric_transport(d: MetricMatrix, power: int, nu, mu) -> tuple[float, float, np.ndarray]:
+def _metric_transport(d: Metric, power: int, nu, mu) -> tuple[float, float, np.ndarray]:
     """(value, dual value, potential u) of the cost d^power from one solve.
 
     u maximizes <u, nu> - <u^c, mu> and is the gradient of nu -> value used
@@ -287,15 +288,16 @@ def _metric_transport(d: MetricMatrix, power: int, nu, mu) -> tuple[float, float
     return float(values[0]), float(duals[0]), potentials([0])[0]
 
 
-def _metric_transport_rows(d: MetricMatrix, power: int, nu, mu):
+def _metric_transport_rows(d: Metric, power: int, nu, mu):
     """``_metric_transport`` for each row of nu: (values, dual values, potentials).
 
     ``potentials(rows)`` stacks the potentials of the listed rows.  A simplex
     row's potential comes from its solve; a line row's is built only when
     asked for, so callers that need only values never build one.  Line W_1
     runs on all rows at once; every other route solves one row at a time.
+    Only the simplex reads the dense d.
     """
-    nu, mu = _check_marginals(nu, mu, d.d.shape)
+    nu, mu = _check_marginals(nu, mu, (d.n, d.n))
     emb = d.line_embedding
     if emb is not None and power == 1:
         steps = np.diff(emb)
@@ -326,12 +328,12 @@ def _metric_transport_rows(d: MetricMatrix, power: int, nu, mu):
     return np.array(values), np.array(duals), potentials
 
 
-def w1(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
+def w1(d: Metric, nu: np.ndarray, mu: np.ndarray) -> float:
     """L^1-Wasserstein distance: transport cost of the metric itself."""
     return _metric_transport(d, 1, nu, mu)[0]
 
 
-def w2(d: MetricMatrix, nu: np.ndarray, mu: np.ndarray) -> float:
+def w2(d: Metric, nu: np.ndarray, mu: np.ndarray) -> float:
     """L^2-Wasserstein distance: sqrt of the quadratic-cost optimum."""
     emb = d.line_embedding
     if emb is not None:

@@ -365,6 +365,21 @@ class TestRunSpecInProcess:
         {"kind": "diffusion", "params": {"model": "ou", "nodes": 80.0}},
         {"kind": "verify-tci",
          "params": {"n_pairs": 1.5, "alpha": {"kind": "quadratic", "c": 1.0}}},
+        # reals that are not numbers were taken: "t": true ran at t = 1, and
+        # "lambdas": [true] wrote True into the scan's CSV
+        {"kind": "simulate", "params": {"t": True, "n_paths": 50}},
+        {"kind": "simulate", "params": {"t": "5", "n_paths": 50}},
+        {"kind": "simulate", "params": {"r": [True], "n_paths": 50}},
+        {"kind": "simulate", "params": {"r": "0.2", "n_paths": 50}},
+        {"kind": "rho-scan", "params": {"lambdas": [True]}},
+        {"kind": "rho-scan", "params": {"lambdas": [0.5, "0.7"]}},
+        {"kind": "lyapunov", "params": {"model": "beta-potential", "beta": True, "samples": 2}},
+        {"kind": "verify-tci",
+         "params": {"lambda_grid": [True], "alpha": {"kind": "quadratic", "c": 1.0}}},
+        {"kind": "verify-tci", "params": {"alpha": {"kind": "quadratic", "c": True}}},
+        {"kind": "verify-tci", "params": {"alpha": {"kind": "power", "kappa": "1", "p": 3}}},
+        {"kind": "verify-tci",
+         "params": {"alpha": {"kind": "tabulated", "knots": [0, True], "values": [0, 1]}}},
     ])
     def test_bad_experiment_fails_alone(self, tmp_path, middle):
         spec = {"experiments": [

@@ -568,7 +568,7 @@ class TestSearchReuse:
         for x0 in (0, 13, 21, 40, 59):
             v = d.d[:, x0] ** 2
             thetas.clear()
-            c2 = feynman_kac._w2_dual_constant(ch, d2, v)
+            c2 = feynman_kac._w2_dual_constant(ch, d, v)
             solved = list(thetas)
             assert 0.0 < c2 < math.inf
             assert c2.hex() == reference_w2_dual_constant(ch, d2, v).hex()

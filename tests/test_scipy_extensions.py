@@ -259,3 +259,34 @@ def test_special_routines_in_both_load_orders():
         assert res.returncode == 0, res.stderr
         hashes.append(res.stdout)
     assert hashes[0] == hashes[1] and len(hashes[0]) == 65
+
+
+CONCURRENT_FIRST_LOAD = """
+import sys, threading
+from transinfo import chains
+sys.setswitchinterval(1e-6)
+values, errors = [], []
+
+def first_call():
+    try:
+        values.append(chains._betaincinv()(2.0, 3.0, 0.5))
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=first_call) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+assert not errors and len(values) == 8 and len(set(values)) == 1, (errors, values)
+"""
+
+
+def test_first_load_on_many_threads():
+    # eight threads make the process's first betaincinv call at once, as the
+    # experiments of `transinfo run --jobs 2` can; each must get the routine
+    for _ in range(3):
+        res = subprocess.run([sys.executable, "-c", CONCURRENT_FIRST_LOAD],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr

@@ -140,7 +140,7 @@ def _draws(rng):
 class TestPathStreams:
     @pytest.mark.parametrize("seed", [0, 1, 111, 2**31 - 1, 2**64 - 1])
     def test_matches_fresh_philox(self, seed):
-        indices = [0, 1, 2, 57, 1023, 1024, 2**40]
+        indices = [0, 1, 2, 57, 1023, 1024, 2**40, 2**63 + 5, 2**64 - 1]
         for i, rng in path_streams(seed, indices):
             ref = path_rng(seed, i)
             for a, b in zip(_draws(rng), _draws(ref)):
