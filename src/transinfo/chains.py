@@ -35,10 +35,11 @@ requested indices only after a finiteness check, and any other chain by
 dense eigh; ``poisson_solve`` solves them in O(n) from the edge fluxes.
 A line metric (``LineMetric``) holds its points, and its dense d is, like
 Q, a view built on first use: only a route off the line reads it, such as
-the simplex, ``CostMatrix.from_metric`` or unsorted points.  The line
-routes read the points: W_1 and W_2 in closed form, ``lipschitz_norm`` from
-the adjacent gaps, and the searches' min and max sweeps over d ** power,
-which every metric runs in blocks of at most 2^20 entries.
+``CostMatrix.from_metric`` and the simplex it feeds, or unsorted points.
+The line routes read the points: W_1 and W_2 in closed form whatever the
+masses, ``lipschitz_norm`` from the adjacent gaps, and the searches' min
+and max sweeps over d ** power, which every metric runs in blocks of at
+most 2^20 entries.
 The functionals take rows: an (N, n) block gives per row the 1-D call's
 bits, as each reduction is ``dots``, and ``Density.validate`` raises the
 1-D call's error for the first failing row.  Importing this module loads

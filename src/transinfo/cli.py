@@ -271,7 +271,7 @@ def run_lyapunov(params, out_dir: Path, seed: int, name: str) -> Outcome:
 def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model = _load_model(params.get("model", "bernoulli"))
     chain = model["chain"]
-    u = np.asarray(params.get("u", [0.0, 1.0] + [0.0] * (chain.n - 2)), dtype=float)
+    u = np.asarray(_real(params, "u", [0.0, 1.0] + [0.0] * (chain.n - 2)))
     t = _real(params, "t", 20.0)
     r_list = _real(params, "r", [0.2])
     n_paths = _count(params, "n_paths", 20000)

@@ -63,9 +63,8 @@ from .chains import (
     lipschitz_norm,
     relative_entropy,
 )
-from .errors import HorizonOverflow, PhiConstraintViolated
+from .errors import HorizonOverflow, ModelValidation, PhiConstraintViolated
 from .transport import (
-    CostMatrix,
     RateFunction,
     _golden_max,
     _metric_transport,
@@ -89,13 +88,11 @@ class PhiPair:
     v: np.ndarray
 
     @staticmethod
-    def validate(u, v, cost: CostMatrix | None = None) -> "PhiPair":
+    def validate(u, v) -> "PhiPair":
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         if np.any(u > v + 1e-12):
             raise PhiConstraintViolated("pair violates u <= v")
-        if cost is not None and np.any(u[:, None] - v[None, :] > cost.c + 1e-12):
-            raise PhiConstraintViolated("pair violates u(x) - v(y) <= c(x,y)")
         return PhiPair(u=u, v=v)
 
 
@@ -338,27 +335,26 @@ def _best_lambda(chain, u, extra=(), coarse=False, solved=None):
     return np.where(best > peak, best, peak), lam_best
 
 
-def _mcshane(d: Metric, g: np.ndarray) -> np.ndarray:
-    """1-Lipschitz regularization u(x) = min_y (g(y) + d(x,y))."""
-    return d.inf_convolution(g)
-
-
 def _lipschitz_candidates(d: Metric, n_random: int, rng) -> list[np.ndarray]:
     """d(., x0) and -d(., x0) for 8 base points x0 (all, up to 8 states), then McShane
     regularizations of uniform noise.
 
     The d(., x0) are the strided columns of one C-ordered (n, k) block.  np.dot
     runs BLAS's strided loop on any non-unit stride, so each keeps the bits it
-    has as a column of the n x n d; a contiguous copy would not.
+    has as a column of the n x n d; a contiguous copy would not.  The noise
+    spans [-diameter, diameter], so a diameter whose double overflows is
+    rejected before any draw.
     """
-    n = d.n
+    n, scale = d.n, d.diameter
+    if not math.isfinite(scale + scale):
+        raise ModelValidation(f"metric diameter {scale!r} is too large for the McShane "
+                              f"candidates: the noise range 2 * diameter overflows")
     base_points = np.arange(n) if n <= 8 else rng.choice(n, size=8, replace=False)
     columns = d.block(slice(None), base_points).T
     cands = list(columns)
     cands += [-col for col in columns]
-    scale = d.diameter
     for _ in range(n_random):
-        cands.append(_mcshane(d, rng.uniform(-scale, scale, size=n)))
+        cands.append(d.inf_convolution(rng.uniform(-scale, scale, size=n)))
     return cands
 
 
@@ -402,84 +398,62 @@ def _primal_ascents(chain, d, f0, squared, iters=140, min_perturbation=0.0):
     """Projected ascents of W^2 / (4 I), one per row of f0, run in lockstep.
 
     Returns each row's (value, density).  The projections, transport solves
-    and gradients of all rows go in one call each; every row keeps its own
-    step, accept rule and stops, on Python floats: at a vanishing I or
-    gradient, at a step below 1e-8, or at an infinite ratio, which it
-    returns with the density that reached it.  A stopped row leaves the
-    arrays.  A rejected step leaves f, and with it the gradient, unchanged,
-    so only accepted candidates build a gradient.  With min_perturbation
-    > 0, a candidate within it of f = 1 in sup norm is not scored and
-    counts as rejected; see best_w2i.
+    and gradients of all rows go in one call each.  As in ``_legendre_values``,
+    the live rows' densities, gradients, values, steps and gradient norms are
+    arrays; every row keeps its own step, accept rule and stops, and leaves
+    them all by one keep mask: at a vanishing I or gradient, at a step below
+    1e-8, or at an infinite ratio, which it returns with the density that
+    reached it.  A rejected step leaves f, and with it the gradient,
+    unchanged, so only accepted candidates build a gradient.  With
+    min_perturbation > 0, a candidate within it of f = 1 in sup norm is not
+    scored and counts as rejected; see best_w2i.
     """
     f = np.array(f0, dtype=float).reshape(-1, chain.n)
-    ratios, infos, duals, potentials = _ratios(chain, d, f, squared)
-    out_val, out_f = ratios.tolist(), f.copy()
-    live = [r for r, (val, info) in enumerate(zip(out_val, infos.tolist()))
-            if not math.isinf(val) and not info <= 1e-300]
-    if not live:
-        return np.array(out_val), out_f
+    val, infos, duals, potentials = _ratios(chain, d, f, squared)
+    out_val, out_f = val.copy(), f.copy()
+    live = np.flatnonzero(~np.isinf(val) & ~(infos <= 1e-300))
+    if not len(live):
+        return out_val, out_f
     root_inv_mu = np.sqrt(1.0 / chain.mu)
 
     def norms(grad):
         # each row's own dot product, as np.linalg.norm takes it
-        return [math.sqrt(float(np.dot(row, row))) for row in grad * root_inv_mu]
+        scaled = grad * root_inv_mu
+        return np.sqrt(np.vecdot(scaled, scaled))
 
-    def take(a, idx):
-        # rows idx (increasing) of a; all of them, the common case, need no copy
-        return a if len(idx) == len(a) else a[idx]
-
-    f, grad = f[live], _gradients(chain, f[live], squared, infos[live], duals[live],
-                                  potentials(live))
-    val, step, norm = [out_val[r] for r in live], [0.25] * len(live), norms(grad)
-    done = [k for k, x in enumerate(norm) if x < 1e-14]
+    f, val, step = f[live], val[live], np.full(len(live), 0.25)
+    grad = _gradients(chain, f, squared, infos[live], duals[live], potentials(live))
+    norm = norms(grad)
+    keep = ~(norm < 1e-14)
     for _ in range(iters):
-        if done:
-            for k in done:
-                out_val[live[k]], out_f[live[k]] = val[k], f[k]
-            keep = [k for k in range(len(live)) if k not in done]
-            f, grad = f[keep], grad[keep]
-            val, step, norm, live = ([a[k] for k in keep] for a in (val, step, norm, live))
-            done = []
-            if not live:
+        if not keep.all():
+            out_val[live], out_f[live] = val, f
+            live, f, grad, val, step, norm = (a[keep] for a in (live, f, grad, val, step, norm))
+            if not len(live):
                 break
-        cand = project_density(chain.mu, f + np.array(step)[:, None] * grad
-                               / (chain.mu * np.array(norm)[:, None]), 1e-13)
-        scored = list(range(len(live)))
+        cand = project_density(chain.mu, f + step[:, None] * grad / (chain.mu * norm[:, None]),
+                               1e-13)
         if min_perturbation > 0.0:
-            far = np.abs(cand - 1.0).max(axis=-1).tolist()
-            scored = [k for k in scored if not far[k] < min_perturbation]
-            for k in set(range(len(live))).difference(scored):
-                step[k] *= 0.5
-                if step[k] < 1e-8:
-                    done.append(k)
-            if not scored:
-                continue
-        cand_val, infos, duals, potentials = _ratios(chain, d, take(cand, scored), squared)
-        grown = []      # (row, position among the scored) of accepted rows with a gradient
-        for b, (k, cv, info) in enumerate(zip(scored, cand_val.tolist(), infos.tolist())):
-            if math.isinf(cv) or cv > val[k] + 1e-15:
-                f[k], val[k] = cand[k], cv
-                step[k] = min(step[k] * 1.4, 50.0)
-                if math.isinf(cv) or info <= 1e-300:
-                    done.append(k)
-                else:
-                    grown.append((k, b))
-            else:
-                step[k] *= 0.5
-                if step[k] < 1e-8:
-                    done.append(k)
-        if grown:
-            rows, pos = map(list, zip(*grown))
-            new = _gradients(chain, take(f, rows), squared, take(infos, pos), take(duals, pos),
-                             potentials(pos))
-            grad[rows] = new
-            for k, x in zip(rows, norms(new)):
-                norm[k] = x
-                if x < 1e-14:
-                    done.append(k)
-    for k, r in enumerate(live):
-        out_val[r], out_f[r] = val[k], f[k]
-    return np.array(out_val), out_f
+            # a candidate the guard keeps from being scored gets a NaN value, which rejects it
+            scored = np.flatnonzero(~(np.abs(cand - 1.0).max(axis=-1) < min_perturbation))
+            cand_val, info = np.full((2, len(live)), np.nan)
+            cand_val[scored], info[scored], duals, potentials = _ratios(chain, d, cand[scored],
+                                                                        squared)
+        else:
+            scored = slice(None)
+            cand_val, info, duals, potentials = _ratios(chain, d, cand, squared)
+        inf = np.isinf(cand_val)
+        up = inf | (cand_val > val + 1e-15)
+        f, val = np.where(up[:, None], cand, f), np.where(up, cand_val, val)
+        step = np.minimum(step * np.where(up, 1.4, 0.5), 50.0)
+        grown = up & ~(inf | (info <= 1e-300))
+        if grown.any():
+            pos = np.flatnonzero(grown[scored])     # among the scored rows
+            new = _gradients(chain, f[grown], squared, info[grown], duals[pos], potentials(pos))
+            grad[grown], norm[grown] = new, norms(new)
+        keep = np.where(up, grown & ~(norm < 1e-14), step >= 1e-8)
+    out_val[live], out_f[live] = val, f
+    return out_val, out_f
 
 
 def _low_eigen_directions(chain, count):
@@ -536,7 +510,7 @@ def best_w1i(chain: ReversibleChain, d: Metric, rounds: int = 3,
         info = fisher_information_raw(chain, best_f)
         dist, _, pot = _metric_transport(d, 1, chain.mu * best_f, chain.mu)
         if info > 0 and dist > 0:
-            cands.append(_mcshane(d, pot))
+            cands.append(d.inf_convolution(pot))
             extra_lams.append(2.0 * info / dist)
         feasible = [u for u in cands if lipschitz_norm(d, u) <= 1.0 + 1e-9]
         if chain.n > 50:

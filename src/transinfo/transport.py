@@ -13,11 +13,11 @@ c-transform so the returned (u, v) are exactly feasible.
 Metric costs d^p (W_1, W_2 off the line, and the potentials of the
 best-constant searches) go through one entry, ``_metric_transport``, or
 ``_metric_transport_rows`` for one marginal per row: it checks the
-marginals once, takes the closed form on line metrics and the simplex
-otherwise, and returns the value, the tightened dual value and a
-Kantorovich potential from that one solve, since the vertex that gives
-the value already carries the potentials.  A line potential is built
-only when asked for.
+marginals once, takes the closed form on line metrics, zero masses
+included, and the simplex otherwise, and returns the value, the tightened
+dual value and a Kantorovich potential from that one solve, since the
+vertex that gives the value already carries the potentials.  A line
+potential is built only when asked for.
 
 Rate functions alpha: [0, inf) -> [0, inf] come in three parametric
 flavors; their monotone conjugate sup_{r>=0} (lambda r - alpha(r)) and
@@ -55,6 +55,8 @@ class CostMatrix:
         c = np.asarray(c, dtype=float).copy()
         if c.ndim != 2:
             raise ModelValidation("cost must be a matrix")
+        if not np.isfinite(c).all():
+            raise ModelValidation("cost entries must be finite")
         if np.any(c < 0):
             raise ModelValidation("cost entries must be nonnegative")
         square = c.shape[0] == c.shape[1]
@@ -68,7 +70,7 @@ class CostMatrix:
     @staticmethod
     def from_metric(d: Metric, power: int = 1) -> "CostMatrix":
         """d ** power, dense: a line metric builds its d here."""
-        return CostMatrix(c=_frozen(d.d ** power))      # a metric's powers are valid costs
+        return CostMatrix(c=_frozen(d.d ** power))      # the simplex rejects one that overflows
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,13 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     zero-mass rows and columns stay out of it; a zero-mass row's potential
     is the c-transform of the tree's column potentials.  The last row and
     column absorb the roundoff-sized mass imbalance the marginal check
-    lets through.
+    lets through.  A cost that is not finite, such as a d ** 2 that
+    overflows, is rejected before the first pivot, and finite costs whose
+    potentials overflow are rejected at the first NaN reduced cost: on
+    either, the pivots would never end.
     """
+    if not np.isfinite(c).all():
+        raise ModelValidation("cost entries must be finite")
     rows, cols = (nu > 0).nonzero()[0], (mu > 0).nonzero()[0]
     if rows.size == 0 or cols.size == 0:
         return np.zeros(c.shape), np.zeros(c.shape[0])
@@ -183,8 +190,11 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
         reduced = cost - pots[:n, None]
         reduced += pots[None, n:]
         enter = int(reduced.argmin())
-        if reduced.item(enter) >= -tol:
+        price = reduced.item(enter)         # NaN if any reduced cost is NaN
+        if price >= -tol:
             break
+        if math.isnan(price):
+            raise ModelValidation("cost entries too large: the tree's potentials overflow")
         k, l = divmod(enter, m)
         # pivot cycle: entering arc k -> n+l, then the tree paths up to the apex
         side_k, side_l = [], []
@@ -277,11 +287,12 @@ def _metric_transport(d: Metric, power: int, nu, mu) -> tuple[float, float, np.n
 
     u maximizes <u, nu> - <u^c, mu> and is the gradient of nu -> value used
     by the best-constant ascents (defined up to an additive constant).
-    Line metrics take the closed forms: W_1 through the cumulative gaps,
-    W_2^2 through the quantile coupling and its monotone staircase (the
-    staircase needs every mass positive).  Their value is exact, so it is
-    also returned as the dual value.  Every other case runs the simplex on
-    d^power with the c-transform tightening and the 1e-9 gap check of
+    Line metrics take the closed forms, zero masses included: W_1 through
+    the cumulative gaps, W_2^2 through the quantile coupling and its
+    monotone staircase, whose dual is optimal for the Monge cost (s_i -
+    s_j)^2 whatever the masses (Hoffman 1963).  Their value is exact, so it
+    is also returned as the dual value.  Every other metric runs the simplex
+    on d^power with the c-transform tightening and the 1e-9 gap check of
     ``ot_cost``.
     """
     values, duals, potentials = _metric_transport_rows(d, power, np.asarray(nu)[None], mu)
@@ -291,11 +302,11 @@ def _metric_transport(d: Metric, power: int, nu, mu) -> tuple[float, float, np.n
 def _metric_transport_rows(d: Metric, power: int, nu, mu):
     """``_metric_transport`` for each row of nu: (values, dual values, potentials).
 
-    ``potentials(rows)`` stacks the potentials of the listed rows.  A simplex
-    row's potential comes from its solve; a line row's is built only when
-    asked for, so callers that need only values never build one.  Line W_1
-    runs on all rows at once; every other route solves one row at a time.
-    Only the simplex reads the dense d.
+    ``potentials(rows)`` stacks the potentials of the listed rows.  The route
+    is chosen once per call.  A line metric builds a potential only when
+    asked for, so callers that need only values never build one: W_1 runs on
+    all rows at once, W_2 row by row.  Any other metric solves each row by
+    the simplex, which gives its potential; only that route reads the dense d.
     """
     nu, mu = _check_marginals(nu, mu, (d.n, d.n))
     emb = d.line_embedding
@@ -309,23 +320,20 @@ def _metric_transport_rows(d: Metric, power: int, nu, mu):
             rise = np.cumsum(-np.sign(gap[rows]) * steps, axis=-1)
             return np.concatenate([np.zeros((len(rise), 1)), rise], axis=-1)
         return values, values, potentials
-    values, duals, solved, cost = [], [], {}, None
-    for r, row in enumerate(nu):
-        if emb is not None and power == 2 and np.all(row > 0) and np.all(mu > 0):
-            val = _w2_quantile(emb, row, mu)
-            values.append(val * val)
-            duals.append(val * val)
-            continue
-        if cost is None:
-            cost = d.d ** power
-        _, value, dual_value, solved[r] = _exact_transport(cost, row, mu)
-        values.append(value)
-        duals.append(dual_value)
+    if emb is not None and power == 2:
+        dist = np.array([_w2_quantile(emb, row, mu) for row in nu])
+        values = duals = dist * dist
+        potential = lambda r: _staircase_potential(emb, nu[r], mu)
+    else:
+        cost = d.d ** power
+        solves = [_exact_transport(cost, row, mu)[1:] for row in nu]
+        values = np.array([solve[0] for solve in solves])
+        duals = np.array([solve[1] for solve in solves])
+        potential = lambda r: solves[r][2]
 
     def potentials(rows):
-        return np.array([solved[r] if r in solved else _staircase_potential(emb, nu[r], mu)
-                         for r in rows], dtype=float).reshape(len(rows), len(mu))
-    return np.array(values), np.array(duals), potentials
+        return np.array([potential(r) for r in rows], dtype=float).reshape(len(rows), len(mu))
+    return values, duals, potentials
 
 
 def w1(d: Metric, nu: np.ndarray, mu: np.ndarray) -> float:

@@ -41,7 +41,6 @@ from transinfo.feynman_kac import (
     _lambda_grid,
     _lipschitz_candidates,
     _low_eigen_directions,
-    _mcshane,
     _primal_ascents,
     _primal_starts,
     _ratios,
@@ -611,7 +610,7 @@ def reference_best_w1i(chain: ReversibleChain, d, rounds: int = 3, primal_starts
         info = fisher_information_raw(chain, best_f)
         dist, _, pot = _metric_transport(d, 1, chain.mu * best_f, chain.mu)
         if info > 0 and dist > 0:
-            cands.append(_mcshane(d, pot))
+            cands.append(d.inf_convolution(pot))
             extra_lams.append(2.0 * info / dist)
         feasible = [u for u in cands if lipschitz_norm(d, u) <= 1.0 + 1e-9]
         if chain.n > 50:

@@ -380,6 +380,8 @@ class TestRunSpecInProcess:
         {"kind": "verify-tci", "params": {"alpha": {"kind": "power", "kappa": "1", "p": 3}}},
         {"kind": "verify-tci",
          "params": {"alpha": {"kind": "tabulated", "knots": [0, True], "values": [0, 1]}}},
+        # the observable's entries were taken too: [true, "0"] ran as [1, 0]
+        {"kind": "simulate", "params": {"u": [True, "0"], "n_paths": 50}},
     ])
     def test_bad_experiment_fails_alone(self, tmp_path, middle):
         spec = {"experiments": [

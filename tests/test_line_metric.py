@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 from transinfo import chains
 from transinfo.chains import LineMetric, MetricMatrix, lipschitz_norm, line_metric
 from transinfo.diffusion1d import Grid1D, discretize, ou_spec
-from transinfo.errors import TransinfoError
-from transinfo.feynman_kac import (_lipschitz_candidates, _mcshane, best_w1i, best_w2i,
+from transinfo.errors import ModelValidation, TransinfoError
+from transinfo.feynman_kac import (_lipschitz_candidates, best_w1i, best_w2i,
                                    w2i_dual_check)
-from transinfo.transport import (CostMatrix, _metric_transport_rows, infconv_potential,
-                                 supconv_potential, w1, w2)
+from transinfo.transport import (CostMatrix, _metric_transport, _metric_transport_rows,
+                                 infconv_potential, supconv_potential, w1, w2)
+
+from conftest import random_reversible_chain
 
 
 def dense_line_metric(p: np.ndarray) -> MetricMatrix:
@@ -109,7 +111,8 @@ class TestAgainstTheDenseMatrix:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chains, "BLOCK_ENTRIES", max(cap, 1))
             for metric in (line, dense):
-                assert np.array_equal(_mcshane(metric, g), np.min(g[None, :] + dense.d, axis=1))
+                assert np.array_equal(metric.inf_convolution(g),
+                                      np.min(g[None, :] + dense.d, axis=1))
                 for power in (1, 2):
                     c = CostMatrix.from_metric(dense, power)
                     assert np.array_equal(metric.inf_convolution(g, power),
@@ -183,6 +186,42 @@ class TestSearchesReadThePoints:
             tracemalloc.stop()
         assert "d" not in vars(d)
         assert peak < 5e6, peak          # one dense d is 128 MB
+
+    def test_zero_mass_w2_on_4000_points_never_builds_d(self):
+        # one zero mass sent line W_2 to the simplex on the dense d ** 2, at an
+        # 899 MB traced peak; the staircase is optimal whatever the masses
+        p = np.linspace(-6.0, 6.0, 4000)
+        rng = np.random.default_rng(3)
+        nu, mu = rng.dirichlet(np.ones(4000)), rng.dirichlet(np.ones(4000))
+        nu[17] = 0.0
+        nu /= nu.sum()
+        tracemalloc.start()
+        try:
+            d = line_metric(p)
+            value, dual, u = _metric_transport(d, 2, nu, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "d" not in vars(d)
+        assert peak < 5e6, peak
+        dist = w2(d, nu, mu)
+        assert value == dual == dist * dist and u.shape == (4000,)
+        # the simplex's value on the dense d ** 2
+        assert value == pytest.approx(float.fromhex("0x1.18713ab3d9173p-6"), rel=1e-12)
+
+    def test_w1i_rejects_a_diameter_past_the_noise_range(self):
+        # the uniform noise of the McShane candidates spans [-diameter, diameter];
+        # numpy raised OverflowError: high - low range exceeds valid bounds
+        chain = random_reversible_chain(3, np.random.default_rng(0))
+        with pytest.raises(ModelValidation, match="diameter"):
+            best_w1i(chain, line_metric(np.array([0.0, 1.0, 9.5e307])))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ModelValidation, match="diameter"):
+            _lipschitz_candidates(line_metric(np.linspace(0.0, 9.5e307, 12)), 4, rng)
+        assert rng.bit_generator.state == state      # rejected before any draw
+        # the largest span whose range is finite still draws
+        assert len(_lipschitz_candidates(line_metric(np.array([0.0, 8.98e307])), 4, rng)) == 8
 
     def test_w1i_and_w2i_searches_never_build_d(self):
         chain, d = self._ou(60)

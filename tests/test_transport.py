@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from transinfo.chains import (
     trivial_metric,
 )
 from transinfo.diffusion1d import Grid1D, discretize, ou_spec
-from transinfo.errors import InfeasibleMarginals, ProductTooLarge, UnsortedGrid
+from transinfo.errors import (InfeasibleMarginals, ModelValidation, ProductTooLarge,
+                              UnsortedGrid)
 from transinfo.feynman_kac import _best_lambda
 from transinfo.lyapunov import mminf_generator
 from transinfo.transport import (
@@ -308,6 +311,42 @@ class TestOtCost:
         c = CostMatrix.validate(np.zeros((2, 2)))
         with pytest.raises(InfeasibleMarginals):
             ot_cost(c, np.array([0.5, 0.6]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_costs_that_are_not_finite_are_rejected(self, bad):
+        c = np.ones((2, 2)) - np.eye(2)
+        c[0, 1] = bad
+        with pytest.raises(ModelValidation, match="finite"):
+            CostMatrix.validate(c)
+        # a cost built without validation, as CostMatrix.from_metric builds it
+        with pytest.raises(ModelValidation, match="finite"):
+            ot_cost(CostMatrix(c=c), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+    def test_overflowing_metric_costs_fail_by_name(self):
+        # d ** 2 of the first line overflows to inf, and the tree potentials of
+        # the second's W1 (unsorted points, so the simplex) overflow; on each
+        # the simplex pivoted on NaN reduced costs and never returned, so the
+        # calls run under a timeout
+        code = "\n".join([
+            "import numpy as np",
+            "from transinfo.chains import line_metric",
+            "from transinfo.errors import ModelValidation",
+            "from transinfo.transport import CostMatrix, ot_cost, w1",
+            "np.seterr(over='ignore', invalid='ignore')",
+            "c = CostMatrix.from_metric(line_metric([-1e307, 0, 1e307]), 2)",
+            "d = line_metric([-8e307, 8e307, 0.0, 4e307, -4e307])",
+            "for call in (lambda: ot_cost(c, [0.5, 0, 0.5], [0.2, 0.3, 0.5]),",
+            "             lambda: w1(d, [0.1, 0.2, 0.3, 0.2, 0.2], [0.3, 0.1, 0.2, 0.1, 0.3])):",
+            "    try:",
+            "        call()",
+            "    except ModelValidation as exc:",
+            "        print(exc)",
+        ])
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60)
+        assert res.stdout.splitlines() == [
+            "cost entries must be finite",
+            "cost entries too large: the tree's potentials overflow"], res.stderr
 
     def test_monotone_in_cost(self, rng):
         nu = rng.dirichlet(np.ones(4))
