@@ -567,11 +567,11 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
         return _band_eigenpairs(diag, off, count, vectors)
     A = chain.conjugated_neg_generator
     if u is not None and u.ndim == 2:
-        rows, k = max(1, 2 ** 20 // A.size), np.arange(chain.n)
-        out = []
-        for part in np.split(u, range(rows, len(u), rows)):
+        rows, out = max(1, 2 ** 20 // A.size), []
+        for start in range(0, len(u) or 1, rows):      # an empty u is one empty part
+            part = u[start:start + rows]
             stack = np.repeat(A[None], len(part), axis=0)
-            stack[:, k, k] -= part
+            stack.reshape(len(part), -1)[:, ::chain.n + 1] -= part      # the diagonals
             out.append(np.linalg.eigvalsh(stack)[:, :count])
         return np.concatenate(out)
     if u is not None:

@@ -78,6 +78,7 @@ DIVERGENCE_CAP = 1e6
 # cost, is roundoff: on a 41-state queue the W_1 ascent otherwise reached
 # W_1 = 1.9e-16 with I = 3.2e-32 and reported their ratio.
 ROUNDOFF_COSTS = 16
+ROUNDOFF_FLOOR = ROUNDOFF_COSTS * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -164,24 +165,24 @@ def _legendre_values(chain, u, lam, multistarts, iters, seed):
     f = np.ones((multistarts, chain.n))
     f[1:] = rng.dirichlet(np.ones(chain.n), size=multistarts - 1) / chain.mu
     f[1:] /= (f[1:] @ chain.mu)[:, None]
-    floor = 1e-13
-    step = np.full(multistarts, 0.5)
+    floor, step = 1e-13, np.full(multistarts, 0.5)
     val = _legendre_objective(chain, u, lam, f)
-    out, live = val.copy(), np.arange(multistarts)
+    out, live, lam_u = val.copy(), np.arange(multistarts), lam * u
     for _ in range(iters):
         sq = np.sqrt(np.maximum(f, floor))
-        grad = lam * u - _apply_neg_generator(chain, sq) / sq
+        grad = lam_u - _apply_neg_generator(chain, sq) / sq
         cand = project_density(chain.mu, f + step[:, None] * grad, floor)
         cand_val = _legendre_objective(chain, u, lam, cand)
         up = cand_val > val + 1e-15
-        f[up], val[up] = cand[up], cand_val[up]
+        f, val = np.where(up[:, None], cand, f), np.where(up, cand_val, val)
         step = np.where(up, np.minimum(step * 1.3, 1e3), step * 0.4)
-        out[live] = val
         keep = step >= 1e-12
-        if not keep.all():
+        if not all(keep.tolist()):
+            out[live] = val
             f, val, step, live = f[keep], val[keep], step[keep], live[keep]
             if not len(live):
                 break
+    out[live] = val
     return out
 
 
@@ -280,22 +281,20 @@ def _lambda_grid() -> np.ndarray:
     return np.logspace(-10, 6, 49, base=2.0)
 
 
-def _dual_ratios(chain, u, lams, solved):
-    """(Lambda(lam u_r) - lam mu(u_r)) / lam^2 for each row u_r of u, at each of
-    lams or, for a 2-D lams, at row r of lams.
+def _dual_ratios(chain, rows, lams, known):
+    """(Lambda(lam u_r) - lam mu(u_r)) / lam^2 for each row u_r, at each of lams
+    or, for a 2-D lams, at row r of lams.
 
-    ``solved`` maps a row's bytes to {lambda's bits: Lambda(lam u_r)}; the
-    pairs not in it yet, each once, go to one stacked eigensolve and are
-    added.  lam * u_r is a function of those bits alone, and a row's solve
-    does not depend on the stack it is in, so a stored Lambda is the one a
-    new solve would return.  Each row's mean is taken from the potential as
-    given, since a strided dot product rounds differently from a copy's.
+    ``rows`` is (u, means): the potentials as one array and each one's mean,
+    a column.  ``known[r]`` maps lambda's bits to Lambda(lam u_r); the pairs
+    not in it yet, each once, go to one stacked eigensolve and are added.
+    lam * u_r is a function of those bits alone, and a row's solve does not
+    depend on the stack it is in, so a stored Lambda is the one a new solve
+    would return.
     """
-    rows = np.array(u, dtype=float)
-    pots = lams[..., None] * rows[:, None, :]
-    mean = np.array([[chain.expectation(row)] for row in u])
-    bits = np.broadcast_to(lams.view(np.int64), pots.shape[:-1]).tolist()
-    known = [solved.setdefault(row.tobytes(), {}) for row in rows]
+    u, mean = rows
+    bits = lams.view(np.int64).tolist()
+    bits = bits if lams.ndim == 2 else [bits] * len(u)     # each row's lambdas
     todo = []
     for r, (seen, row_bits) in enumerate(zip(known, bits)):
         for k, b in enumerate(row_bits):
@@ -304,11 +303,11 @@ def _dual_ratios(chain, u, lams, solved):
                 todo.append((seen, b, r, k))
     if todo:
         dicts, keys, r, k = zip(*todo)
-        tops = -_lowest_eigenpairs(chain, pots[list(r), list(k)])[:, 0]
+        tops = -_lowest_eigenpairs(chain, (lams[..., None] * u[:, None, :])[r, k])[:, 0]
         for seen, b, top in zip(dicts, keys, tops.tolist()):
             seen[b] = top
-    top = np.array([[seen[b] for b in row_bits] for seen, row_bits in zip(known, bits)])
-    return (top - lams * mean) / (lams * lams)
+    top = [[seen[b] for b in row_bits] for seen, row_bits in zip(known, bits)]
+    return (np.array(top) - lams * mean) / (lams * lams)
 
 
 def _best_lambda(chain, u, extra=(), coarse=False, solved=None):
@@ -316,21 +315,26 @@ def _best_lambda(chain, u, extra=(), coarse=False, solved=None):
 
     u holds one potential per row (an array or a sequence of them); returns
     arrays of (ratio, lambda), from one stacked solve for all grids and one
-    per lockstep golden step.  ``solved`` is the search's store of
-    ``_dual_ratios`` (a new one by default), so a (row, lambda) pair that
-    it, or an earlier call of the same search, solved is not solved again.
-    An extra lambda below the grid's floor 2^-10 is not scored: there the
-    ratio divides the roundoff of Lambda by lambda^2 (at lambda = 1e-16 it
-    read 4e16 on a 41-state chain).
+    per lockstep golden step.  ``solved`` is the search's store of Lambda by
+    row bytes, then lambda bits (a new one by default): a pair that it holds
+    is not solved again.  The grid and every golden step reuse one row
+    state, built once: the rows, their entries in the store, and each mean,
+    taken from the potential as given (a strided dot product rounds
+    differently from a copy's).  An extra lambda below the grid's floor
+    2^-10 is not scored: there the ratio divides the roundoff of Lambda by
+    lambda^2 (at lambda = 1e-16 it read 4e16 on a 41-state chain).
     """
     solved = {} if solved is None else solved
+    rows = np.array(u, dtype=float)
+    known = [solved.setdefault(row.tobytes(), {}) for row in rows]
+    rows = rows, np.array([[chain.expectation(row)] for row in u])
     base = np.logspace(-10, 6, 17, base=2.0) if coarse else _lambda_grid()
     extra = np.asarray(list(extra), dtype=float)
     grid = np.concatenate([base, extra[extra >= base[0]]])
-    vals = _dual_ratios(chain, u, grid, solved)
+    vals = _dual_ratios(chain, rows, grid, known)
     k = np.argmax(vals, axis=-1)
-    peak, lam = np.take_along_axis(vals, k[:, None], -1)[:, 0], grid[k]
-    lam_best, best = _golden_max(lambda x: _dual_ratios(chain, u, x[:, None], solved)[:, 0],
+    peak, lam = vals[np.arange(len(k)), k], grid[k]
+    lam_best, best = _golden_max(lambda x: _dual_ratios(chain, rows, x[:, None], known)[:, 0],
                                  lam / 2.0, lam * 2.0, iters=12 if coarse else 40)
     return np.where(best > peak, best, peak), lam_best
 
@@ -372,12 +376,10 @@ def _ratios(chain, d, f, squared):
     infos = fisher_information_raw(chain, f)
     values, duals, potentials = _metric_transport_rows(d, 2 if squared else 1,
                                                        chain.mu * f, chain.mu)
-    floor = ROUNDOFF_COSTS * np.finfo(float).eps
-    cut = (math.sqrt(floor) if squared else floor) * d.diameter
-    ratios = []
-    for value, info in zip(values.tolist(), infos.tolist()):
-        dist = math.sqrt(max(value, 0.0)) if squared else value
-        ratios.append(0.0 if dist <= cut else math.inf if info <= 0 else dist * dist / (4.0 * info))
+    cut = (math.sqrt(ROUNDOFF_FLOOR) if squared else ROUNDOFF_FLOOR) * d.diameter
+    dists = [math.sqrt(max(v, 0.0)) for v in values.tolist()] if squared else values.tolist()
+    ratios = [0.0 if dist <= cut else math.inf if info <= 0 else dist * dist / (4.0 * info)
+              for dist, info in zip(dists, infos.tolist())]
     return np.array(ratios), infos, duals, potentials
 
 
@@ -411,7 +413,7 @@ def _primal_ascents(chain, d, f0, squared, iters=140, min_perturbation=0.0):
     f = np.array(f0, dtype=float).reshape(-1, chain.n)
     val, infos, duals, potentials = _ratios(chain, d, f, squared)
     out_val, out_f = val.copy(), f.copy()
-    live = np.flatnonzero(~np.isinf(val) & ~(infos <= 1e-300))
+    live = (~np.isinf(val) & ~(infos <= 1e-300)).nonzero()[0]
     if not len(live):
         return out_val, out_f
     root_inv_mu = np.sqrt(1.0 / chain.mu)
@@ -426,7 +428,7 @@ def _primal_ascents(chain, d, f0, squared, iters=140, min_perturbation=0.0):
     norm = norms(grad)
     keep = ~(norm < 1e-14)
     for _ in range(iters):
-        if not keep.all():
+        if not all(keep.tolist()):      # Python's all: one numpy call fewer per pass
             out_val[live], out_f[live] = val, f
             live, f, grad, val, step, norm = (a[keep] for a in (live, f, grad, val, step, norm))
             if not len(live):
@@ -435,7 +437,7 @@ def _primal_ascents(chain, d, f0, squared, iters=140, min_perturbation=0.0):
                                1e-13)
         if min_perturbation > 0.0:
             # a candidate the guard keeps from being scored gets a NaN value, which rejects it
-            scored = np.flatnonzero(~(np.abs(cand - 1.0).max(axis=-1) < min_perturbation))
+            scored = (~(np.abs(cand - 1.0).max(axis=-1) < min_perturbation)).nonzero()[0]
             cand_val, info = np.full((2, len(live)), np.nan)
             cand_val[scored], info[scored], duals, potentials = _ratios(chain, d, cand[scored],
                                                                         squared)
@@ -447,8 +449,8 @@ def _primal_ascents(chain, d, f0, squared, iters=140, min_perturbation=0.0):
         f, val = np.where(up[:, None], cand, f), np.where(up, cand_val, val)
         step = np.minimum(step * np.where(up, 1.4, 0.5), 50.0)
         grown = up & ~(inf | (info <= 1e-300))
-        if grown.any():
-            pos = np.flatnonzero(grown[scored])     # among the scored rows
+        if any(grown.tolist()):
+            pos = grown[scored].nonzero()[0]        # among the scored rows
             new = _gradients(chain, f[grown], squared, info[grown], duals[pos], potentials(pos))
             grad[grown], norm[grown] = new, norms(new)
         keep = np.where(up, grown & ~(norm < 1e-14), step >= 1e-8)

@@ -69,8 +69,11 @@ class CostMatrix:
 
     @staticmethod
     def from_metric(d: Metric, power: int = 1) -> "CostMatrix":
-        """d ** power, dense: a line metric builds its d here."""
-        return CostMatrix(c=_frozen(d.d ** power))      # the simplex rejects one that overflows
+        """d ** power, dense: d itself for power 1; an overflow stays inf, for the simplex."""
+        if power == 1:
+            return CostMatrix(c=d.d)
+        with np.errstate(over="ignore"):
+            return CostMatrix(c=_frozen(d.d ** power))
 
 
 @dataclass(frozen=True)
@@ -99,17 +102,14 @@ def _check_marginals(nu: np.ndarray, mu: np.ndarray,
                      shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Checked marginals, with roundoff-sized negatives set to 0.
 
-    nu may hold one marginal per row, each checked against mu.
+    nu may hold one marginal per row, each checked against mu; a NaN fails every clause.
     """
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if (nu < -1e-15).any() or (mu < -1e-15).any():
+    nu, mu = np.asarray(nu, dtype=float), np.asarray(mu, dtype=float)
+    if not (nu.min(initial=0.0) >= -1e-15 and mu.min(initial=0.0) >= -1e-15):
         raise InfeasibleMarginals("marginals must be nonnegative")
     mass = nu.sum(axis=-1)
-    if (abs(mass - mu.sum()) > MARGINAL_TOL).any():
-        raise InfeasibleMarginals(
-            f"marginal masses differ: {mass!r} vs {mu.sum()!r}"
-        )
+    if not (abs(mass - mu.sum()) <= MARGINAL_TOL).all():
+        raise InfeasibleMarginals(f"marginal masses differ: {mass!r} vs {mu.sum()!r}")
     if shape is not None and (nu.shape[-1], len(mu)) != tuple(shape):
         raise InfeasibleMarginals("marginal lengths do not match the cost shape")
     return np.maximum(nu, 0.0), np.maximum(mu, 0.0)
@@ -144,12 +144,14 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     """
     if not np.isfinite(c).all():
         raise ModelValidation("cost entries must be finite")
-    rows, cols = (nu > 0).nonzero()[0], (mu > 0).nonzero()[0]
-    if rows.size == 0 or cols.size == 0:
+    supply, demand = nu.tolist(), mu.tolist()
+    rows = [i for i, a in enumerate(supply) if a > 0]
+    cols = [j for j, b in enumerate(demand) if b > 0]
+    if not rows or not cols:
         return np.zeros(c.shape), np.zeros(c.shape[0])
-    full = (rows.size, cols.size) == c.shape
+    full = (len(rows), len(cols)) == c.shape
     cost = c if full else c[np.ix_(rows, cols)]
-    supply, demand = nu[rows].tolist(), mu[cols].tolist()
+    supply, demand = [supply[i] for i in rows], [demand[j] for j in cols]
     n, m = cost.shape
     parent, flow = [0] * (n + m), [0.0] * (n + m)
     # northwest corner; a and b are the unshipped masses of row i and column j
@@ -230,10 +232,9 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
                 break
             x, new_parent, new_flow = old_parent, x, old_flow
     pi = np.zeros(c.shape)
-    child = np.arange(1, n + m)
-    up = np.array(parent[1:])
-    is_row = child < n
-    pi[rows[np.where(is_row, child, up)], cols[np.where(is_row, up, child) - n]] = flow[1:]
+    for x in range(1, n + m):
+        i, j = (x, parent[x] - n) if x < n else (parent[x], x - n)
+        pi[rows[i], cols[j]] = flow[x]
     if full:      # the c-transform below would overwrite every entry
         return pi, pots[:n]
     u = (pots[None, n:] + c[:, cols]).min(axis=1)
@@ -259,9 +260,7 @@ def _exact_transport(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     value = float((pi * c).sum())
     dual_value, u, _ = _dual_value(c, nu, mu, u)
     if abs(value - dual_value) > DUALITY_GAP_TOL * max(1.0, abs(value)):
-        raise InfeasibleMarginals(
-            f"duality gap {abs(value - dual_value):.3e} exceeds tolerance"
-        )
+        raise InfeasibleMarginals(f"duality gap {abs(value - dual_value):.3e} exceeds tolerance")
     return pi, value, dual_value, u
 
 
@@ -271,8 +270,7 @@ def _dual_value(c, nu, mu, u):
     v = (u[:, None] - c).max(axis=0)
     u = (v[None, :] + c).min(axis=1)
     v = (u[:, None] - c).max(axis=0)
-    value = float(np.dot(u, nu) - np.dot(v, mu))
-    return value, u, v
+    return float(np.dot(u, nu) - np.dot(v, mu)), u, v
 
 
 def kantorovich_dual(c: CostMatrix, nu: np.ndarray, mu: np.ndarray):
@@ -325,10 +323,9 @@ def _metric_transport_rows(d: Metric, power: int, nu, mu):
         values = duals = dist * dist
         potential = lambda r: _staircase_potential(emb, nu[r], mu)
     else:
-        cost = d.d ** power
+        cost = CostMatrix.from_metric(d, power).c
         solves = [_exact_transport(cost, row, mu)[1:] for row in nu]
-        values = np.array([solve[0] for solve in solves])
-        duals = np.array([solve[1] for solve in solves])
+        values, duals = np.array([solve[:2] for solve in solves]).reshape(-1, 2).T
         potential = lambda r: solves[r][2]
 
     def potentials(rows):
@@ -352,11 +349,9 @@ def w2(d: Metric, nu: np.ndarray, mu: np.ndarray) -> float:
 def _staircase_potential(s: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> np.ndarray:
     n = len(s)
     cost = lambda i, j: (s[i] - s[j]) ** 2
-    u = np.zeros(n)
-    v = np.zeros(n)
+    u, v = np.zeros(n), np.zeros(n)
     i = j = 0
     a, b = nu[0], mu[0]
-    u[0] = 0.0
     v[0] = -cost(0, 0)
     # walk the monotone coupling support; equality u_i - v_j = c_ij on cells
     while i < n - 1 or j < n - 1:
@@ -394,6 +389,9 @@ def _w2_quantile(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
     scalar ``** 2`` (libm pow), since an array's x * x can differ from it
     in the last bit, and the cells are summed in order.
     """
+    span = float(grid[-1] - grid[0])
+    if not math.isfinite(span * span):
+        raise ModelValidation(f"grid span {span!r} is too large for W_2: its square overflows")
     cn = np.cumsum(nu)
     cm = np.cumsum(mu)
     q = _sorted_union(cn, cm)

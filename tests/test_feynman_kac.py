@@ -576,6 +576,47 @@ class TestSearchReuse:
             assert len(solved) < len(thetas) - len(solved)   # the reference's 80 steps
 
 
+class TestOneRowSearches:
+    """``best_w1i`` with one primal start, as bench ``small-space`` runs it: the
+    start's ascent runs as one row, then each round's as one row per improving
+    candidate.  The search equals the reference search, whose lambda searches
+    run one candidate at a time, and each of its ascents equals the sequential
+    ascent."""
+
+    @staticmethod
+    def _small_space_input():
+        # the fourth chain criterion 8 draws, with bench small-space's search seed 903
+        rng = np.random.default_rng(808)
+        for _ in range(4):
+            ch = random_reversible_chain(4, rng)
+            pts = rng.uniform(0.0, 2.0, size=(4, 2))
+        return ch, MetricMatrix.validate(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2))
+
+    @pytest.mark.parametrize("which", ["small-space", "planar"])
+    def test_equals_the_sequential_oracle(self, which, monkeypatch):
+        ch, d = self._small_space_input() if which == "small-space" else planar_chain()
+        seed = 903 if which == "small-space" else 900
+        calls, solves = [], []
+        ascents, simplex = feynman_kac._primal_ascents, transport._network_simplex
+        monkeypatch.setattr(feynman_kac, "_primal_ascents",
+                            lambda chain, d, f0, squared, **kw:
+                            calls.append((f0, squared, kw)) or ascents(chain, d, f0, squared, **kw))
+        monkeypatch.setattr(transport, "_network_simplex",
+                            lambda *args: solves.append(1) or simplex(*args))
+        stacks = _record_solves(monkeypatch, 2)
+        rep = best_w1i(ch, d, primal_starts=1, seed=seed)
+        monkeypatch.undo()
+        _assert_same_report(rep, reference_best_w1i(ch, d, primal_starts=1, seed=seed))
+        assert len(calls) >= 2 and len(calls[0][0]) == 1
+        for f0, squared, kw in calls:
+            _assert_rows_match_one_start_at_a_time(ch, d, f0, squared, **kw)
+        if which == "small-space":
+            # read at the commit before the one-row trims
+            assert (rep.c_dual.hex(), rep.c_primal.hex()) == \
+                ("0x1.d9799e7863535p-3", "0x1.d9799e786350dp-3")
+            assert (len(solves), len(stacks)) == (290, 1293)
+
+
 def _assert_rows_match_one_start_at_a_time(ch, d, starts, squared, iters=140,
                                            min_perturbation=0.0):
     """Each lockstep row's (value hex, density bytes) equals the sequential ascent's;

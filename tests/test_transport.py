@@ -192,6 +192,41 @@ class TestMetricTransport:
         assert len(calls) == 2
 
 
+_POINTS3 = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+_PLANE3 = MetricMatrix.validate(np.linalg.norm(_POINTS3[:, None] - _POINTS3[None], axis=2))
+_LINE3 = line_metric(np.array([0.0, 1.0, 2.0]))
+_THIRDS, _NAN = np.full(3, 1.0 / 3.0), np.array([np.nan, 0.5, 0.5])
+_ROWS = {"rows-plane": lambda nu, mu: transport._metric_transport_rows(_PLANE3, 1, nu, mu),
+         "rows-line-w1": lambda nu, mu: transport._metric_transport_rows(_LINE3, 1, nu, mu),
+         "rows-line-w2": lambda nu, mu: transport._metric_transport_rows(_LINE3, 2, nu, mu)}
+_ONE = {"w1-line": lambda nu, mu: w1(_LINE3, nu, mu),
+        "w2-line": lambda nu, mu: w2(_LINE3, nu, mu),
+        "w1-plane": lambda nu, mu: w1(_PLANE3, nu, mu),
+        "ot_cost": lambda nu, mu: ot_cost(CostMatrix.from_metric(_PLANE3), nu, mu),
+        "kantorovich_dual": lambda nu, mu: kantorovich_dual(CostMatrix.from_metric(_PLANE3), nu, mu),
+        **{name: lambda nu, mu, rows=rows: rows(np.atleast_2d(nu), mu)
+           for name, rows in _ROWS.items()}}
+
+
+class TestNanMarginals:
+    """A NaN marginal entry fails the marginal check on every route.  Every
+    comparison with NaN is false, so checks stated as "reject if below" let it
+    through: w2 on the line returned 0.0, w1 on the plane and ot_cost 0.41667
+    (the simplex dropped the NaN row), and w1 on the line nan."""
+
+    @pytest.mark.parametrize("name", list(_ONE))
+    @pytest.mark.parametrize("where", ["nu", "mu"])
+    def test_rejected(self, name, where):
+        nu, mu = (_NAN, _THIRDS) if where == "nu" else (_THIRDS, _NAN)
+        with pytest.raises(InfeasibleMarginals):
+            _ONE[name](nu, mu)
+
+    @pytest.mark.parametrize("name", list(_ROWS))
+    def test_rejected_in_the_second_row_only(self, name):
+        with pytest.raises(InfeasibleMarginals):
+            _ROWS[name](np.array([_THIRDS, _NAN]), _THIRDS)
+
+
 class TestSimplexAgainstLinprog:
     @given(transport_instances())
     def test_vertex_potentials_and_gap(self, instance):
@@ -347,6 +382,20 @@ class TestOtCost:
         assert res.stdout.splitlines() == [
             "cost entries must be finite",
             "cost entries too large: the tree's potentials overflow"], res.stderr
+
+    def test_overflowing_squared_costs_fail_by_name_on_every_route(self):
+        # under this repository's error::RuntimeWarning filter: the dense d ** 2
+        # raised RuntimeWarning, and line W2 returned inf with NaN potentials
+        far = line_metric(np.array([-1e200, 0.0, 1e200]))
+        dense = MetricMatrix.validate(far.d)
+        nu, mu = np.array([0.5, 0.0, 0.5]), np.array([0.2, 0.3, 0.5])
+        for call, reason in ((lambda: ot_cost(CostMatrix.from_metric(far, 2), nu, mu), "finite"),
+                             (lambda: _metric_transport(dense, 2, nu, mu), "finite"),
+                             (lambda: w2(far, nu, mu), "square overflows"),
+                             (lambda: _metric_transport(far, 2, nu, mu), "square overflows")):
+            with pytest.raises(ModelValidation, match=reason):
+                call()
+        assert dense.line_embedding is None and far.line_embedding is not None
 
     def test_monotone_in_cost(self, rng):
         nu = rng.dirichlet(np.ones(4))
