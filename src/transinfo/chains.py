@@ -25,8 +25,9 @@ exit rates from the dense row sums, and birth-death rates through
 ``_birth_death_chain`` without any n x n array.  Its pair scan builds
 -L^sigma once, as the edge list (i, j, w_ij) with symmetric conductances
 w_ij, over which the Dirichlet forms and ``_apply_neg_generator`` are
-O(n + |E|) sums, and, for birth-death chains (edges exactly (k, k+1)),
-as the tridiagonal band of the conjugated operator.  The read-only dense
+O(n + |E|) sums (on a band chain by slices, with the bits of the general
+bincounts), and, for birth-death chains (edges exactly (k, k+1)), as the
+tridiagonal band of the conjugated operator.  The read-only dense
 ``conjugated_neg_generator``, which carries dense eigensolves and the
 Poisson solve of other chains, is cached on first use.  The eigen entry
 point ``_lowest_eigenpairs`` solves band chains by LAPACK's tridiagonal
@@ -60,7 +61,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -165,8 +166,7 @@ class Density:
             raise ModelValidation(f"density mass {float(total[k])!r} differs from 1 beyond "
                                   "renormalization tolerance")
         rows /= total[:, None]
-        f.setflags(write=False)
-        return Density(f=f)
+        return Density(f=_frozen(f))
 
 
 # Entries per block of the metrics' min and max sweeps.
@@ -330,8 +330,7 @@ def solve_invariant_measure(Q: np.ndarray) -> np.ndarray:
     A = np.vstack([Q.T, np.ones((1, n))])
     b = np.zeros(n + 1)
     b[-1] = 1.0
-    mu, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return mu
+    return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
 def build_chain(rates: np.ndarray, mu: np.ndarray | None = None, states=None) -> ReversibleChain:
@@ -423,12 +422,9 @@ def _validated_chain(rates, exit_rates: np.ndarray, mu, states) -> ReversibleCha
         raise DetailedBalanceViolated(pair=tuple(int(x) for x in divmod(int(pairs[worst]), n)),
                                       residual=float(rel[worst]))
 
-    if states is None:
-        states = tuple(str(i) for i in range(n))
-    else:
-        states = tuple(states)
-        if len(states) != n:
-            raise ModelValidation("states list has wrong length")
+    states = tuple(str(i) for i in range(n)) if states is None else tuple(states)
+    if len(states) != n:
+        raise ModelValidation("states list has wrong length")
     pair_flow = forward + backward
     carried = pair_flow != 0                    # pairs whose flows sum to 0 carry no edge
     i, j = np.divmod(pairs[carried], n)
@@ -472,13 +468,15 @@ def chain_from_json(obj: dict | str) -> ReversibleChain:
 # ---------------------------------------------------------------------------
 
 def dirichlet_energy(chain: ReversibleChain, g: np.ndarray):
-    """E(g, g) = 1/2 sum_{x != y} mu_x q(x,y) (g_y - g_x)^2, summed over edges."""
+    """E(g, g) = 1/2 sum_{x != y} mu_x q(x,y) (g_y - g_x)^2, over edges; a band's by slices."""
     g = np.asarray(g, dtype=float)
     if not (g.ndim == 2 and g.shape[1] == chain.n):
         g = _state_vector(chain, g)
     if not np.isfinite(g).all():
         raise ValueError("g must be finite")
     i, j, w = chain.edges
+    if chain.band is not None:
+        i, j = slice(None, -1), slice(1, None)      # the edges (k, k+1), as views
     diff = g[j] - g[i] if g.ndim == 1 else g[:, j] - g[:, i]
     return dots(w, diff * diff)
 
@@ -524,17 +522,22 @@ def spectral_gap(chain: ReversibleChain) -> tuple[float, float]:
     Returns (gap, c_P) with c_P = 1/gap.  The eigenproblem is solved
     on the symmetric conjugated matrix; afterwards the Poincare
     inequality Var_mu(g) <= c_P E(g,g) is spot-checked on 100 random g
-    (seed 7, drawn as the rows of one block) within 1e-9 slack as a guard
-    against a mis-sorted spectrum.
+    (seed 7, drawn as the rows of one block, kept for the last n) within
+    1e-9 slack as a guard against a mis-sorted spectrum.
     """
     gap = float(_lowest_eigenpairs(chain, count=2)[1])
     if gap <= 0:
         raise NotIrreducible("nonpositive spectral gap; chain is not irreducible")
-    c_p = 1.0 / gap
-    g = np.random.default_rng(7).standard_normal((100, chain.n))
+    c_p, g = 1.0 / gap, _poincare_probe(chain.n)
     if np.any(chain.variance(g) > c_p * dirichlet_energy(chain, g) + 1e-9):
         raise SingularSystem("Poincare certificate failed; eigensolve inconsistent")
     return gap, c_p
+
+
+@lru_cache(maxsize=1)
+def _poincare_probe(n: int) -> np.ndarray:
+    """``spectral_gap``'s 100 seed-7 draws of g on n states, kept for the last n; read-only."""
+    return _frozen(np.random.default_rng(7).standard_normal((100, n)))
 
 
 def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
@@ -562,8 +565,13 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
         # LAPACK's bisection need not terminate on NaN, so check first
         if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise ValueError("array must not contain infs or NaNs")
-        if diag.ndim == 2:
-            return np.array([_band_eigenpairs(row, off, count, False) for row in diag])
+        if diag.ndim == 2:     # one module lookup and one output array per stack
+            dstebz, out = _scipy_extension("linalg._flapack").dstebz, np.empty((len(diag), count))
+            for r, row in enumerate(diag):
+                m, w, _, _, info = dstebz(row, off, 2, 0.0, 1.0, 1, count, 0.0, "E")
+                _check_lapack_info(info, "dstebz")
+                out[r] = w[:m]
+            return out
         return _band_eigenpairs(diag, off, count, vectors)
     A = chain.conjugated_neg_generator
     if u is not None and u.ndim == 2:
@@ -673,8 +681,15 @@ def _check_lapack_info(info: int, routine: str) -> None:
 def _apply_neg_generator(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
     """-L^sigma g = -Q_xx g_x - (1/mu_x) sum_y w_xy g_y over edges, along g's last axis.
 
-    Each row has its own block of bincount bins, so it equals the 1-D result."""
+    A band chain's edges are (k, k+1), so its sums are two slice additions
+    onto zeros, which round as the bincounts do.  Any other chain gives each
+    row its own block of bincount bins, so a row equals the 1-D result."""
     i, j, w = chain.edges
+    if chain.band is not None:
+        flux = np.zeros(g.shape)
+        flux[..., :-1] += w * g[..., 1:]
+        flux[..., 1:] += w * g[..., :-1]
+        return chain.exit_rates * g - flux / chain.mu
     bins = np.arange(0, g.size, chain.n)[:, None]
     flux = (np.bincount((bins + i).ravel(), weights=(w * g[..., j]).ravel(), minlength=g.size)
             + np.bincount((bins + j).ravel(), weights=(w * g[..., i]).ravel(), minlength=g.size))
@@ -696,8 +711,7 @@ def poisson_solve(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
     if chain.band is not None:
         h = _flux_poisson(chain, g)
     else:
-        n = chain.n
-        s = np.sqrt(chain.mu)
+        n, s = chain.n, np.sqrt(chain.mu)
         A = np.zeros((n + 1, n + 1))
         A[:n, :n] = chain.conjugated_neg_generator
         A[:n, n] = A[n, :n] = s
@@ -738,13 +752,12 @@ def lipschitz_norm(d: Metric, g: np.ndarray) -> float:
     takes O(n) from ``d.adjacent_gaps()``, the superdiagonal of d.
     """
     g = np.asarray(g, dtype=float)
-    n = len(g)
-    if n < 2:
+    if len(g) < 2:
         return 0.0
     if d.line_embedding is not None:
         return _line_lipschitz(d.adjacent_gaps(), g)
     diff = np.abs(g[:, None] - g[None, :])
-    off = ~np.eye(n, dtype=bool)
+    off = ~np.eye(len(g), dtype=bool)
     return float(np.max(diff[off] / d.d[off]))
 
 
@@ -765,13 +778,9 @@ def product_chain(chains: list[ReversibleChain]) -> ReversibleChain:
     Product states are indexed row-major: x = (x_1, ..., x_k) maps to
     x_1 * n_2 ... n_k + ... + x_k.
     """
-    Q = np.zeros((1, 1))
-    mu = np.ones(1)
-    states = [""]
+    Q, mu, states = np.zeros((1, 1)), np.ones(1), [""]
     for c in chains:
         Q = np.kron(Q, np.eye(c.n)) + np.kron(np.eye(Q.shape[0]), c.Q)
         mu = np.kron(mu, c.mu)
         states = [f"{a},{b}" if a else str(b) for a in states for b in c.states]
-    rates = Q.copy()
-    np.fill_diagonal(rates, 0.0)
-    return build_chain(rates, mu=mu, states=states)
+    return build_chain(Q, mu=mu, states=states)     # which zeroes the diagonal first

@@ -24,8 +24,10 @@ scheme stays second-order consistent with a d^2 + b d at interior nodes.
 Every integral over the interval runs on panels, evaluated on whole
 arrays: the callables a and b are probed once for an array call (see
 ``DiffusionSpec1D``), and QUADPACK's first 21-point Gauss-Kronrod step
-runs on all panels at once, with the adaptive ``_quad`` for any panel
-that step does not settle.
+runs on all panels at once, its points as rows and the panels as
+columns, with the adaptive ``_quad`` for any panel that step does not
+settle.  A spec keeps per grid its speed weights, ``c_rho``'s panel
+weights and ``discretize``'s rates (see ``_per_grid``).
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ class DiffusionSpec1D:
     """Interval, diffusion coefficient a > 0, drift b, interior reference point.
 
     a and b must be pure functions: the array forms are chosen from their
-    values on probe points, and the spec keeps the speed weights and panel
-    weights of the last grid it saw (see ``_per_grid``), both of which
-    assume that a call returns the same float whenever it is made.
+    values on probe points, and the spec keeps the speed weights, panel
+    weights and rates of the last grid it saw (see ``_per_grid``), all of
+    which assume that a call returns the same float whenever it is made.
     """
 
     x0: float
@@ -136,10 +138,12 @@ class Grid1D:
         nodes = np.asarray(nodes, dtype=float).copy()
         if len(nodes) < 16:
             raise ModelValidation("grid needs at least 16 nodes")
+        bad = np.flatnonzero(~np.isfinite(nodes))
+        if len(bad):
+            raise ModelValidation(f"grid nodes must be finite: node {bad[0]} is {nodes[bad[0]]}")
         if np.any(np.diff(nodes) <= 0):
             raise ModelValidation("grid nodes must be strictly increasing")
-        nodes.setflags(write=False)
-        return Grid1D(nodes=nodes)
+        return Grid1D(nodes=_frozen(nodes))
 
 
 def _quad(fn, lo, hi):
@@ -170,34 +174,34 @@ _EPMACH, _UFLOW = np.finfo(float).eps, np.finfo(float).tiny
 def _panel_quad(fn, lo, hi) -> np.ndarray:
     """int_{lo_k}^{hi_k} fn(z, lo_k) dz for every panel k, elementwise in lo, hi.
 
-    fn maps an array of points and the matching panel left ends.  Every
-    panel gets QUADPACK's qk21 step with its error estimate, summed in
-    dqk21's order, and keeps that value exactly where qagse (the adaptive
-    routine behind ``_quad``) would stop after its first step:
-    abserr <= max(QUAD_TOL, QUAD_TOL |value|), and abserr != resasc or
-    abserr = 0.  Every other panel, non-finite ones included, goes through
-    ``_quad`` with its checks.
+    fn maps a (21, panels) array of points, one row per Kronrod point, and
+    the panels' left ends as one (1, panels) row, so that every term of the
+    sums is a contiguous row.  Every panel gets QUADPACK's qk21 step with
+    its error estimate, summed in dqk21's order, and keeps that value
+    exactly where qagse (the adaptive routine behind ``_quad``) would stop
+    after its first step: abserr <= max(QUAD_TOL, QUAD_TOL |value|), and
+    abserr != resasc or abserr = 0.  Every other panel, non-finite ones
+    included, goes through ``_quad`` with its checks.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
     centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    absc = hlgth[:, None] * _XGK
+    absc = _XGK[:, None] * hlgth
     with np.errstate(all="ignore"):
-        f = fn(np.hstack([centr[:, None] - absc, centr[:, None] + absc, centr[:, None]]),
-               lo[:, None])
-        fv1, fv2, fc = f[:, :10], f[:, 10:20], f[:, 20]
+        f = fn(np.concatenate([centr - absc, centr + absc, centr[None]]), lo[None])
+        fv1, fv2, fc = f[:10], f[10:20], f[20]
         resg, resk = 0.0, _WGK[10] * fc
         resabs = np.abs(resk)
         for j in (*range(1, 10, 2), *range(0, 10, 2)):
-            fsum = fv1[:, j] + fv2[:, j]
+            fsum = fv1[j] + fv2[j]
             if j % 2:
                 resg = resg + _WG[j // 2] * fsum
             resk = resk + _WGK[j] * fsum
-            resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+            resabs = resabs + _WGK[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
         reskh = resk * 0.5
         resasc = _WGK[10] * np.abs(fc - reskh)
         for j in range(10):
-            resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+            resasc = resasc + _WGK[j] * (np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh))
         result = resk * hlgth
         resabs, resasc = resabs * np.abs(hlgth), resasc * np.abs(hlgth)
         abserr = np.abs((resk - resg) * hlgth)
@@ -436,10 +440,9 @@ def c_rho(spec: DiffusionSpec1D, rho: Warp, grid: Grid1D, corrected: bool = True
     total of (rho - mu(rho)) m' vanishes by the definition of mu(rho),
     which lets the left half use the mirrored left-tail integral.
     """
-    nodes = grid.nodes
-    n = len(nodes)
+    nodes, n = grid.nodes, len(grid.nodes)
     rho_slopes = _broadcast(rho.slope, nodes)
-    if np.any(rho_slopes <= 0):
+    if not np.all(rho_slopes > 0):      # a NaN slope fails too
         raise ModelValidation("warp slope must be positive on the grid")
     B = _speed_weights(spec, nodes)[0]
 
@@ -453,20 +456,17 @@ def c_rho(spec: DiffusionSpec1D, rho: Warp, grid: Grid1D, corrected: bool = True
     centered_p = moment_p - mu_rho * mass_p   # anchored at the panel's left node
 
     # right-tail recurrence T_i = P_i + e^{B_{i+1}-B_i} T_{i+1} (stable
-    # where B decreases rightward) and the mirrored left-tail form
-    T = np.zeros(n)
+    # where B decreases rightward) and the mirrored left-tail form, on
+    # Python floats, which round as numpy's scalars do
+    Bs, P, T, S = B.tolist(), centered_p.tolist(), [0.0] * n, [0.0] * n
     for i in range(n - 2, -1, -1):
-        T[i] = centered_p[i] + math.exp(min(B[i + 1] - B[i], 700.0)) * T[i + 1]
-    S = np.zeros(n)
+        T[i] = P[i] + math.exp(min(Bs[i + 1] - Bs[i], 700.0)) * T[i + 1]
     for i in range(1, n):
-        S[i] = math.exp(min(B[i - 1] - B[i], 700.0)) * (S[i - 1] - centered_p[i - 1])
+        S[i] = math.exp(min(Bs[i - 1] - Bs[i], 700.0)) * (S[i - 1] - P[i - 1])
     i_mode = int(np.argmax(B))
-    tails_scaled = np.where(np.arange(n) >= i_mode, T, S)   # = s'(x_i) * tail_i
+    tails_scaled = np.array(S[:i_mode] + T[i_mode:])   # = s'(x_i) * tail_i
 
-    if corrected:
-        vals = tails_scaled / rho_slopes
-    else:
-        vals = np.exp(B) * tails_scaled / rho_slopes
+    vals = tails_scaled / rho_slopes if corrected else np.exp(B) * tails_scaled / rho_slopes
     if not np.all(np.isfinite(vals)):
         raise DivergenceDetected("C(rho) integrand overflowed")
     return float(np.max(vals))
@@ -475,6 +475,16 @@ def c_rho(spec: DiffusionSpec1D, rho: Warp, grid: Grid1D, corrected: bool = True
 # ---------------------------------------------------------------------------
 # Discretization
 # ---------------------------------------------------------------------------
+
+@_per_grid
+def _rates(spec: DiffusionSpec1D, nodes: np.ndarray):
+    """(up, down, mu) of ``discretize``'s chain, with 1/s' at the cell midpoints."""
+    h = np.diff(nodes)
+    B, _, w = _speed_weights(spec, nodes)
+    conduct = np.exp(B[:-1] + _panel_quad(_drift_ratio(spec), nodes[:-1],
+                                          0.5 * (nodes[:-1] + nodes[1:])))
+    return conduct / (w[:-1] * h), conduct / (w[1:] * h), w / w.sum()
+
 
 def discretize(spec: DiffusionSpec1D, grid: Grid1D) -> ReversibleChain:
     """Birth-death chain consistent with a g'' + b g' and reversible for mu_grid.
@@ -485,17 +495,10 @@ def discretize(spec: DiffusionSpec1D, grid: Grid1D) -> ReversibleChain:
     Detailed balance for the cell weights holds exactly by symmetry of
     the edge conductances.
     """
-    nodes = grid.nodes
-    h = np.diff(nodes)
-    B, _, w = _speed_weights(spec, nodes)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    # 1/s' at midpoints
-    conduct = np.exp(B[:-1] + _panel_quad(_drift_ratio(spec), nodes[:-1], mids))
-
-    up, down = conduct / (w[:-1] * h), conduct / (w[1:] * h)
+    up, down, mu = _rates(spec, grid.nodes)
     if not np.all(np.isfinite(up) & np.isfinite(down) & (up >= 0) & (down >= 0)):
         raise StepTooCoarse("non-finite or nonpositive rates on the grid")
-    return _birth_death_chain(up, down, mu=w / w.sum(), states=[f"{x:.12g}" for x in nodes])
+    return _birth_death_chain(up, down, mu=mu, states=[f"{x:.12g}" for x in grid.nodes.tolist()])
 
 
 def lip_poisson_ratio(spec: DiffusionSpec1D, grid: Grid1D, rho: Warp,
@@ -504,7 +507,8 @@ def lip_poisson_ratio(spec: DiffusionSpec1D, grid: Grid1D, rho: Warp,
 
     Solves the discretized Poisson equation for sampled 1-Lipschitz(rho)
     right-hand sides plus the extremal witness g = rho - mu(rho); the
-    result is the sharp lower oracle for the corrected C(rho).
+    result is the sharp lower oracle for the corrected C(rho).  Its chain
+    is ``discretize``'s, from the rates the spec keeps per grid.
     """
     chain = discretize(spec, grid)
     nodes = grid.nodes
@@ -565,6 +569,5 @@ def dissipativity_margin(sigma_fn, b_fn, pairs: np.ndarray) -> float:
         ds = np.atleast_2d(np.asarray(sigma_fn(y), dtype=float) -
                            np.asarray(sigma_fn(x), dtype=float))
         db = np.asarray(b_fn(y), dtype=float) - np.asarray(b_fn(x), dtype=float)
-        val = -(float(np.sum(ds * ds)) + float(np.dot(dx, db))) / norm2
-        worst = min(worst, val)
+        worst = min(worst, -(float(np.sum(ds * ds)) + float(np.dot(dx, db))) / norm2)
     return worst

@@ -467,11 +467,7 @@ def _low_eigen_directions(chain, count):
     """
     count = min(count, chain.n - 1)
     _, V = _lowest_eigenpairs(chain, count=count + 1, vectors=True)
-    out = []
-    for k in range(1, count + 1):
-        g = V[:, k] / np.sqrt(chain.mu)
-        out.append(g / max(float(np.max(np.abs(g))), 1e-300))
-    return out
+    return [g / max(float(np.max(np.abs(g))), 1e-300) for g in V[:, 1:].T / np.sqrt(chain.mu)]
 
 
 def _primal_starts(chain, rng, count):
@@ -690,12 +686,10 @@ def w2i_dual_check(chain: ReversibleChain, d: Metric, c: float,
     """Check Lambda(Qv / (4 c^2)) <= mu(v) / (4 c^2) over sampled v."""
     if c <= 0:
         raise ValueError("c must be positive")
-    rows = []
-    worst = math.inf
+    rows, worst = [], math.inf
     for idx, v in enumerate(v_samples):
         v = np.asarray(v, dtype=float)
-        q = d.inf_convolution(v, 2)
-        lhs = lambda_max(chain, q / (4.0 * c * c))
+        lhs = lambda_max(chain, d.inf_convolution(v, 2) / (4.0 * c * c))
         rhs = chain.expectation(v) / (4.0 * c * c)
         slack = rhs - lhs
         worst = min(worst, slack)

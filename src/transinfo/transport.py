@@ -64,8 +64,7 @@ class CostMatrix:
             aligned = square
         if aligned and square and np.any(np.abs(np.diag(c)) > 1e-15):
             raise ModelValidation("aligned square cost must vanish on the diagonal")
-        c.setflags(write=False)
-        return CostMatrix(c=c)
+        return CostMatrix(c=_frozen(c))
 
     @staticmethod
     def from_metric(d: Metric, power: int = 1) -> "CostMatrix":
@@ -182,55 +181,56 @@ def _network_simplex(c: np.ndarray, nu: np.ndarray, mu: np.ndarray):
     pot, depth = [0.0] * (n + m), [0] * (n + m)
     stale = list(kids[0])                   # roots of the subtrees to re-derive
     item = cost.item
-    while True:
-        for x in stale:                     # grows as it goes: top-down
-            p = parent[x]
-            pot[x] = pot[p] + item(x, p - n) if x < n else pot[p] - item(p, x - n)
-            depth[x] = depth[p] + 1
-            stale.extend(kids[x])
-        pots = np.array(pot)
-        reduced = cost - pots[:n, None]
-        reduced += pots[None, n:]
-        enter = int(reduced.argmin())
-        price = reduced.item(enter)         # NaN if any reduced cost is NaN
-        if price >= -tol:
-            break
-        if math.isnan(price):
-            raise ModelValidation("cost entries too large: the tree's potentials overflow")
-        k, l = divmod(enter, m)
-        # pivot cycle: entering arc k -> n+l, then the tree paths up to the apex
-        side_k, side_l = [], []
-        x, y = k, n + l
-        while x != y:
-            if depth[x] >= depth[y]:
-                side_k.append(x)
-                x = parent[x]
-            else:
-                side_l.append(y)
-                y = parent[y]
-        # flow falls on row arcs of the k side and column arcs of the l side;
-        # walked from the apex, the k side comes first
-        blocking = [x for x in reversed(side_k) if x < n] + [y for y in side_l if y >= n]
-        theta, leave = math.inf, -1
-        for x in blocking:
-            if flow[x] <= theta:
-                theta, leave = flow[x], x
-        for x in side_k:
-            flow[x] += theta if x >= n else -theta
-        for y in side_l:
-            flow[y] += theta if y < n else -theta
-        # re-hang the cut-off subtree from the entering arc, reversing the
-        # parent pointers on the path from its endpoint up to the leaving arc
-        x, new_parent = (k, n + l) if leave in side_k else (n + l, k)
-        stale, new_flow = [x], theta
+    with np.errstate(over="ignore", invalid="ignore"):   # the NaN check below names overflows
         while True:
-            old_parent, old_flow = parent[x], flow[x]
-            kids[old_parent].remove(x)
-            kids[new_parent].append(x)
-            parent[x], flow[x] = new_parent, new_flow
-            if x == leave:
+            for x in stale:                     # grows as it goes: top-down
+                p = parent[x]
+                pot[x] = pot[p] + item(x, p - n) if x < n else pot[p] - item(p, x - n)
+                depth[x] = depth[p] + 1
+                stale.extend(kids[x])
+            pots = np.array(pot)
+            reduced = cost - pots[:n, None]
+            reduced += pots[None, n:]
+            enter = int(reduced.argmin())
+            price = reduced.item(enter)         # NaN if any reduced cost is NaN
+            if price >= -tol:
                 break
-            x, new_parent, new_flow = old_parent, x, old_flow
+            if math.isnan(price):
+                raise ModelValidation("cost entries too large: the tree's potentials overflow")
+            k, l = divmod(enter, m)
+            # pivot cycle: entering arc k -> n+l, then the tree paths up to the apex
+            side_k, side_l = [], []
+            x, y = k, n + l
+            while x != y:
+                if depth[x] >= depth[y]:
+                    side_k.append(x)
+                    x = parent[x]
+                else:
+                    side_l.append(y)
+                    y = parent[y]
+            # flow falls on row arcs of the k side and column arcs of the l side;
+            # walked from the apex, the k side comes first
+            blocking = [x for x in reversed(side_k) if x < n] + [y for y in side_l if y >= n]
+            theta, leave = math.inf, -1
+            for x in blocking:
+                if flow[x] <= theta:
+                    theta, leave = flow[x], x
+            for x in side_k:
+                flow[x] += theta if x >= n else -theta
+            for y in side_l:
+                flow[y] += theta if y < n else -theta
+            # re-hang the cut-off subtree from the entering arc, reversing the
+            # parent pointers on the path from its endpoint up to the leaving arc
+            x, new_parent = (k, n + l) if leave in side_k else (n + l, k)
+            stale, new_flow = [x], theta
+            while True:
+                old_parent, old_flow = parent[x], flow[x]
+                kids[old_parent].remove(x)
+                kids[new_parent].append(x)
+                parent[x], flow[x] = new_parent, new_flow
+                if x == leave:
+                    break
+                x, new_parent, new_flow = old_parent, x, old_flow
     pi = np.zeros(c.shape)
     for x in range(1, n + m):
         i, j = (x, parent[x] - n) if x < n else (parent[x], x - n)
@@ -314,9 +314,10 @@ def _metric_transport_rows(d: Metric, power: int, nu, mu):
         values = (np.abs(gap) * steps).sum(axis=-1)
 
         def potentials(rows):
-            # <u, nu-mu> = -sum_k (u_{k+1}-u_k) cum_k by Abel summation
-            rise = np.cumsum(-np.sign(gap[rows]) * steps, axis=-1)
-            return np.concatenate([np.zeros((len(rise), 1)), rise], axis=-1)
+            # <u, nu-mu> = -sum_k (u_{k+1}-u_k) cum_k by Abel summation; u_0 = 0
+            u = np.zeros((len(rows), len(mu)))
+            np.cumsum(-np.sign(gap[rows]) * steps, axis=-1, out=u[:, 1:])
+            return u
         return values, values, potentials
     if emb is not None and power == 2:
         dist = np.array([_w2_quantile(emb, row, mu) for row in nu])
@@ -392,8 +393,7 @@ def _w2_quantile(grid: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> float:
     span = float(grid[-1] - grid[0])
     if not math.isfinite(span * span):
         raise ModelValidation(f"grid span {span!r} is too large for W_2: its square overflows")
-    cn = np.cumsum(nu)
-    cm = np.cumsum(mu)
+    cn, cm = np.cumsum(nu), np.cumsum(mu)
     q = _sorted_union(cn, cm)
     q = q[(q > 0.0) & (q <= min(cn[-1], cm[-1]) + 1e-15)]
     prev = np.concatenate([[0.0], q[:-1]])
@@ -428,8 +428,7 @@ def tensor_cost(costs: list[CostMatrix]) -> CostMatrix:
     out = np.zeros(sizes + sizes)
     for i, c in enumerate(costs):
         shape = [1] * (2 * k)
-        shape[i] = sizes[i]
-        shape[k + i] = sizes[i]
+        shape[i] = shape[k + i] = sizes[i]
         out = out + c.c.reshape(shape)
     return CostMatrix.validate(out.reshape(total, total))
 
@@ -579,12 +578,8 @@ def alpha_infconv(alphas: list[RateFunction], r: float) -> float:
     rng = np.random.default_rng(11)
     best = math.inf
     for start in range(16):
-        if start == 0:
-            split = np.full(n, r / n)
-        else:
-            w = rng.dirichlet(np.ones(n))
-            split = r * w
-        split = _pairwise_descent(alphas, split, r)
+        split = _pairwise_descent(alphas, np.full(n, r / n) if start == 0
+                                  else r * rng.dirichlet(np.ones(n)), r)
         val = sum(a(x) for a, x in zip(alphas, split))
         best = min(best, val)
     return float(best)
@@ -607,9 +602,8 @@ def _pairwise_descent(alphas, split, r):
                 xs = np.linspace(0.0, mass, 33)
                 vals = [pair_obj(x) for x in xs]
                 k = int(np.argmin(vals))
-                lo = xs[max(0, k - 1)]
-                hi = xs[min(len(xs) - 1, k + 1)]
-                x_best, _ = _golden_max(lambda x: -pair_obj(x), lo, hi, iters=80)
+                x_best, _ = _golden_max(lambda x: -pair_obj(x), xs[max(0, k - 1)],
+                                        xs[min(len(xs) - 1, k + 1)], iters=80)
                 if pair_obj(x_best) <= min(vals):
                     moved += abs(split[i] - x_best)
                     split[i] = x_best
@@ -648,8 +642,7 @@ def tensor_subadditivity_check(costs: list[CostMatrix], nu_joint: np.ndarray,
     if n1 > 4 or n2 > 4:
         raise ProductTooLarge("factors must have at most 4 states")
     nu = np.asarray(nu_joint, dtype=float).reshape(n1, n2)
-    mu1 = np.asarray(mus[0], dtype=float)
-    mu2 = np.asarray(mus[1], dtype=float)
+    mu1, mu2 = np.asarray(mus[0], dtype=float), np.asarray(mus[1], dtype=float)
     mu_prod = np.outer(mu1, mu2)
 
     big = tensor_cost(costs)

@@ -23,7 +23,8 @@ from transinfo.chains import (
     tv_weighted,
 )
 from transinfo.cli import Outcome, write_json
-from transinfo.diffusion1d import _quad
+from transinfo.diffusion1d import (_EPMACH, _UFLOW, _WG, _WGK, _XGK, QUAD_TOL, _broadcast,
+                                   _panel_moments, _quad, _speed_weights)
 from transinfo.errors import (
     ConfigParse,
     DegenerateMeasure,
@@ -891,3 +892,80 @@ def loop_run_tensorize(params, out_dir, seed: int, name: str) -> Outcome:
     return Outcome(name, bool(passed),
                    {"fisher_gap": worst_fisher, "sub_excess": worst_sub,
                     "infconv_gap": worst_inf}, [path])
+
+
+# ---------------------------------------------------------------------------
+# Earlier forms of the band-chain and diffusion kernels, kept as bit-for-bit
+# oracles: the bincount -L g, the column-layout qk21 panels and C(rho)'s tail
+# recurrences on numpy scalars
+# ---------------------------------------------------------------------------
+
+def bincount_neg_generator(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
+    """-L^sigma g by two bincounts over the edges, each row in its own block of bins."""
+    i, j, w = chain.edges
+    bins = np.arange(0, g.size, chain.n)[:, None]
+    flux = (np.bincount((bins + i).ravel(), weights=(w * g[..., j]).ravel(), minlength=g.size)
+            + np.bincount((bins + j).ravel(), weights=(w * g[..., i]).ravel(), minlength=g.size))
+    return chain.exit_rates * g - flux.reshape(g.shape) / chain.mu
+
+
+def column_panel_quad(fn, lo, hi) -> np.ndarray:
+    """``_panel_quad`` with one row per panel: fn gets (panels, 21) points, (panels, 1) left ends."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+    centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    absc = hlgth[:, None] * _XGK
+    with np.errstate(all="ignore"):
+        f = fn(np.hstack([centr[:, None] - absc, centr[:, None] + absc, centr[:, None]]),
+               lo[:, None])
+        fv1, fv2, fc = f[:, :10], f[:, 10:20], f[:, 20]
+        resg, resk = 0.0, _WGK[10] * fc
+        resabs = np.abs(resk)
+        for j in (*range(1, 10, 2), *range(0, 10, 2)):
+            fsum = fv1[:, j] + fv2[:, j]
+            if j % 2:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * np.abs(fc - reskh)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+        result = resk * hlgth
+        resabs, resasc = resabs * np.abs(hlgth), resasc * np.abs(hlgth)
+        abserr = np.abs((resk - resg) * hlgth)
+        scaled = (resasc != 0) & (abserr != 0)
+        abserr = np.where(scaled, resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5),
+                          abserr)
+        abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                          np.maximum(50.0 * _EPMACH * resabs, abserr), abserr)
+        settled = np.isfinite(result) & (
+            ((abserr <= np.maximum(QUAD_TOL, QUAD_TOL * np.abs(result))) & (abserr != resasc))
+            | (abserr == 0))
+    for k in np.flatnonzero(~settled):
+        result[k] = _quad(lambda z: float(fn(np.float64(z), lo[k])), lo[k], hi[k])
+    return result.reshape(shape)
+
+
+def numpy_scalar_c_rho(spec, rho, grid, corrected: bool = True) -> float:
+    """``c_rho`` with its tail recurrences T and S run on numpy scalars and arrays.
+
+    numpy's scalars warn where they overflow; the warning is off, so an
+    overflow gives the inf of Python floats."""
+    nodes = grid.nodes
+    n = len(nodes)
+    rho_slopes = _broadcast(rho.slope, nodes)
+    B = _speed_weights(spec, nodes)[0]
+    mass_p, moment_p = _panel_moments(spec, rho, nodes)
+    shift = B[:-1] - np.max(B)
+    mu_rho = float(np.sum(np.exp(shift) * moment_p)) / float(np.sum(np.exp(shift) * mass_p))
+    centered_p = moment_p - mu_rho * mass_p
+    T, S = np.zeros(n), np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 2, -1, -1):
+            T[i] = centered_p[i] + math.exp(min(B[i + 1] - B[i], 700.0)) * T[i + 1]
+        for i in range(1, n):
+            S[i] = math.exp(min(B[i - 1] - B[i], 700.0)) * (S[i - 1] - centered_p[i - 1])
+        tails_scaled = np.where(np.arange(n) >= int(np.argmax(B)), T, S)
+        vals = tails_scaled / rho_slopes if corrected else np.exp(B) * tails_scaled / rho_slopes
+    return float(np.max(vals))

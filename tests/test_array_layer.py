@@ -8,12 +8,14 @@ that grid routines make O(1) adaptive calls, not one per node.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import column_panel_quad, numpy_scalar_c_rho
 from transinfo import diffusion1d
 from transinfo.catalog import diffusion_from_json, quartic_spec
 from transinfo.chains import dirichlet_energy, spectral_gap
@@ -24,11 +26,13 @@ from transinfo.diffusion1d import (
     _drift_ratio,
     _panel_quad,
     _quad,
+    _speed,
     c_rho,
     discretize,
     normalize,
     ou_spec,
 )
+from transinfo.errors import DivergenceDetected
 from transinfo.exprutil import compile_expression
 from transinfo.feynman_kac import lambda_max
 
@@ -106,6 +110,67 @@ class TestPanelQuad:
         np.testing.assert_array_equal(diffusion1d.rho_a(spec, xs),
                                       [diffusion1d.rho_a(spec, float(x)) for x in xs])
         np.testing.assert_allclose(diffusion1d.rho_a(spec, xs), np.arcsinh(xs), rtol=1e-10)
+
+
+@st.composite
+def peaked_specs(draw):
+    """Spec whose b/a peaks at about 1e3 / s near x0, on 16-24 nodes in [-1, 1]:
+    one qk21 step does not settle the panels around the peak."""
+    s, x0 = draw(st.floats(0.5, 2.0)), draw(st.floats(-0.5, 0.5))
+    spec = DiffusionSpec1D(-2.0, 2.0, a=lambda x: 1e-3 * s + (x - x0) ** 2,
+                           b=lambda x: 1.0 + 0.0 * x, c_ref=0.0)
+    return spec, np.linspace(-1.0, 1.0, draw(st.integers(16, 24)))
+
+
+def _same(got, want) -> bool:
+    """Equal arrays, signs of zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestEarlierForms:
+    """``_panel_quad`` on rows and ``c_rho``'s recurrences on Python floats
+    against their earlier forms in conftest, bit for bit."""
+
+    @settings(max_examples=25)
+    @given(polynomial_specs())
+    def test_panel_rows_equal_the_column_layout(self, case):
+        # the drift ratio on the panels, both ways round, and the nested
+        # speed integrand, whose inner panels run on each layout in turn
+        spec, nodes = case
+        drift, lo, hi = _drift_ratio(spec), nodes[:-1], nodes[1:]
+        column_speed = lambda z, left: np.exp(column_panel_quad(drift, left, z)) / spec.a_on(z)
+        assert _same(_panel_quad(drift, lo, hi), column_panel_quad(drift, lo, hi))
+        assert _same(_panel_quad(drift, hi, lo), column_panel_quad(drift, hi, lo))
+        assert _same(_panel_quad(_speed(spec), lo, hi), column_panel_quad(column_speed, lo, hi))
+
+    @settings(max_examples=10)
+    @given(peaked_specs())
+    def test_fallback_panels_equal_the_column_layout(self, case):
+        spec, nodes = case
+        calls = []
+        with mock.patch.object(diffusion1d, "_quad", lambda *a: calls.append(a) or _quad(*a)):
+            got = _panel_quad(_drift_ratio(spec), nodes[:-1], nodes[1:])
+        assert calls and _same(got, column_panel_quad(_drift_ratio(spec), nodes[:-1], nodes[1:]))
+
+    @settings(max_examples=30)
+    @given(st.floats(0.5, 40.0), st.floats(-4.0, -0.5), st.floats(0.5, 4.0), st.integers(16, 120),
+           st.sampled_from(["identity", "tanh", "intrinsic"]), st.booleans())
+    def test_c_rho_equals_the_numpy_scalar_recurrences(self, k, lo, hi, n, warp, corrected):
+        # steep quartic drifts -k x^3: on coarse wide grids adjacent B differ
+        # by more than 700, where the recurrences clamp, and may overflow
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=lambda x: -k * x ** 3,
+                               c_ref=0.0)
+        grid = Grid1D.uniform(lo, hi, n)
+        rho = {"identity": Warp.identity(), "tanh": Warp.tanh_blend(),
+               "intrinsic": Warp.intrinsic(spec)}[warp]
+        want = numpy_scalar_c_rho(spec, rho, grid, corrected)
+        try:
+            got = c_rho(spec, rho, grid, corrected)
+        except DivergenceDetected:
+            assert not math.isfinite(want)
+        else:
+            assert got.hex() == want.hex()
 
 
 def _ulps(got, ref) -> float:

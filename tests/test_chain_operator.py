@@ -54,6 +54,8 @@ from transinfo.lyapunov import mminf_generator
 from transinfo.transport import w1, w2
 
 from conftest import (
+    bernoulli_chain,
+    bincount_neg_generator,
     bordered_poisson,
     chain_from_dense,
     conjugated_neg_generator,
@@ -221,6 +223,29 @@ class TestCachedOperator:
         G = np.random.default_rng(seed).standard_normal((rows, chain.n))
         assert np.array_equal(_apply_neg_generator(chain, G),
                               np.array([_apply_neg_generator(chain, g) for g in G]))
+
+    def test_poincare_probe_kept_for_the_last_size(self):
+        # spectral_gap's seed-7 draws, drawn once per size and read-only
+        probe = chains._poincare_probe(37)
+        assert np.array_equal(probe, np.random.default_rng(7).standard_normal((100, 37)))
+        assert not probe.flags.writeable and chains._poincare_probe(37) is probe
+
+    @given(st.one_of(birth_death_chains(), dense_chains(),
+                     st.floats(0.05, 0.95).map(bernoulli_chain)),
+           st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+    def test_edge_product_equals_the_bincount_form(self, chain, rows, seed):
+        # band chains sum by slices, the others by bincounts: the bincount
+        # form's bits and signs of zero either way, on 1-D and 2-D g with
+        # +0.0 and -0.0 entries and, on 2-D g, a row of signed zeros
+        rng = np.random.default_rng(seed)
+        shape = (rows, chain.n) if rows else (chain.n,)
+        g = rng.standard_normal(shape)
+        g[rng.random(shape) < 0.3] = 0.0
+        g[rng.random(shape) < 0.3] = -0.0
+        if rows:
+            g[0] = np.where(rng.random(chain.n) < 0.5, 0.0, -0.0)
+        got, want = _apply_neg_generator(chain, g), bincount_neg_generator(chain, g)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestConjugatedPoissonSolve:

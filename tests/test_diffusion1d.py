@@ -299,6 +299,23 @@ class TestPerGridReuse:
         assert diffusion1d._speed_weights(spec, again) is weights
         assert diffusion1d._panel_weights(spec, again) is panels
 
+    @pytest.mark.parametrize("make, lo, hi", [(quartic_spec, -4.0, 4.0), (ou_spec, -6.0, 6.0)])
+    def test_lip_poisson_after_discretize_runs_no_quadrature(self, make, lo, hi, monkeypatch):
+        # the spec keeps discretize's rates, so lip_poisson_ratio's chain
+        # runs no midpoint quadrature, and its ratio is a new spec's
+        spec, grid = make(), Grid1D.uniform(lo, hi, 400)
+        chain = discretize(spec, grid)
+        calls, quad = [], diffusion1d._panel_quad
+        monkeypatch.setattr(diffusion1d, "_panel_quad", lambda *a: calls.append(a) or quad(*a))
+        ratio = lip_poisson_ratio(spec, grid, Warp.identity())
+        again = discretize(spec, grid)
+        assert calls == []
+        for a, b in zip((again.mu, *again.rates, again.exit_rates),
+                        (chain.mu, *chain.rates, chain.exit_rates)):
+            assert np.array_equal(a, b)
+        monkeypatch.undo()
+        assert ratio.hex() == lip_poisson_ratio(make(), grid, Warp.identity()).hex()
+
     def test_one_grid_entry_at_a_time(self):
         spec = quartic_spec()
         first, second = Grid1D.uniform(-4.0, 4.0, 64), Grid1D.uniform(-3.0, 3.0, 64)
@@ -439,6 +456,19 @@ class TestGridAndSpecValidation:
     def test_grid_strictly_increasing(self):
         with pytest.raises(ModelValidation):
             Grid1D.validate(np.concatenate([np.linspace(0, 1, 16), [1.0]]))
+
+    @pytest.mark.parametrize("bad, at", [(np.nan, 16), (np.inf, 16), (-np.inf, 0), (np.nan, 7)])
+    def test_grid_nodes_must_be_finite(self, bad, at):
+        # a NaN passes the increasing check and an infinite end node satisfies
+        # it; either used to reach normalize, c_rho and discretize
+        nodes = np.insert(np.linspace(-1.0, 1.0, 16), at, bad)
+        with pytest.raises(ModelValidation, match=f"grid nodes must be finite: node {at} is"):
+            Grid1D.validate(nodes)
+
+    def test_nan_warp_slope_rejected_by_name(self):
+        rho = Warp(value=lambda x: x, slope=lambda x: np.where(x > 0.5, np.nan, 1.0))
+        with pytest.raises(ModelValidation, match="warp slope must be positive on the grid"):
+            c_rho(ou_spec(), rho, Grid1D.uniform(-3.0, 3.0, 40))
 
     def test_negative_diffusion_rejected(self):
         with pytest.raises(ModelValidation):

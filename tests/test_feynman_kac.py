@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transinfo import feynman_kac, transport
+from transinfo import chains, feynman_kac, transport
 from transinfo.chains import (
     MetricMatrix,
     build_chain,
@@ -390,6 +391,21 @@ class TestBestW1I:
         rep = best_w1i(discretize(ou_spec(), grid), line_metric(grid.nodes), primal_starts=4)
         assert (rep.c_dual.hex(), rep.c_primal.hex()) == \
             ("0x1.00003076a169ap+0", "0x1.000030704a44ap+0")
+
+    def test_ou60_band_rows(self, monkeypatch):
+        # grid-400's search keeps its constants with 935 band rows, one
+        # dstebz call each, stacked rows and one-row solves alike
+        extension, rows = chains._scipy_extension, []
+        real = extension("linalg._flapack")
+        lapack = SimpleNamespace(dstein=real.dstein,
+                                 dstebz=lambda *args: rows.append(args[0]) or real.dstebz(*args))
+        monkeypatch.setattr(chains, "_scipy_extension",
+                            lambda name: lapack if name == "linalg._flapack" else extension(name))
+        grid = Grid1D.uniform(-6.0, 6.0, 60)
+        rep = best_w1i(discretize(ou_spec(), grid), line_metric(grid.nodes), primal_starts=4)
+        assert (rep.c_dual.hex(), rep.c_primal.hex()) == \
+            ("0x1.00003076a169ap+0", "0x1.000030704a44ap+0")
+        assert len(rows) == 935
 
     def test_uniform_density_never_the_witness(self, rng):
         ch = random_reversible_chain(4, rng)

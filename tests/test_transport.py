@@ -383,6 +383,15 @@ class TestOtCost:
             "cost entries must be finite",
             "cost entries too large: the tree's potentials overflow"], res.stderr
 
+    def test_overflowing_tree_potentials_fail_by_name_under_the_warning_filter(self):
+        # unsorted points send W1 to the simplex, whose tree potentials
+        # overflow; its pricing ran with numpy's warnings on, so under this
+        # repository's error::RuntimeWarning filter the caller got "overflow
+        # encountered in add" instead of the simplex's own check
+        d = line_metric([-8e307, 8e307, 0.0, 4e307, -4e307])
+        with pytest.raises(ModelValidation, match="potentials overflow"):
+            w1(d, [0.1, 0.2, 0.3, 0.2, 0.2], [0.3, 0.1, 0.2, 0.1, 0.3])
+
     def test_overflowing_squared_costs_fail_by_name_on_every_route(self):
         # under this repository's error::RuntimeWarning filter: the dense d ** 2
         # raised RuntimeWarning, and line W2 returned inf with NaN potentials
