@@ -406,7 +406,7 @@ def _validated_chain(rates, exit_rates: np.ndarray, mu, states) -> ReversibleCha
         raise DegenerateMeasure(f"invariant measure has nonpositive or non-finite entries: {mu}")
     total = mu.sum()
     if abs(total - 1.0) > 1e-9:
-        raise DegenerateMeasure(f"mu sums to {total!r}, not 1")
+        raise DegenerateMeasure(f"mu sums to {float(total)!r}, not 1")
     mu = _frozen(mu / total)
 
     flow = mu[row] * q

@@ -412,7 +412,13 @@ def _panel_weights(spec, nodes):
     ihalf, imid = 0.5 * (zs - lo), 0.5 * (zs + lo)
     inner = imid[..., None] + ihalf[..., None] * _GL_INNER       # (panels, 12, 8)
     dB = ihalf * ((spec.b_on(inner) / spec.a_on(inner)) @ _GL_INNER_W)
-    return half, zs, np.exp(dB) / spec.a_on(zs) * _GL_WEIGHTS
+    with np.errstate(over="ignore"):
+        growth = np.exp(dB)
+    val = growth / spec.a_on(zs) * _GL_WEIGHTS
+    if not np.all(np.isfinite(val)):
+        raise StepTooCoarse("speed density overflows within a panel: the grid is too coarse "
+                            "for the drift")
+    return half, zs, val
 
 
 def _panel_moments(spec, rho, nodes):

@@ -1,6 +1,6 @@
 """Seeding contract and path driver for all Monte Carlo code.
 
-Every path draws from its own counter-based stream: the Philox4x32-10
+Every path draws from its own counter-based stream: the Philox4x64-10
 stream keyed by (master_seed, path_index), the stream of
 ``Generator(Philox(key=np.array([master_seed, path_index], dtype=np.uint64)))``.
 The key must be that uint64 array: numpy turns a plain list holding a word

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestBuildChain:
     def test_degenerate_measure(self):
         with pytest.raises(DegenerateMeasure):
             build_chain(np.array([[0.0, 1.0], [1.0, 0.0]]), mu=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("rates, mu, states, error, message", [
+        (np.ones((2, 3)), None, None, ModelValidation,
+         "rates must be a square matrix of size >= 2"),
+        ([[0.0, 1.0], [1.0, 0.0]], [1.0], None, ModelValidation, "mu has wrong length"),
+        ([[0.0, 1.0], [1.0, 0.0]], [0.3, 0.3], None, DegenerateMeasure, "mu sums to 0.6, not 1"),
+        ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], ["a"], ModelValidation,
+         "states list has wrong length"),
+    ])
+    def test_malformed_chain_rejected_by_name(self, rates, mu, states, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_chain(np.array(rates), mu=mu, states=states)
 
     def test_chain_from_json(self):
         # rates 1 and 2 balance mu = (2/3, 1/3), given or solved for
@@ -283,6 +296,14 @@ class TestMetricValidation:
     ])
     def test_near_asymmetry_and_non_finite_entries_rejected(self, d, message):
         with pytest.raises(ModelValidation, match=message):
+            MetricMatrix.validate(np.array(d))
+
+    @pytest.mark.parametrize("d, message", [
+        (np.zeros((2, 3)), "metric matrix must be square"),
+        ([[0.5, 1.0], [1.0, 0.0]], "metric matrix must have zero diagonal"),
+    ])
+    def test_non_square_and_nonzero_diagonal_rejected(self, d, message):
+        with pytest.raises(ModelValidation, match=f"^{message}$"):
             MetricMatrix.validate(np.array(d))
 
     def test_symmetry_within_1e12_of_the_largest_entry_accepted(self):

@@ -24,7 +24,7 @@ from transinfo.diffusion1d import (
     rho_a,
     scale_speed,
 )
-from transinfo.errors import DivergentSpeedMeasure, ModelValidation
+from transinfo.errors import DivergentSpeedMeasure, ModelValidation, StepTooCoarse
 
 
 def truncation_mass_bound(spec: DiffusionSpec1D, grid: Grid1D) -> float:
@@ -122,6 +122,13 @@ class TestNormalize:
         spec = DiffusionSpec1D(-math.inf, math.inf,
                                a=lambda x: 1.0, b=lambda x: x, c_ref=0.0)
         with pytest.raises(DivergentSpeedMeasure):
+            normalize(spec, Grid1D.uniform(-4, 4, 64))
+
+    def test_growth_toward_the_lower_cut_rejected(self):
+        # constant drift to the left: m' = e^{-x} grows toward the lower cut only
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=lambda x: -1.0)
+        with pytest.raises(DivergentSpeedMeasure,
+                           match="^speed density does not decay at the lower cut$"):
             normalize(spec, Grid1D.uniform(-4, 4, 64))
 
     def test_truncation_mass_tiny_for_ou(self):
@@ -374,6 +381,13 @@ class TestDiscretize:
             errs.append(abs(dirichlet_energy(ch, g_fn(grid.nodes)) - target))
         assert errs[2] < errs[0] / 2.5   # at least halving per refinement pair
 
+    def test_coarse_grid_of_a_steep_drift_rejected(self):
+        # numpy warns in the rate division first, so its warnings are off here
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=lambda x: -5.0 * x ** 3)
+        with np.errstate(all="ignore"), pytest.raises(
+                StepTooCoarse, match="^non-finite or nonpositive rates on the grid$"):
+            discretize(spec, Grid1D.uniform(-8, 8, 30))
+
     def test_detailed_balance_exact(self):
         ch = discretize(quartic_spec(), Grid1D.uniform(-4, 4, 150))
         flow = ch.mu[:, None] * ch.Q
@@ -473,6 +487,19 @@ class TestGridAndSpecValidation:
     def test_negative_diffusion_rejected(self):
         with pytest.raises(ModelValidation):
             DiffusionSpec1D(-1, 1, a=lambda x: -1.0, b=lambda x: 0.0, c_ref=0.0)
+
+    def test_non_finite_drift_rejected(self):
+        with pytest.raises(ModelValidation, match="^b must be finite on the interval$"):
+            DiffusionSpec1D(-1, 1, a=lambda x: 1.0, b=lambda x: math.inf if x > 0.5 else -x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_panel_weight_overflow_blames_the_grid(self):
+        # e^{dB} over a panel of [-8, 8] in 29 overflows; the error blames the
+        # grid, neither numpy's overflow warning nor rho's square-integrability
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=lambda x: -5.0 * x ** 3)
+        with pytest.raises(StepTooCoarse, match="^speed density overflows within a panel: "
+                                                "the grid is too coarse for the drift$"):
+            c_rho(spec, Warp.identity(), Grid1D.uniform(-8, 8, 30))
 
     def test_reference_outside_interval(self):
         with pytest.raises(ModelValidation):

@@ -307,6 +307,15 @@ class TestIncrementalSimplex:
 
 
 class TestOtCost:
+    @pytest.mark.parametrize("c, message", [
+        (np.zeros(3), "cost must be a matrix"),
+        ([[0.0, -1.0], [1.0, 0.0]], "cost entries must be nonnegative"),
+        ([[1.0, 1.0], [1.0, 0.0]], "aligned square cost must vanish on the diagonal"),
+    ])
+    def test_malformed_cost_rejected_by_name(self, c, message):
+        with pytest.raises(ModelValidation, match=f"^{message}$"):
+            CostMatrix.validate(np.array(c))
+
     def test_identity_coupling_zero_cost(self, rng):
         c = CostMatrix.validate(rng.uniform(0, 1, (3, 3)) * (1 - np.eye(3)))
         mu = np.array([0.2, 0.5, 0.3])
@@ -623,6 +632,18 @@ class TestTensorCost:
 
 
 class TestRateFunctionCalculus:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: RateFunction.quadratic(1.0)(-0.5), "rate functions are defined on r >= 0"),
+        (lambda: alpha_conjugate(RateFunction.quadratic(1.0), -1.0),
+         "monotone conjugate is defined for lambda >= 0"),
+        (lambda: alpha_infconv([RateFunction.quadratic(1.0)] * 2, -1.0),
+         "inf-convolution needs r >= 0"),
+        (lambda: alpha_infconv([], 1.0), "need at least one rate function"),
+    ])
+    def test_negative_arguments_and_empty_list_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_quadratic_conjugate_closed_form(self):
         a = RateFunction.quadratic(2.0)
         assert alpha_conjugate(a, 3.0) == pytest.approx(36.0, abs=1e-12)
