@@ -1,17 +1,14 @@
 """Transport-cost vs. Fisher-information toolkit for finite Markov models.
 
-Importing the package sets OPENBLAS_NUM_THREADS=1 unless the caller has
-set it.  OpenBLAS reads the variable once, when it loads, so a process
-that imported numpy before transinfo keeps the thread pool numpy started.
+Importing the package sets OPENBLAS_NUM_THREADS=1 unless the caller has set
+it.  A process that loaded numpy first keeps numpy's thread pool, and child
+processes started afterwards inherit the variable (README, "Threads").
 """
 
 import os
 
-# transinfo's BLAS calls are small (at most lya-beta's 481 x 481 Q @ U), yet
-# each OpenBLAS worker thread spins for 0.06-0.13 s of CPU after it starts and
-# after each call it shares.  On 2 cores one thread took `import numpy` from
-# 139 to 69 ms and a 13-experiment `transinfo run` from 0.73 to 0.56 s of CPU,
-# and no artifact changed.
+# Must run before numpy loads.  The bundled models' BLAS calls are small, and
+# an idle OpenBLAS worker spins after each; a caller's own value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .chains import (

@@ -413,9 +413,8 @@ def _panel_weights(spec, nodes):
     inner = imid[..., None] + ihalf[..., None] * _GL_INNER       # (panels, 12, 8)
     dB = ihalf * ((spec.b_on(inner) / spec.a_on(inner)) @ _GL_INNER_W)
     with np.errstate(over="ignore"):
-        growth = np.exp(dB)
-    val = growth / spec.a_on(zs) * _GL_WEIGHTS
-    if not np.all(np.isfinite(val)):
+        val = np.exp(dB) / spec.a_on(zs) * _GL_WEIGHTS
+    if not np.isfinite(val).all():
         raise StepTooCoarse("speed density overflows within a panel: the grid is too coarse "
                             "for the drift")
     return half, zs, val
