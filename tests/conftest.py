@@ -24,7 +24,7 @@ from transinfo.chains import (
 )
 from transinfo.cli import Outcome, write_json
 from transinfo.diffusion1d import (_EPMACH, _UFLOW, _WG, _WGK, _XGK, QUAD_TOL, _broadcast,
-                                   _panel_moments, _quad, _speed_weights)
+                                   _panel_moments, _panel_quad, _quad, _speed, _speed_weights)
 from transinfo.errors import (
     ConfigParse,
     DegenerateMeasure,
@@ -895,9 +895,9 @@ def loop_run_tensorize(params, out_dir, seed: int, name: str) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# Earlier forms of the band-chain and diffusion kernels, kept as bit-for-bit
-# oracles: the bincount -L g, the column-layout qk21 panels and C(rho)'s tail
-# recurrences on numpy scalars
+# Earlier forms of the band-chain and diffusion kernels, kept as oracles: the
+# bincount -L g, the column-layout qk21 panels and C(rho)'s tail recurrences
+# on numpy scalars, bit for bit, and normalize's nested speed mass to 4 ulp
 # ---------------------------------------------------------------------------
 
 def bincount_neg_generator(chain: ReversibleChain, g: np.ndarray) -> np.ndarray:
@@ -969,3 +969,11 @@ def numpy_scalar_c_rho(spec, rho, grid, corrected: bool = True) -> float:
         tails_scaled = np.where(np.arange(n) >= int(np.argmax(B)), T, S)
         vals = tails_scaled / rho_slopes if corrected else np.exp(B) * tails_scaled / rho_slopes
     return float(np.max(vals))
+
+
+def nested_speed_mass(spec, grid) -> float:
+    """``normalize``'s earlier Z: e^{B_k} times each panel's qk21 quadrature of
+    m' relative to its left node, whose exponent is itself a qk21 quadrature."""
+    nodes = grid.nodes
+    B = _speed_weights(spec, nodes)[0]
+    return float(np.dot(np.exp(B[:-1]), _panel_quad(_speed(spec), nodes[:-1], nodes[1:])))

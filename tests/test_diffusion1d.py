@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import nested_nonexplosion
-from transinfo import diffusion1d
+from conftest import nested_nonexplosion, nested_speed_mass
+from transinfo import catalog, diffusion1d
 from transinfo.catalog import diffusion_from_json
 from transinfo.chains import dirichlet_energy, fisher_information, spectral_gap, Density
 from transinfo.diffusion1d import (
@@ -106,9 +106,30 @@ class TestNormalize:
         assert Z == pytest.approx(math.sqrt(2 * math.pi), rel=1e-3)
         assert mu.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("half_width", [6.0, 8.0])
+    def test_ou_mass_matches_erf(self, half_width):
+        Z, _ = normalize(ou_spec(), Grid1D.uniform(-half_width, half_width, 400))
+        exact = math.sqrt(2 * math.pi) * math.erf(half_width / math.sqrt(2))
+        assert Z == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     def test_flat_interval(self):
         Z, _ = normalize(brownian_01(), Grid1D.uniform(0.001, 0.999, 64))
         assert Z == pytest.approx(0.998, abs=1e-10)
+
+    def test_flat_interval_is_exact(self):
+        # m' = 1: every panel mass is its width, so Z is the span
+        Z, _ = normalize(brownian_01(), Grid1D.uniform(0.001, 0.999, 64))
+        assert Z == pytest.approx(0.998, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("nodes", [16, 17, 30, 64, 200, 400])
+    @pytest.mark.parametrize("name", ["ou", "quartic"])
+    def test_matches_nested_speed_mass(self, name, nodes):
+        # the Gauss-Legendre panel masses against the nested qk21 quadrature
+        # on the catalog grids (at most 2 ulp apart where measured)
+        model = catalog.load_example(name, grid_nodes=nodes)
+        Z, _ = normalize(model["spec"], model["grid"])
+        ref = nested_speed_mass(model["spec"], model["grid"])
+        assert abs(Z - ref) <= 4 * np.spacing(ref)
 
     def test_quartic_matches_refined_quadrature(self):
         spec = quartic_spec()
@@ -130,6 +151,15 @@ class TestNormalize:
         with pytest.raises(DivergentSpeedMeasure,
                            match="^speed density does not decay at the lower cut$"):
             normalize(spec, Grid1D.uniform(-4, 4, 64))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coarse_grid_of_a_steep_drift_blames_the_grid(self):
+        # m' underflows at both cuts, which the decay check lets pass; the
+        # panel weights then overflow
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=lambda x: -5.0 * x ** 3)
+        with pytest.raises(StepTooCoarse, match="^speed density overflows within a panel: "
+                                                "the grid is too coarse for the drift$"):
+            normalize(spec, Grid1D.uniform(-8, 8, 30))
 
     def test_truncation_mass_tiny_for_ou(self):
         bound = truncation_mass_bound(ou_spec(), Grid1D.uniform(-8, 8, 400))
@@ -329,10 +359,38 @@ class TestPerGridReuse:
         c_rho(spec, Warp.identity(), first)
         assert spec._grid_entry[0] == first.nodes.tobytes() and len(spec._grid_entry[1]) == 2
         normalize(spec, second)
-        assert spec._grid_entry[0] == second.nodes.tobytes() and len(spec._grid_entry[1]) == 1
+        assert spec._grid_entry[0] == second.nodes.tobytes() and len(spec._grid_entry[1]) == 2
         weights = diffusion1d._speed_weights(spec, second.nodes)
         discretize(spec, first)
         assert diffusion1d._speed_weights(spec, second.nodes) is not weights
+
+    def test_normalize_and_every_warp_build_the_panel_weights_once(self, monkeypatch):
+        builds, build = [], diffusion1d._panel_weights.__wrapped__
+        monkeypatch.setattr(diffusion1d, "_panel_weights", diffusion1d._per_grid(
+            lambda spec, nodes: builds.append(nodes) or build(spec, nodes)))
+        spec, grid = quartic_spec(), Grid1D.uniform(-4.0, 4.0, 400)
+        normalize(spec, grid)
+        for rho in (Warp.identity(), Warp.tanh_blend(), Warp.intrinsic(spec)):
+            for corrected in (True, False):
+                c_rho(spec, rho, grid, corrected=corrected)
+        assert len(builds) == 1
+
+    def test_normalize_after_c_rho_evaluates_no_drift(self):
+        points = []
+        def drift(x):
+            points.append(np.size(x))
+            return -x ** 3
+        grid = Grid1D.uniform(-4.0, 4.0, 400)
+        first = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=drift)
+        points.clear()
+        normalize(first, grid)
+        # qk21 for B at the nodes, then 12 x 8 Gauss-Legendre points per panel
+        assert sum(points) == 400 * 21 + 399 * 12 * 8
+        second = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=drift)
+        c_rho(second, Warp.identity(), grid)
+        points.clear()
+        assert normalize(second, grid)[0] == normalize(first, grid)[0]
+        assert points == []
 
 
 class TestRhoA:
@@ -381,11 +439,11 @@ class TestDiscretize:
             errs.append(abs(dirichlet_energy(ch, g_fn(grid.nodes)) - target))
         assert errs[2] < errs[0] / 2.5   # at least halving per refinement pair
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_coarse_grid_of_a_steep_drift_rejected(self):
-        # numpy warns in the rate division first, so its warnings are off here
+        # the speed weights underflow to 0; the rates divide by them silently
         spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=lambda x: -5.0 * x ** 3)
-        with np.errstate(all="ignore"), pytest.raises(
-                StepTooCoarse, match="^non-finite or nonpositive rates on the grid$"):
+        with pytest.raises(StepTooCoarse, match="^non-finite or nonpositive rates on the grid$"):
             discretize(spec, Grid1D.uniform(-8, 8, 30))
 
     def test_detailed_balance_exact(self):
@@ -500,6 +558,18 @@ class TestGridAndSpecValidation:
         with pytest.raises(StepTooCoarse, match="^speed density overflows within a panel: "
                                                 "the grid is too coarse for the drift$"):
             c_rho(spec, Warp.identity(), Grid1D.uniform(-8, 8, 30))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_reference_point(self):
+        # B = (38^2 - x^2) / 2 overflows e^B at the nodes near 0: Z and the
+        # rates are named, and c_rho, which shifts B by its maximum, is unharmed
+        spec = DiffusionSpec1D(-math.inf, math.inf, a=lambda x: 1.0, b=lambda x: -x, c_ref=38.0)
+        grid = Grid1D.uniform(-40, 40, 400)
+        with pytest.raises(DivergentSpeedMeasure, match=r"^speed mass Z = inf$"):
+            normalize(spec, grid)
+        with pytest.raises(StepTooCoarse, match="^non-finite or nonpositive rates on the grid$"):
+            discretize(spec, grid)
+        assert c_rho(spec, Warp.identity(), grid).hex() == "0x1.00000000002adp+0"
 
     def test_reference_outside_interval(self):
         with pytest.raises(ModelValidation):
