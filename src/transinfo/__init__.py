@@ -37,10 +37,8 @@ from .transport import (
     RateFunction,
     alpha_conjugate,
     alpha_infconv,
-    infconv_potential,
     kantorovich_dual,
     ot_cost,
-    supconv_potential,
     tensor_cost,
     w1,
     w2,

@@ -30,10 +30,12 @@ bincounts), and, for birth-death chains (edges exactly (k, k+1)), as the
 tridiagonal band of the conjugated operator.  The read-only dense
 ``conjugated_neg_generator``, which carries dense eigensolves and the
 Poisson solve of other chains, is cached on first use.  The eigen entry
-point ``_lowest_eigenpairs`` solves band chains by LAPACK's tridiagonal
-bisection (dstebz, then dstein for vectors), called directly for the
-requested indices only after a finiteness check, and any other chain by
-dense eigh; ``poisson_solve`` solves them in O(n) from the edge fluxes.
+point ``_lowest_eigenpairs`` solves every call as a stack of rows (a 1-D
+potential is one row), after one finiteness check, by one route per
+structure: band chains by LAPACK's tridiagonal bisection (dstebz per row,
+then dstein for vectors), called directly for the requested indices only,
+and any other chain by dense eigvalsh or eigh on stacks of A - diag(row);
+``poisson_solve`` solves band chains in O(n) from the edge fluxes.
 A line metric (``LineMetric``) holds its points, and its dense d is, like
 Q, a view built on first use: only a route off the line reads it, such as
 ``CostMatrix.from_metric`` and the simplex it feeds, or unsorted points.
@@ -477,7 +479,7 @@ def dirichlet_energy(chain: ReversibleChain, g: np.ndarray):
     i, j, w = chain.edges
     if chain.band is not None:
         i, j = slice(None, -1), slice(1, None)      # the edges (k, k+1), as views
-    diff = g[j] - g[i] if g.ndim == 1 else g[:, j] - g[:, i]
+    diff = g[..., j] - g[..., i]
     return dots(w, diff * diff)
 
 
@@ -544,72 +546,57 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
                       count: int = 1, vectors: bool = False):
     """The ``count`` lowest eigenvalues of the conjugated -L^sigma - diag(u).
 
-    Returns the ascending eigenvalues, or (eigenvalues, eigenvectors as
-    columns) when ``vectors`` is set.  The top eigenvalue of L^sigma +
-    diag(u) in L^2(mu) is minus the lowest one here.  Birth-death chains
-    are solved on their cached band by tridiagonal bisection for the
-    requested indices only; every other chain by a dense eigh.  A 2-D
-    ``u``, one potential per row, gives each row's eigenvalues as its 1-D
-    solve does: on a band after one finiteness check of all rows, else by
-    eigvalsh on stacks of A - diag(row) of at most 2^20 entries.
+    The top eigenvalue of L^sigma + diag(u) in L^2(mu) is minus the lowest
+    one here.  Every call is a stack of rows: a 2-D ``u`` holds one potential
+    per row and gives an (N, count) array; a 1-D ``u``, or none, is one row
+    and gives its row, or (eigenvalues, eigenvectors as columns) when
+    ``vectors`` is set.  One finiteness check covers the shifted diagonals
+    of all rows (and a band's off-diagonal), so a NaN or inf raises
+    ValueError on either structure.  Birth-death chains are then solved on
+    their cached band by LAPACK's tridiagonal bisection (dstebz) for the
+    requested indices only, per row, with inverse iteration (dstein) for
+    vectors; every other chain by eigvalsh, or eigh for vectors, on stacks
+    of A - diag(row) of at most 2^20 entries.  A row's bits do not depend
+    on its stack.
     """
-    if u is not None:
+    if u is None:
+        rows = np.zeros((1, chain.n))
+    else:
         u = np.asarray(u, dtype=float)
-        if not (u.ndim == 2 and u.shape[1] == chain.n and not vectors):
-            u = _state_vector(chain, u)
+        rows = (u if u.ndim == 2 and u.shape[1] == chain.n and not vectors
+                else _state_vector(chain, u)[None])
     band = chain.band
+    diag, off = band if band is not None else (chain.conjugated_neg_generator.diagonal(), None)
+    diags = diag - rows
+    # LAPACK's bisection need not terminate on NaN; a dense solve fails on it or returns NaN
+    if not (np.isfinite(diags).all() and (off is None or np.isfinite(off).all())):
+        raise ValueError("array must not contain infs or NaNs")
+    out = np.empty((len(rows), min(count, chain.n)))
     if band is not None:
-        diag, off = band
-        if u is not None:
-            diag = diag - u
-        # LAPACK's bisection need not terminate on NaN, so check first
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-            raise ValueError("array must not contain infs or NaNs")
-        if diag.ndim == 2:     # one module lookup and one output array per stack
-            dstebz, out = _scipy_extension("linalg._flapack").dstebz, np.empty((len(diag), count))
-            for r, row in enumerate(diag):
-                m, w, _, _, info = dstebz(row, off, 2, 0.0, 1.0, 1, count, 0.0, "E")
-                _check_lapack_info(info, "dstebz")
-                out[r] = w[:m]
-            return out
-        return _band_eigenpairs(diag, off, count, vectors)
-    A = chain.conjugated_neg_generator
-    if u is not None and u.ndim == 2:
-        rows, out = max(1, 2 ** 20 // A.size), []
-        for start in range(0, len(u) or 1, rows):      # an empty u is one empty part
-            part = u[start:start + rows]
-            stack = np.repeat(A[None], len(part), axis=0)
-            stack.reshape(len(part), -1)[:, ::chain.n + 1] -= part      # the diagonals
-            out.append(np.linalg.eigvalsh(stack)[:, :count])
-        return np.concatenate(out)
-    if u is not None:
-        A = A - np.diag(u)
-    if vectors:
-        w, V = np.linalg.eigh(A)
-        return w[:count], V[:, :count]
-    return np.linalg.eigvalsh(A)[:count]
-
-
-def _band_eigenpairs(diag: np.ndarray, off: np.ndarray, count: int, vectors: bool):
-    """The ``count`` lowest eigenpairs of a finite tridiagonal matrix.
-
-    Calls LAPACK's dstebz (bisection for the indices 1..count) and dstein
-    (inverse iteration) directly, with the arguments and the eigenvector
-    order of scipy.linalg's tridiagonal wrapper for an index range, but
-    without its per-call validation; callers check finiteness first.
-    """
-    lapack = _scipy_extension("linalg._flapack")
-    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, count, 0.0,
-                                               "B" if vectors else "E")
-    _check_lapack_info(info, "dstebz")
-    w = w[:m]
-    if not vectors:
-        return w
-    V, info = lapack.dstein(diag, off, w, iblock, isplit)
-    _check_lapack_info(info, "dstein")
-    # block order to ascending order
-    order = np.argsort(w)
-    return w[order], V[:, order]
+        lapack = _scipy_extension("linalg._flapack")
+        for r, d in enumerate(diags):
+            m, w, iblock, isplit, info = lapack.dstebz(d, off, 2, 0.0, 1.0, 1, count, 0.0,
+                                                       "B" if vectors else "E")
+            _check_lapack_info(info, "dstebz")
+            out[r] = w[:m]
+        if vectors:     # one row; dstein's block order to ascending order
+            V, info = lapack.dstein(d, off, w[:m], iblock, isplit)
+            _check_lapack_info(info, "dstein")
+            order = np.argsort(out[0])
+            return out[0, order], V[:, order]
+    else:
+        A = chain.conjugated_neg_generator
+        step = max(1, 2 ** 20 // A.size)
+        for start in range(0, len(diags), step):
+            part = diags[start:start + step]
+            stack = np.empty((len(part), *A.shape))
+            stack[:] = A
+            stack.reshape(len(part), -1)[:, ::chain.n + 1] = part       # the diagonals
+            if vectors:     # one row
+                w, V = np.linalg.eigh(stack)
+                return w[0, :count], V[0, :, :count]
+            out[start:start + step] = np.linalg.eigvalsh(stack)[:, :count]
+    return out if rows is u else out[0]
 
 
 _EXTENSION_LOAD = threading.Lock()

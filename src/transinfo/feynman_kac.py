@@ -6,8 +6,8 @@ grows in L^2(mu) at the rate
     Lambda(u) = sup { <u, g^2>_mu - E(g, g) : mu(g^2) = 1 },
 
 the top eigenvalue of L^sigma + diag(u) as a self-adjoint operator in
-L^2(mu).  For reversible chains ||P_t^u|| = exp(t Lambda(u)) exactly,
-which we cross-check against the matrix exponential.
+L^2(mu).  For reversible chains ||P_t^u|| = exp(t Lambda(u)) exactly;
+the tests cross-check that against the matrix exponential.
 
 Lambda(lambda u) is also the convex conjugate of the information rate
 nu -> I(nu | mu) along the observable u; ``legendre_of_info`` recomputes
@@ -111,23 +111,14 @@ def lambda_max_witness(chain: ReversibleChain, u: np.ndarray):
     return -float(w[0]), Density.validate(chain.mu, f)
 
 
-def fk_norm(chain: ReversibleChain, u: np.ndarray, t: float, method: str = "eigen") -> float:
-    """||P_t^u|| on L^2(mu), by spectrum or by matrix exponential."""
+def fk_norm(chain: ReversibleChain, u: np.ndarray, t: float) -> float:
+    """||P_t^u|| on L^2(mu) = exp(t Lambda(u)), from the spectrum."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    u = np.asarray(u, dtype=float)
     lam = lambda_max(chain, u)
     if t * lam > 700:
         raise HorizonOverflow(f"t * Lambda = {t * lam:.3g} would overflow")
-    if method == "eigen":
-        return math.exp(t * lam)
-    if method == "expm":
-        from scipy.linalg import expm
-
-        M = expm(t * (chain.Q + np.diag(u)))
-        s = np.sqrt(chain.mu)
-        return float(np.linalg.norm((s[:, None] * M) / s[None, :], 2))
-    raise ValueError(f"unknown method {method!r}")
+    return math.exp(t * lam)
 
 
 # ---------------------------------------------------------------------------

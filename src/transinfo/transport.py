@@ -83,11 +83,6 @@ class Coupling:
     nu: np.ndarray
     mu: np.ndarray
 
-    def marginal_residual(self) -> float:
-        r0 = np.max(np.abs(self.pi.sum(axis=1) - self.nu))
-        r1 = np.max(np.abs(self.pi.sum(axis=0) - self.mu))
-        return float(max(r0, r1))
-
     def to_csv(self, row_labels=None, col_labels=None) -> str:
         n, m = self.pi.shape
         rows = ["," + ",".join(col_labels or [str(j) for j in range(m)])]
@@ -616,18 +611,6 @@ def _pairwise_descent(alphas, split, r):
 # ---------------------------------------------------------------------------
 # Inf / sup convolution of potentials and tensorization checks
 # ---------------------------------------------------------------------------
-
-def infconv_potential(d2: CostMatrix, v: np.ndarray) -> np.ndarray:
-    """Qv(x) = min_y { v(y) + d^2(x, y) }."""
-    v = np.asarray(v, dtype=float)
-    return np.min(v[None, :] + d2.c, axis=1)
-
-
-def supconv_potential(d2: CostMatrix, u: np.ndarray) -> np.ndarray:
-    """Su(y) = max_x { u(x) - d^2(x, y) }."""
-    u = np.asarray(u, dtype=float)
-    return np.max(u[:, None] - d2.c, axis=0)
-
 
 def tensor_subadditivity_check(costs: list[CostMatrix], nu_joint: np.ndarray,
                                mus: list[np.ndarray]) -> tuple[float, float]:

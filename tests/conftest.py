@@ -67,8 +67,6 @@ from transinfo.transport import (
     _staircase_potential,
     alpha_infconv,
     conditional_fisher_sum,
-    infconv_potential,
-    supconv_potential,
     tensor_subadditivity_check,
 )
 from transinfo.trivial_metric import ckp_extremal, ckp_gap
@@ -229,6 +227,34 @@ def conjugated_neg_generator(chain: ReversibleChain) -> np.ndarray:
     s = np.sqrt(chain.mu)
     A = (s[:, None] * (-symmetrized_generator(chain))) / s[None, :]
     return 0.5 * (A + A.T)
+
+
+def fk_norm_expm(chain: ReversibleChain, u: np.ndarray, t: float) -> float:
+    """||P_t^u|| on L^2(mu) from the matrix exponential of t (Q + diag u); oracle for fk_norm."""
+    from scipy.linalg import expm
+
+    M = expm(t * (chain.Q + np.diag(u)))
+    s = np.sqrt(chain.mu)
+    return float(np.linalg.norm((s[:, None] * M) / s[None, :], 2))
+
+
+def infconv_potential(d2: CostMatrix, v: np.ndarray) -> np.ndarray:
+    """Qv(x) = min_y { v(y) + d^2(x, y) }, dense; oracle for Metric.inf_convolution."""
+    v = np.asarray(v, dtype=float)
+    return np.min(v[None, :] + d2.c, axis=1)
+
+
+def supconv_potential(d2: CostMatrix, u: np.ndarray) -> np.ndarray:
+    """Su(y) = max_x { u(x) - d^2(x, y) }, dense; oracle for Metric.sup_convolution."""
+    u = np.asarray(u, dtype=float)
+    return np.max(u[:, None] - d2.c, axis=0)
+
+
+def marginal_residual(coupling) -> float:
+    """The largest deviation of a coupling's row and column sums from (nu, mu)."""
+    r0 = np.max(np.abs(coupling.pi.sum(axis=1) - coupling.nu))
+    r1 = np.max(np.abs(coupling.pi.sum(axis=0) - coupling.mu))
+    return float(max(r0, r1))
 
 
 def random_density(chain: ReversibleChain, rng: np.random.Generator,

@@ -71,7 +71,7 @@ from transinfo.trivial_metric import (
     rho_sup_scan,
 )
 
-from conftest import bernoulli_chain, random_reversible_chain, random_density
+from conftest import bernoulli_chain, fk_norm_expm, random_reversible_chain, random_density
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -145,7 +145,7 @@ def test_criterion_04_feynman_kac_duality():
             b = legendre_of_info(ch, u, lam, multistarts=16)
             worst_leg = max(worst_leg, abs(a - b))
         e1 = fk_norm(ch, u, 10.0)
-        e2 = fk_norm(ch, u, 10.0, method="expm")
+        e2 = fk_norm_expm(ch, u, 10.0)
         worst_norm = max(worst_norm, abs(e1 - e2) / e1)
     ok = worst_leg <= 1e-5 and worst_norm <= 1e-8
     report("4 Feynman-Kac duality", ok,

@@ -648,6 +648,35 @@ class TestDirectLapack:
         assert broken.band is not None
         with pytest.raises(ValueError):
             spectral_gap(broken)
+        # a dense chain raises the same error, before any dense eigensolve
+        monkeypatch.setattr(np.linalg, "eigh", unreachable)
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        dense = random_reversible_chain(4, np.random.default_rng(1))
+        assert dense.band is None
+        u = np.zeros(4)
+        u[2] = bad
+        with pytest.raises(ValueError):
+            lambda_max(dense, u)
+        with pytest.raises(ValueError):
+            lambda_max_witness(dense, u)
+        with pytest.raises(ValueError):
+            _lowest_eigenpairs(dense, np.stack([np.zeros(4), u, np.ones(4)]), count=2)
+
+    @given(dense_chains(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans(),
+           st.booleans())
+    def test_dense_row_equal_to_one_matrix_solve(self, chain, seed, count, vectors, drawn):
+        # a 1-D call, a one-row stack, has the bits of eigvalsh / eigh on A - diag(u)
+        assume(chain.band is None)      # two states are a birth-death chain
+        count = min(count, chain.n)
+        A = chain.conjugated_neg_generator
+        u = np.random.default_rng(seed).uniform(-5.0, 5.0, chain.n) if drawn else None
+        got = _lowest_eigenpairs(chain, u, count=count, vectors=vectors)
+        M = A if u is None else A - np.diag(u)
+        if vectors:
+            w, V = np.linalg.eigh(M)
+            assert np.array_equal(got[0], w[:count]) and np.array_equal(got[1], V[:, :count])
+        else:
+            assert np.array_equal(got, np.linalg.eigvalsh(M)[:count])
 
 
 class TestStackedEigensolve:

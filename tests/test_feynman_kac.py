@@ -38,6 +38,7 @@ from transinfo.trivial_metric import build_jump_chain, extremal_potential, jump_
 
 from conftest import (
     bernoulli_chain,
+    fk_norm_expm,
     one_potential_best_lambda,
     random_birth_death_chain,
     random_density,
@@ -126,7 +127,7 @@ class TestFkNorm:
             u = rng.standard_normal(n)
             t = float(rng.uniform(0.5, 20.0))
             assert fk_norm(ch, u, t) == pytest.approx(
-                fk_norm(ch, u, t, method="expm"), rel=1e-8)
+                fk_norm_expm(ch, u, t), rel=1e-8)
 
     def test_horizon_overflow(self, rng):
         ch = random_reversible_chain(3, rng)

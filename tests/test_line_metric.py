@@ -21,10 +21,9 @@ from transinfo.diffusion1d import Grid1D, discretize, ou_spec
 from transinfo.errors import ModelValidation, TransinfoError
 from transinfo.feynman_kac import (_lipschitz_candidates, best_w1i, best_w2i,
                                    w2i_dual_check)
-from transinfo.transport import (CostMatrix, _metric_transport, _metric_transport_rows,
-                                 infconv_potential, supconv_potential, w1, w2)
+from transinfo.transport import CostMatrix, _metric_transport, _metric_transport_rows, w1, w2
 
-from conftest import random_reversible_chain
+from conftest import infconv_potential, random_reversible_chain, supconv_potential
 
 
 def dense_line_metric(p: np.ndarray) -> MetricMatrix:

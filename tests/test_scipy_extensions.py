@@ -181,11 +181,12 @@ import hashlib, sys
 import numpy as np
 if sys.argv[1] == "public":
     import scipy.linalg, scipy.signal
-from transinfo import chains
+from transinfo import chains, mminf_generator
 from transinfo.simulate import EnsembleConfig, OUModel, sample_time_average
 rng = np.random.default_rng(5)
-diag, off = rng.uniform(-3.0, 3.0, 200), rng.uniform(0.1, 1.0, 199)
-w, V = chains._band_eigenpairs(diag, off, 3, True)
+chain, _ = mminf_generator(1.0, 40)
+u = rng.uniform(-3.0, 3.0, chain.n)
+w, V = chains._lowest_eigenpairs(chain, u, count=3, vectors=True)
 samples = sample_time_average(EnsembleConfig(model=OUModel(), beta="stationary", t=2.0,
                                              n_paths=3, master_seed=4, sde_step=0.01), None)
 if sys.argv[1] == "extension":
@@ -197,7 +198,8 @@ flapack, sigtools = (chains._scipy_extension(name)
 assert sys.modules["scipy.linalg._flapack"] is flapack
 assert sys.modules["scipy.signal._sigtools"] is sigtools
 assert lapack.dstebz is flapack.dstebz and lapack.dstein is flapack.dstein
-w_ref, V_ref = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))
+diag, off = chain.band
+w_ref, V_ref = scipy.linalg.eigh_tridiagonal(diag - u, off, select="i", select_range=(0, 2))
 assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
 x = rng.standard_normal(500)
 assert np.array_equal(scipy.signal.lfilter([0.3], [1.0, -0.7], x),
