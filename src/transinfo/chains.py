@@ -547,18 +547,19 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
     """The ``count`` lowest eigenvalues of the conjugated -L^sigma - diag(u).
 
     The top eigenvalue of L^sigma + diag(u) in L^2(mu) is minus the lowest
-    one here.  Every call is a stack of rows: a 2-D ``u`` holds one potential
-    per row and gives an (N, count) array; a 1-D ``u``, or none, is one row
-    and gives its row, or (eigenvalues, eigenvectors as columns) when
-    ``vectors`` is set.  One finiteness check covers the shifted diagonals
-    of all rows (and a band's off-diagonal), so a NaN or inf raises
-    ValueError on either structure.  Birth-death chains are then solved on
-    their cached band by LAPACK's tridiagonal bisection (dstebz) for the
-    requested indices only, per row, with inverse iteration (dstein) for
-    vectors; every other chain by eigvalsh, or eigh for vectors, on stacks
-    of A - diag(row) of at most 2^20 entries.  A row's bits do not depend
-    on its stack.
+    one here; a ``count`` above n gives all n.  Every call is a stack of
+    rows: a 2-D ``u`` holds one potential per row and gives an (N, count)
+    array; a 1-D ``u``, or none, is one row and gives its row, or
+    (eigenvalues, eigenvectors as columns) when ``vectors`` is set.  One
+    finiteness check covers the shifted diagonals of all rows (and a band's
+    off-diagonal), so a NaN or inf raises ValueError on either structure.
+    Birth-death chains are then solved on their cached band by LAPACK's
+    tridiagonal bisection (dstebz) for the requested indices only, per row,
+    with inverse iteration (dstein) for vectors; every other chain by
+    eigvalsh, or eigh for vectors, on stacks of A - diag(row) of at most
+    2^20 entries.  A row's bits do not depend on its stack.
     """
+    count = min(count, chain.n)
     if u is None:
         rows = np.zeros((1, chain.n))
     else:
@@ -571,7 +572,7 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
     # LAPACK's bisection need not terminate on NaN; a dense solve fails on it or returns NaN
     if not (np.isfinite(diags).all() and (off is None or np.isfinite(off).all())):
         raise ValueError("array must not contain infs or NaNs")
-    out = np.empty((len(rows), min(count, chain.n)))
+    out = np.empty((len(rows), count))
     if band is not None:
         lapack = _scipy_extension("linalg._flapack")
         for r, d in enumerate(diags):

@@ -2,6 +2,8 @@
 
 One JSON document describes one or more experiments; rerunning the same
 document with the same seed reproduces every artifact byte for byte.
+This is the only module that turns results into files: the library
+returns plain data, and ``write_csv`` and ``write_json`` alone format it.
 Floats are printed with 17 significant digits so the files round-trip;
 tolerances live in the checks, never in the printing.
 """
@@ -13,7 +15,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +36,7 @@ from .errors import ConfigParse, TransinfoError
 from .feynman_kac import PhiPair, best_w1i, best_w2i, verify_tphi_dual
 from .lyapunov import beta_potential_example, certify_H, mminf_certificate, verify_thm51
 from .rng import _is_integer
-from .simulate import (LEDGER_COLUMNS, EnsembleConfig, ledger_row, sample_time_average,
-                       tail_estimate)
+from .simulate import EnsembleConfig, sample_time_average, tail_estimate
 from .transport import (
     CostMatrix,
     RateFunction,
@@ -86,9 +87,8 @@ def _load_model(spec) -> dict:
         return catalog.load_example(spec)
     if isinstance(spec, dict) and "rates" in spec:
         return {"chain": chain_from_json(spec)}
-    if isinstance(spec, dict) and "a" in spec:
-        return {"spec": catalog.diffusion_from_json(spec)}
-    raise ConfigParse(f"cannot interpret model {spec!r}")
+    raise ConfigParse(f"cannot interpret model {spec!r}: a model is a catalog name "
+                      "or an inline chain with rates")
 
 
 def _metric_for(model: dict, name: str) -> Metric:
@@ -130,7 +130,7 @@ def run_verify_tci(params, out_dir: Path, seed: int, name: str) -> Outcome:
         pairs.append(PhiPair.validate(u, u))
     report = verify_tphi_dual(chain, pairs, alpha, lambdas)
     path = out_dir / f"{name}-slack.csv"
-    path.write_text(report.to_csv())
+    write_csv(path, ["pair", "lambda", "slack"], report.rows)
     return Outcome(name, report.passed,
                    {"worst_slack": report.worst_slack}, [path])
 
@@ -143,10 +143,8 @@ def run_best_constant(params, out_dir: Path, seed: int, name: str) -> Outcome:
     search = best_w1i if which == "w1i" else best_w2i
     report = search(chain, metric, seed=seed)
     _, c_p = spectral_gap(chain)
-    payload = report.to_json_dict()
-    payload["c_P"] = c_p
     path = out_dir / f"{name}-report.json"
-    write_json(path, payload)
+    write_json(path, {**asdict(report), "c_P": c_p})
     ok = report.diverged or abs(report.c_dual - report.c_primal) <= 1e-2 * max(1.0, report.c_dual)
     return Outcome(name, bool(ok),
                    {"c_dual": report.c_dual, "c_primal": report.c_primal,
@@ -220,10 +218,10 @@ def run_diffusion(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model_name = params.get("model", "ou")
     nodes = _count(params, "nodes", 400)
     model = catalog.load_example(model_name, grid_nodes=nodes) \
-        if isinstance(model_name, str) else _load_model(model_name)
+        if isinstance(model_name, str) else {}
     if "grid" not in model:
-        raise ConfigParse("diffusion experiments need a catalog model; "
-                          "an inline model carries no grid")
+        raise ConfigParse("diffusion experiments need a catalog model with a grid, "
+                          f"not {model_name!r}")
     spec, grid = model["spec"], model["grid"]
     warp_name = params.get("rho", "identity")
     warp = {"identity": Warp.identity(), "tanh": Warp.tanh_blend(),
@@ -258,7 +256,7 @@ def run_lyapunov(params, out_dir: Path, seed: int, name: str) -> Outcome:
     f = rng.dirichlet(np.ones(chain.n) * 0.8, size=samples) / chain.mu
     rep = verify_thm51(chain, cert, f / chain.expectation(f)[:, None])
     cert_path = out_dir / f"{name}-certificate.json"
-    write_json(cert_path, cert.to_json_dict())
+    write_json(cert_path, {**asdict(cert), "certified": cert.certified})
     rows_path = out_dir / f"{name}-verify.csv"
     write_csv(rows_path, ["sample", "lhs_phi", "bound_phi", "lhs_sqrtphi_sq",
                           "bound_sqrtphi_sq", "slack"], rep["rows"])
@@ -280,15 +278,17 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
     config = EnsembleConfig(model=chain, beta=chain.mu, t=t,
                             n_paths=n_paths, master_seed=seed)
     samples = sample_time_average(config, u)
+    model_name = str(params.get("model", "bernoulli"))
     rows = []
     ok = True
     for r in np.atleast_1d(r_list):
         est = tail_estimate(config, u, u, float(r), alpha, samples=samples)
-        row = ledger_row(str(params.get("model", "bernoulli")), "u", est, t, float(r), seed)
-        rows.append(tuple(row.values()))
+        rows.append((model_name, "u", t, float(r), est.n_paths, est.p_hat, est.ci_low,
+                     est.ci_high, est.bound_value, est.verdict, seed))
         ok = ok and est.verdict != "bound_violated"
     path = out_dir / f"{name}-ledger.csv"
-    write_csv(path, list(LEDGER_COLUMNS), rows)
+    write_csv(path, ["model", "u", "t", "r", "n_paths", "p_hat", "ci_low", "ci_high",
+                     "bound", "verdict", "seed"], rows)
     artifacts = [path]
     if params.get("dump_samples"):
         spath = out_dir / f"{name}-samples.csv"

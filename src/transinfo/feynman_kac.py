@@ -219,11 +219,6 @@ class TphiDualReport:
     worst_slack: float
     passed: bool
 
-    def to_csv(self) -> str:
-        lines = ["pair,lambda,slack"]
-        lines += [f"{i},{lam:.17g},{s:.17g}" for i, lam, s in self.rows]
-        return "\n".join(lines) + "\n"
-
 
 def verify_tphi_dual(chain: ReversibleChain, pairs: list[PhiPair], alpha: RateFunction,
                      lambda_grid: np.ndarray) -> TphiDualReport:
@@ -256,16 +251,6 @@ class BestConstantReport:
     witness_density: np.ndarray
     diverged: bool
     probe: tuple = field(default=())   # ((eps, ratio), ...) for the W2 linearization
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c_dual": self.c_dual,
-            "c_primal": self.c_primal,
-            "witness_u": [float(x) for x in np.asarray(self.witness_u).ravel()],
-            "witness_density": [float(x) for x in np.asarray(self.witness_density).ravel()],
-            "diverged": bool(self.diverged),
-            "probe": [[float(e), float(r)] for e, r in self.probe],
-        }
 
 
 def _lambda_grid() -> np.ndarray:
@@ -456,7 +441,6 @@ def _low_eigen_directions(chain, count):
     would oscillate at the grid scale and probe discreteness instead of
     the measure.
     """
-    count = min(count, chain.n - 1)
     _, V = _lowest_eigenpairs(chain, count=count + 1, vectors=True)
     return [g / max(float(np.max(np.abs(g))), 1e-300) for g in V[:, 1:].T / np.sqrt(chain.mu)]
 

@@ -52,17 +52,6 @@ class LyapunovCertificate:
     def certified(self) -> bool:
         return self.max_violation <= CERT_TOL
 
-    def to_json_dict(self) -> dict:
-        return {
-            "U": [float(x) for x in self.U],
-            "phi": [float(x) for x in self.phi],
-            "b": float(self.b),
-            "max_violation": float(self.max_violation),
-            "excluded": list(self.excluded),
-            "excluded_violation": float(self.excluded_violation),
-            "certified": self.certified,
-        }
-
 
 def drift_ratio(chain: ReversibleChain, U: np.ndarray) -> np.ndarray:
     """-(LU)/U entrywise; requires U >= 1."""

@@ -427,15 +427,3 @@ def _deviation_estimate(values: np.ndarray, threshold: float, norm: float,
                              bound_value=min(bound, 1e308), verdict=verdict,
                              n_paths=n, hits=hits, threshold=threshold,
                              beta_l2=norm if math.isfinite(norm) else -1.0)
-
-
-LEDGER_COLUMNS = ("model", "u", "t", "r", "n_paths", "p_hat", "ci_low", "ci_high",
-                  "bound", "verdict", "seed")
-
-
-def ledger_row(model_name: str, u_name: str, est: DeviationEstimate,
-               t: float, r: float, seed: int) -> dict:
-    """Row of the run-ledger CSV, keyed by LEDGER_COLUMNS in order."""
-    return dict(zip(LEDGER_COLUMNS, (model_name, u_name, t, r, est.n_paths, est.p_hat,
-                                     est.ci_low, est.ci_high, est.bound_value, est.verdict,
-                                     seed)))

@@ -83,14 +83,6 @@ class Coupling:
     nu: np.ndarray
     mu: np.ndarray
 
-    def to_csv(self, row_labels=None, col_labels=None) -> str:
-        n, m = self.pi.shape
-        rows = ["," + ",".join(col_labels or [str(j) for j in range(m)])]
-        for i in range(n):
-            lbl = (row_labels or [str(k) for k in range(n)])[i]
-            rows.append(lbl + "," + ",".join(f"{v:.17g}" for v in self.pi[i]))
-        return "\n".join(rows) + "\n"
-
 
 def _check_marginals(nu: np.ndarray, mu: np.ndarray,
                      shape: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:

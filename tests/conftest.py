@@ -816,6 +816,49 @@ def loop_verify_thm51(chain: ReversibleChain, cert, density_samples):
             "passed": bool(worst >= -1e-8), "c_p": float(c_p), "phi_l2": phi_l2}
 
 
+def tphi_dual_csv(report) -> str:
+    """The slack CSV of a ``TphiDualReport``, as the report once wrote it itself."""
+    lines = ["pair,lambda,slack"]
+    lines += [f"{i},{lam:.17g},{s:.17g}" for i, lam, s in report.rows]
+    return "\n".join(lines) + "\n"
+
+
+def best_constant_json_dict(report) -> dict:
+    """The JSON fields of a ``BestConstantReport``, as the report once gave them itself."""
+    return {
+        "c_dual": report.c_dual,
+        "c_primal": report.c_primal,
+        "witness_u": [float(x) for x in np.asarray(report.witness_u).ravel()],
+        "witness_density": [float(x) for x in np.asarray(report.witness_density).ravel()],
+        "diverged": bool(report.diverged),
+        "probe": [[float(e), float(r)] for e, r in report.probe],
+    }
+
+
+def certificate_json_dict(cert) -> dict:
+    """The JSON fields of a ``LyapunovCertificate``, as the certificate once gave them itself."""
+    return {
+        "U": [float(x) for x in cert.U],
+        "phi": [float(x) for x in cert.phi],
+        "b": float(cert.b),
+        "max_violation": float(cert.max_violation),
+        "excluded": list(cert.excluded),
+        "excluded_violation": float(cert.excluded_violation),
+        "certified": cert.certified,
+    }
+
+
+LEDGER_COLUMNS = ("model", "u", "t", "r", "n_paths", "p_hat", "ci_low", "ci_high",
+                  "bound", "verdict", "seed")
+
+
+def ledger_row(model_name: str, u_name: str, est, t: float, r: float, seed: int) -> dict:
+    """Row of the run-ledger CSV, keyed by LEDGER_COLUMNS in order."""
+    return dict(zip(LEDGER_COLUMNS, (model_name, u_name, t, r, est.n_paths, est.p_hat,
+                                     est.ci_low, est.ci_high, est.bound_value, est.verdict,
+                                     seed)))
+
+
 def loop_write_csv(path, header: list[str], rows: list[tuple]) -> None:
     """``cli.write_csv`` with a formatting call per value."""
     def fmt(x) -> str:
@@ -876,7 +919,7 @@ def loop_run_lyapunov(params, out_dir, seed: int, name: str) -> Outcome:
         dens.append(f / float(np.dot(chain.mu, f)))
     rep = loop_verify_thm51(chain, cert, dens)
     cert_path = out_dir / f"{name}-certificate.json"
-    write_json(cert_path, cert.to_json_dict())
+    write_json(cert_path, certificate_json_dict(cert))
     rows_path = out_dir / f"{name}-verify.csv"
     loop_write_csv(rows_path, ["sample", "lhs_phi", "bound_phi", "lhs_sqrtphi_sq",
                                "bound_sqrtphi_sq", "slack"], rep["rows"])

@@ -727,6 +727,27 @@ class TestStackedEigensolve:
                 _lowest_eigenpairs(ch, np.ones((3, 4)), vectors=True)
 
 
+class TestCountAboveN:
+    """A count above n gives the n eigenvalues of a count of n, on either structure."""
+
+    @pytest.mark.parametrize("structure", ["band", "dense"])
+    def test_equal_to_count_n(self, structure):
+        rng = np.random.default_rng(5)
+        build = random_birth_death_chain if structure == "band" else random_reversible_chain
+        chain = build(5, rng)
+        assert (chain.band is not None) == (structure == "band")
+        U = rng.uniform(-3.0, 3.0, (4, chain.n))
+        for count in (chain.n, chain.n + 1, chain.n + 2):
+            for u in (None, U[0], U):
+                got = _lowest_eigenpairs(chain, u, count=count)
+                assert np.array_equal(got, _lowest_eigenpairs(chain, u, count=chain.n))
+                assert got.shape[-1] == chain.n
+            for u in (None, U[0]):
+                w, V = _lowest_eigenpairs(chain, u, count=count, vectors=True)
+                w_n, V_n = _lowest_eigenpairs(chain, u, count=chain.n, vectors=True)
+                assert np.array_equal(w, w_n) and np.array_equal(V, V_n)
+
+
 class TestLapackBinding:
     def test_first_band_solves_race_on_many_threads(self, monkeypatch):
         """Threads that all make the first band solve at once all get its result.

@@ -10,8 +10,12 @@ import pytest
 from transinfo import catalog, cli
 from transinfo.cli import main, run_spec_file
 from transinfo.errors import ConfigParse
+from transinfo.feynman_kac import BestConstantReport
 from transinfo.exprutil import compile_expression
 from transinfo.transport import RateFunction
+
+from conftest import (LEDGER_COLUMNS, best_constant_json_dict, certificate_json_dict, ledger_row,
+                      tphi_dual_csv)
 
 
 def run_cli(args):
@@ -540,15 +544,86 @@ class TestSampleDump:
         assert len(text.strip().split("\n")) == 51
 
 
-class TestCouplingCsv:
-    def test_header_labels(self):
-        from transinfo.transport import CostMatrix, ot_cost
-        c = CostMatrix.validate(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        _, coup = ot_cost(c, np.array([0.5, 0.5]), np.array([0.25, 0.75]))
-        text = coup.to_csv(row_labels=["a", "b"], col_labels=["x", "y"])
-        lines = text.strip().split("\n")
-        assert lines[0] == ",x,y"
-        assert lines[1].startswith("a,")
+class TestArtifactOracles:
+    """Each kind's files equal, byte for byte, those the reports once wrote themselves."""
+
+    @staticmethod
+    def _calls(monkeypatch, name):
+        """Wrap ``cli.<name>``; the list gets each call's (args, result)."""
+        calls, inner = [], getattr(cli, name)
+
+        def kept(*args, **kwargs):
+            calls.append((args, inner(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, name, kept)
+        return calls
+
+    @pytest.mark.parametrize("model, which", [("bernoulli", "w1i"), ("bernoulli", "w2i"),
+                                              ("jump2", "w2i"), ("product-3x3", "w1i")])
+    def test_best_constant(self, tmp_path, monkeypatch, model, which):
+        calls = self._calls(monkeypatch, "best_w1i" if which == "w1i" else "best_w2i")
+        out = cli.run_best_constant({"model": model, "which": which}, tmp_path, 5, "bc")
+        ((_, report),) = calls
+        oracle = tmp_path / "oracle.json"
+        cli.write_json(oracle, {**best_constant_json_dict(report), "c_P": out.details["c_P"]})
+        assert out.artifacts[0].read_bytes() == oracle.read_bytes()
+
+    def test_best_constant_diverged(self, tmp_path, monkeypatch):
+        report = BestConstantReport(c_dual=math.inf, c_primal=math.inf,
+                                    witness_u=np.zeros(2), witness_density=np.ones(2),
+                                    diverged=True, probe=((0.1, 2.5), (0.05, math.inf)))
+        monkeypatch.setattr(cli, "best_w2i", lambda chain, metric, seed: report)
+        out = cli.run_best_constant({"model": "bernoulli", "which": "w2i"}, tmp_path, 0, "bc")
+        oracle = tmp_path / "oracle.json"
+        cli.write_json(oracle, {**best_constant_json_dict(report), "c_P": out.details["c_P"]})
+        assert out.artifacts[0].read_bytes() == oracle.read_bytes()
+        assert b"Infinity" in oracle.read_bytes()
+
+    @pytest.mark.parametrize("model", ["mminf", "beta-potential"])
+    def test_lyapunov_certificate(self, tmp_path, monkeypatch, model):
+        calls = self._calls(monkeypatch, "verify_thm51")
+        out = cli.run_lyapunov({"model": model, "samples": 5}, tmp_path, 5, "lya")
+        (((_, cert, _), _),) = calls
+        assert cert.excluded == ((0, cert.U.size - 1) if model == "beta-potential" else ())
+        oracle = tmp_path / "oracle.json"
+        cli.write_json(oracle, certificate_json_dict(cert))
+        assert out.artifacts[0].read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("model", ["bernoulli", "product-3x3"])
+    def test_verify_tci(self, tmp_path, monkeypatch, model):
+        calls = self._calls(monkeypatch, "verify_tphi_dual")
+        params = {"model": model, "alpha": {"kind": "quadratic", "c": 1.0}}
+        out = cli.run_verify_tci(params, tmp_path, 5, "tci")
+        ((_, report),) = calls
+        assert out.artifacts[0].read_text() == tphi_dual_csv(report)
+
+    def test_simulate_ledger(self, tmp_path, monkeypatch):
+        calls = self._calls(monkeypatch, "tail_estimate")
+        params = {"model": "bernoulli", "t": 5.0, "r": [0.1, 0.3], "n_paths": 200}
+        out = cli.run_simulate(params, tmp_path, 7, "sim")
+        rows = [tuple(ledger_row("bernoulli", "u", est, 5.0, r, 7).values())
+                for r, (_, est) in zip([0.1, 0.3], calls)]
+        oracle = tmp_path / "oracle.csv"
+        cli.write_csv(oracle, list(LEDGER_COLUMNS), rows)
+        assert out.artifacts[0].read_bytes() == oracle.read_bytes()
+
+
+class TestInlineModels:
+    def test_inline_diffusion_fails_by_name(self, tmp_path, capsys):
+        # only chains come inline; a diffusion needs a catalog grid
+        model = {"a": "1", "b": "-x", "interval": [None, None]}
+        alpha = {"kind": "quadratic", "c": 1.0}
+        kinds = ["best-constant", "simulate", "verify-tci", "diffusion"]
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"experiments": [
+            {"kind": k, "name": k, "params": {"model": model, "alpha": alpha}} for k in kinds]}))
+        assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 2
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        errors = {e["name"]: e["details"]["error"] for e in summary["experiments"]}
+        assert sorted(errors) == sorted(kinds)
+        assert all(err.startswith("ConfigParse: ") for err in errors.values()), errors
 
 
 class TestPaperSuite:

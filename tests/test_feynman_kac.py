@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transinfo import chains, feynman_kac, transport
+from transinfo import chains, cli, feynman_kac, transport
 from transinfo.chains import (
     MetricMatrix,
     build_chain,
@@ -258,13 +258,13 @@ class TestVerifyTphiDual:
         with pytest.raises(PhiConstraintViolated):
             PhiPair.validate(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
 
-    def test_csv_shape(self, rng):
+    def test_csv_shape(self, rng, tmp_path):
+        # one pair at one lambda, through the CLI's writer
         ch = random_reversible_chain(3, rng)
-        u = rng.standard_normal(3)
-        u -= ch.expectation(u)
-        rep = verify_tphi_dual(ch, [PhiPair.validate(u, u)],
-                               RateFunction.quadratic(10.0), np.array([1.0]))
-        lines = rep.to_csv().strip().split("\n")
+        params = {"model": {"rates": ch.Q.tolist(), "mu": ch.mu.tolist()},
+                  "alpha": {"kind": "quadratic", "c": 10.0}, "lambda_grid": [1.0], "n_pairs": 1}
+        out = cli.run_verify_tci(params, tmp_path, 0, "tci")
+        lines = out.artifacts[0].read_text().strip().split("\n")
         assert lines[0] == "pair,lambda,slack"
         assert len(lines) == 2
 
