@@ -55,6 +55,34 @@ from conftest import (
 LEGENDRE_MU_FLOOR = 1e-3
 
 
+def _legendre_draw(n, seed, data):
+    """A chain on n states with mu from weights in 10^[-3, 0], and an observable."""
+    weights = 10.0 ** np.array(data.draw(st.lists(
+        st.floats(math.log10(LEGENDRE_MU_FLOOR), 0.0), min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    ch = random_reversible_chain(n, rng, mu=weights / weights.sum())
+    return ch, rng.standard_normal(n)
+
+
+def _legendre_run(ch, u, lam, multistarts):
+    """``_legendre_values``'s rows, its step count, and whether it stopped on its gap.
+
+    Every step forms the gradient once and projects once; a run that stops on
+    its gap forms one gradient more than it projects.
+    """
+    counts = {"grad": 0, "step": 0}
+
+    def counted(key, fn):
+        return lambda *args: counts.__setitem__(key, counts[key] + 1) or fn(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feynman_kac, "_apply_neg_generator",
+                   counted("grad", feynman_kac._apply_neg_generator))
+        mp.setattr(feynman_kac, "project_density", counted("step", feynman_kac.project_density))
+        rows = _legendre_values(ch, u, lam, multistarts, 400, 5)
+    return rows, counts["step"], counts["grad"] > counts["step"]
+
+
 def _random_metric(n, kind, rng):
     """A line metric on random increasing points, a planar one, or the trivial one."""
     if kind == "line":
@@ -169,35 +197,58 @@ class TestLegendreOracle:
     def test_lockstep_matches_lambda_max_and_sequential_ascent(self, n, seed, lam, data):
         """The lockstep rows against the one-start-at-a-time loop, and Lambda.
 
-        The two differ in the rounding of their row sums.  A start that
-        ran into the iteration cap was still climbing, and one rounding can
-        flip an accept there and move where it stops (by 4.9e-9 in the
-        last of 16 starts on n = 6, seed 0, lambda = 0, weights
-        10^(0, 0, 0, -2, 0, 0)), so such starts count through the maximum
-        only.  On stiff chains the loop itself can stop short of Lambda (by
-        3.7e-3 on n = 3, seed 0, lambda = 1, weights (1, 1, 1e-3)); there
-        the lockstep must reach the loop's value, not Lambda.
+        The loop runs as many steps as the lockstep took before it stopped.
+        The two differ in the rounding of their row sums.  A start still
+        climbing at that point can have one rounding flip an accept and
+        move where it stands (by 4.9e-9 in the last of 16 starts on n = 6,
+        seed 0, lambda = 0, weights 10^(0, 0, 0, -2, 0, 0)), so such starts
+        count through the maximum only.  A run that stops on its gap meets
+        criterion 4's tolerance against the eigensolver.  One that does not
+        can stop short of Lambda on a stiff chain (by 3.7e-3 on n = 3,
+        seed 0, lambda = 1, weights (1, 1, 1e-3)); there the lockstep must
+        reach the loop's value, not Lambda.
         """
-        weights = 10.0 ** np.array(data.draw(st.lists(
-            st.floats(math.log10(LEGENDRE_MU_FLOOR), 0.0), min_size=n, max_size=n)))
-        rng = np.random.default_rng(seed)
-        ch = random_reversible_chain(n, rng, mu=weights / weights.sum())
-        u = rng.standard_normal(n)
-        rows = _legendre_values(ch, u, lam, 8, 400, 5)
-        seq, stopped = sequential_legendre(ch, u, lam, multistarts=8)
+        ch, u = _legendre_draw(n, seed, data)
+        rows, steps, certified = _legendre_run(ch, u, lam, 8)
+        seq, stopped = sequential_legendre(ch, u, lam, multistarts=8, iters=steps)
         assert np.all(np.abs(rows - seq)[stopped] < 1e-12)
         assert abs(np.max(rows) - np.max(seq)) < 1e-12
-        # criterion 4's tolerance against the eigensolver, wherever the loop meets it
         top = lambda_max(ch, lam * u)
-        if abs(np.max(seq) - top) <= 1e-5:
-            assert legendre_of_info(ch, u, lam, multistarts=8) == pytest.approx(top, abs=1e-5)
+        if certified or abs(np.max(seq) - top) <= 1e-5:
+            assert np.max(rows) == pytest.approx(top, abs=1e-5)
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 3.0), st.data())
+    def test_gap_certificate_is_sound(self, n, seed, lam, data):
+        # a run that stops on its Frank-Wolfe gap is within LEGENDRE_GAP of
+        # Lambda from below, and no ascent value exceeds Lambda but by roundoff
+        ch, u = _legendre_draw(n, seed, data)
+        rows, _, certified = _legendre_run(ch, u, lam, 8)
+        value, top = float(np.max(rows)), lambda_max(ch, lam * u)
+        assert value <= top + 1e-12 * max(1.0, abs(top))
+        if certified:
+            assert top - value <= feynman_kac.LEGENDRE_GAP * max(1.0, abs(value))
+
+    def test_criterion_4_calls_stop_on_their_gap(self):
+        # criterion 4's 60 calls each stop on the certificate within 100 steps
+        rng = np.random.default_rng(404)
+        for _ in range(20):
+            n = int(rng.integers(4, 7))
+            ch = random_reversible_chain(n, rng)
+            u = rng.standard_normal(n)
+            for lam in (0.5, 1.0, 2.0):
+                rows, steps, certified = _legendre_run(ch, u, lam, 16)
+                assert certified and steps <= 100
+                assert np.max(rows) == pytest.approx(lambda_max(ch, lam * u), abs=1e-12)
 
     def test_stopped_starts_leave_the_arrays(self, monkeypatch, rng):
-        # every start on this chain stops on its step rule before the cap, so
-        # the lockstep projects fewer rows as starts stop and ends early
+        # with the certificate off, every start on this chain stops on its step
+        # rule before the cap, so the lockstep projects fewer rows as starts
+        # stop and ends early
         ch = random_reversible_chain(4, rng)
         u = rng.standard_normal(4)
         assert np.all(sequential_legendre(ch, u, 1.0, multistarts=16)[1])
+        monkeypatch.setattr(feynman_kac, "LEGENDRE_GAP", -1.0)
         sizes = []
         project = feynman_kac.project_density
         monkeypatch.setattr(feynman_kac, "project_density",
@@ -217,6 +268,15 @@ class TestLegendreOracle:
         for u in (np.ones(5), np.ones(3), np.ones((2, 4))):
             with pytest.raises(ValueError):
                 legendre_of_info(ch, u, 1.0)
+
+    def test_non_finite_input_rejected(self, rng):
+        # as lambda_max rejects them: a NaN would otherwise come back as the value
+        ch = random_reversible_chain(4, rng)
+        for u, lam in (([0.0, math.nan, 1.0, 2.0], 1.0), ([0.0, math.inf, 1.0, 2.0], 1.0),
+                       ([0.0, 1.0, -math.inf, 2.0], 1.0), (np.ones(4), math.nan),
+                       (np.ones(4), math.inf), (np.zeros(4), -math.inf)):
+            with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                legendre_of_info(ch, np.array(u), lam)
 
 
 class TestVerifyTphiDual:

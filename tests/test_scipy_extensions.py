@@ -10,6 +10,7 @@ that shortcut: the loaded routines give the public ones' bits, and a later
 public import, or an earlier one, binds the same routines and still works.
 """
 
+import functools
 import subprocess
 import sys
 import types
@@ -174,24 +175,30 @@ class TestSpecialRoutines:
 
 
 # Run in a fresh interpreter with argv[1] "extension" (the package's calls
-# load the extensions before scipy.linalg and scipy.signal are imported) or
-# "public" (those packages are imported first).  Prints a hash of the bits.
+# load the extensions before scipy.linalg, scipy.signal, scipy.special and
+# scipy.stats are imported) or "public" (those packages are imported first).
+# Prints two hashes: of the band solve's and OU sampler's bits, then of the
+# special routines' bits.
 LOAD_ORDER = """
-import hashlib, sys
+import hashlib, math, sys
 import numpy as np
 if sys.argv[1] == "public":
-    import scipy.linalg, scipy.signal
+    import scipy.linalg, scipy.signal, scipy.special, scipy.stats
 from transinfo import chains, mminf_generator
-from transinfo.simulate import EnsembleConfig, OUModel, sample_time_average
+from transinfo.diffusion1d import ou_sigma2, ou_tail_lograte
+from transinfo.simulate import EnsembleConfig, OUModel, clopper_pearson, sample_time_average
 rng = np.random.default_rng(5)
-chain, _ = mminf_generator(1.0, 40)
+chain, mu = mminf_generator(1.0, 40)
 u = rng.uniform(-3.0, 3.0, chain.n)
 w, V = chains._lowest_eigenpairs(chain, u, count=3, vectors=True)
 samples = sample_time_average(EnsembleConfig(model=OUModel(), beta="stationary", t=2.0,
                                              n_paths=3, master_seed=4, sde_step=0.01), None)
+intervals = [clopper_pearson(h, n) for n, h in ((1, 0), (1, 1), (50, 7), (200_000, 1234))]
+rate = ou_tail_lograte(0.5, 10.0)
 if sys.argv[1] == "extension":
-    assert "scipy.linalg" not in sys.modules and "scipy.signal" not in sys.modules
-import scipy.linalg, scipy.signal
+    assert not any(name in sys.modules for name in
+                   ("scipy.linalg", "scipy.signal", "scipy.special", "scipy.stats"))
+import scipy.linalg, scipy.signal, scipy.special, scipy.stats
 from scipy.linalg import lapack
 flapack, sigtools = (chains._scipy_extension(name)
                      for name in ("linalg._flapack", "signal._sigtools"))
@@ -206,39 +213,6 @@ assert np.array_equal(scipy.signal.lfilter([0.3], [1.0, -0.7], x),
                       sigtools._linear_filter(np.array([0.3]), np.array([1.0, -0.7]), x, -1))
 assert np.allclose(scipy.linalg.solve(2.0 * np.eye(3), np.ones(3)), 0.5)
 assert np.allclose(scipy.signal.lfilter([1.0, 1.0], [2.0], [1.0, 0.0, 0.0]), [0.5, 0.5, 0.0])
-print(hashlib.sha256(w.tobytes() + V.tobytes() + samples.tobytes()).hexdigest())
-"""
-
-
-def test_both_load_orders_give_the_same_bits():
-    hashes = []
-    for order in ("extension", "public"):
-        res = subprocess.run([sys.executable, "-c", LOAD_ORDER, order],
-                             capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        hashes.append(res.stdout)
-    assert hashes[0] == hashes[1] and len(hashes[0]) == 65
-
-
-# Run in a fresh interpreter with argv[1] "extension" (the package's calls
-# load scipy.special's compiled modules before scipy.special and scipy.stats
-# are imported) or "public" (those packages are imported first).  Prints a
-# hash of the bits.
-SPECIAL_LOAD_ORDER = """
-import hashlib, math, sys
-import numpy as np
-if sys.argv[1] == "public":
-    import scipy.special, scipy.stats
-from transinfo import chains
-from transinfo.diffusion1d import ou_sigma2, ou_tail_lograte
-from transinfo.lyapunov import mminf_generator
-from transinfo.simulate import clopper_pearson
-intervals = [clopper_pearson(h, n) for n, h in ((1, 0), (1, 1), (50, 7), (200_000, 1234))]
-_, mu = mminf_generator(1.0, 40)
-rate = ou_tail_lograte(0.5, 10.0)
-if sys.argv[1] == "extension":
-    assert "scipy.special" not in sys.modules and "scipy.stats" not in sys.modules
-import scipy.special, scipy.stats
 for name in ("_special_ufuncs", "_ufuncs_cxx"):
     assert sys.modules["scipy.special." + name] is chains._scipy_extension("special." + name)
 for name in ("gammaln", "gammainc", "xlogy", "log_ndtr"):
@@ -249,18 +223,31 @@ assert intervals[2] == (float(scipy.special.betaincinv(7, 44, tail)),
 assert intervals[2][0] == float(scipy.stats.beta.ppf(tail, 7, 44))
 assert rate == float(scipy.special.log_ndtr(-0.5 / math.sqrt(ou_sigma2(10.0)))) / 10.0
 assert math.isclose(scipy.stats.norm.cdf(0.0), 0.5) and scipy.special.gamma(5.0) == 24.0
+print(hashlib.sha256(w.tobytes() + V.tobytes() + samples.tobytes()).hexdigest())
 print(hashlib.sha256(repr((intervals, rate)).encode() + mu.tobytes()).hexdigest())
 """
 
 
-def test_special_routines_in_both_load_orders():
-    hashes = []
+@functools.cache
+def load_order_hashes() -> dict:
+    """Each load order's two printed hashes, from one fresh interpreter per order."""
+    hashes = {}
     for order in ("extension", "public"):
-        res = subprocess.run([sys.executable, "-c", SPECIAL_LOAD_ORDER, order],
+        res = subprocess.run([sys.executable, "-c", LOAD_ORDER, order],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        hashes.append(res.stdout)
-    assert hashes[0] == hashes[1] and len(hashes[0]) == 65
+        hashes[order] = res.stdout.split()
+    return hashes
+
+
+def test_both_load_orders_give_the_same_bits():
+    bits = [hashes[0] for hashes in load_order_hashes().values()]
+    assert bits[0] == bits[1] and len(bits[0]) == 64
+
+
+def test_special_routines_in_both_load_orders():
+    bits = [hashes[1] for hashes in load_order_hashes().values()]
+    assert bits[0] == bits[1] and len(bits[0]) == 64
 
 
 CONCURRENT_FIRST_LOAD = """

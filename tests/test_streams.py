@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from transinfo import simulate
+from transinfo.catalog import load_example
 from transinfo.chains import ReversibleChain, build_chain
 from transinfo.diffusion1d import DiffusionSpec1D, ou_spec
 from transinfo.rng import by_chunks, path_streams
@@ -304,6 +305,16 @@ class TestChainSamplerOracle:
         u = np.array([0.3, -1.0, 2.0])
         cfg = EnsembleConfig(model=ch, beta=ch.mu, t=1.0, n_paths=25, master_seed=17)
         assert np.array_equal(sample_time_average(cfg, u), chain_reference(cfg, u))
+        # about a third of the product chain's paths outlive their first block
+        # past half the horizon, and take their second from a kept state; on
+        # the slow-exit chain some of those outlive that block too
+        product = load_example("product-3x3")["chain"]
+        slow_exit = build_chain(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 100.0],
+                                          [0.0, 100.0, 0.0]]))
+        for ch, u, t, n_paths in ((product, np.eye(9)[1], 20.0, 300),
+                                  (slow_exit, np.array([1.0, 0.0, -1.0]), 4.0, 60)):
+            cfg = EnsembleConfig(model=ch, beta=ch.mu, t=t, n_paths=n_paths, master_seed=11)
+            assert np.array_equal(sample_time_average(cfg, u), chain_reference(cfg, u))
 
     def test_zero_rate_start(self):
         # state 0 has no exits: paths started there hold it until t
