@@ -210,26 +210,18 @@ def _chain_chunk(seed, paths: range, t: float, u: np.ndarray, exit_rates: np.nda
     state = np.searchsorted(beta_cum, start)
     clock = np.zeros(m)
     integral = np.zeros(m)
-    resumed = {}                           # row -> its stream, or the state it reached
+    resumed = {}                           # row -> its stream, past the drawn blocks
     k = 0
     while live.size:
         if k == _BLOCK:
-            # rare: a path outlived its block.  One past half its horizon likely ends in
-            # the next: it replays on one re-keyed generator, and its state is kept
-            late = [j for j in live[clock >= t / 2].tolist() if j not in resumed]
-            for j, (_, rng) in zip(late, path_streams(seed, [paths[j] for j in late])):
-                rng.random()
-                _draw_block(rng, exps[j], unis[j])
-                _draw_block(rng, exps[j], unis[j])
-                resumed[j] = rng.bit_generator.state
-            for j in set(live.tolist()).difference(late):     # the rest: their own generators
+            # rare: a path outlived its block; replay its stream once, then
+            # keep that stream for any further blocks
+            for j in live:
                 rng = resumed.get(j)
-                if not isinstance(rng, np.random.Generator):
+                if rng is None:
                     _, rng = next(path_streams(seed, [paths[j]]))
                     rng.random()
                     _draw_block(rng, exps[j], unis[j])
-                    if j in resumed:           # a late path that outlived the next block
-                        rng.bit_generator.state = resumed[j]
                     resumed[j] = rng
                 _draw_block(rng, exps[j], unis[j])
             k = 0
@@ -246,6 +238,12 @@ def _chain_chunk(seed, paths: range, t: float, u: np.ndarray, exit_rates: np.nda
         state = (jump_cum[state] < unis[live, k][:, None]).sum(axis=1)
         k += 1
     return out
+
+
+def _ou_initial(config, rng):
+    if isinstance(config.beta, str) and config.beta == "stationary":
+        return rng.standard_normal()
+    return float(config.beta)
 
 
 # OU paths run in blocks of _OU_BLOCK on threads, one worker per usable CPU;
@@ -286,7 +284,7 @@ def _ou_time_averages(config: EnsembleConfig, u) -> np.ndarray:
         path = np.empty(n_steps + 1)
         out = np.empty(len(paths))
         for j, (_, rng) in enumerate(path_streams(config.master_seed, paths)):
-            x0 = rng.standard_normal() if isinstance(config.beta, str) else float(config.beta)
+            x0 = _ou_initial(config, rng)
             rng.standard_normal(out=shocks)
             path[0] = x0
             np.multiply(powers, x0, out=path[1:])

@@ -176,7 +176,8 @@ class TestSpecialRoutines:
 
 # Run in a fresh interpreter with argv[1] "extension" (the package's calls
 # load the extensions before scipy.linalg, scipy.signal, scipy.special and
-# scipy.stats are imported) or "public" (those packages are imported first).
+# scipy.stats are imported, scipy.special's before any other) or "public"
+# (those packages are imported first).
 # Prints two hashes: of the band solve's and OU sampler's bits, then of the
 # special routines' bits.
 LOAD_ORDER = """
@@ -187,14 +188,18 @@ if sys.argv[1] == "public":
 from transinfo import chains, mminf_generator
 from transinfo.diffusion1d import ou_sigma2, ou_tail_lograte
 from transinfo.simulate import EnsembleConfig, OUModel, clopper_pearson, sample_time_average
-rng = np.random.default_rng(5)
+intervals = [clopper_pearson(h, n) for n, h in ((1, 0), (1, 1), (50, 7), (200_000, 1234))]
 chain, mu = mminf_generator(1.0, 40)
+rate = ou_tail_lograte(0.5, 10.0)
+if sys.argv[1] == "extension":     # scipy.special's modules loaded into a bare process
+    assert not any(name == "scipy.special" or name.startswith(("scipy.linalg", "scipy.signal",
+                                                               "scipy.stats"))
+                   for name in sys.modules)
+rng = np.random.default_rng(5)
 u = rng.uniform(-3.0, 3.0, chain.n)
 w, V = chains._lowest_eigenpairs(chain, u, count=3, vectors=True)
 samples = sample_time_average(EnsembleConfig(model=OUModel(), beta="stationary", t=2.0,
                                              n_paths=3, master_seed=4, sde_step=0.01), None)
-intervals = [clopper_pearson(h, n) for n, h in ((1, 0), (1, 1), (50, 7), (200_000, 1234))]
-rate = ou_tail_lograte(0.5, 10.0)
 if sys.argv[1] == "extension":
     assert not any(name in sys.modules for name in
                    ("scipy.linalg", "scipy.signal", "scipy.special", "scipy.stats"))

@@ -305,9 +305,8 @@ class TestChainSamplerOracle:
         u = np.array([0.3, -1.0, 2.0])
         cfg = EnsembleConfig(model=ch, beta=ch.mu, t=1.0, n_paths=25, master_seed=17)
         assert np.array_equal(sample_time_average(cfg, u), chain_reference(cfg, u))
-        # about a third of the product chain's paths outlive their first block
-        # past half the horizon, and take their second from a kept state; on
-        # the slow-exit chain some of those outlive that block too
+        # about a third of the product chain's paths outlive their first block;
+        # on the slow-exit chain some outlive their second too
         product = load_example("product-3x3")["chain"]
         slow_exit = build_chain(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 100.0],
                                           [0.0, 100.0, 0.0]]))
