@@ -139,8 +139,7 @@ def run_best_constant(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model = _load_model(params.get("model", "bernoulli"))
     chain = model["chain"]
     metric = _metric_for(model, params.get("metric", "default" if "metric" in model else "trivial"))
-    which = params.get("which", "w1i")
-    search = best_w1i if which == "w1i" else best_w2i
+    search = best_w1i if _choice(params, "which", ("w1i", "w2i")) == "w1i" else best_w2i
     report = search(chain, metric, seed=seed)
     _, c_p = spectral_gap(chain)
     path = out_dir / f"{name}-report.json"
@@ -173,6 +172,17 @@ def _real(params, key: str, default):
         form = "a number or a list of numbers" if isinstance(default, list) else "a number"
         raise ConfigParse(f"{key} must be {form}, not {value!r}")
     return [float(x) for x in value] if many else float(value)
+
+
+def _choice(params, key: str, allowed: tuple):
+    """The value at ``key`` (``allowed[0]`` when absent), which must equal one of
+    ``allowed`` and have its type, so 1 is not JSON true.  Anything else raises
+    ConfigParse naming the key and the allowed values."""
+    value = params.get(key, allowed[0])
+    if not any(type(value) is type(a) and value == a for a in allowed):
+        raise ConfigParse(f"{key} must be one of {', '.join(map(json.dumps, allowed))}, "
+                          f"not {value!r}")
+    return value
 
 
 def run_ckp_scan(params, out_dir: Path, seed: int, name: str) -> Outcome:
@@ -217,13 +227,13 @@ def run_rho_scan(params, out_dir: Path, seed: int, name: str) -> Outcome:
 def run_diffusion(params, out_dir: Path, seed: int, name: str) -> Outcome:
     model_name = params.get("model", "ou")
     nodes = _count(params, "nodes", 400)
+    warp_name = _choice(params, "rho", ("identity", "tanh", "intrinsic"))
     model = catalog.load_example(model_name, grid_nodes=nodes) \
         if isinstance(model_name, str) else {}
     if "grid" not in model:
         raise ConfigParse("diffusion experiments need a catalog model with a grid, "
                           f"not {model_name!r}")
     spec, grid = model["spec"], model["grid"]
-    warp_name = params.get("rho", "identity")
     warp = {"identity": Warp.identity(), "tanh": Warp.tanh_blend(),
             "intrinsic": Warp.intrinsic(spec)}[warp_name]
     Z, mu_grid = normalize(spec, grid)
@@ -273,6 +283,7 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
     t = _real(params, "t", 20.0)
     r_list = _real(params, "r", [0.2])
     n_paths = _count(params, "n_paths", 20000)
+    dump_samples = _choice(params, "dump_samples", (False, True))
     _, c_p = spectral_gap(chain)
     alpha = RateFunction.quadratic(math.sqrt(c_p) * oscillation(u) / 2.0)  # Hoeffding form
     config = EnsembleConfig(model=chain, beta=chain.mu, t=t,
@@ -290,7 +301,7 @@ def run_simulate(params, out_dir: Path, seed: int, name: str) -> Outcome:
     write_csv(path, ["model", "u", "t", "r", "n_paths", "p_hat", "ci_low", "ci_high",
                      "bound", "verdict", "seed"], rows)
     artifacts = [path]
-    if params.get("dump_samples"):
+    if dump_samples:
         spath = out_dir / f"{name}-samples.csv"
         write_csv(spath, ["path", "time_average"], list(enumerate(samples)))
         artifacts.append(spath)

@@ -601,7 +601,7 @@ def _pairwise_descent(alphas, split, r):
 
 
 # ---------------------------------------------------------------------------
-# Inf / sup convolution of potentials and tensorization checks
+# Tensorization checks
 # ---------------------------------------------------------------------------
 
 def tensor_subadditivity_check(costs: list[CostMatrix], nu_joint: np.ndarray,
@@ -609,7 +609,8 @@ def tensor_subadditivity_check(costs: list[CostMatrix], nu_joint: np.ndarray,
     """Sum-cost transport against the conditional decomposition.
 
     Checks T_{+c}(mu, nu) <= E^nu [ T_{c1}(mu_1, nu(.|x2)) + T_{c2}(mu_2, nu(.|x1)) ]
-    for a two-factor product; returns (lhs, rhs).
+    for a two-factor product; returns (lhs, rhs) and leaves the verdict to the
+    caller.
     """
     if len(costs) != 2 or len(mus) != 2:
         raise ModelValidation("subadditivity check is implemented for two factors")
@@ -632,8 +633,6 @@ def tensor_subadditivity_check(costs: list[CostMatrix], nu_joint: np.ndarray,
                 continue
             val, _ = ot_cost(cost, mu_k, joint / mass)
             rhs += mass * val
-    if lhs > rhs + 1e-9:
-        raise AssertionError(f"subadditivity violated: {lhs} > {rhs}")
     return float(lhs), float(rhs)
 
 

@@ -1,4 +1,5 @@
-"""The BLAS thread policy: importing transinfo loads OpenBLAS with one thread.
+"""The BLAS thread policy: importing transinfo sets one thread for the OpenBLAS
+that loads after it.
 
 Each test runs a fresh interpreter, since OpenBLAS reads
 OPENBLAS_NUM_THREADS once, when it loads.  A caller's own setting is
@@ -54,7 +55,8 @@ print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), counts,
 # estimate, and of a dense spectral gap and top eigenvalue on a 300-state
 # chain without a band.  transinfo loads numpy, as in the console script.
 RESULTS = """
-from transinfo import build_chain, lambda_max, spectral_gap
+from transinfo.chains import build_chain, spectral_gap
+from transinfo.feynman_kac import lambda_max
 import numpy as np
 from transinfo.lyapunov import beta_potential_example, drift_ratio
 from transinfo.trivial_metric import fk_growth_mc
@@ -72,6 +74,20 @@ cond[np.arange(n - 1), np.arange(1, n)] += 1.0       # a path keeps it irreducib
 chain = build_chain((cond + cond.T) / mu[:, None], mu=mu)
 assert chain.band is None
 print(spectral_gap(chain)[0].hex(), lambda_max(chain, np.sin(np.arange(n))).hex())
+"""
+
+# Prints what `import transinfo` alone loads and binds, the variable it
+# leaves, and the names that submodule imports bind.
+NAMESPACE = """
+import json, os, sys
+import transinfo
+loaded = sorted(name for name in sys.modules
+                if name.split(".")[0] == "numpy" or name.startswith("transinfo."))
+public = sorted(name for name in vars(transinfo) if not name.startswith("_"))
+variable = os.environ.get("OPENBLAS_NUM_THREADS")
+import transinfo.trivial_metric as tm
+from transinfo import catalog, cli
+print(json.dumps([loaded, public, variable, tm.__name__, catalog.__name__, cli.__name__]))
 """
 
 
@@ -102,6 +118,14 @@ def test_import_loads_openblas_with_one_thread():
     assert variable == "1"
     assert counts == [1] * len(counts)
     assert tasks == 1     # no BLAS worker beside the main thread
+
+
+def test_package_import_loads_nothing_and_only_sets_the_thread_default():
+    for preset, expected in ((None, "1"), ("3", "3")):
+        loaded, public, variable, *names = json.loads(_fresh(NAMESPACE, preset))
+        assert loaded == [] and public == ["os"]
+        assert variable == expected
+        assert names == ["transinfo.trivial_metric", "transinfo.catalog", "transinfo.cli"]
 
 
 @pytest.mark.skipif(CPUS < 2, reason="OpenBLAS caps its threads at the CPUs it may run on")

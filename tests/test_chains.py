@@ -320,10 +320,6 @@ class TestMetricValidation:
         for m in metrics:
             assert np.array_equal(MetricMatrix.validate(m.d).d, m.d)
 
-    def test_package_exports_trivial_metric_constructor(self):
-        import transinfo
-        assert isinstance(transinfo.trivial_metric(3), MetricMatrix)
-
 
 class TestAbsoluteValueContraction:
     def test_energy_of_abs_never_larger(self, rng):

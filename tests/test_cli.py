@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from transinfo import catalog, cli
+from transinfo import catalog, cli, transport
 from transinfo.cli import main, run_spec_file
 from transinfo.errors import ConfigParse
 from transinfo.feynman_kac import BestConstantReport
@@ -418,6 +418,25 @@ class TestRunSpecInProcess:
         assert entries["r"]["details"] == {"error": "RuntimeError: boom"}
         assert entries["c"]["passed"]
 
+    def test_subadditivity_violation_fails_the_check(self, tmp_path, monkeypatch, capsys):
+        # an inflated joint cost (the 4-state product) breaks T_{+c} <= E^nu[...];
+        # the violation is recorded as a failed check, not raised
+        exact = transport.ot_cost
+
+        def inflated(cost, mu, nu, *args, **kwargs):
+            value, plan = exact(cost, mu, nu, *args, **kwargs)
+            return (value + 0.5 if len(mu) == 4 else value), plan
+
+        monkeypatch.setattr(transport, "ot_cost", inflated)
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"kind": "tensorize", "name": "t",
+                                         "params": {"count": 3}}))
+        assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 2
+        assert capsys.readouterr().err == ""
+        (entry,) = json.loads((tmp_path / "out" / "summary.json").read_text())["experiments"]
+        assert entry["passed"] is False and entry["artifacts"] == ["t-report.csv"]
+        assert entry["details"]["sub_excess"] > 1e-9
+
     def test_17_digit_floats_in_artifacts(self, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(
@@ -529,6 +548,48 @@ class TestSpecParts:
         assert len(rows) == 4
         with pytest.raises(ConfigParse):
             cli.run_lyapunov({"model": "quartic"}, tmp_path, 5, "lya")
+
+
+class TestChoiceParams:
+    """which, rho and dump_samples take only their listed values."""
+
+    CASES = [
+        # "w1" ran the W2I search and recorded a pass
+        pytest.param("best-constant", {"model": "bernoulli", "which": "w1"},
+                     'which must be one of "w1i", "w2i", not \'w1\'', id="which"),
+        # an unknown warp raised a bare KeyError with a traceback
+        pytest.param("diffusion", {"model": "ou", "nodes": 40, "rho": "tnah"},
+                     'rho must be one of "identity", "tanh", "intrinsic", not \'tnah\'',
+                     id="rho"),
+        # any truthy value wrote the samples file
+        pytest.param("simulate", {"t": 3.0, "n_paths": 50, "dump_samples": "no"},
+                     "dump_samples must be one of false, true, not 'no'", id="dump_samples-string"),
+        pytest.param("simulate", {"t": 3.0, "n_paths": 50, "dump_samples": 1},
+                     "dump_samples must be one of false, true, not 1", id="dump_samples-int"),
+    ]
+
+    @pytest.mark.parametrize("kind, params, message", CASES)
+    def test_direct_call_raises_and_writes_nothing(self, tmp_path, kind, params, message):
+        with pytest.raises(ConfigParse) as exc:
+            cli._KINDS[kind](params, tmp_path, 0, "bad")
+        assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, params, message", CASES)
+    def test_fails_alone_in_a_spec(self, tmp_path, capsys, kind, params, message):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"experiments": [
+            {"kind": "rho-scan", "name": "good", "params": {"lambdas": [0.5]}},
+            {"kind": kind, "name": "bad", "params": params},
+        ]}))
+        assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 2
+        assert capsys.readouterr().err == ""
+        good, bad = json.loads((tmp_path / "out" / "summary.json").read_text())["experiments"]
+        assert good["passed"]
+        assert bad == {"name": "bad", "passed": False, "artifacts": [],
+                       "details": {"error": "ConfigParse: " + message}}
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "good-scan.csv", "summary.json"]
 
 
 class TestSampleDump:

@@ -185,7 +185,8 @@ import hashlib, math, sys
 import numpy as np
 if sys.argv[1] == "public":
     import scipy.linalg, scipy.signal, scipy.special, scipy.stats
-from transinfo import chains, mminf_generator
+from transinfo import chains
+from transinfo.lyapunov import mminf_generator
 from transinfo.diffusion1d import ou_sigma2, ou_tail_lograte
 from transinfo.simulate import EnsembleConfig, OUModel, clopper_pearson, sample_time_average
 intervals = [clopper_pearson(h, n) for n, h in ((1, 0), (1, 1), (50, 7), (200_000, 1234))]
