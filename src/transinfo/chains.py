@@ -130,6 +130,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def min_nan(*values):
+    """min(values), or NaN when any value is NaN.
+
+    Python's min passes over a NaN that is not first, so a running min from
+    inf never sees one; a verdict must fail on it.  Without a NaN this is
+    min's own result, bit for bit (-0.0 against 0.0 included)."""
+    return math.nan if any(v != v for v in values) else min(values)
+
+
+def max_nan(*values):
+    """max(values), or NaN when any value is NaN; otherwise max's own result."""
+    return math.nan if any(v != v for v in values) else max(values)
+
+
 def dots(a: np.ndarray, b: np.ndarray):
     """np.dot(a, b) as a float for a 1-D array b, else np.dot(a, b_k) for each row b_k.
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (ReversibleChain, _birth_death_chain, _frozen, _line_lipschitz,
-                     _special_ufunc, poisson_solve)
+                     _special_ufunc, min_nan, poisson_solve)
 from .errors import (
     DivergenceDetected,
     DivergentSpeedMeasure,
@@ -587,5 +587,5 @@ def dissipativity_margin(sigma_fn, b_fn, pairs: np.ndarray) -> float:
         ds = np.atleast_2d(np.asarray(sigma_fn(y), dtype=float) -
                            np.asarray(sigma_fn(x), dtype=float))
         db = np.asarray(b_fn(y), dtype=float) - np.asarray(b_fn(x), dtype=float)
-        worst = min(worst, -(float(np.sum(ds * ds)) + float(np.dot(dx, db))) / norm2)
+        worst = min_nan(worst, -(float(np.sum(ds * ds)) + float(np.dot(dx, db))) / norm2)
     return worst

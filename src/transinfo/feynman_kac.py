@@ -62,6 +62,7 @@ from .chains import (
     _state_vector,
     dirichlet_energy,
     lipschitz_norm,
+    min_nan,
     relative_entropy,
 )
 from .errors import HorizonOverflow, ModelValidation, PhiConstraintViolated
@@ -245,7 +246,7 @@ def verify_tphi_dual(chain: ReversibleChain, pairs: list[PhiPair], alpha: RateFu
             if math.isinf(rhs):
                 continue
             slack = rhs - lhs
-            worst = min(worst, slack)
+            worst = min_nan(worst, slack)
             rows.append((idx, float(lam), float(slack)))
     return TphiDualReport(rows=tuple(rows), worst_slack=float(worst),
                           passed=bool(worst >= -1e-8))
@@ -679,7 +680,7 @@ def w2i_dual_check(chain: ReversibleChain, d: Metric, c: float,
         lhs = lambda_max(chain, d.inf_convolution(v, 2) / (4.0 * c * c))
         rhs = chain.expectation(v) / (4.0 * c * c)
         slack = rhs - lhs
-        worst = min(worst, slack)
+        worst = min_nan(worst, slack)
         rows.append((idx, float(slack)))
     return {"rows": rows, "worst_slack": float(worst), "passed": bool(worst >= -1e-8)}
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (Density, ReversibleChain, _birth_death_chain, _special_ufunc, dots,
-                     fisher_information, spectral_gap, tv_weighted)
+                     fisher_information, min_nan, spectral_gap, tv_weighted)
 from .diffusion1d import DiffusionSpec1D, Grid1D, discretize
-from .errors import NotCertified, TruncationTooSmall, UBelowOne
+from .errors import ModelValidation, NotCertified, TruncationTooSmall, UBelowOne
 from .transport import RateFunction
 
 CERT_TOL = 1e-10
@@ -131,8 +131,8 @@ def verify_thm51(chain: ReversibleChain, cert: LyapunovCertificate, density_samp
     for idx, (info, lhs1, tv) in enumerate(zip(infos, tv_phi, tv_sqrt)):
         lhs2 = tv ** 2
         bound_a, bound_b = thm51_bounds(c_p, cert.b, phi_l2, 2.0, info)
-        slack = min(bound_a - lhs1, bound_b - lhs2)
-        worst = min(worst, slack)
+        slack = min_nan(bound_a - lhs1, bound_b - lhs2)
+        worst = min_nan(worst, slack)
         rows.append((idx, lhs1, bound_a, lhs2, bound_b, slack))
     return {"rows": rows, "worst_slack": float(worst),
             "passed": bool(worst >= -1e-8), "c_p": float(c_p), "phi_l2": phi_l2}
@@ -227,8 +227,8 @@ def beta_potential_example(beta: float, grid: Grid1D | None = None) -> BetaPoten
     model carries as ``chain``, so that the certificate is exact on
     interior nodes.
     """
-    if beta < 1:
-        raise ValueError("beta must be at least 1")
+    if not beta >= 1:
+        raise ModelValidation(f"beta must be at least 1, not {beta!r}")
     if grid is None:
         grid = Grid1D.uniform(-6.0, 6.0, 481)
     V, Vp, Vpp = _blended_potential(beta)

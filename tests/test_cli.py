@@ -1,13 +1,23 @@
+import contextlib
+import csv
 import hashlib
+import inspect
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from transinfo import catalog, cli, transport
+from transinfo import catalog, cli, errors, transport
+from transinfo.chains import max_nan, min_nan
 from transinfo.cli import main, run_spec_file
 from transinfo.errors import ConfigParse
 from transinfo.feynman_kac import BestConstantReport
@@ -459,7 +469,7 @@ class TestSpecNamesAndSeeds:
         spec_file.write_text(json.dumps({"experiments": experiments}))
         return spec_file
 
-    @pytest.mark.parametrize("seed", ["abc", None, 2.0, 1.5, True, [1]])
+    @pytest.mark.parametrize("seed", ["abc", None, 2.0, 1.5, True, [1], -1])
     def test_bad_seed_fails_alone(self, tmp_path, seed):
         spec_file = self._spec(tmp_path, [dict(self.GOOD, name="bad", seed=seed), self.GOOD])
         assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 2
@@ -677,14 +687,18 @@ class TestInlineModels:
         alpha = {"kind": "quadratic", "c": 1.0}
         kinds = ["best-constant", "simulate", "verify-tci", "diffusion"]
         spec_file = tmp_path / "spec.json"
+        # only verify-tci takes an alpha: elsewhere it would fail as an unknown key
         spec_file.write_text(json.dumps({"experiments": [
-            {"kind": k, "name": k, "params": {"model": model, "alpha": alpha}} for k in kinds]}))
+            {"kind": k, "name": k,
+             "params": {"model": model, **({"alpha": alpha} if k == "verify-tci" else {})}}
+            for k in kinds]}))
         assert run_spec_file(spec_file, tmp_path / "out", None, 1) == 2
         assert capsys.readouterr().err == ""
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         errors = {e["name"]: e["details"]["error"] for e in summary["experiments"]}
         assert sorted(errors) == sorted(kinds)
-        assert all(err.startswith("ConfigParse: ") for err in errors.values()), errors
+        assert all(err.startswith("ConfigParse: ") and "model" in err
+                   for err in errors.values()), errors
 
 
 class TestPaperSuite:
@@ -696,3 +710,355 @@ class TestPaperSuite:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["passed"]
         assert len(summary["experiments"][0]["details"]) == 8
+
+
+def _spec_text(experiments) -> str:
+    """The spec as JSON text, with the strings "@NaN@", "@Infinity@", "@-Infinity@"
+    and "@1e999@" written as those bare literals."""
+    text = json.dumps({"experiments": experiments})
+    for literal in ("NaN", "Infinity", "-Infinity", "1e999"):
+        text = text.replace(f'"@{literal}@"', literal)
+    return text
+
+
+def _run_text(tmp_path, text):
+    """Run the spec ``text`` in-process: (exit status, summary entries by name, stderr)."""
+    spec_file, out = tmp_path / "spec.json", tmp_path / "out"
+    spec_file.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_spec_file(spec_file, out, None, 1)
+    summary = json.loads((out / "summary.json").read_text())
+    return code, {e["name"]: e for e in summary["experiments"]}, err.getvalue()
+
+
+class TestParameterTables:
+    """Each kind parses its params against one table before anything runs: a bad
+    value fails its experiment alone, by key, with nothing on stderr or on disk."""
+
+    GOOD = {"kind": "rho-scan", "name": "good", "params": {"lambdas": [0.5]}}
+    TCI = {"kind": "quadratic", "c": 1.0}
+
+    REPRODUCERS = [
+        # each of these recorded passed: true, or died with a traceback
+        pytest.param({"kind": "rho-scan", "params": {"lambdas": ["@NaN@"]}}, "lambdas",
+                     id="nan-lambdas"),
+        pytest.param({"kind": "verify-tci", "params": {"alpha": {"kind": "quadratic",
+                                                                  "c": "@NaN@"}}}, "c",
+                     id="nan-c"),
+        pytest.param({"kind": "verify-tci", "params": {"alpha": TCI, "lambda_grid": []}},
+                     "lambda_grid", id="empty-lambda-grid"),
+        pytest.param({"kind": "rho-scan", "params": {"lambdas": []}}, "lambdas",
+                     id="empty-lambdas"),
+        pytest.param({"kind": "simulate", "params": {"r": [], "n_paths": 50}}, "r",
+                     id="empty-r"),
+        pytest.param({"kind": "simulate", "params": {"r": ["@1e999@"], "n_paths": 50}}, "r",
+                     id="1e999-r"),
+        pytest.param({"kind": "simulate", "params": {"r": ["@Infinity@"], "n_paths": 50}}, "r",
+                     id="infinity-r"),
+        pytest.param({"kind": "simulate", "params": {"t": "@-Infinity@", "n_paths": 50}}, "t",
+                     id="minus-infinity-t"),
+        pytest.param({"kind": "lyapunov", "params": {"model": "beta-potential",
+                                                     "beta": "@1e999@"}}, "beta",
+                     id="1e999-beta"),
+        pytest.param({"kind": "rho-scan", "params": {"lambda": [50.0]}}, "lambda",
+                     id="misspelled-key"),
+        pytest.param({"kind": "ckp-scan", "param": {"n": 3}}, "param", id="misspelled-params"),
+        pytest.param({"kind": "ckp-scan", "params": [3, 10]}, "params", id="list-params"),
+        pytest.param({"kind": "verify-tci", "params": {"alpha": [1.0]}}, "alpha", id="list-alpha"),
+        pytest.param({"kind": "verify-tci", "params": {"alpha": dict(TCI, cc=2.0)}}, "cc",
+                     id="unknown-alpha-key"),
+        pytest.param({"kind": "simulate", "params": {"u": [0, 1, 2], "n_paths": 50}}, "u",
+                     id="u-wrong-length"),
+        pytest.param({"kind": "simulate", "params": {"u": [0.5, 0.5], "n_paths": 50}}, "u",
+                     id="u-constant"),
+        pytest.param({"kind": "simulate", "params": {"model": {"rates": [[0, 1], [2, "@NaN@"]]},
+                                                     "n_paths": 50}}, "rates",
+                     id="nan-inline-rate"),
+        pytest.param({"kind": "simulate", "params": {"model": {"rates": [[0, 1], [2]]},
+                                                     "n_paths": 50}}, "model",
+                     id="ragged-inline-rates"),
+        pytest.param({"kind": "simulate", "params": {"model": {"rates": [[0, 1], [2, 0]],
+                                                               "states": 2}}}, "model",
+                     id="inline-states-not-a-list"),
+        pytest.param({"kind": "ckp-scan", "seed": "@NaN@", "params": {"n": 3}}, "seed",
+                     id="nan-seed"),
+    ]
+
+    @pytest.mark.parametrize("bad, key", REPRODUCERS)
+    def test_reproducer_fails_alone_by_key(self, tmp_path, bad, key):
+        code, entries, err = _run_text(tmp_path, _spec_text([self.GOOD, dict(bad, name="bad")]))
+        assert code == 2 and err == ""
+        assert entries["good"]["passed"] and entries["good"]["artifacts"] == ["good-scan.csv"]
+        assert entries["bad"]["passed"] is False and entries["bad"]["artifacts"] == []
+        error = entries["bad"]["details"]["error"]
+        assert error.startswith(f"ConfigParse: {key} ") or \
+            error.startswith(f"ConfigParse: unknown key '{key}' "), error
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "good-scan.csv", "summary.json"]
+
+    def test_messages_name_the_key_and_list_the_keys_taken(self, tmp_path):
+        _, entries, _ = _run_text(tmp_path, _spec_text([
+            {"kind": "rho-scan", "name": "a", "params": {"lambda": [50.0]}},
+            {"kind": "ckp-scan", "name": "b", "param": {"n": 3}},
+            {"kind": "paper-suite", "name": "c", "params": {"n": 3}},
+            {"kind": "rho-scan", "name": "d", "params": {"lambdas": ["@NaN@", 0.5]}},
+            {"kind": "simulate", "name": "e", "params": {"t": "@1e999@"}}]))
+        assert {name: e["details"]["error"] for name, e in entries.items()} == {
+            "a": "ConfigParse: unknown key 'lambda' in params, which takes lambdas",
+            "b": "ConfigParse: unknown key 'param' in the experiment, which takes kind, name, "
+                 "params, seed",
+            "c": "ConfigParse: unknown key 'n' in params, which takes no keys",
+            "d": "ConfigParse: lambdas must be a number or a list of numbers, "
+                 "not [b'NaN', 0.5]",
+            "e": "ConfigParse: t must be finite, not inf"}
+
+    @pytest.mark.parametrize("kind, params, key", [
+        ("rho-scan", {"lambdas": [math.nan]}, "lambdas"),
+        ("verify-tci", {"alpha": {"kind": "quadratic", "c": math.nan}}, "c"),
+        ("verify-tci", {"alpha": {"kind": "power", "kappa": 1.0, "p": math.inf}}, "p"),
+        ("simulate", {"t": -math.inf}, "t"),
+        ("simulate", {"r": [10 ** 400]}, "r"),
+        ("diffusion", {"nodes": 80, "rho": "tanh", "extra": 1}, "'extra'"),
+        ("verify-tci", {"n_pairs": 1.5, "alpha": TCI}, "n_pairs"),
+        ("best-constant", {"metric": "euclid"}, "metric"),
+    ])
+    def test_direct_calls_parse_before_any_model_is_built(self, tmp_path, monkeypatch,
+                                                           kind, params, key):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(catalog, "load_example", no_model)
+        with pytest.raises(ConfigParse, match=key):
+            cli._KINDS[kind](params, tmp_path, 0, "bad")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_suite_part_goes_through_its_table(self, monkeypatch, tmp_path):
+        # a key the part's table lacks fails the part by name
+        parts = [(part, run, dict(params, extra=1)) for part, run, params in cli._SUITE]
+        monkeypatch.setattr(cli, "_SUITE", tuple(parts))
+        for part, run, params in parts:
+            with pytest.raises(ConfigParse, match="unknown key 'extra' in params"):
+                run(params, tmp_path, 0, part)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_inline_chain_ledger_names_the_model_inline(self, tmp_path):
+        code, entries, err = _run_text(tmp_path, _spec_text([
+            {"kind": "simulate", "name": "sim", "params": {
+                "model": {"states": [0, 1], "rates": [[0, 1], [2, 0]]}, "t": 2.0,
+                "n_paths": 40}}]))
+        assert code == 0 and err == ""
+        with open(tmp_path / "out" / "sim-ledger.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(LEDGER_COLUMNS)
+        assert [len(row) for row in rows] == [len(LEDGER_COLUMNS)] * 2
+        assert rows[1][0] == "inline"
+
+    @pytest.mark.parametrize("field", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_write_csv_refuses_a_field_that_would_shift_the_columns(self, tmp_path, field):
+        with pytest.raises(ValueError, match="comma, a quote or a newline"):
+            cli.write_csv(tmp_path / "x.csv", ["a", "b"], [(1, "fine"), (2, field)])
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestVerdictsCarryNaN:
+    """One NaN in a running min or max fails the check: Python's min and max pass over
+    a NaN that comes second.  Finite runs keep their bits (the pins above)."""
+
+    def test_min_nan_and_max_nan(self):
+        assert math.isnan(min_nan(math.inf, 1.0, math.nan, 0.5))
+        assert math.isnan(max_nan(-math.inf, 2.0, math.nan))
+        assert min_nan(3.0, 1.0, 2.0) == 1.0 and max_nan(3.0, 1.0, 2.0) == 3.0
+        for a, b in ((0.0, -0.0), (-0.0, 0.0)):   # min's and max's own choice of zero
+            assert math.copysign(1.0, min_nan(a, b)) == math.copysign(1.0, min(a, b))
+            assert math.copysign(1.0, max_nan(a, b)) == math.copysign(1.0, max(a, b))
+
+    @staticmethod
+    def _one_nan(monkeypatch, name, make_nan):
+        """Wrap ``cli.<name>`` so that the call ``make_nan`` picks returns NaN in place."""
+        exact, calls = getattr(cli, name), []
+
+        def wrapped(*args):
+            calls.append(args)
+            out = exact(*args)
+            return make_nan(len(calls), args, out)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    def test_ckp_scan_sampled_gap(self, tmp_path, monkeypatch):
+        def nan_gap(k, args, out):
+            tv2, four_var = out
+            if np.ndim(four_var) == 1:
+                four_var = four_var.copy()
+                four_var[3] = math.nan
+            return tv2, four_var
+
+        self._one_nan(monkeypatch, "ckp_gap", nan_gap)
+        out = cli.run_ckp_scan({"n": 3, "count": 10}, tmp_path, 0, "c")
+        assert not out.passed and math.isnan(out.details["worst_gap"])
+
+    def test_ckp_scan_extremal_gap(self, tmp_path, monkeypatch):
+        self._one_nan(monkeypatch, "ckp_gap", lambda k, args, out: (out[0], math.nan)
+                      if np.ndim(out[1]) == 0 and args[0][0] == 0.5 else out)
+        out = cli.run_ckp_scan({"n": 3, "count": 10}, tmp_path, 0, "c")
+        assert not out.passed and math.isnan(out.details["extremal_equality_gap"])
+
+    def test_rho_scan(self, tmp_path, monkeypatch):
+        self._one_nan(monkeypatch, "rho_sup_scan",
+                      lambda k, args, out: dict(out, sup=math.nan) if k == 2 else out)
+        out = cli.run_rho_scan({"lambdas": [0.3, 0.5, 0.7]}, tmp_path, 0, "r")
+        assert not out.passed and math.isnan(out.details["worst_excess"])
+
+    def test_tensorize_fisher_gap(self, tmp_path, monkeypatch):
+        def nan_row(k, args, out):
+            out = np.array(out, dtype=float)
+            out[1] = math.nan
+            return out
+
+        self._one_nan(monkeypatch, "fisher_information", nan_row)
+        out = cli.run_tensorize({"count": 3}, tmp_path, 0, "t")
+        assert not out.passed and math.isnan(out.details["fisher_gap"])
+
+    def test_tensorize_subadditivity_excess(self, tmp_path, monkeypatch):
+        self._one_nan(monkeypatch, "tensor_subadditivity_check",
+                      lambda k, args, out: (math.nan, out[1]) if k == 2 else out)
+        out = cli.run_tensorize({"count": 3}, tmp_path, 0, "t")
+        assert not out.passed and math.isnan(out.details["sub_excess"])
+
+    def test_tensorize_infconv_gap(self, tmp_path, monkeypatch):
+        self._one_nan(monkeypatch, "alpha_infconv",
+                      lambda k, args, out: math.nan if k == 7 else out)
+        out = cli.run_tensorize({"count": 3}, tmp_path, 0, "t")
+        assert not out.passed and math.isnan(out.details["infconv_gap"])
+
+
+class TestReadmeTables:
+    """The README's per-kind tables are the code's tables."""
+
+    TYPES = {"count": "integer", "_real": "finite real", "_reals": "finite reals",
+             "choice": "choice", "_model": "model", "_rate_function": "rate function"}
+
+    @classmethod
+    def _row(cls, key, parse, default):
+        bound = inspect.getclosurevars(parse).nonlocals
+        limit = str(bound["least"]) if "least" in bound else \
+            ", ".join(f"`{json.dumps(a)}`" for a in bound.get("allowed", ()))
+        shown = "required" if default == {} else "from the model" if default is None \
+            else f"`{json.dumps(default)}`"
+        return [f"`{key}`", cls.TYPES[parse.__name__], shown, limit]
+
+    def test_rows_equal_the_code(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        tables, kind = {}, None
+        for line in readme.splitlines():
+            heading = re.fullmatch(r"#### `([a-z-]+)`", line)
+            if heading:
+                kind = heading.group(1)
+                tables[kind] = []
+            elif kind and re.match(r"\| `", line):
+                tables[kind].append([cell.strip() for cell in line.strip("|").split("|")])
+        code = {kind: [self._row(key, *entry) for key, entry in run.table.items()]
+                for kind, run in cli._KINDS.items() if run.table}
+        assert tables == code
+        assert sorted(code) == sorted(set(cli._KINDS) - {"paper-suite"})
+
+
+# values no table takes, beside the tables' own
+_BAD = st.sampled_from([True, "x", None, [], {}, [True], "@NaN@", "@Infinity@", "@-Infinity@",
+                        "@1e999@", ["@NaN@"], [1.0, "@1e999@"], 2.5, -3, [[1.0]]])
+_CHAIN = st.sampled_from(["bernoulli", "jump2", "product-3x3",
+                          {"rates": [[0, 1.5], [0.5, 0]], "states": ["a", "b"]}])
+_ALPHA = st.fixed_dictionaries({"kind": st.just("quadratic"), "c": st.floats(1.0, 10.0)})
+_SMALL_REALS = st.lists(st.floats(0.05, 2.0), min_size=1, max_size=2)
+# per kind, the values each key's parser takes, at sizes that keep an example fast
+# and ranges where the kind's own check passes
+_VALID = {
+    "verify-tci": {"model": _CHAIN, "alpha": _ALPHA, "lambda_grid": _SMALL_REALS,
+                   "n_pairs": st.integers(1, 2)},
+    "best-constant": {"model": st.sampled_from(["bernoulli", "jump2"]),
+                      "metric": st.sampled_from(["default", "trivial", "line"]),
+                      "which": st.sampled_from(["w1i", "w2i"])},
+    "ckp-scan": {"n": st.integers(1, 5), "count": st.integers(0, 20)},
+    "rho-scan": {"lambdas": _SMALL_REALS},
+    "diffusion": {"model": st.sampled_from(["ou", "quartic", "bernoulli"]),
+                  "nodes": st.integers(120, 140),
+                  "rho": st.sampled_from(["identity", "tanh", "intrinsic"])},
+    "lyapunov": {"model": st.sampled_from(["mminf", "beta-potential"]),
+                 "samples": st.integers(0, 3), "beta": st.floats(0.5, 3.0)},
+    "simulate": {"model": _CHAIN, "u": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+                 "t": st.floats(0.5, 2.0), "r": _SMALL_REALS, "n_paths": st.integers(1, 30),
+                 "dump_samples": st.booleans()},
+    "tensorize": {"count": st.integers(0, 2)},
+    "paper-suite": {},
+}
+
+
+@st.composite
+def _experiment(draw):
+    kind = draw(st.sampled_from(sorted(_VALID)))
+    keys = draw(st.lists(st.sampled_from(sorted(_VALID[kind]) or ["-"]), unique=True,
+                         max_size=4))
+    params = {key: draw(st.one_of(_VALID[kind][key], _BAD)) for key in keys
+              if key in _VALID[kind]}
+    if kind == "paper-suite" or draw(st.integers(0, 9)) == 0:
+        params[draw(st.sampled_from(["lambda", "param", "x"]))] = 1.0
+    experiment = {"kind": kind, "params": params}
+    if draw(st.integers(0, 14)) == 0:
+        experiment["params"] = draw(st.sampled_from([[], "x", 3, None]))
+    if kind == "verify-tci" and "alpha" not in params and draw(st.booleans()):
+        params["alpha"] = {"kind": "quadratic", "c": 2.0}
+    if kind == "simulate" and draw(st.booleans()):
+        params["u"] = [0.0, 1.0, 0.5]    # the length of no catalog chain
+    return experiment
+
+
+def _finite_details(entry) -> bool:
+    details = entry["details"]
+    diverged = details.get("diverged") is True   # a diverged search's constants are inf
+    return all(not isinstance(v, float) or math.isfinite(v)
+               or (diverged and k in ("c_dual", "c_primal")) for k, v in details.items())
+
+
+def _reason_is_named(entry) -> bool:
+    name, _, _ = entry["details"].get("error", "").partition(":")
+    error = getattr(errors, name, None)
+    return isinstance(error, type) and issubclass(error, errors.TransinfoError)
+
+
+class TestSpecFuzzer:
+    GOOD = TestParameterTables.GOOD
+
+    @pytest.fixture(scope="class")
+    def good_bytes(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("good")
+        code, entries, err = _run_text(tmp, _spec_text([self.GOOD]))
+        assert code == 0 and err == ""
+        return entries["good"], (tmp / "out" / "good-scan.csv").read_bytes()
+
+    def test_tables_cover_the_fuzzed_keys(self):
+        assert {kind: set(run.table) for kind, run in cli._KINDS.items()} == \
+            {kind: set(keys) for kind, keys in _VALID.items()}
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=st.lists(_experiment(), min_size=1, max_size=2))
+    def test_each_experiment_passes_or_fails_by_a_named_reason(self, good_bytes, bad):
+        good_entry, good_csv = good_bytes
+        experiments = [dict(e, name=f"e{i}") for i, e in enumerate(bad)]
+        experiments.insert(len(experiments) // 2, self.GOOD)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            _, entries, err = _run_text(tmp, _spec_text(experiments))
+            assert err == ""
+            assert entries["good"] == good_entry
+            assert (tmp / "out" / "good-scan.csv").read_bytes() == good_csv
+            for name, entry in entries.items():
+                assert (entry["passed"] and _finite_details(entry)) or \
+                    (not entry["passed"] and _reason_is_named(entry)), (name, entry, experiments)
+                for artifact in entry["artifacts"]:
+                    path = tmp / "out" / artifact
+                    if path.suffix == ".csv":
+                        with open(path, newline="") as fh:
+                            rows = list(csv.reader(fh))
+                        assert {len(row) for row in rows} == {len(rows[0])}, artifact
+                    else:
+                        json.loads(path.read_text())

@@ -514,6 +514,14 @@ class TestDissipativity:
                                    lambda x: np.array([1.0, -2.0]), pairs)
         assert val == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_nan_drift_gives_nan(self):
+        # the running min from inf passed over a NaN that came after a number
+        pairs = sample_box_pairs(3.0, 1500, 1, seed=8)
+        spot = pairs[700, 1].copy()
+        val = dissipativity_margin(lambda x: np.eye(1),
+                                   lambda x: np.nan * x if np.array_equal(x, spot) else -x, pairs)
+        assert math.isnan(val)
+
     def test_requires_enough_pairs(self):
         with pytest.raises(ValueError):
             dissipativity_margin(lambda x: np.eye(1), lambda x: -x,

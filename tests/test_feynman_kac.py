@@ -280,6 +280,19 @@ class TestLegendreOracle:
 
 
 class TestVerifyTphiDual:
+    def test_one_nan_slack_fails_the_check(self, rng, monkeypatch):
+        # a running min from inf passed over a NaN slack that came after a number
+        ch = random_reversible_chain(4, rng)
+        u = rng.standard_normal(4)
+        u -= ch.expectation(u)
+        exact = feynman_kac.alpha_conjugate
+        monkeypatch.setattr(feynman_kac, "alpha_conjugate",
+                            lambda alpha, lam: math.nan if lam == 1.0 else exact(alpha, lam))
+        report = verify_tphi_dual(ch, [PhiPair.validate(u, u)], RateFunction.quadratic(50.0),
+                                  np.array([0.1, 1.0, 4.0]))
+        assert math.isnan(report.worst_slack) and not report.passed
+        assert [math.isnan(row[2]) for row in report.rows] == [False, True, False]
+
     def test_generous_constant_passes(self, rng):
         ch = random_reversible_chain(4, rng)
         u = rng.standard_normal(4)
@@ -821,6 +834,15 @@ class TestBestW2I:
 
 
 class TestW2IDualCheck:
+    def test_one_nan_slack_fails_the_check(self, rng, monkeypatch):
+        ch = random_reversible_chain(3, rng)
+        nan_v = np.full(3, 3.0)
+        exact = ch.expectation
+        monkeypatch.setattr(type(ch), "expectation",
+                            lambda self, v: math.nan if v is nan_v else exact(v))
+        rep = w2i_dual_check(ch, trivial_metric(3), 1.0, [np.full(3, 2.0), nan_v])
+        assert math.isnan(rep["worst_slack"]) and not rep["passed"]
+
     def test_constant_v_trivial(self, rng):
         ch = random_reversible_chain(3, rng)
         d = trivial_metric(3)

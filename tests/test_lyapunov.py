@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from transinfo.chains import Density, spectral_gap
+from transinfo import lyapunov
 from transinfo.diffusion1d import Grid1D, discretize
 from transinfo.errors import NotCertified, TruncationTooSmall, UBelowOne
 from transinfo.lyapunov import (
@@ -157,6 +158,27 @@ class TestThm51Bounds:
 
 
 class TestVerifyThm51:
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_one_nan_bound_fails_the_check(self, monkeypatch, which):
+        # the second bound's NaN passed the per-row min, and the first bound's NaN
+        # (that row's slack) passed the running min, which had a number already
+        chain, cert = mminf_certificate(1.0, 40, math.log(2.0))
+        g = np.linspace(0.5, 1.5, 41)
+        dens = [np.ones(41), g / chain.expectation(g)]
+        calls, exact = [], lyapunov.thm51_bounds
+
+        def one_nan(*args):
+            bounds = list(exact(*args))
+            calls.append(None)
+            if len(calls) == 2:
+                bounds[which] = math.nan
+            return tuple(bounds)
+
+        monkeypatch.setattr(lyapunov, "thm51_bounds", one_nan)
+        rep = verify_thm51(chain, cert, dens)
+        assert math.isnan(rep["rows"][1][5]) and not math.isnan(rep["rows"][0][5])
+        assert math.isnan(rep["worst_slack"]) and not rep["passed"]
+
     def test_uniform_density_trivial(self):
         chain, cert = mminf_certificate(1.0, 40, math.log(2.0))
         rep = verify_thm51(chain, cert, [np.ones(41)])
