@@ -445,8 +445,13 @@ def _validated_chain(rates, exit_rates: np.ndarray, mu, states) -> ReversibleCha
     carried = pair_flow != 0                    # pairs whose flows sum to 0 carry no edge
     i, j = np.divmod(pairs[carried], n)
     w, exit_rates = _frozen(0.5 * pair_flow[carried]), _frozen(exit_rates)
-    band = ((exit_rates, _frozen(-w / np.sqrt(mu[:-1] * mu[1:])))
-            if np.array_equal(pairs[carried], path) else None)
+    band = None
+    if np.array_equal(pairs[carried], path):
+        # sqrt(mu_k mu_k+1), split into sqrt(mu_k) sqrt(mu_k+1) where the product underflows
+        prod = mu[:-1] * mu[1:]
+        root = np.where(prod < np.finfo(float).tiny, np.sqrt(mu[:-1]) * np.sqrt(mu[1:]),
+                        np.sqrt(prod))
+        band = (exit_rates, _frozen(-w / root))
     return ReversibleChain(states=states, mu=mu, rates=(_frozen(row), _frozen(col), _frozen(q)),
                            exit_rates=exit_rates, edges=(_frozen(i), _frozen(j), w), band=band)
 
@@ -489,7 +494,7 @@ def dirichlet_energy(chain: ReversibleChain, g: np.ndarray):
     if not (g.ndim == 2 and g.shape[1] == chain.n):
         g = _state_vector(chain, g)
     if not np.isfinite(g).all():
-        raise ValueError("g must be finite")
+        raise ModelValidation("g must be finite")
     i, j, w = chain.edges
     if chain.band is not None:
         i, j = slice(None, -1), slice(1, None)      # the edges (k, k+1), as views
@@ -500,7 +505,7 @@ def dirichlet_energy(chain: ReversibleChain, g: np.ndarray):
 def _state_vector(chain: ReversibleChain, g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (chain.n,):
-        raise ValueError(f"expected a vector of length {chain.n}, got shape {g.shape}")
+        raise ModelValidation(f"expected a vector of length {chain.n}, got shape {g.shape}")
     return g
 
 
@@ -527,7 +532,7 @@ def tv_weighted(chain: ReversibleChain, f, phi: np.ndarray):
     """
     phi = np.asarray(phi, dtype=float)
     if (phi < 0).any():
-        raise ValueError("phi must be nonnegative")
+        raise ModelValidation("phi must be nonnegative")
     fv = _as_density_vector(chain, f)
     return dots(chain.mu * phi, np.abs(fv - 1.0))
 
@@ -566,7 +571,7 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
     array; a 1-D ``u``, or none, is one row and gives its row, or
     (eigenvalues, eigenvectors as columns) when ``vectors`` is set.  One
     finiteness check covers the shifted diagonals of all rows (and a band's
-    off-diagonal), so a NaN or inf raises ValueError on either structure.
+    off-diagonal), so a NaN or inf raises ModelValidation on either structure.
     Birth-death chains are then solved on their cached band by LAPACK's
     tridiagonal bisection (dstebz) for the requested indices only, per row,
     with inverse iteration (dstein) for vectors; every other chain by
@@ -585,7 +590,7 @@ def _lowest_eigenpairs(chain: ReversibleChain, u: np.ndarray | None = None,
     diags = diag - rows
     # LAPACK's bisection need not terminate on NaN; a dense solve fails on it or returns NaN
     if not (np.isfinite(diags).all() and (off is None or np.isfinite(off).all())):
-        raise ValueError("array must not contain infs or NaNs")
+        raise ModelValidation("array must not contain infs or NaNs")
     out = np.empty((len(rows), count))
     if band is not None:
         lapack = _scipy_extension("linalg._flapack")

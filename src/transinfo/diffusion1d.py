@@ -558,7 +558,7 @@ def ou_spec() -> DiffusionSpec1D:
 def ou_sigma2(t: float) -> float:
     """Variance rate of the time average: 2/t - (2/t^2)(1 - e^{-t})."""
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise ModelValidation("t must be positive")
     return 2.0 / t - 2.0 / (t * t) * (1.0 - math.exp(-t))
 
 
@@ -577,7 +577,7 @@ def dissipativity_margin(sigma_fn, b_fn, pairs: np.ndarray) -> float:
     """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.shape[0] < 1000:
-        raise ValueError("need at least 1000 sampled pairs")
+        raise ModelValidation("need at least 1000 sampled pairs")
     worst = math.inf
     for x, y in pairs:
         dx = y - x

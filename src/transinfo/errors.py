@@ -2,7 +2,8 @@
 
 Model validation failures are errors, not warnings: every downstream
 identity assumes a validated reversible chain, so a silently accepted
-bad input would poison all later checks.
+bad input would poison all later checks.  A rejected argument or model
+raises ``ModelValidation``, also a ``ValueError``; a bare one is a bug.
 """
 
 
@@ -10,8 +11,8 @@ class TransinfoError(Exception):
     """Base class for all package errors."""
 
 
-class ModelValidation(TransinfoError):
-    """A model object failed its structural invariants."""
+class ModelValidation(TransinfoError, ValueError):
+    """A rejected argument or model; a ValueError too, so ``except ValueError`` catches it."""
 
 
 class NotIrreducible(ModelValidation):

@@ -117,7 +117,7 @@ def lambda_max_witness(chain: ReversibleChain, u: np.ndarray):
 def fk_norm(chain: ReversibleChain, u: np.ndarray, t: float) -> float:
     """||P_t^u|| on L^2(mu) = exp(t Lambda(u)), from the spectrum."""
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise ModelValidation("t must be nonnegative")
     lam = lambda_max(chain, u)
     if t * lam > 700:
         raise HorizonOverflow(f"t * Lambda = {t * lam:.3g} would overflow")
@@ -159,9 +159,9 @@ def _legendre_values(chain, u, lam, multistarts, iters, seed):
     """
     u = _state_vector(chain, u)
     if not (math.isfinite(lam) and np.isfinite(u).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise ModelValidation("array must not contain infs or NaNs")
     if multistarts < 1:
-        raise ValueError("multistarts must be at least 1")
+        raise ModelValidation("multistarts must be at least 1")
     rng = np.random.default_rng(seed)
     f = np.ones((multistarts, chain.n))
     f[1:] = rng.dirichlet(np.ones(chain.n), size=multistarts - 1) / chain.mu
@@ -673,7 +673,7 @@ def w2i_dual_check(chain: ReversibleChain, d: Metric, c: float,
                    v_samples: list[np.ndarray]):
     """Check Lambda(Qv / (4 c^2)) <= mu(v) / (4 c^2) over sampled v."""
     if c <= 0:
-        raise ValueError("c must be positive")
+        raise ModelValidation("c must be positive")
     rows, worst = [], math.inf
     for idx, v in enumerate(v_samples):
         v = np.asarray(v, dtype=float)
@@ -692,7 +692,7 @@ def lsi_ratio_scan(chain: ReversibleChain, samples: int = 200, seed: int = 23) -
     vanishing information are skipped (the 0/0 case f = 1).
     """
     if samples < 100:
-        raise ValueError("need at least 100 samples")
+        raise ModelValidation("need at least 100 samples")
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(samples):

@@ -71,7 +71,7 @@ def certify_H(chain: ReversibleChain, U: np.ndarray, phi: np.ndarray, b: float,
     """
     phi = np.asarray(phi, dtype=float)
     if np.any(phi < 0) or b < 0:
-        raise ValueError("phi and b must be nonnegative")
+        raise ModelValidation("phi and b must be nonnegative")
     ratio = drift_ratio(chain, U)
     violation = (phi - b) - ratio
     mask = np.ones(chain.n, dtype=bool)
@@ -98,17 +98,17 @@ def drift_info_bound_check(chain: ReversibleChain, U: np.ndarray,
     ratio = drift_ratio(chain, U)
     f = _density_rows(chain, densities)
     info = fisher_information(chain, Density.validate(chain.mu, f))
-    # a running min from inf, which passes over a NaN
-    return min([math.inf, *(info - dots(ratio, chain.mu * f)).tolist()])
+    # a running min from inf, which carries a NaN
+    return min_nan(math.inf, *(info - dots(ratio, chain.mu * f)).tolist())
 
 
 def thm51_bounds(c_p: float, b: float, phi_l2: float, a_param: float,
                  info: float) -> tuple[float, float]:
     """RHS values of the two weighted-TV bounds at information level ``info``."""
     if a_param < 2:
-        raise ValueError("a must be at least 2")
+        raise ModelValidation("a must be at least 2")
     if min(c_p, b, phi_l2, info) < 0:
-        raise ValueError("all arguments must be nonnegative")
+        raise ModelValidation("all arguments must be nonnegative")
     base = 1.0 + 2.0 * b * c_p
     bound_a = base * (a_param + 1.0) / (a_param - 1.0) * info \
         + a_param * math.sqrt(2.0) * phi_l2 * math.sqrt(c_p * info)
@@ -151,9 +151,9 @@ def lsi_constant_from_lyapunov(K: float, c: float, b: float, mu_phi: float,
     curvature bound K <= 0 and phi of the squared-distance form.
     """
     if K > 0:
-        raise ValueError("this route takes a nonpositive curvature bound")
+        raise ModelValidation("this route takes a nonpositive curvature bound")
     if c <= 0:
-        raise ValueError("c must be positive")
+        raise ModelValidation("c must be positive")
     factor = 1.0 - K / 2.0
     A = factor * (2.0 / c) + 1.0
     B = (2.0 / c) * (b + mu_phi) * factor
@@ -173,7 +173,7 @@ def mminf_generator(lambda_rate: float, n_max: int) -> tuple[ReversibleChain, np
     """
     gammaln, gammainc, xlogy = map(_special_ufunc, ("gammaln", "gammainc", "xlogy"))
     if lambda_rate <= 0 or n_max < 2:
-        raise ValueError("need lambda_rate > 0 and n_max >= 2")
+        raise ModelValidation("need lambda_rate > 0 and n_max >= 2")
     tail = float(gammainc(np.floor(n_max) + 1.0, lambda_rate))   # pdtrc(n_max, lambda)
     if tail >= 1e-10:
         raise TruncationTooSmall(f"Poisson tail beyond n_max is {tail:.3e}")
@@ -231,6 +231,11 @@ def beta_potential_example(beta: float, grid: Grid1D | None = None) -> BetaPoten
         raise ModelValidation(f"beta must be at least 1, not {beta!r}")
     if grid is None:
         grid = Grid1D.uniform(-6.0, 6.0, 481)
+    # e^-V at the widest node must be a normal double; by logs, so a huge beta cannot overflow
+    widest = float(np.max(np.abs(grid.nodes)))
+    if beta * math.log(widest) > math.log(-math.log(np.finfo(float).tiny)):
+        raise ModelValidation(f"beta {beta!r} is too large for the grid: e^-|x|^beta is below "
+                              f"the smallest normal double at its widest node {widest!r}")
     V, Vp, Vpp = _blended_potential(beta)
     spec = DiffusionSpec1D(x0=-math.inf, y0=math.inf,
                            a=lambda x: 1.0, b=lambda x: -Vp(x), c_ref=0.0)

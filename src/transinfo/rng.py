@@ -19,6 +19,8 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .errors import ModelValidation
+
 # Paths per range of the lockstep samplers: a range's block buffers and
 # draws take about 1 MB.
 CHUNK = 1024
@@ -30,15 +32,15 @@ def _is_integer(x) -> bool:
 
 
 def check_seed(seed) -> None:
-    """Raise ValueError unless seed is an integer in [0, 2**64), a Philox key word."""
+    """Raise ModelValidation unless seed is an integer in [0, 2**64), a Philox key word."""
     if not (_is_integer(seed) and 0 <= int(seed) < 1 << 64):
-        raise ValueError(f"master seed must be an integer in [0, 2**64), not {seed!r}")
+        raise ModelValidation(f"master seed must be an integer in [0, 2**64), not {seed!r}")
 
 
 def check_count(n_paths) -> None:
-    """Raise ValueError unless n_paths is an integer >= 1."""
+    """Raise ModelValidation unless n_paths is an integer >= 1."""
     if not (_is_integer(n_paths) and n_paths >= 1):
-        raise ValueError(f"path count must be an integer >= 1, not {n_paths!r}")
+        raise ModelValidation(f"path count must be an integer >= 1, not {n_paths!r}")
 
 
 def by_chunks(run: Callable[[range], np.ndarray], n_paths: int, size: int = CHUNK,

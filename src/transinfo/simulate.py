@@ -73,11 +73,8 @@ class EnsembleConfig:
     sde_step: float = 1e-3
 
     def __post_init__(self):
-        try:
-            check_count(self.n_paths)
-            check_seed(self.master_seed)
-        except ValueError as exc:
-            raise ModelValidation(str(exc)) from exc
+        check_count(self.n_paths)
+        check_seed(self.master_seed)
         if not 0 < self.t < math.inf:
             raise ModelValidation(f"horizon must be positive and finite, not {self.t!r}")
         if isinstance(self.model, ReversibleChain):
@@ -353,14 +350,14 @@ def _euler_chunk(seed, paths: range, spec: DiffusionSpec1D, x_start: float, h: f
 def hoeffding_bound(c_p: float, delta_u: float, t: float, r: float) -> float:
     """exp(-t r^2 / (c_P delta(u)^2)): the oscillation bound from the gap."""
     if min(c_p, delta_u, t, r) <= 0:
-        raise ValueError("all arguments must be positive")
+        raise ModelValidation("all arguments must be positive")
     return math.exp(-t * r * r / (c_p * delta_u * delta_u))
 
 
 def lipschitz_gauss_bound(C: float, lip_u: float, t: float, r: float) -> float:
     """exp(-t r^2 / (4 C^2 ||u||_Lip^2)): the Lipschitz spectral-gap bound."""
     if min(C, lip_u, t) <= 0 or r < 0:
-        raise ValueError("C, lip_u, t must be positive and r nonnegative")
+        raise ModelValidation("C, lip_u, t must be positive and r nonnegative")
     return math.exp(-t * r * r / (4.0 * C * C * lip_u * lip_u))
 
 
@@ -385,7 +382,7 @@ def tail_estimate(config: EnsembleConfig, u, v_or_same, r: float,
                   samples: np.ndarray | None = None) -> DeviationEstimate:
     """P(time average of u >= mu(v) + r) versus ||dbeta/dmu||_2 e^{-t alpha(r)}."""
     if r <= 0:
-        raise ValueError("r must be positive")
+        raise ModelValidation("r must be positive")
     if samples is None:
         samples = sample_time_average(config, u)
     if mu_v is None:

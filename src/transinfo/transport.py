@@ -444,13 +444,13 @@ class RateFunction:
     @staticmethod
     def quadratic(c: float) -> "RateFunction":
         if c <= 0:
-            raise ValueError("quadratic rate function needs c > 0")
+            raise ModelValidation("quadratic rate function needs c > 0")
         return RateFunction(kind="quadratic", params=(float(c),))
 
     @staticmethod
     def power(kappa: float, p: float) -> "RateFunction":
         if kappa <= 0 or p <= 1:
-            raise ValueError("power rate function needs kappa > 0, p > 1")
+            raise ModelValidation("power rate function needs kappa > 0, p > 1")
         return RateFunction(kind="power", params=(float(kappa), float(p)))
 
     @staticmethod
@@ -458,14 +458,14 @@ class RateFunction:
         knots = np.array(knots, dtype=float)
         values = np.array(values, dtype=float)
         if knots.ndim != 1 or knots.shape != values.shape:
-            raise ValueError(f"knots and values must be 1-D of one length, not shapes "
-                             f"{knots.shape} and {values.shape}")
+            raise ModelValidation(f"knots and values must be 1-D of one length, not shapes "
+                                  f"{knots.shape} and {values.shape}")
         if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-            raise ValueError("knots and values must be finite")
+            raise ModelValidation("knots and values must be finite")
         if knots.size == 0 or knots[0] != 0.0 or values[0] != 0.0:
-            raise ValueError("tabulated rate function must start at (0, 0)")
+            raise ModelValidation("tabulated rate function must start at (0, 0)")
         if np.any(np.diff(knots) <= 0) or np.any(np.diff(values) < 0):
-            raise ValueError("knots must increase strictly, values non-decreasingly")
+            raise ModelValidation("knots must increase strictly, values non-decreasingly")
         table = (tuple(knots.tolist()), tuple(values.tolist()))
         return RateFunction(kind="tabulated", params=table, knots=knots, values=values)
 
@@ -475,7 +475,7 @@ class RateFunction:
 
     def __call__(self, r: float) -> float:
         if r < 0:
-            raise ValueError("rate functions are defined on r >= 0")
+            raise ModelValidation("rate functions are defined on r >= 0")
         if self.kind == "quadratic":
             (c,) = self.params
             return r * r / (4.0 * c * c)
@@ -492,7 +492,7 @@ class RateFunction:
 def alpha_conjugate(alpha: RateFunction, lam: float) -> float:
     """Monotone conjugate alpha*(lambda) = sup_{r >= 0} (lambda r - alpha(r))."""
     if lam < 0:
-        raise ValueError("monotone conjugate is defined for lambda >= 0")
+        raise ModelValidation("monotone conjugate is defined for lambda >= 0")
     if lam == 0.0:
         return 0.0
     if alpha.kind == "quadratic":
@@ -550,10 +550,10 @@ def alpha_infconv(alphas: list[RateFunction], r: float) -> float:
     so the 16 multistarts only guard the tabulated variant.
     """
     if r < 0:
-        raise ValueError("inf-convolution needs r >= 0")
+        raise ModelValidation("inf-convolution needs r >= 0")
     n = len(alphas)
     if n == 0:
-        raise ValueError("need at least one rate function")
+        raise ModelValidation("need at least one rate function")
     if n == 1:
         return alphas[0](r)
     first = alphas[0]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ReversibleChain, build_chain, dots
-from .errors import DegenerateMeasure, EstimatorOverflow, NoExactSplit
+from .errors import DegenerateMeasure, EstimatorOverflow, ModelValidation, NoExactSplit
 from .rng import by_chunks, check_count, check_seed, path_streams
 
 
@@ -63,7 +63,7 @@ def ckp_extremal(p: float, mu: np.ndarray, subset=None) -> np.ndarray:
     subset (p = 0.5 degenerates to f = 1).
     """
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+        raise ModelValidation("p must lie in (0, 1)")
     mu = np.asarray(mu, dtype=float)
     if subset is None:
         subset = _find_split(mu, p)
@@ -114,7 +114,7 @@ def jump_spectrum(p: float, lam: float) -> JumpSpectrum:
     rho(lambda) exactly on the curve lambda = 1 - 2p.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+        raise ModelValidation("p must lie in (0, 1)")
     delta = 1.0 + 4.0 * lam * (lam + 2.0 * p - 1.0)
     sq = math.sqrt(delta)
     s1 = -0.5 + sq / 2.0
@@ -201,13 +201,13 @@ def fk_growth_mc(p: float, lam: float, t: float, n_paths: int, seed: int) -> Gro
     rule).
     """
     if not 0.0 < t <= 50:
-        raise ValueError(f"horizon t must lie in (0, 50] for this estimator, not {t!r}")
+        raise ModelValidation(f"horizon t must lie in (0, 50] for this estimator, not {t!r}")
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+        raise ModelValidation("p must lie in (0, 1)")
     if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, not {lam!r}")
+        raise ModelValidation(f"lambda must be finite, not {lam!r}")
     if n_paths < 2:
-        raise ValueError(f"a standard error needs at least 2 paths, not {n_paths!r}")
+        raise ModelValidation(f"a standard error needs at least 2 paths, not {n_paths!r}")
     check_count(n_paths)
     check_seed(seed)
     u = extremal_potential(p)

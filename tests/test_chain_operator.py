@@ -26,7 +26,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from transinfo import chains, diffusion1d
+from transinfo import catalog, chains, diffusion1d
 from transinfo.catalog import product_3x3, quartic_spec
 from transinfo.chains import (
     _apply_neg_generator,
@@ -50,7 +50,7 @@ from transinfo.errors import (
     TransinfoError,
 )
 from transinfo.feynman_kac import fisher_information_raw, lambda_max, lambda_max_witness
-from transinfo.lyapunov import mminf_generator
+from transinfo.lyapunov import beta_potential_example, mminf_generator
 from transinfo.transport import w1, w2
 
 from conftest import (
@@ -148,6 +148,29 @@ class TestBand:
         A = ch.conjugated_neg_generator
         np.testing.assert_allclose(diag, np.diag(A), rtol=1e-14)
         np.testing.assert_allclose(off, np.diag(A, 1), rtol=1e-12)
+
+    def test_underflowing_tails_keep_a_finite_band(self):
+        # the |x|^3.5 potential's tails reach 1e-232, so mu_k mu_k+1 underflows there
+        chain = beta_potential_example(3.5).chain
+        assert np.min(chain.mu[:-1] * chain.mu[1:]) < np.finfo(float).tiny
+        diag, off = chain.band
+        assert np.isfinite(off).all()
+        A = chain.conjugated_neg_generator
+        np.testing.assert_allclose(off, np.diag(A, 1), rtol=1e-12)
+        tol = _scale(chain)
+        gap, _ = spectral_gap(chain)
+        assert gap == pytest.approx(np.linalg.eigvalsh(A)[1], abs=tol)
+        u = np.random.default_rng(4).uniform(-5.0, 5.0, chain.n)
+        assert lambda_max(chain, u) == pytest.approx(np.linalg.eigvalsh(np.diag(u) - A)[-1],
+                                                     abs=tol)
+
+    @pytest.mark.parametrize("name", [*catalog.list_examples(), "beta-3"])
+    def test_catalog_and_pinned_bands_take_the_plain_root(self, name):
+        # the split square root serves underflowing products only: these keep their bits
+        chain = (beta_potential_example(3.0).chain if name == "beta-3"
+                 else catalog.load_example(name)["chain"])
+        if chain.band is not None:
+            assert np.min(chain.mu[:-1] * chain.mu[1:]) >= np.finfo(float).tiny
 
     def test_other_chains_have_no_band(self, rng):
         assert random_reversible_chain(5, rng).band is None

@@ -861,6 +861,42 @@ class TestParameterTables:
         assert not (tmp_path / "x.csv").exists()
 
 
+class TestLibraryRejections:
+    """A value its table takes but the library rejects fails its experiment by name,
+    as a ModelValidation with the library's message, and nothing reaches stderr."""
+
+    GOOD = TestParameterTables.GOOD
+    SPEC = [
+        GOOD,
+        {"kind": "simulate", "name": "r", "params": {"r": [-0.2], "n_paths": 50}},
+        {"kind": "simulate", "name": "r0", "params": {"r": [0], "n_paths": 50}},
+        {"kind": "verify-tci", "name": "lambda_grid",
+         "params": {"alpha": TestParameterTables.TCI, "lambda_grid": [-0.5, 1]}},
+        *({"kind": "lyapunov", "name": f"beta-{beta}",
+           "params": {"model": "beta-potential", "beta": beta, "samples": 4}}
+          for beta in (3.5, 5, 50, 1e300)),
+    ]
+
+    def test_reproducer_fails_by_name_beside_the_good_one(self, tmp_path):
+        code, entries, err = _run_text(tmp_path, _spec_text(self.SPEC))
+        assert code == 2 and err == ""
+        errors_ = {name: e["details"].get("error") for name, e in entries.items()
+                   if not e["passed"]}
+        assert errors_.pop("r") == errors_.pop("r0") == "ModelValidation: r must be positive"
+        assert errors_.pop("lambda_grid") == \
+            "ModelValidation: monotone conjugate is defined for lambda >= 0"
+        for beta in (5, 50, 1e300):
+            assert errors_.pop(f"beta-{beta}").startswith(
+                f"ModelValidation: beta {float(beta)!r} is too large for the grid: ")
+        assert errors_ == {}
+        assert all(entries[name]["artifacts"] == [] for name in ("r", "r0", "lambda_grid"))
+        (tmp_path / "alone").mkdir()
+        _, alone, _ = _run_text(tmp_path / "alone", _spec_text([self.GOOD]))
+        assert entries["good"] == alone["good"]
+        assert (tmp_path / "out" / "good-scan.csv").read_bytes() == \
+            (tmp_path / "alone" / "out" / "good-scan.csv").read_bytes()
+
+
 class TestVerdictsCarryNaN:
     """One NaN in a running min or max fails the check: Python's min and max pass over
     a NaN that comes second.  Finite runs keep their bits (the pins above)."""
@@ -970,10 +1006,11 @@ _CHAIN = st.sampled_from(["bernoulli", "jump2", "product-3x3",
                           {"rates": [[0, 1.5], [0.5, 0]], "states": ["a", "b"]}])
 _ALPHA = st.fixed_dictionaries({"kind": st.just("quadratic"), "c": st.floats(1.0, 10.0)})
 _SMALL_REALS = st.lists(st.floats(0.05, 2.0), min_size=1, max_size=2)
-# per kind, the values each key's parser takes, at sizes that keep an example fast
-# and ranges where the kind's own check passes
+_SIGNED_REALS = st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=2)
+# per kind, the values each key's parser takes, at sizes that keep an example fast; the
+# library rejects some of them by name (r or a lambda <= 0, a beta the grid cannot hold)
 _VALID = {
-    "verify-tci": {"model": _CHAIN, "alpha": _ALPHA, "lambda_grid": _SMALL_REALS,
+    "verify-tci": {"model": _CHAIN, "alpha": _ALPHA, "lambda_grid": _SIGNED_REALS,
                    "n_pairs": st.integers(1, 2)},
     "best-constant": {"model": st.sampled_from(["bernoulli", "jump2"]),
                       "metric": st.sampled_from(["default", "trivial", "line"]),
@@ -984,9 +1021,10 @@ _VALID = {
                   "nodes": st.integers(120, 140),
                   "rho": st.sampled_from(["identity", "tanh", "intrinsic"])},
     "lyapunov": {"model": st.sampled_from(["mminf", "beta-potential"]),
-                 "samples": st.integers(0, 3), "beta": st.floats(0.5, 3.0)},
+                 "samples": st.integers(0, 3),
+                 "beta": st.one_of(st.floats(0.5, 4.0), st.floats(4.0, 1e300))},
     "simulate": {"model": _CHAIN, "u": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
-                 "t": st.floats(0.5, 2.0), "r": _SMALL_REALS, "n_paths": st.integers(1, 30),
+                 "t": st.floats(0.5, 2.0), "r": _SIGNED_REALS, "n_paths": st.integers(1, 30),
                  "dump_samples": st.booleans()},
     "tensorize": {"count": st.integers(0, 2)},
     "paper-suite": {},

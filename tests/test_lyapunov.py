@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from transinfo.chains import Density, spectral_gap
 from transinfo import lyapunov
 from transinfo.diffusion1d import Grid1D, discretize
-from transinfo.errors import NotCertified, TruncationTooSmall, UBelowOne
+from transinfo.errors import ModelValidation, NotCertified, TruncationTooSmall, UBelowOne
 from transinfo.lyapunov import (
     beta_potential_example,
     certify_H,
@@ -20,7 +21,8 @@ from transinfo.lyapunov import (
     verify_thm51,
 )
 
-from conftest import dense_build_chain, random_reversible_chain, random_density
+from conftest import (dense_build_chain, loop_drift_info_bound_check, random_density,
+                      random_reversible_chain)
 
 
 def mminf_drift_closed_form(lambda_rate: float, c: float, n_values: np.ndarray) -> np.ndarray:
@@ -130,6 +132,15 @@ class TestDriftInfoBound:
             U = 1.0 + rng.uniform(0, 4, n)
             dens = [random_density(ch, rng) for _ in range(100)]
             assert drift_info_bound_check(ch, U, dens) >= -1e-10
+
+    def test_a_nan_entry_of_U_gives_nan(self, rng):
+        # every slack is NaN, which a running min from inf would pass over
+        ch = random_reversible_chain(4, rng)
+        U = 1.0 + rng.uniform(0, 2, 4)
+        dens = [random_density(ch, rng) for _ in range(5)]
+        assert drift_info_bound_check(ch, U, dens) == loop_drift_info_bound_check(ch, U, dens)
+        U[2] = math.nan
+        assert math.isnan(drift_info_bound_check(ch, U, dens))
 
 
 class TestThm51Bounds:
@@ -329,6 +340,21 @@ class TestBetaPotential:
     def test_beta_three_super_gaussian_tag(self):
         model = beta_potential_example(3.0, grid=Grid1D.uniform(-3, 3, 201))
         assert model.p_exponent == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("beta", [5.0, 50.0, 1e300])
+    def test_beta_beyond_the_grid_fails_by_name(self, beta):
+        # e^-|6|^beta is below the smallest normal double
+        message = f"^beta {re.escape(repr(beta))} is too large for the grid: .* node 6\\.0$"
+        with pytest.raises(ModelValidation, match=message):
+            beta_potential_example(beta)
+
+    def test_beta_fits_a_narrower_grid_and_three_and_a_half_the_default(self):
+        # 3^5 and 6^3.5 both keep e^-V a normal double
+        assert beta_potential_example(5.0, grid=Grid1D.uniform(-3, 3, 201)).b > 0
+        model = beta_potential_example(3.5)
+        cert = certify_H(model.chain, model.U, model.phi, model.b, exclude=(0, model.chain.n - 1))
+        assert cert.certified
+        assert verify_thm51(model.chain, cert, [np.ones(model.chain.n)])["passed"]
 
     def test_certified_after_discretization(self):
         model = beta_potential_example(2.0, grid=Grid1D.uniform(-6, 6, 241))
